@@ -7,17 +7,14 @@ from .problems import (
     LeastSquaresProblem,
     LinearProblem,
     QuadraticProblem,
-    exact_covariance,
 )
 from .ngos import (
     BernoulliNoiseOracle,
     GaussianOracle,
     MinibatchOracle,
     SvagOracle,
-    apply_svag_operator,
     estimate_noise_moments,
     noise_dominance_ratio,
-    sample_gradient,
     svag_coefficients,
 )
 from .optimizers import (
@@ -29,6 +26,7 @@ from .optimizers import (
     sgd_step,
     svag_transform_hparams,
 )
+from .linalg import psd_sqrt
 from .recording import NonFiniteError, TestFunctionSet, TrajectoryRecord
 from .sde import (
     SdeState,
@@ -39,7 +37,6 @@ from .sde import (
     build_sgd_sde,
     clamp_mu,
     euler_maruyama,
-    psd_sqrt,
     transition_tau,
 )
 

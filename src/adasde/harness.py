@@ -28,11 +28,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .moments import hyperparams_from_constants
-from .ngos import GaussianOracle, GradientOracle, MinibatchOracle, apply_svag_operator
+from .ngos import GaussianOracle, GradientOracle, MinibatchOracle, SvagOracle
 from .optimizers import (
     HyperParams,
     OptimizerState,
     adam_step,
+    effective_time_step,
     run_discrete,
     svag_transform_hparams,
 )
@@ -75,39 +76,23 @@ def derive_rng(root_seed: int, *labels: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-class _SequencedGaussianOracle(GradientOracle):
+class _SequencedGaussianOracle(GaussianOracle):
     """Gaussian oracle fed from a pre-drawn queue of standard-normal blocks.
 
     Used internally to couple a discrete run to an integrator run: each
-    ``sample`` consumes the next (seeds, d) block. Not part of the public
-    oracle family (it is deliberately stateful).
+    ``sample`` consumes the next (seeds, d) block and ignores its rng. Not
+    part of the public oracle family (it is deliberately stateful).
     """
 
     def __init__(self, problem: Problem, cov: CovarianceSpec, sigma: float, draws: np.ndarray):
-        self.problem = problem
-        self.cov = cov
-        self.sigma = float(sigma)
-        self._draws = draws
-        self._next = 0
-        self._root = cov.sqrt(problem) if cov.is_constant else None
+        super().__init__(problem, cov, float(sigma))
+        object.__setattr__(self, "_queue", iter(draws))
 
-    @property
-    def sigma_effective(self) -> float:
-        return self.sigma
-
-    def noise_covariance(self, theta=None):
-        return self.cov.matrix(self.problem, theta)
-
-    def sample(self, theta, rng=None):
-        if self._next >= self._draws.shape[0]:
-            raise RuntimeError("sequenced oracle exhausted its draws")
-        w = self._draws[self._next]
-        self._next += 1
-        grad = self.problem.full_gradient(theta)
-        root = self._root if self._root is not None else self.cov.sqrt(self.problem, theta)
-        if root.ndim == 2:
-            return grad + self.sigma * (w @ root.T)
-        return grad + self.sigma * np.einsum("...ij,...j->...i", root, w)
+    def _standard_normal(self, shape, rng) -> np.ndarray:
+        try:
+            return next(self._queue)
+        except StopIteration:
+            raise RuntimeError("sequenced oracle exhausted its draws") from None
 
 
 @dataclass(frozen=True)
@@ -256,7 +241,7 @@ def compare_at_eta(
     hp, sigma = hyperparams_from_constants(
         algo, eta, setup.sigma0, setup.epsilon0, setup.c2, setup.c1
     )
-    dt_e = eta if algo == "sgd" else eta**2
+    dt_e = effective_time_step(algo, eta)
     n_steps = int(math.floor(setup.T / dt_e + 1e-9))
     dt = dt_e / setup.em_substeps
 
@@ -349,11 +334,25 @@ class OrderReport:
         )
 
 
-def _bootstrap_max_gap_slope(etas, reports, name, n_boot=200, seed=0xB00):
-    rng = np.random.default_rng(seed)
+def _fit_gap_decay(x, reports: list[WeakErrorReport], name: str, rng, n_boot: int):
+    """Decay of the worst gap of ``name`` against x, one report per point.
+
+    Returns (gaps, gap SEs, log-log slope, bootstrap slope SE, status). The
+    bootstrap resamples seeds jointly within each report (paired when the
+    two records have equal seed counts). Status is "degenerate" when every
+    gap vanishes (no slope), "inconclusive" when some gap is within 2 SE,
+    else "ok".
+    """
+    gaps = np.array([rep.max_gap[name] for rep in reports])
+    ses = np.array([rep.se_at_max(name) for rep in reports])
+    if np.all(gaps < 1e-300):
+        return gaps, ses, None, 0.0, "degenerate"
+    status = "inconclusive" if np.any(gaps < 2.0 * ses) else "ok"
+    x = np.asarray(x, dtype=float)
+    slope = fit_loglog_slope(x, np.maximum(gaps, 1e-300))
     boots = np.empty(n_boot)
     for b in range(n_boot):
-        gaps = []
+        boot_gaps = []
         for rep in reports:
             dvals = rep.discrete.values[name]
             svals = rep.continuous.values[name]
@@ -361,9 +360,9 @@ def _bootstrap_max_gap_slope(etas, reports, name, n_boot=200, seed=0xB00):
             di = rng.integers(0, nd, size=nd)
             si = di if nd == ns else rng.integers(0, ns, size=ns)
             gap = np.abs(dvals[:, di].mean(axis=1) - svals[:, si].mean(axis=1))
-            gaps.append(max(float(np.max(gap)), 1e-300))
-        boots[b] = fit_loglog_slope(np.asarray(etas), np.asarray(gaps))
-    return float(np.std(boots, ddof=1))
+            boot_gaps.append(max(float(np.max(gap)), 1e-300))
+        boots[b] = fit_loglog_slope(x, np.asarray(boot_gaps))
+    return gaps, ses, slope, float(np.std(boots, ddof=1)), status
 
 
 def order_sweep(
@@ -399,17 +398,9 @@ def order_sweep(
     slope_se: dict[str, float] = {}
     status: dict[str, str] = {}
     for name in fn_names:
-        gaps = np.array([rep.max_gap[name] for rep in reports])
-        ses = np.array([rep.se_at_max(name) for rep in reports])
-        if np.all(gaps < 1e-300):
-            slopes[name], slope_se[name], status[name] = None, 0.0, "degenerate"
-            continue
-        if np.any(gaps < 2.0 * ses):
-            status[name] = "inconclusive"
-        else:
-            status[name] = "ok"
-        slopes[name] = fit_loglog_slope(np.asarray(etas), np.maximum(gaps, 1e-300))
-        slope_se[name] = _bootstrap_max_gap_slope(etas, reports, name)
+        _, _, slopes[name], slope_se[name], status[name] = _fit_gap_decay(
+            etas, reports, name, np.random.default_rng(0xB00), n_boot=200
+        )
     return OrderReport(
         etas=list(etas),
         reports=reports,
@@ -477,7 +468,8 @@ def svag_sweep(
     hp, sigma = hyperparams_from_constants(
         setup.algo, eta, setup.sigma0, setup.epsilon0, setup.c2, setup.c1
     )
-    base_steps = int(math.floor(setup.T / eta**2 + 1e-9))
+    dt_e = effective_time_step(setup.algo, eta)
+    base_steps = int(math.floor(setup.T / dt_e + 1e-9))
     base_ks = _checkpoint_steps(0, base_steps, setup.n_checkpoints)
     fns = TestFunctionSet.from_names(fn_names, d)
     base_oracle = GaussianOracle(setup.problem, setup.cov, sigma)
@@ -502,7 +494,7 @@ def svag_sweep(
                 setup.problem, setup.cov, ell * sigma, draws
             )
         else:
-            oracle = apply_svag_operator(base_oracle, ell) if ell > 1 else base_oracle
+            oracle = SvagOracle(base_oracle, ell) if ell > 1 else base_oracle
         sig_eff = oracle.sigma_effective
         theta0 = np.broadcast_to(setup.theta0, (setup.seeds, d))
         init = OptimizerState.initial(
@@ -519,50 +511,24 @@ def svag_sweep(
 
     records = {ell: run_cell(ell) for ell in ells}
     for ell, rec in records.items():
-        expected = np.asarray(base_ks, dtype=float) * eta**2
+        expected = np.asarray(base_ks, dtype=float) * dt_e
         if np.any(np.abs(rec.times - expected) > 1e-9):
             raise AssertionError("amplified runs drifted off the shared time grid")
 
+    # consecutive-ell pairs are weak-error reports; equal seed counts (exact
+    # seed sharing under coupling) make their SEs paired
+    pairs = [weak_error(records[a], records[b], fn_names) for a, b in zip(ells, ells[1:])]
+    pair_x = [1.0 / ell**2 for ell in ells[:-1]]
     pair_gaps: dict[str, np.ndarray] = {}
     pair_se: dict[str, np.ndarray] = {}
     decay: dict[str, float | None] = {}
     decay_se: dict[str, float] = {}
     status: dict[str, str] = {}
-    pair_x = np.array([1.0 / ells[i] ** 2 for i in range(len(ells) - 1)])
     rng_boot = np.random.default_rng(0xB0075)
     for name in fn_names:
-        gaps, ses = [], []
-        for i in range(len(ells) - 1):
-            a, b = records[ells[i]], records[ells[i + 1]]
-            diff = a.mean(name) - b.mean(name)
-            idx = int(np.argmax(np.abs(diff)))
-            gaps.append(float(np.abs(diff[idx])))
-            if a.seed_count == b.seed_count:
-                # shared seed indexing (exact under coupling): paired SE
-                per_seed = a.values[name][idx] - b.values[name][idx]
-                ses.append(float(np.std(per_seed, ddof=1) / math.sqrt(per_seed.size)))
-            else:
-                ses.append(float(math.sqrt(a.se(name)[idx] ** 2 + b.se(name)[idx] ** 2)))
-        pair_gaps[name] = np.array(gaps)
-        pair_se[name] = np.array(ses)
-        if np.all(pair_gaps[name] < 1e-300):
-            decay[name], decay_se[name], status[name] = None, 0.0, "degenerate"
-            continue
-        status[name] = "inconclusive" if np.any(pair_gaps[name] < 2 * pair_se[name]) else "ok"
-        decay[name] = fit_loglog_slope(pair_x, np.maximum(pair_gaps[name], 1e-300))
-        boots = np.empty(120)
-        for bi in range(120):
-            vals = []
-            for i in range(len(ells) - 1):
-                a, b = records[ells[i]], records[ells[i + 1]]
-                ia = rng_boot.integers(0, a.seed_count, size=a.seed_count)
-                ib = ia if a.seed_count == b.seed_count else rng_boot.integers(
-                    0, b.seed_count, size=b.seed_count
-                )
-                diff = a.values[name][:, ia].mean(axis=1) - b.values[name][:, ib].mean(axis=1)
-                vals.append(max(float(np.max(np.abs(diff))), 1e-300))
-            boots[bi] = fit_loglog_slope(pair_x, np.asarray(vals))
-        decay_se[name] = float(np.std(boots, ddof=1))
+        pair_gaps[name], pair_se[name], decay[name], decay_se[name], status[name] = _fit_gap_decay(
+            pair_x, pairs, name, rng_boot, n_boot=120
+        )
     return SvagReport(
         ells=list(ells),
         records=records,
@@ -665,8 +631,8 @@ def validate_scaling(
         rng = derive_rng(root_seed, "scaling", plan.rule, tag)
         return run_discrete(problem, oracle, algo, hp, init, steps, fns, ks, rng, cov=cov)
 
-    scaled_steps = int(base_steps // kappa)
-    scaled_ks = [int(k // kappa) for k in checkpoints]
+    scaled_steps = plan.map_step(base_steps)
+    scaled_ks = [plan.map_step(k) for k in checkpoints]
     base_rec = one_run("base", plan.base, base_steps, checkpoints, 1.0)
     scaled_rec = one_run(f"kappa={kappa!r}", plan.scaled, scaled_steps, scaled_ks, kappa)
 

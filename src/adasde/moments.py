@@ -21,8 +21,8 @@ import numpy as np
 from .ngos import GradientOracle
 from .optimizers import HyperParams, OptimizerState, step_function
 from .problems import CovarianceSpec, Problem
-from .sde import SdeSystem, evolve
-from .stats import fit_loglog_slope, jackknife_se, select_third_triples
+from .sde import SdeSystem, _em_loop
+from .stats import fit_loglog_slope, jackknife_moments, select_third_triples
 
 __all__ = [
     "OneStepMoments",
@@ -166,24 +166,10 @@ def analytic_adam_moments(
 
 
 def _moments_from_samples(delta: np.ndarray, eta: float, source: str) -> OneStepMoments:
-    n, dim = delta.shape
-    first = delta.mean(axis=0)
-    first_se = jackknife_se(delta)
-    second = delta.T @ delta / n
-    second_se = np.empty((dim, dim))
-    for i in range(dim):  # row blocks bound the transient memory at large n
-        prods = delta[:, i, None] * delta
-        second_se[i] = jackknife_se(prods)
-    cubes = delta**3
-    third_diag = cubes.mean(axis=0)
-    third_diag_se = jackknife_se(cubes)
-    triples = tuple(select_third_triples(dim))
-    tvals = np.empty(len(triples))
-    tses = np.empty(len(triples))
-    for t_idx, (i, j, k) in enumerate(triples):
-        terms = delta[:, i] * delta[:, j] * delta[:, k]
-        tvals[t_idx] = terms.mean()
-        tses[t_idx] = jackknife_se(terms)
+    triples = tuple(select_third_triples(delta.shape[1]))
+    first, first_se, second, second_se, third_diag, third_diag_se, tvals, tses = jackknife_moments(
+        delta, triples, centered=False
+    )
     return OneStepMoments(
         eta=eta,
         first=first,
@@ -257,12 +243,12 @@ def mc_sde_moments(
     """Monte Carlo moments of X_{t + eta^2} - x over integrated paths from x."""
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
-    if dt > eta**2 / 10:
-        raise ValueError("dt must be at most eta^2 / 10")
+    if not 0 < dt <= eta**2 / 10:
+        raise ValueError("dt must lie in (0, eta^2 / 10]")
     x = np.asarray(x, dtype=float)
     x0 = np.broadcast_to(x, (samples, x.size)).copy()
     n_steps = int(round(eta**2 / dt))
-    x1 = evolve(system, x0, t, n_steps, eta**2 / n_steps, rng)
+    x1 = _em_loop(system, x0, t, eta**2 / n_steps, n_steps, rng)
     return _moments_from_samples(x1 - x, eta, "mc-sde")
 
 

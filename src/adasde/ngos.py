@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .problems import CovarianceSpec, EmpiricalCovariance, Problem
-from .stats import jackknife_se, mean_and_se, select_third_triples
+from .stats import jackknife_moments, select_third_triples
 
 __all__ = [
     "GradientOracle",
@@ -23,9 +23,7 @@ __all__ = [
     "BernoulliNoiseOracle",
     "SvagOracle",
     "NoiseMomentReport",
-    "sample_gradient",
     "svag_coefficients",
-    "apply_svag_operator",
     "estimate_noise_moments",
     "noise_dominance_ratio",
 ]
@@ -74,13 +72,17 @@ class GaussianOracle(GradientOracle):
         grad = self.problem.full_gradient(theta)
         if self.sigma == 0.0:
             return grad
-        w = rng.standard_normal(theta.shape)
+        w = self._standard_normal(theta.shape, rng)
         root = self.cov.sqrt(self.problem, theta)
         if root.ndim == 2:
             noise = w @ root.T
         else:  # theta-dependent covariance, batched roots
             noise = np.einsum("...ij,...j->...i", root, w)
         return grad + self.sigma * noise
+
+    def _standard_normal(self, shape, rng) -> np.ndarray:
+        """The standard-normal block w of one draw; the only use of rng."""
+        return rng.standard_normal(shape)
 
 
 @dataclass(frozen=True)
@@ -221,14 +223,6 @@ class SvagOracle(GradientOracle):
         return self.r1 * g1 + self.r2 * g2
 
 
-def sample_gradient(oracle: GradientOracle, theta, rng: np.random.Generator) -> np.ndarray:
-    return oracle.sample(theta, rng)
-
-
-def apply_svag_operator(oracle: GradientOracle, ell: float) -> SvagOracle:
-    return SvagOracle(oracle, ell)
-
-
 @dataclass(frozen=True)
 class NoiseMomentReport:
     """Empirical moments of the normalized noise with jackknife errors."""
@@ -273,34 +267,12 @@ def estimate_noise_moments(
     g = oracle.sample(np.broadcast_to(theta, (samples, d)), rng)
     z = (g - grad) / sigma
 
-    mean, mean_se = mean_and_se(z)
-
-    centered = z - mean
-    cov = centered.T @ centered / (samples - 1)
-    cov_se = np.empty((d, d))
-    for i in range(d):
-        # influence terms of the covariance entries; row at a time to bound memory
-        prods = centered[:, i, None] * centered
-        cov_se[i] = jackknife_se(prods)
-
-    cube = z**3
-    third_diag, third_diag_se = np.mean(cube, axis=0), jackknife_se(cube)
-
-    triples = select_third_triples(d, count=20) if d > 8 else [
-        (i, j, k)
-        for i in range(d)
-        for j in range(i, d)
-        for k in range(j, d)
-        if not (i == j == k)
-    ]
-    tvals = np.empty(len(triples))
-    tses = np.empty(len(triples))
-    for t_idx, (i, j, k) in enumerate(triples):
-        terms = z[:, i] * z[:, j] * z[:, k]
-        tvals[t_idx] = np.mean(terms)
-        tses[t_idx] = jackknife_se(terms)
-
-    all_measured = np.concatenate([third_diag, tvals]) if len(triples) else third_diag
+    # a count of d^3 exceeds the number of triples, so small d gets all of them
+    triples = select_third_triples(d, count=20 if d > 8 else d**3)
+    mean, mean_se, cov, cov_se, third_diag, third_diag_se, tvals, tses = jackknife_moments(
+        z, triples, centered=True
+    )
+    all_measured = np.concatenate([third_diag, tvals])
     return NoiseMomentReport(
         mean=mean,
         mean_se=mean_se,

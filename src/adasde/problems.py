@@ -21,10 +21,6 @@ __all__ = [
     "IsotropicCovariance",
     "ConstantCovariance",
     "EmpiricalCovariance",
-    "loss",
-    "full_gradient",
-    "per_datum_gradients",
-    "exact_covariance",
 ]
 
 
@@ -243,19 +239,3 @@ class EmpiricalCovariance(CovarianceSpec):
         mean = np.mean(grads, axis=-2, keepdims=True)
         centered = grads - mean
         return np.einsum("...ni,...nj->...ij", centered, centered) / grads.shape[-2]
-
-
-def loss(problem: Problem, theta) -> np.ndarray:
-    return problem.loss(theta)
-
-
-def full_gradient(problem: Problem, theta) -> np.ndarray:
-    return problem.full_gradient(theta)
-
-
-def per_datum_gradients(problem: Problem, theta) -> np.ndarray:
-    return problem.per_datum_gradients(theta)
-
-
-def exact_covariance(problem: Problem, cov: CovarianceSpec, theta) -> np.ndarray:
-    return cov.matrix(problem, theta)

@@ -21,7 +21,6 @@ __all__ = [
     "scale_linear_variant",
     "scale_partial_sqrt",
     "make_plan",
-    "align_checkpoints",
     "sde_constants",
 ]
 
@@ -117,6 +116,7 @@ class ScalingPlan:
     flags: frozenset = frozenset()
 
     def map_step(self, k: int) -> int:
+        """Scaled-run step paired with base step k; square-root rules keep their times equal."""
         return int(k // self.kappa)
 
 
@@ -138,19 +138,6 @@ def make_plan(rule: str, hp: HyperParams, kappa: float, flags=None) -> ScalingPl
         raise ValueError(f"unknown scaling rule {rule!r}; expected one of {SCALING_RULES}")
     return ScalingPlan(rule=rule, kappa=float(kappa), base=hp, scaled=scaled,
                        flags=frozenset(flags or ()))
-
-
-def align_checkpoints(base_steps, kappa: float, base_eta: float, sgd: bool = False):
-    """Pair base step k with scaled step floor(k / kappa) at shared continuous time.
-
-    Continuous time is k * eta^2 for the adaptive algorithms and k * eta for
-    SGD; the pairing keeps t equal because the scaled run advances kappa
-    times more time per step.
-    """
-    if kappa < 1:
-        raise ValueError("kappa must be at least 1 for checkpoint alignment")
-    dt_e = base_eta if sgd else base_eta**2
-    return [(int(k), int(k // kappa), int(k) * dt_e) for k in base_steps]
 
 
 def sde_constants(algo: str, hp: HyperParams, sigma: float) -> dict[str, float]:

@@ -12,16 +12,20 @@ Diffusion matrices are structured: only the parameter block (RMSprop, SGD)
 or the momentum block (Adam) is driven by noise, and only d Wiener
 components are consumed per step. ``dense_diffusion`` materializes the full
 D x D matrix for cross-checks on small systems.
+
+Every integration runs through one Euler-Maruyama loop, ``_em_loop``, which
+owns the step and the checks on each state (finite values, u > 0 where the
+system requires it). ``euler_maruyama`` records test functions at
+checkpoints on top of it; the one-step moment estimators call it directly.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .linalg import psd_sqrt
 from .problems import CovarianceSpec, Problem
 from .recording import NonFiniteError, StateView, TestFunctionSet, TrajectoryRecord, _Recorder
 
@@ -34,9 +38,7 @@ __all__ = [
     "build_auxiliary_sde",
     "transition_tau",
     "clamp_mu",
-    "psd_sqrt",
     "euler_maruyama",
-    "evolve",
 ]
 
 
@@ -306,35 +308,60 @@ def build_auxiliary_sde(system: SdeSystem, u_min: float) -> SdeSystem:
     )
 
 
-def evolve(
+def _em_loop(
     system: SdeSystem,
     x: np.ndarray,
     t0: float,
-    n_steps: int,
     dt: float,
+    n_steps: int,
     rng: np.random.Generator | None,
     noise: np.ndarray | None = None,
+    on_state: Callable | None = None,
 ) -> np.ndarray:
-    """Advance raw states by n_steps without recording; same scheme and checks."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    """The Euler-Maruyama loop x <- x + b dt + sigma sqrt(dt) w over a path ensemble.
+
+    ``x`` of shape (paths, D) (or (D,) for one path) starts at time t0 and
+    advances n_steps of size dt > 0. The increments w are ``noise[n]`` when a
+    (n_steps, paths, noise_dim) array is given, else fresh draws from rng.
+    The start and every step are checked: a non-finite state raises
+    NonFiniteError with its step, and u <= 0 on a system that requires u > 0
+    raises ValueError. ``on_state(x, step)`` sees the start (step 0) and the
+    state after every step. Returns the final states.
+    """
     if t0 < system.min_time:
         raise ValueError(f"initial time {t0} below the system's domain (> {system.min_time:g})")
-    x = np.asarray(x, dtype=float).copy()
+    x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[None, :]
-    u_slice = system.blocks.get("u")
+    if x.shape[-1] != system.state_dim:
+        raise ValueError(f"state has dimension {x.shape[-1]}, system expects {system.state_dim}")
+    noise_shape = (x.shape[0], system.noise_dim)
+    if noise is not None:
+        noise = np.asarray(noise, dtype=float)
+        if noise.shape != (n_steps, *noise_shape):
+            raise ValueError(f"noise must have shape {(n_steps, *noise_shape)}, got {noise.shape}")
+    elif rng is None and n_steps > 0:
+        raise ValueError("either rng or a noise array is required")
+
+    u_slice = system.blocks.get("u") if system.requires_positive_u else None
+
+    def visit(xc, step, t):
+        if not np.all(np.isfinite(xc)):
+            raise NonFiniteError(step, f"t={t:.6g}")
+        if u_slice is not None and np.any(xc[..., u_slice] <= 0.0):
+            raise ValueError(
+                f"u reached zero at t={t:.6g}; integrate the clamped auxiliary system or reduce dt"
+            )
+        if on_state is not None:
+            on_state(xc, step)
+
+    visit(x, 0, t0)
     sqrt_dt = math.sqrt(dt)
     for n in range(n_steps):
         t = t0 + n * dt
-        w = noise[n] if noise is not None else rng.standard_normal((x.shape[0], system.noise_dim))
+        w = noise[n] if noise is not None else rng.standard_normal(noise_shape)
         x = x + system.drift(x, t) * dt + system.apply_diffusion(x, t, sqrt_dt * w)
-        if not np.all(np.isfinite(x)):
-            raise NonFiniteError(n + 1, f"t={t + dt:.6g}")
-        if system.requires_positive_u and u_slice is not None and np.any(x[..., u_slice] <= 0.0):
-            raise ValueError(
-                f"u reached zero at t={t + dt:.6g}; integrate the clamped auxiliary system or reduce dt"
-            )
+        visit(x, n + 1, t + dt)
     return x
 
 
@@ -348,7 +375,7 @@ def euler_maruyama(
     checkpoint_times,
     noise: np.ndarray | None = None,
 ) -> TrajectoryRecord:
-    """Fixed-step integration x <- x + b dt + sigma sqrt(dt) w of a path ensemble.
+    """Fixed-step integration of a path ensemble, recorded at checkpoints.
 
     ``init.x`` of shape (paths, D) integrates all paths against a shared
     vectorized stream; checkpoints snap to the nearest grid time (callers
@@ -358,49 +385,22 @@ def euler_maruyama(
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if init.t < system.min_time:
-        raise ValueError(f"initial time {init.t} below the system's domain (> {system.min_time:g})")
-    x = init.x
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.shape[-1] != system.state_dim:
-        raise ValueError(f"state has dimension {x.shape[-1]}, system expects {system.state_dim}")
-    x = x.copy()
-    n_paths = x.shape[0]
-
     span = t_end - init.t
     if span < -1e-12:
         raise ValueError("t_end must not precede the initial time")
     n_steps = max(int(round(span / dt)), 0)
 
-    checkpoint_times = sorted(float(c) for c in checkpoint_times)
     grid_index: dict[int, float] = {}
-    for c in checkpoint_times:
+    for c in sorted(float(c) for c in checkpoint_times):
         if c < init.t - 1e-12 or c > t_end + 1e-12:
             raise ValueError(f"checkpoint {c} outside [{init.t}, {t_end}]")
         grid_index[min(max(int(round((c - init.t) / dt)), 0), n_steps)] = c
-    if noise is not None:
-        noise = np.asarray(noise, dtype=float)
-        if noise.shape != (n_steps, n_paths, system.noise_dim):
-            raise ValueError(
-                f"noise must have shape {(n_steps, n_paths, system.noise_dim)}, got {noise.shape}"
-            )
-    elif rng is None and n_steps > 0:
-        raise ValueError("either rng or a noise array is required")
 
-    u_slice = system.blocks.get("u")
     recorder = _Recorder(fns)
-    sqrt_dt = math.sqrt(dt)
-
-    def check_state(xc, t):
-        if not np.all(np.isfinite(xc)):
-            raise NonFiniteError(int(round((t - init.t) / dt)), f"t={t:.6g}")
-        if system.requires_positive_u and u_slice is not None and np.any(xc[..., u_slice] <= 0.0):
-            raise ValueError(
-                f"u reached zero at t={t:.6g}; integrate the clamped auxiliary system or reduce dt"
-            )
 
     def snapshot(xc, idx):
+        if idx not in grid_index:
+            return
         view = StateView(
             theta=xc[..., system.blocks["theta"]],
             t=init.t + idx * dt,
@@ -412,15 +412,6 @@ def euler_maruyama(
         )
         recorder.record(view)
 
-    check_state(x, init.t)
-    if 0 in grid_index:
-        snapshot(x, 0)
-    for n in range(n_steps):
-        t = init.t + n * dt
-        w = noise[n] if noise is not None else rng.standard_normal((n_paths, system.noise_dim))
-        x = x + system.drift(x, t) * dt + system.apply_diffusion(x, t, sqrt_dt * w)
-        check_state(x, t + dt)
-        if (n + 1) in grid_index:
-            snapshot(x, n + 1)
+    _em_loop(system, init.x, init.t, dt, n_steps, rng, noise, snapshot)
     meta = {"algo": system.algorithm, "dt": dt, "t0": init.t, "t_end": t_end}
     return recorder.build(meta)

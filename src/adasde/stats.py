@@ -4,23 +4,11 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "mean_and_se",
     "jackknife_se",
     "select_third_triples",
+    "jackknife_moments",
     "fit_loglog_slope",
-    "bootstrap_slope_se",
 ]
-
-
-def mean_and_se(samples: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Sample mean and its standard error along an axis."""
-    samples = np.asarray(samples, dtype=float)
-    n = samples.shape[axis]
-    if n < 2:
-        raise ValueError("need at least 2 samples for a standard error")
-    mean = np.mean(samples, axis=axis)
-    se = np.std(samples, axis=axis, ddof=1) / np.sqrt(n)
-    return mean, se
 
 
 def jackknife_se(per_sample_terms: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -56,6 +44,34 @@ def select_third_triples(dim: int, count: int = 20, seed: int = 0x7E57) -> list[
     return [triples[i] for i in sorted(idx)]
 
 
+def jackknife_moments(samples: np.ndarray, triples, centered: bool) -> tuple[np.ndarray, ...]:
+    """Mean, second and third moments of (n, d) samples, each with its jackknife SE.
+
+    Second moments are the covariance (about the sample mean, divided by
+    n - 1) when ``centered``, else the raw E[x_i x_j]. Third moments are raw:
+    E[x_i^3] for every i and E[x_i x_j x_k] for each (i, j, k) in ``triples``.
+    Returns (mean, mean_se, second, second_se, third_diag, third_diag_se,
+    triple_values, triple_se).
+    """
+    n, d = samples.shape
+    mean = np.mean(samples, axis=0)
+    mean_se = jackknife_se(samples)
+    base = samples - mean if centered else samples
+    second = base.T @ base / (n - 1 if centered else n)
+    second_se = np.empty((d, d))
+    for i in range(d):  # row blocks bound the transient memory at large n
+        second_se[i] = jackknife_se(base[:, i, None] * base)
+    cubes = samples**3
+    third_diag, third_diag_se = np.mean(cubes, axis=0), jackknife_se(cubes)
+    triple_values = np.empty(len(triples))
+    triple_se = np.empty(len(triples))
+    for t_idx, (i, j, k) in enumerate(triples):
+        terms = samples[:, i] * samples[:, j] * samples[:, k]
+        triple_values[t_idx] = np.mean(terms)
+        triple_se[t_idx] = jackknife_se(terms)
+    return mean, mean_se, second, second_se, third_diag, third_diag_se, triple_values, triple_se
+
+
 def fit_loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
     """Least-squares slope of log(y) against log(x); x, y must be positive."""
     x = np.asarray(x, dtype=float)
@@ -65,29 +81,3 @@ def fit_loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
     if x.size < 2:
         raise ValueError("need at least 2 points to fit a slope")
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
-
-
-def bootstrap_slope_se(
-    x: np.ndarray,
-    samples_per_point: list[np.ndarray],
-    statistic,
-    n_boot: int = 200,
-    seed: int = 0xB007,
-) -> tuple[float, float]:
-    """Slope and bootstrap SE when each sweep point carries per-seed samples.
-
-    ``statistic`` maps a (resampled) per-seed array to the positive scalar
-    whose log-log slope against x is fitted.
-    """
-    rng = np.random.default_rng(seed)
-    point_values = np.array([statistic(s) for s in samples_per_point])
-    slope = fit_loglog_slope(x, point_values)
-    boot = np.empty(n_boot)
-    for b in range(n_boot):
-        vals = []
-        for s in samples_per_point:
-            idx = rng.integers(0, s.shape[0], size=s.shape[0])
-            vals.append(statistic(s[idx]))
-        vals = np.maximum(vals, 1e-300)
-        boot[b] = fit_loglog_slope(x, np.asarray(vals))
-    return slope, float(np.std(boot, ddof=1))

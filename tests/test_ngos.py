@@ -7,10 +7,9 @@ from adasde.ngos import (
     BernoulliNoiseOracle,
     GaussianOracle,
     MinibatchOracle,
-    apply_svag_operator,
+    SvagOracle,
     estimate_noise_moments,
     noise_dominance_ratio,
-    sample_gradient,
     svag_coefficients,
 )
 from adasde.problems import (
@@ -58,22 +57,22 @@ class TestSampleGradient:
     def test_gaussian_zero_sigma_is_exact(self):
         p = QuadraticProblem(np.diag([1.0, 2.0]))
         oracle = GaussianOracle(p, IsotropicCovariance(1.0), sigma=0.0)
-        g = sample_gradient(oracle, [1.0, 1.0], rng())
+        g = oracle.sample([1.0, 1.0], rng())
         np.testing.assert_array_equal(g, [1.0, 2.0])
 
     def test_full_batch_without_replacement_is_exact(self):
         p = random_least_squares(seed=5)
         oracle = MinibatchOracle(p, batch_size=p.n_points, with_replacement=False)
         theta = np.array([0.3, -1.0, 0.7])
-        np.testing.assert_allclose(sample_gradient(oracle, theta, rng()), p.full_gradient(theta))
+        np.testing.assert_allclose(oracle.sample(theta, rng()), p.full_gradient(theta))
 
     def test_svag_ell_one_replays_inner_stream(self):
         p = LinearProblem([1.0, -1.0])
         inner = GaussianOracle(p, IsotropicCovariance(1.0), sigma=0.5)
-        wrapped = apply_svag_operator(inner, 1.0)
+        wrapped = SvagOracle(inner, 1.0)
         theta = np.zeros(2)
         np.testing.assert_array_equal(
-            sample_gradient(wrapped, theta, rng(3)), sample_gradient(inner, theta, rng(3))
+            wrapped.sample(theta, rng(3)), inner.sample(theta, rng(3))
         )
 
     def test_minibatch_requires_finite_sum(self):
@@ -85,12 +84,12 @@ class TestSampleGradient:
         for oracle in (
             GaussianOracle(p, EmpiricalCovariance(), sigma=1.0),
             MinibatchOracle(p, batch_size=4),
-            apply_svag_operator(GaussianOracle(p, IsotropicCovariance(2.0), sigma=1.0), 2.0),
+            SvagOracle(GaussianOracle(p, IsotropicCovariance(2.0), sigma=1.0), 2.0),
             BernoulliNoiseOracle(p, sigma=1.0),
         ):
             theta = np.array([0.1, 0.2, 0.3])
-            a = sample_gradient(oracle, np.broadcast_to(theta, (50, 3)), rng(42))
-            b = sample_gradient(oracle, np.broadcast_to(theta, (50, 3)), rng(42))
+            a = oracle.sample(np.broadcast_to(theta, (50, 3)), rng(42))
+            b = oracle.sample(np.broadcast_to(theta, (50, 3)), rng(42))
             np.testing.assert_array_equal(a, b)
 
 
@@ -99,7 +98,7 @@ class TestSvagOperator:
         p = QuadraticProblem(np.diag([1.0, 3.0]))
         sigma_mat = np.array([[1.0, 0.3], [0.3, 0.5]])
         inner = GaussianOracle(p, ConstantCovariance(sigma_mat), sigma=1.0)
-        wrapped = apply_svag_operator(inner, 4.0)
+        wrapped = SvagOracle(inner, 4.0)
         theta = np.array([1.0, -2.0])
         n = 100_000
         g = wrapped.sample(np.broadcast_to(theta, (n, 2)), rng(1))
@@ -111,7 +110,7 @@ class TestSvagOperator:
         sigma_mat = np.array([[1.0, 0.3], [0.3, 0.5]])
         ell, sigma = 2.0, 0.7
         inner = GaussianOracle(p, ConstantCovariance(sigma_mat), sigma=sigma)
-        wrapped = apply_svag_operator(inner, ell)
+        wrapped = SvagOracle(inner, ell)
         n = 100_000
         g = wrapped.sample(np.broadcast_to(np.zeros(2), (n, 2)), rng(2))
         centered = g - g.mean(axis=0)
@@ -126,7 +125,7 @@ class TestSvagOperator:
     def test_effective_scale(self):
         p = LinearProblem([1.0])
         inner = GaussianOracle(p, IsotropicCovariance(1.0), sigma=0.3)
-        assert apply_svag_operator(inner, 8.0).sigma_effective == pytest.approx(2.4)
+        assert SvagOracle(inner, 8.0).sigma_effective == pytest.approx(2.4)
 
 
 class TestEstimateNoiseMoments:
@@ -149,7 +148,7 @@ class TestEstimateNoiseMoments:
         inner = BernoulliNoiseOracle(p, sigma=1.0, p=0.2)
         base = estimate_noise_moments(inner, np.zeros(1), 200_000, rng(5))
         for ell in (2.0, 4.0):
-            wrapped = apply_svag_operator(inner, ell)
+            wrapped = SvagOracle(inner, ell)
             rep = estimate_noise_moments(wrapped, np.zeros(1), 200_000, rng(6))
             factor = (12 * ell**2 - 4) / (8 * ell**3)
             target = factor * inner.skewness

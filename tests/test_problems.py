@@ -10,10 +10,6 @@ from adasde.problems import (
     LeastSquaresProblem,
     LinearProblem,
     QuadraticProblem,
-    exact_covariance,
-    full_gradient,
-    loss,
-    per_datum_gradients,
 )
 
 
@@ -37,36 +33,36 @@ def random_least_squares(seed, n=12, d=3):
 class TestLoss:
     def test_linear_inner_product(self):
         p = LinearProblem([2.0, 3.0])
-        assert loss(p, [1.0, 1.0]) == pytest.approx(5.0)
+        assert p.loss([1.0, 1.0]) == pytest.approx(5.0)
 
     def test_quadratic_minimum(self):
         p = QuadraticProblem(np.eye(2))
-        assert loss(p, [0.0, 0.0]) == 0.0
+        assert p.loss([0.0, 0.0]) == 0.0
 
     def test_least_squares_hand_value(self):
         p = LeastSquaresProblem([[1.0], [-1.0]], [0.0, 0.0])
-        assert loss(p, [1.0]) == pytest.approx(0.5)
+        assert p.loss([1.0]) == pytest.approx(0.5)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            loss(LinearProblem([1.0, 2.0]), [1.0])
+            LinearProblem([1.0, 2.0]).loss([1.0])
 
 
 class TestFullGradient:
     def test_linear_constant(self):
         p = LinearProblem([2.0, 3.0])
-        np.testing.assert_allclose(full_gradient(p, [7.0, -4.0]), [2.0, 3.0])
+        np.testing.assert_allclose(p.full_gradient([7.0, -4.0]), [2.0, 3.0])
 
     def test_quadratic_a_theta(self):
         p = QuadraticProblem(np.diag([1.0, 4.0]))
-        np.testing.assert_allclose(full_gradient(p, [1.0, 1.0]), [1.0, 4.0])
+        np.testing.assert_allclose(p.full_gradient([1.0, 1.0]), [1.0, 4.0])
 
     def test_least_squares_finite_difference(self):
         p = random_least_squares(seed=7)
         rng = np.random.default_rng(8)
         theta = rng.standard_normal(3)
         np.testing.assert_allclose(
-            full_gradient(p, theta), central_diff_gradient(p, theta), rtol=1e-6
+            p.full_gradient(theta), central_diff_gradient(p, theta), rtol=1e-6
         )
 
     @pytest.mark.parametrize("maker", [
@@ -80,21 +76,21 @@ class TestFullGradient:
         for _ in range(100):
             theta = rng.standard_normal(problem.dim) * 2
             expected = central_diff_gradient(problem, theta)
-            got = full_gradient(problem, theta)
+            got = problem.full_gradient(theta)
             np.testing.assert_allclose(got, expected, rtol=1e-6, atol=1e-8)
 
     def test_batched_matches_loop(self):
         p = random_least_squares(seed=3)
         thetas = np.random.default_rng(4).standard_normal((6, 3))
-        batched = full_gradient(p, thetas)
+        batched = p.full_gradient(thetas)
         for s in range(6):
-            np.testing.assert_allclose(batched[s], full_gradient(p, thetas[s]))
+            np.testing.assert_allclose(batched[s], p.full_gradient(thetas[s]))
 
 
 class TestPerDatumGradients:
     def test_hand_example(self):
         p = LeastSquaresProblem([[1.0], [-1.0]], [0.0, 0.0])
-        np.testing.assert_allclose(per_datum_gradients(p, [1.0]), [[1.0], [1.0]])
+        np.testing.assert_allclose(p.per_datum_gradients([1.0]), [[1.0], [1.0]])
 
     def test_single_point_rejected(self):
         with pytest.raises(ValueError):
@@ -103,12 +99,12 @@ class TestPerDatumGradients:
     def test_row_mean_is_full_gradient(self):
         p = random_least_squares(seed=11)
         theta = np.random.default_rng(12).standard_normal(3)
-        rows = per_datum_gradients(p, theta)
-        np.testing.assert_allclose(rows.mean(axis=0), full_gradient(p, theta), atol=1e-12)
+        rows = p.per_datum_gradients(theta)
+        np.testing.assert_allclose(rows.mean(axis=0), p.full_gradient(theta), atol=1e-12)
 
     def test_unsupported_kind(self):
         with pytest.raises(ValueError):
-            per_datum_gradients(LinearProblem([1.0]), [0.0])
+            LinearProblem([1.0]).per_datum_gradients([0.0])
 
 
 class TestExactCovariance:
@@ -116,17 +112,17 @@ class TestExactCovariance:
         # per-datum gradients {1, 3}: x in {1, sqrt(3)} with y chosen so grads land there
         p = LeastSquaresProblem([[1.0], [1.0]], [0.0, -2.0])
         theta = np.array([1.0])
-        np.testing.assert_allclose(per_datum_gradients(p, theta).ravel(), [1.0, 3.0])
-        sigma = exact_covariance(p, EmpiricalCovariance(), theta)
+        np.testing.assert_allclose(p.per_datum_gradients(theta).ravel(), [1.0, 3.0])
+        sigma = EmpiricalCovariance().matrix(p, theta)
         np.testing.assert_allclose(sigma, [[1.0]])
 
     def test_isotropic_identity(self):
         p = LinearProblem([1.0, 1.0])
-        np.testing.assert_allclose(exact_covariance(p, IsotropicCovariance(1.0), None), np.eye(2))
+        np.testing.assert_allclose(IsotropicCovariance(1.0).matrix(p, None), np.eye(2))
 
     def test_equal_gradients_zero_matrix(self):
         p = LeastSquaresProblem([[1.0, 0.0], [1.0, 0.0]], [0.0, 0.0])
-        sigma = exact_covariance(p, EmpiricalCovariance(), np.array([1.0, 5.0]))
+        sigma = EmpiricalCovariance().matrix(p, np.array([1.0, 5.0]))
         np.testing.assert_allclose(sigma, 0.0)
 
     def test_non_psd_constant_rejected(self):
@@ -142,7 +138,7 @@ class TestExactCovariance:
     def test_empirical_is_symmetric_psd(self, seed):
         p = random_least_squares(seed=seed % 97 + 2)
         theta = np.random.default_rng(seed).standard_normal(3) * 3
-        sigma = exact_covariance(p, EmpiricalCovariance(), theta)
+        sigma = EmpiricalCovariance().matrix(p, theta)
         np.testing.assert_allclose(sigma, sigma.T, atol=1e-12)
         eigvals = np.linalg.eigvalsh(sigma)
         assert eigvals.min() >= -1e-10 * max(eigvals.max(), 0.0)
@@ -150,10 +146,10 @@ class TestExactCovariance:
     def test_trace_equals_mean_squared_deviation(self):
         p = random_least_squares(seed=31)
         theta = np.random.default_rng(32).standard_normal(3)
-        rows = per_datum_gradients(p, theta)
+        rows = p.per_datum_gradients(theta)
         centered = rows - rows.mean(axis=0)
         expected = np.mean(np.sum(centered**2, axis=1))
-        got = np.trace(exact_covariance(p, EmpiricalCovariance(), theta))
+        got = np.trace(EmpiricalCovariance().matrix(p, theta))
         assert got == pytest.approx(expected, abs=1e-12)
 
 

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from adasde.optimizers import HyperParams
 from adasde.scaling import (
-    align_checkpoints,
     make_plan,
     scale_adam,
     scale_linear_variant,
@@ -105,6 +104,7 @@ class TestPlan:
         plan = make_plan("sqrt-rmsprop", hp, 4.0)
         assert plan.map_step(100) == 25
         assert plan.map_step(101) == 25
+        assert make_plan("sqrt-rmsprop", hp, 1.0).map_step(7) == 7
 
     def test_unknown_rule(self):
         with pytest.raises(ValueError):
@@ -112,14 +112,6 @@ class TestPlan:
 
 
 class TestAlignCheckpoints:
-    def test_basic_pairing(self):
-        pairs = align_checkpoints([100], 4.0, base_eta=0.1)
-        assert pairs == [(100, 25, pytest.approx(1.0))]
-
-    def test_identity_at_kappa_one(self):
-        pairs = align_checkpoints([3, 7], 1.0, base_eta=0.1)
-        assert [(k, j) for k, j, _ in pairs] == [(3, 3), (7, 7)]
-
     def test_shared_time_invariance(self):
         # k eta^2 equals (k/kappa) (eta sqrt(kappa))^2
         eta, kappa = 0.05, 4.0

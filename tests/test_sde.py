@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adasde.linalg import psd_sqrt
 from adasde.problems import ConstantCovariance, IsotropicCovariance, QuadraticProblem
 from adasde.recording import TestFunctionSet
 from adasde.sde import (
@@ -16,7 +17,6 @@ from adasde.sde import (
     build_sgd_sde,
     clamp_mu,
     euler_maruyama,
-    psd_sqrt,
     transition_tau,
 )
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,9 +157,8 @@ class WeakErrorReport:
 def weak_error(
     discrete: TrajectoryRecord,
     continuous: TrajectoryRecord,
-    names=None,
+    names,
     eta: float | None = None,
-    keep_records: bool = True,
 ) -> WeakErrorReport:
     """Gap per function per checkpoint, the max over checkpoints, and SEs.
 
@@ -173,9 +171,7 @@ def weak_error(
         np.abs(discrete.times - continuous.times) > 1e-9
     ):
         raise ValueError("checkpoint time grids do not match")
-    names = list(names) if names is not None else [
-        n for n in discrete.names if n in continuous.values
-    ]
+    names = list(names)
     missing = [n for n in names if n not in discrete.values or n not in continuous.values]
     if missing:
         raise ValueError(f"functions missing from a record: {missing}")
@@ -201,14 +197,21 @@ def weak_error(
         max_gap=max_gap,
         argmax_t=argmax_t,
         eta=eta,
-        discrete=discrete if keep_records else None,
-        continuous=continuous if keep_records else None,
+        discrete=discrete,
+        continuous=continuous,
     )
 
 
 def _checkpoint_steps(k_start: int, n_steps: int, count: int) -> list[int]:
     ks = np.unique(np.round(np.linspace(k_start + 1, n_steps, count)).astype(int))
     return [int(k) for k in ks if k > k_start]
+
+
+def _coarse_increments(fine: np.ndarray, factor: int) -> np.ndarray:
+    """Sum ``factor`` consecutive standard-normal blocks along axis 0, rescaled to unit variance."""
+    out = fine.reshape(fine.shape[0] // factor, factor, *fine.shape[1:]).sum(axis=1)
+    out /= math.sqrt(factor)
+    return out
 
 
 def _build_system(setup: ApproximationSetup, eta: float):
@@ -226,7 +229,6 @@ def compare_at_eta(
     eta: float,
     fn_names,
     root_seed: int,
-    label: str = "order",
 ) -> WeakErrorReport:
     """Run the discrete ensemble and the matched integrator ensemble at one eta.
 
@@ -255,7 +257,7 @@ def compare_at_eta(
     ks = _checkpoint_steps(k0, n_steps, setup.n_checkpoints)
     t_checkpoints = [k * dt_e for k in ks]
 
-    rng = derive_rng(root_seed, label, f"{algo}", f"eta={eta!r}")
+    rng = derive_rng(root_seed, "order", algo, f"eta={eta!r}")
     prefix = rng.standard_normal((k0, S, d)) if k0 else np.zeros((0, S, d))
     em_noise = rng.standard_normal(((n_steps - k0) * setup.em_substeps, S, d))
     if setup.coupled:
@@ -263,57 +265,42 @@ def compare_at_eta(
         # its interval. The stored diffusion keeps a plus sign while the
         # parameter-block noise enters the discrete update negatively, so the
         # pathwise identification flips sign except through Adam's momentum.
-        sign = 1.0 if algo == "adam" else -1.0
-        blocks = em_noise.reshape(n_steps - k0, setup.em_substeps, S, d)
-        main_draws = sign * blocks.sum(axis=1) / math.sqrt(setup.em_substeps)
+        main_draws = _coarse_increments(em_noise, setup.em_substeps)
+        if algo != "adam":
+            main_draws *= -1.0
     else:
         main_draws = rng.standard_normal((n_steps - k0, S, d))
 
     oracle = _SequencedGaussianOracle(
         setup.problem, setup.cov, sigma, np.concatenate([prefix, main_draws], axis=0)
     )
-    theta0 = np.broadcast_to(setup.theta0, (S, d))
+    # SGD never reads v, and its sigma is 1, so unit u0 is as good as any
+    u0 = np.ones(d) if setup.u0 is None else setup.u0
     m0 = np.zeros(d) if setup.m0 is None else setup.m0
-    if algo == "sgd":
-        init = OptimizerState.initial(theta0, v0=np.ones(d))
-        fns = TestFunctionSet.from_names(fn_names, d)
-        discrete = run_discrete(
-            setup.problem, oracle, algo, hp, init, n_steps, fns, ks, rng, cov=setup.cov
-        )
-        system = _build_system(setup, eta)
-        em_rec = euler_maruyama(
-            system, SdeState(theta0.copy(), 0.0), n_steps * dt_e, dt, None, fns,
-            t_checkpoints, noise=em_noise,
-        )
-        return weak_error(discrete, em_rec, fn_names, eta=eta)
-
-    v0 = setup.u0 * sigma**2
+    state = OptimizerState.initial(
+        np.broadcast_to(setup.theta0, (S, d)),
+        v0=np.broadcast_to(u0 * sigma**2, (S, d)),
+        m0=np.broadcast_to(m0, (S, d)),
+    )
+    for _ in range(k0):  # shared warm-up prefix, momentum path only
+        state = adam_step(state, oracle.sample(state.theta, rng), hp)
     fns = TestFunctionSet.from_names(fn_names, d)
-    state = OptimizerState.initial(theta0, v0=np.broadcast_to(v0, (S, d)), m0=np.broadcast_to(m0, (S, d)))
-    if k0:
-        for _ in range(k0):  # shared warm-up prefix, momentum path only
-            state = adam_step(state, oracle.sample(state.theta, rng), hp)
     discrete = run_discrete(
         setup.problem, oracle, algo, hp, state, n_steps - k0, fns,
         [k - k0 for k in ks], rng, cov=setup.cov,
     )
 
-    system = _build_system(setup, eta)
     if algo == "rmsprop":
-        x0 = np.concatenate([state.theta, np.broadcast_to(setup.u0, (S, d))], axis=1)
+        x0 = np.concatenate([state.theta, np.broadcast_to(u0, (S, d))], axis=1)
+    elif algo == "adam":
+        x0 = np.concatenate([state.theta, state.m, state.v / sigma**2], axis=1)
     else:
-        u_k0 = state.v / sigma**2
-        x0 = np.concatenate([state.theta, state.m, u_k0], axis=1)
+        x0 = state.theta.copy()
     em_rec = euler_maruyama(
-        system, SdeState(x0, k0 * dt_e), n_steps * dt_e, dt, None, fns,
+        _build_system(setup, eta), SdeState(x0, k0 * dt_e), n_steps * dt_e, dt, None, fns,
         t_checkpoints, noise=em_noise,
     )
     return weak_error(discrete, em_rec, fn_names, eta=eta)
-
-
-def _order_cell(args) -> WeakErrorReport:
-    setup, eta, fn_names, root_seed = args
-    return compare_at_eta(setup, eta, fn_names, root_seed)
 
 
 @dataclass
@@ -370,7 +357,6 @@ def order_sweep(
     etas,
     fn_names,
     root_seed: int,
-    jobs: int = 1,
 ) -> OrderReport:
     """Fit log(max gap) against log(eta) per test function.
 
@@ -387,12 +373,7 @@ def order_sweep(
     if min(ratios) < math.sqrt(2.0) * 0.98:  # 2% slack admits the standard 0.2/0.14/0.1/... ladder
         raise ValueError("eta values must shrink by roughly sqrt(2) or more per step")
 
-    cells = [(setup, eta, list(fn_names), root_seed) for eta in etas]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_order_cell, cells))
-    else:
-        reports = [_order_cell(c) for c in cells]
+    reports = [compare_at_eta(setup, eta, list(fn_names), root_seed) for eta in etas]
 
     slopes: dict[str, float | None] = {}
     slope_se: dict[str, float] = {}
@@ -487,9 +468,7 @@ def svag_sweep(
         ell_i = int(round(ell))
         hp_ell = svag_transform_hparams(hp, ell, setup.algo) if ell > 1 else hp
         if setup.coupled:
-            block = (ell_max // ell_i) ** 2
-            draws = fine.reshape(base_steps * ell_i**2, block, setup.seeds, d).sum(axis=1)
-            draws = draws / math.sqrt(block)
+            draws = _coarse_increments(fine, (ell_max // ell_i) ** 2)
             oracle: GradientOracle = _SequencedGaussianOracle(
                 setup.problem, setup.cov, ell * sigma, draws
             )
@@ -607,10 +586,13 @@ def validate_scaling(
     kappa = plan.kappa
     if kappa < 1:
         raise ValueError("kappa must be at least 1")
+    if abs(kappa - round(kappa)) > 1e-12:
+        raise ValueError("kappa must be an integer for exact checkpoint alignment")
     checkpoints = sorted(int(k) for k in checkpoints)
-    for k in checkpoints:
-        if k % int(round(kappa)) != 0 or abs(kappa - round(kappa)) > 1e-12:
-            raise ValueError("checkpoints must be multiples of an integer kappa for exact alignment")
+    if not checkpoints:
+        raise ValueError("need at least one checkpoint")
+    if any(k % int(round(kappa)) != 0 for k in checkpoints):
+        raise ValueError("checkpoints must be multiples of kappa for exact alignment")
     if checkpoints[-1] > base_steps:
         raise ValueError("checkpoints exceed the base run length")
     d = problem.dim

@@ -343,26 +343,23 @@ def hyperparams_from_constants(
     algo: str, eta: float, sigma0: float, epsilon0: float, c2: float, c1: float | None = None
 ) -> tuple[HyperParams, float]:
     """Discrete (hyperparams, sigma) pinned to fixed continuous constants at this eta."""
+    if algo == "sgd":  # no decays: sigma0, epsilon0 and c2 do not apply
+        return HyperParams(eta=eta), 1.0
+    if algo not in ("rmsprop", "adam"):
+        raise ValueError(f"unknown algorithm {algo!r}")
     beta2 = 1.0 - c2 * eta**2
     if not 0.0 <= beta2 <= 1.0:
         raise ValueError(f"c2 eta^2 = {c2 * eta**2:g} leaves the decay range")
     sigma = sigma0 / eta
     epsilon = epsilon0 / eta
     if algo == "rmsprop":
-        hp = HyperParams(eta=eta, beta=beta2, epsilon=epsilon)
-    elif algo == "adam":
-        if c1 is None:
-            raise ValueError("adam needs c1")
-        beta1 = 1.0 - c1 * eta**2
-        if not 0.0 <= beta1 <= 1.0:
-            raise ValueError(f"c1 eta^2 = {c1 * eta**2:g} leaves the decay range")
-        hp = HyperParams(eta=eta, beta1=beta1, beta2=beta2, epsilon=epsilon)
-    elif algo == "sgd":
-        hp = HyperParams(eta=eta)
-        sigma = 1.0
-    else:
-        raise ValueError(f"unknown algorithm {algo!r}")
-    return hp, sigma
+        return HyperParams(eta=eta, beta=beta2, epsilon=epsilon), sigma
+    if c1 is None:
+        raise ValueError("adam needs c1")
+    beta1 = 1.0 - c1 * eta**2
+    if not 0.0 <= beta1 <= 1.0:
+        raise ValueError(f"c1 eta^2 = {c1 * eta**2:g} leaves the decay range")
+    return HyperParams(eta=eta, beta1=beta1, beta2=beta2, epsilon=epsilon), sigma
 
 
 def residual_decay_sweep(

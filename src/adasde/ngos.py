@@ -73,12 +73,7 @@ class GaussianOracle(GradientOracle):
         if self.sigma == 0.0:
             return grad
         w = self._standard_normal(theta.shape, rng)
-        root = self.cov.sqrt(self.problem, theta)
-        if root.ndim == 2:
-            noise = w @ root.T
-        else:  # theta-dependent covariance, batched roots
-            noise = np.einsum("...ij,...j->...i", root, w)
-        return grad + self.sigma * noise
+        return grad + self.sigma * self.cov.apply_sqrt(self.problem, theta, w)
 
     def _standard_normal(self, shape, rng) -> np.ndarray:
         """The standard-normal block w of one draw; the only use of rng."""
@@ -89,21 +84,19 @@ class GaussianOracle(GradientOracle):
 class MinibatchOracle(GradientOracle):
     """Mean of B per-datum gradients from a finite-sum problem.
 
-    Sampling is with replacement by default, which makes the noise
-    covariance exactly Sigma(theta) / B. The without-replacement flag exists
-    for the full-batch sanity case only; no covariance claim is made for it.
+    The B indices are drawn uniformly with replacement, independently per
+    leading index of theta, which makes the noise covariance exactly
+    Sigma(theta) / B for any B >= 1 (B may exceed the number of points).
     """
 
     problem: Problem
     batch_size: int
-    with_replacement: bool = True
 
     def __post_init__(self):
         if not self.problem.is_finite_sum:
             raise ValueError("minibatch sampling needs a finite-sum problem")
-        n = self.problem.n_points
-        if not 1 <= self.batch_size <= (10**9 if self.with_replacement else n):
-            raise ValueError(f"batch_size {self.batch_size} out of range")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
 
     @property
     def sigma_effective(self) -> float:
@@ -117,15 +110,7 @@ class MinibatchOracle(GradientOracle):
         n = self.problem.n_points
         x = self.problem.data
         y = self.problem.targets
-        lead = theta.shape[:-1]
-        if self.with_replacement:
-            idx = rng.integers(0, n, size=lead + (self.batch_size,))
-        elif self.batch_size == n:
-            return self.problem.full_gradient(theta)
-        else:
-            idx = np.stack(
-                [rng.permutation(n)[: self.batch_size] for _ in range(int(np.prod(lead, dtype=int)))]
-            ).reshape(lead + (self.batch_size,))
+        idx = rng.integers(0, n, size=theta.shape[:-1] + (self.batch_size,))
         xb = x[idx]  # (..., B, d)
         yb = y[idx]
         r = np.einsum("...bi,...i->...b", xb, theta) - yb

@@ -170,9 +170,13 @@ class CovarianceSpec:
     def sqrt(self, problem: Problem, theta) -> np.ndarray:
         return psd_sqrt(self.matrix(problem, theta))
 
-    @property
-    def is_constant(self) -> bool:
-        return False
+    def apply_sqrt(self, problem: Problem, theta, w) -> np.ndarray:
+        """Sigma(theta)^{1/2} w for standard-normal draws w of shape (..., d)."""
+        root = self.sqrt(problem, theta)
+        if root.ndim == 2:
+            return w @ root.T
+        # theta-dependent covariance, one root per leading index
+        return np.einsum("...ij,...j->...i", root, w)
 
 
 @dataclass(frozen=True)
@@ -184,10 +188,6 @@ class IsotropicCovariance(CovarianceSpec):
     def __post_init__(self):
         if self.value < 0:
             raise ValueError("isotropic covariance needs a nonnegative value")
-
-    @property
-    def is_constant(self) -> bool:
-        return True
 
     def matrix(self, problem: Problem, theta=None) -> np.ndarray:
         return self.value * np.eye(problem.dim)
@@ -210,10 +210,6 @@ class ConstantCovariance(CovarianceSpec):
         mat = check_symmetric(np.asarray(self.sigma, dtype=float), name="covariance")
         object.__setattr__(self, "sigma", mat)
         object.__setattr__(self, "_sqrt", psd_sqrt(mat))
-
-    @property
-    def is_constant(self) -> bool:
-        return True
 
     def matrix(self, problem: Problem, theta=None) -> np.ndarray:
         if self.sigma.shape[0] != problem.dim:

@@ -50,25 +50,12 @@ def _scaled_decay(name: str, value: float, kappa: float) -> float:
 
 def scale_rmsprop(hp: HyperParams, kappa: float) -> HyperParams:
     """eta' = eta sqrt(kappa), beta' = 1 - kappa(1-beta), eps' = eps / sqrt(kappa)."""
-    kappa = _check_kappa(kappa)
-    return replace(
-        hp,
-        eta=hp.eta * math.sqrt(kappa),
-        beta=_scaled_decay("beta", hp.beta, kappa),
-        epsilon=hp.epsilon / math.sqrt(kappa),
-    )
+    return scale_partial_sqrt(hp, kappa, {"eta", "beta", "epsilon"})
 
 
 def scale_adam(hp: HyperParams, kappa: float) -> HyperParams:
     """Like the RMSprop rule with both decays moved together."""
-    kappa = _check_kappa(kappa)
-    return replace(
-        hp,
-        eta=hp.eta * math.sqrt(kappa),
-        beta1=_scaled_decay("beta1", hp.beta1, kappa),
-        beta2=_scaled_decay("beta2", hp.beta2, kappa),
-        epsilon=hp.epsilon / math.sqrt(kappa),
-    )
+    return scale_partial_sqrt(hp, kappa, {"eta", "beta1", "beta2", "epsilon"})
 
 
 def scale_linear_variant(hp: HyperParams, kappa: float, flags=frozenset({"eta"})) -> HyperParams:
@@ -127,7 +114,7 @@ def make_plan(rule: str, hp: HyperParams, kappa: float, flags=None) -> ScalingPl
     elif rule == "sqrt-adam":
         scaled = scale_adam(hp, kappa)
     elif rule == "linear-sgd":
-        scaled = replace(hp, eta=hp.eta * _check_kappa(kappa))
+        scaled = scale_linear_variant(hp, kappa, {"eta"})
     elif rule == "linear-adam":
         scaled = scale_linear_variant(hp, kappa, flags or frozenset({"eta"}))
     elif rule == "partial-sqrt":

@@ -10,8 +10,11 @@ must account for this.
 
 Diffusion matrices are structured: only the parameter block (RMSprop, SGD)
 or the momentum block (Adam) is driven by noise, and only d Wiener
-components are consumed per step. ``dense_diffusion`` materializes the full
-D x D matrix for cross-checks on small systems.
+components are consumed per step. ``apply_diffusion`` scales
+``CovarianceSpec.apply_sqrt``, the one place a covariance root meets a draw
+(shared with the Gaussian oracle). ``dense_diffusion`` materializes the full
+D x D matrix from ``CovarianceSpec.sqrt`` as the reference for cross-checks
+on small systems.
 
 Every integration runs through one Euler-Maruyama loop, ``_em_loop``, which
 owns the step and the checks on each state (finite values, u > 0 where the
@@ -107,28 +110,6 @@ class SdeSystem:
         return None if sl is None else x[..., sl]
 
 
-def _sigma_root_fn(problem: Problem, cov: CovarianceSpec):
-    """Return (apply_root, root_is_constant): apply_root maps (theta, w) -> Sigma^{1/2} w."""
-    if cov.is_constant:
-        root = cov.sqrt(problem)
-
-        def apply_root(theta, w):
-            return w @ root.T
-
-        def dense_root(theta):
-            return np.broadcast_to(root, theta.shape[:-1] + root.shape)
-
-    else:
-
-        def apply_root(theta, w):
-            return np.einsum("...ij,...j->...i", cov.sqrt(problem, theta), w)
-
-        def dense_root(theta):
-            return cov.sqrt(problem, theta)
-
-    return apply_root, dense_root
-
-
 def build_rmsprop_sde(
     problem: Problem,
     cov: CovarianceSpec,
@@ -148,7 +129,6 @@ def build_rmsprop_sde(
     if sigma0 <= 0 or c2 <= 0 or epsilon0 < 0:
         raise ValueError("need sigma0 > 0, c2 > 0, epsilon0 >= 0")
     d = problem.dim
-    apply_root, dense_root = _sigma_root_fn(problem, cov)
     clamped = u_min is not None
     u_of = (lambda u: clamp_mu(u, u_min)) if clamped else (lambda u: u)
 
@@ -164,14 +144,14 @@ def build_rmsprop_sde(
         theta, u = x[..., :d], x[..., d:]
         scale = 1.0 / (np.sqrt(u_of(u)) + epsilon0 / sigma0)
         out = np.zeros_like(x)
-        out[..., :d] = scale * apply_root(theta, dw)
+        out[..., :d] = scale * cov.apply_sqrt(problem, theta, dw)
         return out
 
     def dense_diffusion(x, t):
         theta, u = x[..., :d], x[..., d:]
         scale = 1.0 / (np.sqrt(u_of(u)) + epsilon0 / sigma0)
         full = np.zeros(x.shape[:-1] + (2 * d, 2 * d))
-        full[..., :d, :d] = scale[..., :, None] * dense_root(theta)
+        full[..., :d, :d] = scale[..., :, None] * cov.sqrt(problem, theta)
         return full
 
     return SdeSystem(
@@ -208,7 +188,6 @@ def build_adam_sde(
     if sigma0 <= 0 or c1 <= 0 or c2 <= 0 or epsilon0 < 0:
         raise ValueError("need sigma0, c1, c2 > 0 and epsilon0 >= 0")
     d = problem.dim
-    apply_root, dense_root = _sigma_root_fn(problem, cov)
     clamped = u_min is not None
     u_of = (lambda u: clamp_mu(u, u_min)) if clamped else (lambda u: u)
 
@@ -231,14 +210,14 @@ def build_adam_sde(
         gammas(t)  # enforce the t > 0 domain
         theta = x[..., :d]
         out = np.zeros_like(x)
-        out[..., d : 2 * d] = sigma0 * c1 * apply_root(theta, dw)
+        out[..., d : 2 * d] = sigma0 * c1 * cov.apply_sqrt(problem, theta, dw)
         return out
 
     def dense_diffusion(x, t):
         gammas(t)
         theta = x[..., :d]
         full = np.zeros(x.shape[:-1] + (3 * d, 3 * d))
-        full[..., d : 2 * d, :d] = sigma0 * c1 * dense_root(theta)
+        full[..., d : 2 * d, :d] = sigma0 * c1 * cov.sqrt(problem, theta)
         return full
 
     return SdeSystem(
@@ -263,17 +242,16 @@ def build_sgd_sde(problem: Problem, cov: CovarianceSpec, eta: float) -> SdeSyste
     if eta <= 0:
         raise ValueError("eta must be positive")
     d = problem.dim
-    apply_root, dense_root = _sigma_root_fn(problem, cov)
     amp = math.sqrt(eta)
 
     def drift(x, t):
         return -problem.full_gradient(x)
 
     def apply_diffusion(x, t, dw):
-        return amp * apply_root(x, dw)
+        return amp * cov.apply_sqrt(problem, x, dw)
 
     def dense_diffusion(x, t):
-        return amp * dense_root(x)
+        return amp * np.broadcast_to(cov.sqrt(problem, x), x.shape[:-1] + (d, d))
 
     return SdeSystem(
         state_dim=d,

@@ -2,9 +2,16 @@
 import numpy as np
 import pytest
 
-from adasde.harness import ApproximationSetup, _SequencedGaussianOracle, order_sweep, svag_sweep
+from adasde.harness import (
+    ApproximationSetup,
+    _SequencedGaussianOracle,
+    order_sweep,
+    svag_sweep,
+    validate_scaling,
+)
 from adasde.moments import mc_sde_moments
 from adasde.ngos import GaussianOracle
+from adasde.optimizers import HyperParams
 from adasde.problems import (
     ConstantCovariance,
     EmpiricalCovariance,
@@ -12,6 +19,7 @@ from adasde.problems import (
     LeastSquaresProblem,
     QuadraticProblem,
 )
+from adasde.scaling import make_plan
 from adasde.sde import build_rmsprop_sde
 
 FNS = ["theta_0", "loss"]
@@ -264,3 +272,24 @@ class TestMcSdeLoopChecks:
         with pytest.raises(ValueError, match="u reached zero"):
             mc_sde_moments(system, [1.0, 1.0], 0.0, eta=0.1, samples=1000, dt=1e-3,
                            rng=np.random.default_rng(0))
+
+
+class TestValidateScalingArguments:
+    def _run(self, kappa, checkpoints):
+        data = np.random.default_rng(2)
+        problem = LeastSquaresProblem(data.standard_normal((8, 2)), data.standard_normal(8))
+        plan = make_plan("sqrt-rmsprop", HyperParams(eta=0.05, beta=0.99), kappa)
+        return validate_scaling(plan, problem, "rmsprop", FNS, base_steps=8, checkpoints=checkpoints,
+                                seeds=10, root_seed=ROOT_SEED, batch_size=2)
+
+    def test_empty_checkpoints_rejected(self):
+        with pytest.raises(ValueError, match="at least one checkpoint"):
+            self._run(2, [])
+
+    @pytest.mark.parametrize("checkpoints", [[], [5]])
+    def test_non_integer_kappa_rejected(self, checkpoints):
+        with pytest.raises(ValueError, match="kappa must be an integer"):
+            self._run(2.5, checkpoints)
+
+    def test_valid_arguments_run(self):
+        assert self._run(2, [4, 8]).times.size == 2

@@ -60,12 +60,6 @@ class TestSampleGradient:
         g = oracle.sample([1.0, 1.0], rng())
         np.testing.assert_array_equal(g, [1.0, 2.0])
 
-    def test_full_batch_without_replacement_is_exact(self):
-        p = random_least_squares(seed=5)
-        oracle = MinibatchOracle(p, batch_size=p.n_points, with_replacement=False)
-        theta = np.array([0.3, -1.0, 0.7])
-        np.testing.assert_allclose(oracle.sample(theta, rng()), p.full_gradient(theta))
-
     def test_svag_ell_one_replays_inner_stream(self):
         p = LinearProblem([1.0, -1.0])
         inner = GaussianOracle(p, IsotropicCovariance(1.0), sigma=0.5)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adasde.linalg import psd_sqrt
 from adasde.problems import (
     ConstantCovariance,
     EmpiricalCovariance,
@@ -151,6 +152,29 @@ class TestExactCovariance:
         expected = np.mean(np.sum(centered**2, axis=1))
         got = np.trace(EmpiricalCovariance().matrix(p, theta))
         assert got == pytest.approx(expected, abs=1e-12)
+
+
+class TestApplySqrt:
+    @pytest.mark.parametrize("lead", [(5,), ()], ids=["batched", "single"])
+    @pytest.mark.parametrize(
+        "cov",
+        [
+            IsotropicCovariance(2.5),
+            ConstantCovariance(np.array([[1.0, 0.4, 0.0], [0.4, 0.8, 0.2], [0.0, 0.2, 0.5]])),
+            EmpiricalCovariance(),
+        ],
+        ids=["isotropic", "constant", "empirical"],
+    )
+    def test_matches_dense_root_per_draw(self, cov, lead):
+        p = random_least_squares(seed=4)
+        rng = np.random.default_rng(9)
+        theta = rng.standard_normal(lead + (p.dim,))
+        w = rng.standard_normal(lead + (p.dim,))
+        got = cov.apply_sqrt(p, theta, w)
+        assert got.shape == w.shape
+        for i in np.ndindex(lead):
+            want = psd_sqrt(cov.matrix(p, theta[i])) @ w[i]
+            np.testing.assert_allclose(got[i], want, rtol=1e-12, atol=1e-14)
 
 
 class TestConstruction:

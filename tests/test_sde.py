@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adasde.linalg import psd_sqrt
-from adasde.problems import ConstantCovariance, IsotropicCovariance, QuadraticProblem
+from adasde.problems import (
+    ConstantCovariance,
+    EmpiricalCovariance,
+    IsotropicCovariance,
+    LeastSquaresProblem,
+    QuadraticProblem,
+)
 from adasde.recording import TestFunctionSet
 from adasde.sde import (
     SdeState,
@@ -148,14 +154,41 @@ class TestRmspropSystem:
         np.testing.assert_allclose(np.diag(dense[:2, :2]), 1.0 / np.sqrt(u))
         assert np.all(dense[2:, :] == 0.0)  # u rows carry no noise
 
-    def test_structured_matches_dense(self):
-        system = build_rmsprop_sde(self.problem, self.cov, sigma0=0.5, epsilon0=0.2, c2=1.0)
+
+BUILDERS = {
+    "rmsprop": lambda p, cov: build_rmsprop_sde(p, cov, sigma0=0.5, epsilon0=0.2, c2=1.0),
+    "adam": lambda p, cov: build_adam_sde(p, cov, sigma0=0.5, epsilon0=0.2, c1=1.0, c2=1.0),
+    "sgd": lambda p, cov: build_sgd_sde(p, cov, eta=0.1),
+}
+LS_PROBLEM = LeastSquaresProblem(
+    np.random.default_rng(11).standard_normal((8, 3)), np.random.default_rng(12).standard_normal(8)
+)
+COVARIANCES = {
+    "constant": ConstantCovariance(np.array([[1.0, 0.3, 0.0], [0.3, 0.6, 0.1], [0.0, 0.1, 0.4]])),
+    "empirical": EmpiricalCovariance(),
+}
+
+
+class TestStructuredDiffusion:
+    @pytest.mark.parametrize("cov_name", sorted(COVARIANCES))
+    @pytest.mark.parametrize("algo", sorted(BUILDERS))
+    def test_structured_matches_dense(self, algo, cov_name):
+        # apply_diffusion goes through CovarianceSpec.apply_sqrt; the dense
+        # matrix is built from CovarianceSpec.sqrt per path
+        system = BUILDERS[algo](LS_PROBLEM, COVARIANCES[cov_name])
+        d, paths = LS_PROBLEM.dim, 4
         rng = np.random.default_rng(3)
-        x = np.concatenate([rng.standard_normal(2), rng.uniform(0.5, 2.0, 2)])[None, :]
-        dw = rng.standard_normal((1, 2))
-        fast = system.apply_diffusion(x, 0.0, dw)
-        dense = system.dense_diffusion(x, 0.0)[0]
-        np.testing.assert_allclose(fast[0], dense[:, :2] @ dw[0], atol=1e-14)
+        x = np.concatenate(
+            [rng.standard_normal((paths, d)), rng.uniform(0.5, 2.0, (paths, system.state_dim - d))],
+            axis=1,
+        )
+        dw = rng.standard_normal((paths, system.noise_dim))
+        fast = system.apply_diffusion(x, 1.0, dw)
+        dense = system.dense_diffusion(x, 1.0)
+        assert dense.shape == (paths, system.state_dim, system.state_dim)
+        for i in range(paths):
+            np.testing.assert_allclose(fast[i], dense[i, :, :d] @ dw[i], rtol=1e-12, atol=1e-14)
+            assert np.all(dense[i, :, d:] == 0.0)  # only d Wiener components drive the system
 
 
 class TestAdamSystem:

@@ -468,7 +468,9 @@ def svag_sweep(
         ell_i = int(round(ell))
         hp_ell = svag_transform_hparams(hp, ell, setup.algo) if ell > 1 else hp
         if setup.coupled:
-            draws = _coarse_increments(fine, (ell_max // ell_i) ** 2)
+            factor = (ell_max // ell_i) ** 2
+            # coarsening by 1 would only copy the path, so the finest run reads it directly
+            draws = fine if factor == 1 else _coarse_increments(fine, factor)
             oracle: GradientOracle = _SequencedGaussianOracle(
                 setup.problem, setup.cov, ell * sigma, draws
             )
@@ -625,7 +627,10 @@ def validate_scaling(
     for name in fns.names:
         bm, bs = base_rec.mean(name), base_rec.se(name)
         sm, ss = scaled_rec.mean(name), scaled_rec.se(name)
-        z_scores[name] = (bm - sm) / np.sqrt(bs**2 + ss**2)
+        diff, se = bm - sm, np.sqrt(bs**2 + ss**2)
+        # a deterministic checkpoint (both SEs 0, e.g. step 0) agrees exactly or not at all
+        exact = np.where(diff == 0, 0.0, np.copysign(np.inf, diff))
+        z_scores[name] = np.divide(diff, se, out=exact, where=se > 0)
         b_mean[name], b_se[name], s_mean[name], s_se[name] = bm, bs, sm, ss
     return ScalingReport(
         plan=plan,

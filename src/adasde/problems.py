@@ -211,14 +211,20 @@ class ConstantCovariance(CovarianceSpec):
         object.__setattr__(self, "sigma", mat)
         object.__setattr__(self, "_sqrt", psd_sqrt(mat))
 
-    def matrix(self, problem: Problem, theta=None) -> np.ndarray:
+    def _check_dim(self, problem: Problem) -> None:
         if self.sigma.shape[0] != problem.dim:
             raise ValueError("covariance dimension does not match the problem")
+
+    def matrix(self, problem: Problem, theta=None) -> np.ndarray:
+        self._check_dim(problem)
         return self.sigma
 
+    def diagonal(self, problem: Problem, theta=None) -> np.ndarray:
+        self._check_dim(problem)
+        return np.diagonal(self.sigma).copy()
+
     def sqrt(self, problem: Problem, theta=None) -> np.ndarray:
-        if self.sigma.shape[0] != problem.dim:
-            raise ValueError("covariance dimension does not match the problem")
+        self._check_dim(problem)
         return self._sqrt
 
 
@@ -226,12 +232,22 @@ class ConstantCovariance(CovarianceSpec):
 class EmpiricalCovariance(CovarianceSpec):
     """Covariance of the per-datum gradients around the full gradient.
 
-    Sigma(theta) = (1/n) sum_i (grad f_i - grad f)(grad f_i - grad f)'.
+    Sigma(theta) = (1/n) C'C, where the rows of C are the centred per-datum
+    gradients grad f_i - grad f (the full gradient is their mean). ``matrix``
+    is one batched matmul; ``diagonal`` is the column mean of C*C and never
+    builds the d x d matrix. ``sqrt`` is the symmetric root of ``matrix``.
     Only defined for finite-sum problems.
     """
 
+    @staticmethod
+    def _centred(problem: Problem, theta) -> np.ndarray:
+        """Per-datum gradients minus the full gradient, shape (..., n, d)."""
+        return problem.per_datum_gradients(theta) - problem.full_gradient(theta)[..., None, :]
+
     def matrix(self, problem: Problem, theta) -> np.ndarray:
-        grads = problem.per_datum_gradients(theta)
-        mean = np.mean(grads, axis=-2, keepdims=True)
-        centered = grads - mean
-        return np.einsum("...ni,...nj->...ij", centered, centered) / grads.shape[-2]
+        c = self._centred(problem, theta)
+        return np.swapaxes(c, -1, -2) @ c / c.shape[-2]
+
+    def diagonal(self, problem: Problem, theta) -> np.ndarray:
+        c = self._centred(problem, theta)
+        return np.einsum("...ni,...ni->...i", c, c) / c.shape[-2]

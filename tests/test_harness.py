@@ -293,3 +293,33 @@ class TestValidateScalingArguments:
 
     def test_valid_arguments_run(self):
         assert self._run(2, [4, 8]).times.size == 2
+
+
+class TestValidateScalingDeterministicCheckpoints:
+    """Step 0 (and any noiseless run) has zero SE in both runs: z is 0 or +-inf, never NaN."""
+
+    def test_step_zero_checkpoint_scores_zero(self):
+        data = np.random.default_rng(2)
+        problem = LeastSquaresProblem(data.standard_normal((8, 2)), data.standard_normal(8))
+        plan = make_plan("sqrt-rmsprop", HyperParams(eta=0.05, beta=0.99), 2)
+        report = validate_scaling(plan, problem, "rmsprop", FNS, base_steps=40,
+                                  checkpoints=(0, 20, 40), seeds=10, root_seed=ROOT_SEED, batch_size=2)
+        for name in FNS:
+            assert report.z_scores[name][0] == 0.0
+            assert np.all(np.isfinite(report.z_scores[name]))
+        assert np.isfinite(report.max_abs_z)
+        assert report.passed
+
+    def test_noiseless_disagreement_is_infinite(self):
+        # zero noise and two seeds: every mean is exact and every SE exactly 0
+        plan = make_plan("sqrt-rmsprop", HyperParams(eta=0.05, beta=0.99), 2)
+        report = validate_scaling(plan, PROBLEM, "rmsprop", FNS, base_steps=8, checkpoints=(0, 4, 8),
+                                  seeds=2, root_seed=ROOT_SEED, sigma=1.0,
+                                  cov=IsotropicCovariance(0.0), theta0=[1.0, -0.5])
+        for name in FNS:
+            z = report.z_scores[name]
+            diff = report.base_mean[name] - report.scaled_mean[name]
+            assert z[0] == 0.0 and diff[0] == 0.0
+            assert np.all(np.isinf(z[1:])) and np.all(np.sign(z[1:]) == np.sign(diff[1:]))
+        assert report.max_abs_z == np.inf
+        assert not report.passed

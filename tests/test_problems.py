@@ -177,6 +177,40 @@ class TestApplySqrt:
             np.testing.assert_allclose(got[i], want, rtol=1e-12, atol=1e-14)
 
 
+class TestCovarianceDiagonal:
+    CONST = np.array([[1.0, 0.4, 0.0], [0.4, 0.8, 0.2], [0.0, 0.2, 0.5]])
+
+    @pytest.mark.parametrize("lead", [(5,), ()], ids=["batched", "single"])
+    def test_empirical_matrix_matches_centred_einsum(self, lead):
+        p = random_least_squares(seed=17, n=20)
+        theta = np.random.default_rng(18).standard_normal(lead + (p.dim,)) * 2
+        grads = p.per_datum_gradients(theta)
+        centered = grads - grads.mean(axis=-2, keepdims=True)
+        want = np.einsum("...ni,...nj->...ij", centered, centered) / grads.shape[-2]
+        np.testing.assert_allclose(EmpiricalCovariance().matrix(p, theta), want, rtol=1e-12)
+
+    @pytest.mark.parametrize("lead", [(5,), ()], ids=["batched", "single"])
+    @pytest.mark.parametrize("cov", [EmpiricalCovariance(), ConstantCovariance(CONST)],
+                             ids=["empirical", "constant"])
+    def test_diagonal_of_matrix_without_building_it(self, cov, lead, monkeypatch):
+        p = random_least_squares(seed=19)
+        theta = np.random.default_rng(20).standard_normal(lead + (p.dim,))
+        want = np.diagonal(cov.matrix(p, theta), axis1=-2, axis2=-1)
+
+        def no_matrix(self, problem, theta=None):
+            raise AssertionError("diagonal built the covariance matrix")
+
+        monkeypatch.setattr(type(cov), "matrix", no_matrix)
+        got = cov.diagonal(p, theta)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_constant_diagonal_checks_dimension(self):
+        cov = ConstantCovariance(self.CONST)
+        with pytest.raises(ValueError, match="dimension"):
+            cov.diagonal(LinearProblem([1.0, 2.0]), None)
+
+
 class TestConstruction:
     def test_quadratic_requires_symmetry(self):
         with pytest.raises(ValueError):

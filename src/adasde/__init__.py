@@ -24,9 +24,9 @@ from .optimizers import (
     rmsprop_step,
     run_discrete,
     sgd_step,
-    svag_transform_hparams,
 )
 from .linalg import psd_sqrt
+from .scaling import svag_transform_hparams
 from .recording import NonFiniteError, TestFunctionSet, TrajectoryRecord
 from .sde import (
     SdeState,

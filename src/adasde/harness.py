@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .moments import hyperparams_from_constants
 from .ngos import GaussianOracle, GradientOracle, MinibatchOracle, SvagOracle
 from .optimizers import (
     HyperParams,
@@ -34,11 +33,10 @@ from .optimizers import (
     adam_step,
     effective_time_step,
     run_discrete,
-    svag_transform_hparams,
 )
 from .problems import CovarianceSpec, Problem
 from .recording import TestFunctionSet, TrajectoryRecord
-from .scaling import ScalingPlan
+from .scaling import DECAYS, ScalingPlan, hyperparams_from_constants, svag_transform_hparams
 from .sde import SdeState, build_adam_sde, build_rmsprop_sde, build_sgd_sde, euler_maruyama
 from .stats import fit_loglog_slope
 
@@ -103,13 +101,11 @@ class ApproximationSetup:
     algo: str  # rmsprop | adam | sgd
     theta0: np.ndarray
     u0: np.ndarray | None = None
-    m0: np.ndarray | None = None
     sigma0: float = 1.0
     epsilon0: float = 0.0
     c1: float | None = None
     c2: float = 1.0
     T: float = 2.0
-    t0: float | None = None  # adam warm-start time; default max(10 dt, 0.01 T)
     n_checkpoints: int = 5
     em_substeps: int = 20
     seeds: int = 200
@@ -119,14 +115,12 @@ class ApproximationSetup:
         object.__setattr__(self, "theta0", np.asarray(self.theta0, dtype=float))
         if self.u0 is not None:
             object.__setattr__(self, "u0", np.asarray(self.u0, dtype=float))
-        if self.m0 is not None:
-            object.__setattr__(self, "m0", np.asarray(self.m0, dtype=float))
-        if self.algo not in ("rmsprop", "adam", "sgd"):
+        if self.algo not in DECAYS:
             raise ValueError(f"unknown algorithm {self.algo!r}")
         if self.algo != "sgd" and self.u0 is None:
             raise ValueError("adaptive setups need u0")
-        if self.algo == "adam" and self.c1 is None:
-            raise ValueError("adam setups need c1")
+        if "c1" in DECAYS[self.algo].values() and self.c1 is None:
+            raise ValueError(f"{self.algo} setups need c1")
 
 
 @dataclass
@@ -136,7 +130,7 @@ class WeakErrorReport:
     times: np.ndarray
     gaps: dict[str, np.ndarray]
     combined_se: dict[str, np.ndarray]
-    paired_se: dict[str, np.ndarray] | None
+    paired_se: dict[str, np.ndarray]
     max_gap: dict[str, float]
     argmax_t: dict[str, float]
     eta: float | None = None
@@ -150,8 +144,7 @@ class WeakErrorReport:
 
     def se_at_max(self, name: str) -> float:
         idx = int(np.argmax(np.abs(self.gaps[name])))
-        se = self.paired_se if self.paired_se is not None else self.combined_se
-        return float(se[name][idx])
+        return float(self.paired_se[name][idx])
 
 
 def weak_error(
@@ -162,11 +155,16 @@ def weak_error(
 ) -> WeakErrorReport:
     """Gap per function per checkpoint, the max over checkpoints, and SEs.
 
-    The two records must share checkpoint times within 1e-9. When the seed
-    counts match, a paired SE (std of the per-seed differences) is reported
-    alongside the unpaired combined SE; it is the relevant one for coupled
-    runs.
+    The two records must share checkpoint times within 1e-9 and their seed
+    counts: seed i of one is paired with seed i of the other. The paired SE
+    (std of the per-seed differences) is the relevant one for coupled runs;
+    the unpaired combined SE is reported alongside it.
     """
+    if discrete.seed_count != continuous.seed_count:
+        raise ValueError(
+            f"paired records need equal seed counts, got {discrete.seed_count}"
+            f" and {continuous.seed_count}"
+        )
     if discrete.times.size != continuous.times.size or np.any(
         np.abs(discrete.times - continuous.times) > 1e-9
     ):
@@ -176,16 +174,14 @@ def weak_error(
     if missing:
         raise ValueError(f"functions missing from a record: {missing}")
 
-    paired_possible = discrete.seed_count == continuous.seed_count
     gaps, comb, paired = {}, {}, {}
     max_gap, argmax_t = {}, {}
     for name in names:
         g = discrete.mean(name) - continuous.mean(name)
         gaps[name] = g
         comb[name] = np.sqrt(discrete.se(name) ** 2 + continuous.se(name) ** 2)
-        if paired_possible:
-            diff = discrete.values[name] - continuous.values[name]
-            paired[name] = np.std(diff, axis=1, ddof=1) / math.sqrt(diff.shape[1])
+        diff = discrete.values[name] - continuous.values[name]
+        paired[name] = np.std(diff, axis=1, ddof=1) / math.sqrt(diff.shape[1])
         idx = int(np.argmax(np.abs(g)))
         max_gap[name] = float(np.abs(g[idx]))
         argmax_t[name] = float(discrete.times[idx])
@@ -193,7 +189,7 @@ def weak_error(
         times=discrete.times.copy(),
         gaps=gaps,
         combined_se=comb,
-        paired_se=paired if paired_possible else None,
+        paired_se=paired,
         max_gap=max_gap,
         argmax_t=argmax_t,
         eta=eta,
@@ -247,8 +243,8 @@ def compare_at_eta(
     n_steps = int(math.floor(setup.T / dt_e + 1e-9))
     dt = dt_e / setup.em_substeps
 
-    if algo == "adam":
-        t0 = setup.t0 if setup.t0 is not None else max(10 * dt, 0.01 * setup.T)
+    if algo == "adam":  # warm-start time max(10 dt, 0.01 T)
+        t0 = max(10 * dt, 0.01 * setup.T)
         k0 = max(int(math.ceil(t0 / dt_e - 1e-9)), 1)
     else:
         k0 = 0
@@ -276,11 +272,8 @@ def compare_at_eta(
     )
     # SGD never reads v, and its sigma is 1, so unit u0 is as good as any
     u0 = np.ones(d) if setup.u0 is None else setup.u0
-    m0 = np.zeros(d) if setup.m0 is None else setup.m0
     state = OptimizerState.initial(
-        np.broadcast_to(setup.theta0, (S, d)),
-        v0=np.broadcast_to(u0 * sigma**2, (S, d)),
-        m0=np.broadcast_to(m0, (S, d)),
+        np.broadcast_to(setup.theta0, (S, d)), v0=np.broadcast_to(u0 * sigma**2, (S, d))
     )
     for _ in range(k0):  # shared warm-up prefix, momentum path only
         state = adam_step(state, oracle.sample(state.theta, rng), hp)
@@ -325,10 +318,9 @@ def _fit_gap_decay(x, reports: list[WeakErrorReport], name: str, rng, n_boot: in
     """Decay of the worst gap of ``name`` against x, one report per point.
 
     Returns (gaps, gap SEs, log-log slope, bootstrap slope SE, status). The
-    bootstrap resamples seeds jointly within each report (paired when the
-    two records have equal seed counts). Status is "degenerate" when every
-    gap vanishes (no slope), "inconclusive" when some gap is within 2 SE,
-    else "ok".
+    bootstrap resamples seed pairs within each report. Status is
+    "degenerate" when every gap vanishes (no slope), "inconclusive" when
+    some gap is within 2 SE, else "ok".
     """
     gaps = np.array([rep.max_gap[name] for rep in reports])
     ses = np.array([rep.se_at_max(name) for rep in reports])
@@ -343,10 +335,9 @@ def _fit_gap_decay(x, reports: list[WeakErrorReport], name: str, rng, n_boot: in
         for rep in reports:
             dvals = rep.discrete.values[name]
             svals = rep.continuous.values[name]
-            nd, ns = dvals.shape[1], svals.shape[1]
-            di = rng.integers(0, nd, size=nd)
-            si = di if nd == ns else rng.integers(0, ns, size=ns)
-            gap = np.abs(dvals[:, di].mean(axis=1) - svals[:, si].mean(axis=1))
+            n = dvals.shape[1]
+            idx = rng.integers(0, n, size=n)
+            gap = np.abs(dvals[:, idx].mean(axis=1) - svals[:, idx].mean(axis=1))
             boot_gaps.append(max(float(np.max(gap)), 1e-300))
         boots[b] = fit_loglog_slope(x, np.asarray(boot_gaps))
     return gaps, ses, slope, float(np.std(boots, ddof=1)), status
@@ -409,10 +400,6 @@ class SvagReport:
     def pairs(self) -> list[tuple[float, float]]:
         return [(self.ells[i], self.ells[i + 1]) for i in range(len(self.ells) - 1)]
 
-    def strictly_decreasing(self, name: str) -> bool:
-        g = self.pair_gaps[name]
-        return bool(np.all(np.diff(g) < 0))
-
 
 def svag_sweep(
     setup: ApproximationSetup,
@@ -438,6 +425,8 @@ def svag_sweep(
     amplifier on independent streams.
     """
     ells = sorted(float(ell) for ell in ells)
+    if len(set(ells)) != len(ells):
+        raise ValueError(f"ell values must be distinct, got {ells}")
     if ells[0] != 1.0:
         raise ValueError("the sweep must include ell = 1 as its base")
     for ell in ells:
@@ -454,7 +443,6 @@ def svag_sweep(
     base_ks = _checkpoint_steps(0, base_steps, setup.n_checkpoints)
     fns = TestFunctionSet.from_names(fn_names, d)
     base_oracle = GaussianOracle(setup.problem, setup.cov, sigma)
-    m0 = np.zeros(d) if setup.m0 is None else setup.m0
     ell_max = int(round(ells[-1]))
     if setup.coupled:
         for ell in ells:
@@ -479,9 +467,7 @@ def svag_sweep(
         sig_eff = oracle.sigma_effective
         theta0 = np.broadcast_to(setup.theta0, (setup.seeds, d))
         init = OptimizerState.initial(
-            theta0,
-            v0=np.broadcast_to(setup.u0 * sig_eff**2, (setup.seeds, d)),
-            m0=np.broadcast_to(m0, (setup.seeds, d)),
+            theta0, v0=np.broadcast_to(setup.u0 * sig_eff**2, (setup.seeds, d))
         )
         rng = derive_rng(root_seed, "svag", setup.algo, f"ell={ell_i}")
         ks = [k * ell_i**2 for k in base_ks]
@@ -496,8 +482,8 @@ def svag_sweep(
         if np.any(np.abs(rec.times - expected) > 1e-9):
             raise AssertionError("amplified runs drifted off the shared time grid")
 
-    # consecutive-ell pairs are weak-error reports; equal seed counts (exact
-    # seed sharing under coupling) make their SEs paired
+    # consecutive-ell pairs are weak-error reports, paired seed by seed
+    # (exact seed sharing under coupling)
     pairs = [weak_error(records[a], records[b], fn_names) for a, b in zip(ells, ells[1:])]
     pair_x = [1.0 / ell**2 for ell in ells[:-1]]
     pair_gaps: dict[str, np.ndarray] = {}
@@ -522,6 +508,16 @@ def svag_sweep(
     )
 
 
+def _z_scores(diff: np.ndarray, se: np.ndarray) -> np.ndarray:
+    """diff / se, never NaN.
+
+    Where se is 0 (a deterministic checkpoint, e.g. step 0) the two sides
+    agree exactly or not at all: z is 0 where diff is 0 and +-inf elsewhere.
+    """
+    exact = np.where(diff == 0, 0.0, np.copysign(np.inf, diff))
+    return np.divide(diff, se, out=exact, where=se > 0)
+
+
 @dataclass
 class ScalingReport:
     """Aligned-checkpoint agreement between a base run and a rescaled run."""
@@ -533,8 +529,8 @@ class ScalingReport:
     scaled_mean: dict[str, np.ndarray]
     scaled_se: dict[str, np.ndarray]
     z_scores: dict[str, np.ndarray]
-    threshold: float
     meta: dict = field(default_factory=dict)
+    threshold = 4.0  # the check passes when every |z| is at most this
 
     @property
     def max_abs_z(self) -> float:
@@ -543,19 +539,6 @@ class ScalingReport:
     @property
     def passed(self) -> bool:
         return self.max_abs_z <= self.threshold
-
-    def rows(self):
-        for name, z in self.z_scores.items():
-            for i, t in enumerate(self.times):
-                yield {
-                    "t": float(t),
-                    "function": name,
-                    "mean_base": float(self.base_mean[name][i]),
-                    "se_base": float(self.base_se[name][i]),
-                    "mean_scaled": float(self.scaled_mean[name][i]),
-                    "se_scaled": float(self.scaled_se[name][i]),
-                    "z": float(z[i]),
-                }
 
 
 def validate_scaling(
@@ -570,9 +553,7 @@ def validate_scaling(
     batch_size: int | None = None,
     sigma: float | None = None,
     cov: CovarianceSpec | None = None,
-    u0=None,
     theta0=None,
-    z_threshold: float = 4.0,
 ) -> ScalingReport:
     """Compare test-function traces at aligned checkpoints across batch sizes.
 
@@ -581,7 +562,7 @@ def validate_scaling(
     divides sigma by sqrt(kappa)) and runs floor(steps/kappa) steps with the
     plan's hyperparameters, so total continuous time matches under the
     square-root rule. Checkpoints must be divisible by kappa so that aligned
-    pairs share exact times.
+    pairs share exact times. Both runs start from u = 1.
     """
     if (batch_size is None) == (sigma is None):
         raise ValueError("give exactly one of batch_size or sigma")
@@ -606,11 +587,8 @@ def validate_scaling(
             oracle = MinibatchOracle(problem, int(round(batch_size * scale_batch)))
         else:
             oracle = GaussianOracle(problem, cov, sigma / math.sqrt(scale_batch))
-        sig_eff = oracle.sigma_effective
-        u_init = np.ones(d) if u0 is None else np.asarray(u0, dtype=float)
         init = OptimizerState.initial(
-            np.broadcast_to(theta0, (seeds, d)),
-            v0=np.broadcast_to(u_init * sig_eff**2, (seeds, d)),
+            np.broadcast_to(theta0, (seeds, d)), v0=oracle.sigma_effective**2
         )
         rng = derive_rng(root_seed, "scaling", plan.rule, tag)
         return run_discrete(problem, oracle, algo, hp, init, steps, fns, ks, rng, cov=cov)
@@ -627,10 +605,7 @@ def validate_scaling(
     for name in fns.names:
         bm, bs = base_rec.mean(name), base_rec.se(name)
         sm, ss = scaled_rec.mean(name), scaled_rec.se(name)
-        diff, se = bm - sm, np.sqrt(bs**2 + ss**2)
-        # a deterministic checkpoint (both SEs 0, e.g. step 0) agrees exactly or not at all
-        exact = np.where(diff == 0, 0.0, np.copysign(np.inf, diff))
-        z_scores[name] = np.divide(diff, se, out=exact, where=se > 0)
+        z_scores[name] = _z_scores(bm - sm, np.sqrt(bs**2 + ss**2))
         b_mean[name], b_se[name], s_mean[name], s_se[name] = bm, bs, sm, ss
     return ScalingReport(
         plan=plan,
@@ -640,8 +615,14 @@ def validate_scaling(
         scaled_mean=s_mean,
         scaled_se=s_se,
         z_scores=z_scores,
-        threshold=z_threshold,
         meta={"algo": algo, "seeds": seeds, "base_steps": base_steps},
+    )
+
+
+def _rel_err(exact: np.ndarray, approx: np.ndarray) -> np.ndarray:
+    """|exact - approx| / |approx|, and 0 where the approximation vanishes."""
+    return np.divide(
+        np.abs(exact - approx), np.abs(approx), out=np.zeros_like(approx), where=approx != 0
     )
 
 
@@ -715,20 +696,16 @@ def linear_warmup_check(
     se_var = emp_var * math.sqrt(2.0 / (seeds - 1))
     approx_mean = -k * eta / sigma * g_bar
     approx_var = np.full(d, k * eta**2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mean_rel = np.where(
-            approx_mean != 0, np.abs(exact_mean - approx_mean) / np.abs(approx_mean), 0.0
-        )
     return WarmupReport(
         k=k,
         exact_mean=exact_mean,
         exact_var=exact_var,
         empirical_mean=emp_mean,
         empirical_var=emp_var,
-        z_mean=(emp_mean - exact_mean) / se_mean,
-        z_var=(emp_var - exact_var) / se_var,
-        approx_mean_rel_err=mean_rel,
-        approx_var_rel_err=np.abs(exact_var - approx_var) / approx_var,
+        z_mean=_z_scores(emp_mean - exact_mean, se_mean),
+        z_var=_z_scores(emp_var - exact_var, se_var),
+        approx_mean_rel_err=_rel_err(exact_mean, approx_mean),
+        approx_var_rel_err=_rel_err(exact_var, approx_var),
         seeds=seeds,
         meta={"eta": eta, "sigma": sigma, "g_bar": g_bar.tolist()},
         record=rec,

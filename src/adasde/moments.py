@@ -7,9 +7,8 @@ estimators measure the same quantities from repeated single steps, so the
 two can be compared entrywise with an eta^4-sized slack.
 
 All formulas take the continuous-system constants (sigma0, epsilon0, c1,
-c2) together with eta; the discrete hyperparameters they imply are
-beta = 1 - c2 eta^2, beta1 = 1 - c1 eta^2, sigma = sigma0 / eta,
-epsilon = epsilon0 / eta.
+c2) together with eta; ``scaling.hyperparams_from_constants`` gives the
+discrete hyperparameters they imply.
 """
 from __future__ import annotations
 
@@ -21,6 +20,7 @@ import numpy as np
 from .ngos import GradientOracle
 from .optimizers import HyperParams, OptimizerState, step_function
 from .problems import CovarianceSpec, Problem
+from .scaling import hyperparams_from_constants
 from .sde import SdeSystem, _em_loop
 from .stats import fit_loglog_slope, jackknife_moments, select_third_triples
 
@@ -32,7 +32,6 @@ __all__ = [
     "mc_discrete_moments",
     "mc_sde_moments",
     "compare_moments",
-    "hyperparams_from_constants",
     "residual_decay_sweep",
 ]
 
@@ -134,15 +133,11 @@ def analytic_adam_moments(
     m = np.asarray(m, dtype=float)
     u = _check_positive_u(u)
     d = theta.size
-    beta1 = 1.0 - c1 * eta**2
-    beta2 = 1.0 - c2 * eta**2
-    if not (0.0 <= beta1 <= 1.0 and 0.0 <= beta2 <= 1.0):
-        raise ValueError("c1*eta^2 and c2*eta^2 must lie in [0, 1]")
-    gamma1 = 1.0 - beta1 ** (k + 1)
-    gamma2 = 1.0 - beta2**k
+    hp, sigma = hyperparams_from_constants("adam", eta, sigma0, epsilon0, c2, c1)
+    gamma1 = 1.0 - hp.beta1 ** (k + 1)
+    gamma2 = 1.0 - hp.beta2**k
     grad = problem.full_gradient(theta)
     sig = cov.matrix(problem, theta)
-    sigma = sigma0 / eta
 
     first = np.zeros(3 * d)
     denom = sigma0 * np.sqrt(u) + epsilon0 * math.sqrt(gamma2)
@@ -280,9 +275,6 @@ class MomentComparisonReport:
             )
         )
 
-    def gap_over_eta4(self, gap: np.ndarray) -> np.ndarray:
-        return np.abs(gap) / self.eta**4
-
 
 def _combined_se(a, b, shape) -> np.ndarray:
     out = np.zeros(shape)
@@ -337,29 +329,6 @@ def compare_moments(a: OneStepMoments, b: OneStepMoments, tol_eta4: float = 0.0)
         tol_eta4=tol_eta4,
         passed=ok,
     )
-
-
-def hyperparams_from_constants(
-    algo: str, eta: float, sigma0: float, epsilon0: float, c2: float, c1: float | None = None
-) -> tuple[HyperParams, float]:
-    """Discrete (hyperparams, sigma) pinned to fixed continuous constants at this eta."""
-    if algo == "sgd":  # no decays: sigma0, epsilon0 and c2 do not apply
-        return HyperParams(eta=eta), 1.0
-    if algo not in ("rmsprop", "adam"):
-        raise ValueError(f"unknown algorithm {algo!r}")
-    beta2 = 1.0 - c2 * eta**2
-    if not 0.0 <= beta2 <= 1.0:
-        raise ValueError(f"c2 eta^2 = {c2 * eta**2:g} leaves the decay range")
-    sigma = sigma0 / eta
-    epsilon = epsilon0 / eta
-    if algo == "rmsprop":
-        return HyperParams(eta=eta, beta=beta2, epsilon=epsilon), sigma
-    if c1 is None:
-        raise ValueError("adam needs c1")
-    beta1 = 1.0 - c1 * eta**2
-    if not 0.0 <= beta1 <= 1.0:
-        raise ValueError(f"c1 eta^2 = {c1 * eta**2:g} leaves the decay range")
-    return HyperParams(eta=eta, beta1=beta1, beta2=beta2, epsilon=epsilon), sigma
 
 
 def residual_decay_sweep(

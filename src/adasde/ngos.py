@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problems import CovarianceSpec, EmpiricalCovariance, Problem
+from .problems import CovarianceSpec, Problem
 from .stats import jackknife_moments, select_third_triples
 
 __all__ = [
@@ -43,10 +43,6 @@ class GradientOracle:
         """Scale that recovers normalized noise z = (g - grad f) / sigma_effective."""
         raise NotImplementedError
 
-    def noise_covariance(self, theta: np.ndarray) -> np.ndarray:
-        """Covariance Sigma(theta) of the normalized noise."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class GaussianOracle(GradientOracle):
@@ -63,9 +59,6 @@ class GaussianOracle(GradientOracle):
     @property
     def sigma_effective(self) -> float:
         return self.sigma
-
-    def noise_covariance(self, theta=None) -> np.ndarray:
-        return self.cov.matrix(self.problem, theta)
 
     def sample(self, theta, rng) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -101,9 +94,6 @@ class MinibatchOracle(GradientOracle):
     @property
     def sigma_effective(self) -> float:
         return 1.0 / math.sqrt(self.batch_size)
-
-    def noise_covariance(self, theta) -> np.ndarray:
-        return EmpiricalCovariance().matrix(self.problem, theta)
 
     def sample(self, theta, rng) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -144,9 +134,6 @@ class BernoulliNoiseOracle(GradientOracle):
     @property
     def skewness(self) -> float:
         return (1.0 - 2.0 * self.p) / math.sqrt(self.p * (1.0 - self.p))
-
-    def noise_covariance(self, theta=None) -> np.ndarray:
-        return np.eye(self.problem.dim)
 
     def sample(self, theta, rng) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -196,9 +183,6 @@ class SvagOracle(GradientOracle):
     @property
     def sigma_effective(self) -> float:
         return self.ell * self.inner.sigma_effective
-
-    def noise_covariance(self, theta=None) -> np.ndarray:
-        return self.inner.noise_covariance(theta)
 
     def sample(self, theta, rng) -> np.ndarray:
         if self.r1 == 0.0:

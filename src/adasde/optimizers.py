@@ -27,7 +27,6 @@ __all__ = [
     "adam_step",
     "sgd_step",
     "step_function",
-    "svag_transform_hparams",
     "run_discrete",
     "NonFiniteError",
 ]
@@ -134,25 +133,6 @@ def step_function(algo: str):
         return _STEPS[algo]
     except KeyError:
         raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}") from None
-
-
-def svag_transform_hparams(hp: HyperParams, ell: float, algo: str) -> HyperParams:
-    """Hyperparameters for simulating at amplified noise scale ell.
-
-    eta shrinks by ell, epsilon grows by ell, and each decay used by the
-    algorithm moves toward 1 so that (1 - beta) shrinks by ell^2.
-    """
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    if algo not in ("rmsprop", "adam"):
-        raise ValueError(f"noise-amplified simulation applies to rmsprop/adam, not {algo!r}")
-    kwargs = dict(eta=hp.eta / ell, epsilon=hp.epsilon * ell)
-    if algo == "rmsprop":
-        kwargs["beta"] = 1.0 - (1.0 - hp.beta) / ell**2
-    else:
-        kwargs["beta1"] = 1.0 - (1.0 - hp.beta1) / ell**2
-        kwargs["beta2"] = 1.0 - (1.0 - hp.beta2) / ell**2
-    return replace(hp, **kwargs)
 
 
 def effective_time_step(algo: str, eta: float) -> float:

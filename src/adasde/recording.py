@@ -104,30 +104,8 @@ class TestFunctionSet:
         return out
 
     @classmethod
-    def defaults(
-        cls,
-        dim: int,
-        include_m: bool = False,
-        include_u: bool = True,
-        with_cov_trace: bool = True,
-        max_coords: int = 4,
-    ) -> "TestFunctionSet":
-        """Built-in set: coordinates, ||theta||^2, loss, ||grad||, tr Sigma, u_i, m_i."""
-        fns: list[TestFunction] = [_coord("theta", i) for i in range(min(dim, max_coords))]
-        fns.append(TestFunction("theta_norm_sq", _theta_norm_sq))
-        fns.append(TestFunction("loss", _loss))
-        fns.append(TestFunction("grad_norm", _grad_norm))
-        if with_cov_trace:
-            fns.append(TestFunction("cov_trace", _cov_trace))
-        if include_u:
-            fns.extend(_coord("u", i) for i in range(min(dim, max_coords)))
-        if include_m:
-            fns.extend(_coord("m", i) for i in range(min(dim, max_coords)))
-        return cls(fns)
-
-    @classmethod
     def from_names(cls, names: list[str], dim: int) -> "TestFunctionSet":
-        """Build a set from the CLI-facing function names."""
+        """Build a set from names (theta_norm_sq, loss, grad_norm, cov_trace, theta_i, u_i, m_i)."""
         lookup: dict[str, TestFunction] = {
             "theta_norm_sq": TestFunction("theta_norm_sq", _theta_norm_sq),
             "loss": TestFunction("loss", _loss),

@@ -1,10 +1,18 @@
-"""Hyperparameter scaling rules across batch sizes and checkpoint alignment.
+"""The constant-preserving hyperparameter map and the batch-size scaling rules.
 
-The square-root rules move every hyperparameter so that the continuous-time
-constants sigma0 = sigma * eta, c = (1 - beta) / eta^2, and eps0 = eps * eta
-are unchanged when the batch size multiplies by kappa (noise scale divides
-by sqrt(kappa)). The linear variants deliberately break this and exist as
-ablation baselines.
+The RMSprop and Adam SDEs see the discrete hyperparameters only through
+
+    sigma0 = sigma * eta,   epsilon0 = epsilon * eta,   c = (1 - beta) / eta^2,
+
+one c per decay the algorithm uses (``DECAYS``). ``sde_constants`` reads
+these constants off (hyperparameters, sigma) and ``hyperparams_from_constants``
+inverts it at a given eta. Holding them fixed while the noise scale divides
+by sqrt(kappa) gives the square-root rule (``scale_sqrt``):
+
+    eta' = eta sqrt(kappa),   epsilon' = epsilon / sqrt(kappa),   1 - beta' = kappa (1 - beta).
+
+The noise-amplified (SVAG) transform is the same map at kappa = 1/ell^2. The
+linear variants deliberately break it and exist as ablation baselines.
 """
 from __future__ import annotations
 
@@ -14,25 +22,31 @@ from dataclasses import dataclass, replace
 from .optimizers import HyperParams
 
 __all__ = [
+    "DECAYS",
     "ScalingPlan",
     "SCALING_RULES",
-    "scale_rmsprop",
-    "scale_adam",
+    "hyperparams_from_constants",
+    "scale_sqrt",
     "scale_linear_variant",
     "scale_partial_sqrt",
+    "svag_transform_hparams",
     "make_plan",
     "sde_constants",
 ]
 
-SCALING_RULES = (
-    "sqrt-rmsprop",
-    "sqrt-adam",
-    "linear-sgd",
-    "linear-adam",
-    "partial-sqrt",
-)
+# Each decay field an algorithm uses, and the continuous constant it pins.
+DECAYS = {"rmsprop": {"beta": "c2"}, "adam": {"beta1": "c1", "beta2": "c2"}, "sgd": {}}
 
-_DECAY_FIELDS = ("beta", "beta1", "beta2")
+SCALING_RULES = ("sqrt-rmsprop", "sqrt-adam", "linear-sgd", "linear-adam")
+
+_DECAY_FIELDS = tuple(name for decays in DECAYS.values() for name in decays)
+
+
+def _decays(algo: str) -> dict[str, str]:
+    try:
+        return DECAYS[algo]
+    except KeyError:
+        raise ValueError(f"unknown algorithm {algo!r}") from None
 
 
 def _check_kappa(kappa: float) -> float:
@@ -48,26 +62,45 @@ def _scaled_decay(name: str, value: float, kappa: float) -> float:
     return 1.0 - excess
 
 
-def scale_rmsprop(hp: HyperParams, kappa: float) -> HyperParams:
-    """eta' = eta sqrt(kappa), beta' = 1 - kappa(1-beta), eps' = eps / sqrt(kappa)."""
-    return scale_partial_sqrt(hp, kappa, {"eta", "beta", "epsilon"})
+def sde_constants(algo: str, hp: HyperParams, sigma: float) -> dict[str, float]:
+    """Continuous-time constants implied by discrete hyperparameters at noise scale sigma."""
+    out = {"sigma0": sigma * hp.eta, "epsilon0": hp.epsilon * hp.eta}
+    for name, const in _decays(algo).items():
+        out[const] = (1.0 - getattr(hp, name)) / hp.eta**2
+    return out
 
 
-def scale_adam(hp: HyperParams, kappa: float) -> HyperParams:
-    """Like the RMSprop rule with both decays moved together."""
-    return scale_partial_sqrt(hp, kappa, {"eta", "beta1", "beta2", "epsilon"})
+def hyperparams_from_constants(
+    algo: str, eta: float, sigma0: float, epsilon0: float, c2: float, c1: float | None = None
+) -> tuple[HyperParams, float]:
+    """Discrete (hyperparams, sigma) pinned to fixed continuous constants at this eta.
+
+    SGD has no decays and runs at sigma = 1, so sigma0, epsilon0 and c2 do
+    not apply to it.
+    """
+    decays = _decays(algo)
+    if not decays:
+        return HyperParams(eta=eta), 1.0
+    given = {"c1": c1, "c2": c2}
+    kwargs = {}
+    for name, const in decays.items():
+        c = given[const]
+        if c is None:
+            raise ValueError(f"{algo} needs {const}")
+        beta = 1.0 - c * eta**2
+        if not 0.0 <= beta <= 1.0:
+            raise ValueError(f"{const} eta^2 = {c * eta**2:g} leaves the decay range")
+        kwargs[name] = beta
+    return HyperParams(eta=eta, epsilon=epsilon0 / eta, **kwargs), sigma0 / eta
 
 
-def scale_linear_variant(hp: HyperParams, kappa: float, flags=frozenset({"eta"})) -> HyperParams:
-    """Ablation rule: eta scales by kappa, flagged (1-beta) fields by kappa, eps fixed."""
-    kappa = _check_kappa(kappa)
+def _move_fields(hp: HyperParams, kappa: float, flags, moved: dict) -> HyperParams:
+    """hp with each flagged field moved: eta and epsilon to ``moved``, decays by kappa."""
     flags = frozenset(flags)
-    unknown = flags - {"eta", *_DECAY_FIELDS}
+    unknown = flags - {*moved, *_DECAY_FIELDS}
     if unknown:
-        raise ValueError(f"unknown linear-rule flags: {sorted(unknown)}")
-    if "eta" not in flags:
-        raise ValueError("the linear variants always scale eta")
-    kwargs = {"eta": hp.eta * kappa}
+        raise ValueError(f"unknown rule flags: {sorted(unknown)}")
+    kwargs = {name: value for name, value in moved.items() if name in flags}
     for name in _DECAY_FIELDS:
         if name in flags:
             kwargs[name] = _scaled_decay(name, getattr(hp, name), kappa)
@@ -77,19 +110,30 @@ def scale_linear_variant(hp: HyperParams, kappa: float, flags=frozenset({"eta"})
 def scale_partial_sqrt(hp: HyperParams, kappa: float, flags) -> HyperParams:
     """Ablation rule: apply the square-root move to a subset of the fields."""
     kappa = _check_kappa(kappa)
-    flags = frozenset(flags)
-    unknown = flags - {"eta", "epsilon", *_DECAY_FIELDS}
-    if unknown:
-        raise ValueError(f"unknown partial-rule flags: {sorted(unknown)}")
-    kwargs = {}
-    if "eta" in flags:
-        kwargs["eta"] = hp.eta * math.sqrt(kappa)
-    if "epsilon" in flags:
-        kwargs["epsilon"] = hp.epsilon / math.sqrt(kappa)
-    for name in _DECAY_FIELDS:
-        if name in flags:
-            kwargs[name] = _scaled_decay(name, getattr(hp, name), kappa)
-    return replace(hp, **kwargs)
+    root = math.sqrt(kappa)
+    return _move_fields(hp, kappa, flags, {"eta": hp.eta * root, "epsilon": hp.epsilon / root})
+
+
+def scale_linear_variant(hp: HyperParams, kappa: float, flags) -> HyperParams:
+    """Ablation rule: eta scales by kappa, flagged (1-beta) fields by kappa, eps fixed."""
+    kappa = _check_kappa(kappa)
+    if "eta" not in flags:
+        raise ValueError("the linear variants always scale eta")
+    return _move_fields(hp, kappa, flags, {"eta": hp.eta * kappa})
+
+
+def scale_sqrt(hp: HyperParams, kappa: float, algo: str) -> HyperParams:
+    """The square-root rule: keeps ``sde_constants`` when the noise scale divides by sqrt(kappa)."""
+    return scale_partial_sqrt(hp, kappa, {"eta", "epsilon", *_decays(algo)})
+
+
+def svag_transform_hparams(hp: HyperParams, ell: float, algo: str) -> HyperParams:
+    """Hyperparameters for simulating at amplified noise scale ell: ``scale_sqrt`` at 1/ell^2."""
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
+    if not _decays(algo):
+        raise ValueError(f"noise-amplified simulation applies to rmsprop/adam, not {algo!r}")
+    return scale_sqrt(hp, ell**-2, algo)
 
 
 @dataclass(frozen=True)
@@ -100,43 +144,18 @@ class ScalingPlan:
     kappa: float
     base: HyperParams
     scaled: HyperParams
-    flags: frozenset = frozenset()
 
     def map_step(self, k: int) -> int:
         """Scaled-run step paired with base step k; square-root rules keep their times equal."""
         return int(k // self.kappa)
 
 
-def make_plan(rule: str, hp: HyperParams, kappa: float, flags=None) -> ScalingPlan:
+def make_plan(rule: str, hp: HyperParams, kappa: float) -> ScalingPlan:
     """Build a plan, rejecting out-of-range decays before any run starts."""
-    if rule == "sqrt-rmsprop":
-        scaled = scale_rmsprop(hp, kappa)
-    elif rule == "sqrt-adam":
-        scaled = scale_adam(hp, kappa)
-    elif rule == "linear-sgd":
+    if rule in ("sqrt-rmsprop", "sqrt-adam"):
+        scaled = scale_sqrt(hp, kappa, rule.removeprefix("sqrt-"))
+    elif rule in ("linear-sgd", "linear-adam"):
         scaled = scale_linear_variant(hp, kappa, {"eta"})
-    elif rule == "linear-adam":
-        scaled = scale_linear_variant(hp, kappa, flags or frozenset({"eta"}))
-    elif rule == "partial-sqrt":
-        if not flags:
-            raise ValueError("partial-sqrt needs a flag subset")
-        scaled = scale_partial_sqrt(hp, kappa, flags)
     else:
         raise ValueError(f"unknown scaling rule {rule!r}; expected one of {SCALING_RULES}")
-    return ScalingPlan(rule=rule, kappa=float(kappa), base=hp, scaled=scaled,
-                       flags=frozenset(flags or ()))
-
-
-def sde_constants(algo: str, hp: HyperParams, sigma: float) -> dict[str, float]:
-    """Continuous-time constants implied by discrete hyperparameters at noise scale sigma."""
-    out = {"sigma0": sigma * hp.eta, "epsilon0": hp.epsilon * hp.eta}
-    if algo == "rmsprop":
-        out["c2"] = (1.0 - hp.beta) / hp.eta**2
-    elif algo == "adam":
-        out["c1"] = (1.0 - hp.beta1) / hp.eta**2
-        out["c2"] = (1.0 - hp.beta2) / hp.eta**2
-    elif algo == "sgd":
-        pass
-    else:
-        raise ValueError(f"unknown algorithm {algo!r}")
-    return out
+    return ScalingPlan(rule=rule, kappa=float(kappa), base=hp, scaled=scaled)

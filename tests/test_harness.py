@@ -5,9 +5,11 @@ import pytest
 from adasde.harness import (
     ApproximationSetup,
     _SequencedGaussianOracle,
+    linear_warmup_check,
     order_sweep,
     svag_sweep,
     validate_scaling,
+    weak_error,
 )
 from adasde.moments import mc_sde_moments
 from adasde.ngos import GaussianOracle
@@ -19,6 +21,7 @@ from adasde.problems import (
     LeastSquaresProblem,
     QuadraticProblem,
 )
+from adasde.recording import TrajectoryRecord
 from adasde.scaling import make_plan
 from adasde.sde import build_rmsprop_sde
 
@@ -243,6 +246,24 @@ class TestGoldenSweeps:
         assert _svag_figures(report) == GOLDEN[f"svag/coupled={coupled}"]
 
 
+class TestSweepArguments:
+    def test_svag_rejects_repeated_ell(self):
+        # a repeated ell pairs a run with itself: a zero gap and a meaningless decay slope
+        setup = ApproximationSetup(
+            PROBLEM, COV, "rmsprop", theta0=np.ones(2), u0=np.ones(2), T=0.4, seeds=8,
+            n_checkpoints=3,
+        )
+        with pytest.raises(ValueError, match="distinct"):
+            svag_sweep(setup, 0.2, (1, 2, 2), FNS, ROOT_SEED)
+
+    def test_weak_error_rejects_unequal_seed_counts(self):
+        def record(seeds):
+            return TrajectoryRecord([0.1, 0.2], [1, 2], {"theta_0": np.zeros((2, seeds))})
+
+        with pytest.raises(ValueError, match="equal seed counts"):
+            weak_error(record(4), record(5), ["theta_0"])
+
+
 class TestSequencedGaussianOracle:
     @pytest.mark.parametrize("cov", [
         ConstantCovariance(np.array([[1.0, 0.3, 0.0], [0.3, 0.6, 0.1], [0.0, 0.1, 0.4]])),
@@ -323,3 +344,31 @@ class TestValidateScalingDeterministicCheckpoints:
             assert np.all(np.isinf(z[1:])) and np.all(np.sign(z[1:]) == np.sign(diff[1:]))
         assert report.max_abs_z == np.inf
         assert not report.passed
+
+
+class TestLinearWarmupCheck:
+    # Documented regime: sigma >= 100 max|g_bar|. The law is exact, so with
+    # 2000 seeds (fixed before any run) each of the four z-scores falls
+    # outside +-4 with probability ~6e-5 and the variance SE's normal
+    # approximation holds; a failure means the frozen-v update or its
+    # formulas moved.
+    G_BAR, SIGMA, ETA, K_MAX, SEEDS = (0.01, -0.02), 5.0, 0.1, 200, 2000
+
+    def _check(self, checkpoints=None):
+        return linear_warmup_check(self.G_BAR, self.SIGMA, self.ETA, self.K_MAX, self.SEEDS,
+                                   ROOT_SEED, checkpoints=checkpoints)
+
+    def test_documented_regime_passes(self):
+        report = self._check()
+        assert report.k == self.K_MAX
+        assert report.passed
+        assert np.all(report.approx_mean_rel_err < 1e-4)
+        assert np.all(report.approx_var_rel_err < 1e-4)
+
+    def test_step_zero_checkpoint_scores_zero(self):
+        # every sample is theta_0 = 0: zero SE and an exact match, so z = 0, not 0/0
+        report = self._check(checkpoints=[0])
+        assert report.k == 0
+        assert np.all(report.z_mean == 0.0) and np.all(report.z_var == 0.0)
+        assert np.all(report.approx_mean_rel_err == 0.0) and np.all(report.approx_var_rel_err == 0.0)
+        assert report.passed

@@ -5,13 +5,13 @@ from adasde.moments import (
     analytic_adam_moments,
     analytic_rmsprop_moments,
     compare_moments,
-    hyperparams_from_constants,
     mc_discrete_moments,
     mc_sde_moments,
     residual_decay_sweep,
 )
 from adasde.ngos import GaussianOracle
 from adasde.problems import ConstantCovariance, IsotropicCovariance, QuadraticProblem
+from adasde.scaling import hyperparams_from_constants
 from adasde.sde import SdeState, SdeSystem, build_rmsprop_sde
 
 

@@ -12,10 +12,10 @@ from adasde.optimizers import (
     rmsprop_step,
     run_discrete,
     sgd_step,
-    svag_transform_hparams,
 )
 from adasde.problems import IsotropicCovariance, LinearProblem, QuadraticProblem
 from adasde.recording import TestFunctionSet
+from adasde.scaling import hyperparams_from_constants, svag_transform_hparams
 
 
 def state(theta, v=1.0, m=0.0, k=0):
@@ -163,12 +163,26 @@ class TestSvagTransform:
             out = svag_transform_hparams(hp, ell, "rmsprop")
             assert (1 - out.beta) * ell**2 == pytest.approx(1 - hp.beta, abs=1e-12)
 
+    @pytest.mark.parametrize("algo", ["rmsprop", "adam"])
+    @pytest.mark.parametrize("ell", [2, 4, 8])
+    def test_bits_match_direct_formula_at_powers_of_two(self, algo, ell):
+        # the harness's hyperparameters; the direct eta/ell, eps*ell, (1-beta)/ell^2 form
+        hp, _ = hyperparams_from_constants(algo, 0.2, 1.0, 0.1, 1.0, c1=1.0)
+        decays = {"rmsprop": ["beta"], "adam": ["beta1", "beta2"]}[algo]
+        direct = dict(eta=hp.eta / ell, epsilon=hp.epsilon * ell)
+        direct.update({name: 1.0 - (1.0 - getattr(hp, name)) / ell**2 for name in decays})
+        out = svag_transform_hparams(hp, ell, algo)
+        for name, value in direct.items():
+            assert getattr(out, name).hex() == value.hex(), name
+
 
 class TestRunDiscrete:
     def setup_method(self):
         self.problem = QuadraticProblem(np.diag([1.0, 2.0]))
         self.cov = IsotropicCovariance(1.0)
-        self.fns = TestFunctionSet.defaults(dim=2, with_cov_trace=False)
+        self.fns = TestFunctionSet.from_names(
+            ["theta_0", "theta_1", "theta_norm_sq", "loss", "grad_norm", "u_0", "u_1"], 2
+        )
         self.hp = HyperParams(eta=0.1, beta=0.96)
         self.init = OptimizerState.initial(np.tile([1.0, -1.0], (8, 1)), v0=1.0)
 
@@ -183,7 +197,7 @@ class TestRunDiscrete:
 
     def test_noiseless_run_is_deterministic_across_seeds(self):
         oracle = GaussianOracle(self.problem, self.cov, sigma=0.0)
-        fns = TestFunctionSet.defaults(dim=2, include_u=False, with_cov_trace=False)
+        fns = TestFunctionSet.from_names(["theta_0", "theta_1", "theta_norm_sq", "loss", "grad_norm"], 2)
         rec = run_discrete(
             self.problem, oracle, "sgd", self.hp, self.init, 5, fns, [5],
             np.random.default_rng(0),
@@ -210,7 +224,7 @@ class TestRunDiscrete:
             np.random.default_rng(0),
         )
         assert rec.times[-1] == pytest.approx(10 * 0.1**2)
-        fns = TestFunctionSet.defaults(dim=2, include_u=False, with_cov_trace=False)
+        fns = TestFunctionSet.from_names(["theta_0", "theta_1", "theta_norm_sq", "loss", "grad_norm"], 2)
         rec_sgd = run_discrete(
             self.problem, oracle, "sgd", self.hp, self.init, 10, fns, [10],
             np.random.default_rng(0),
@@ -222,7 +236,7 @@ class TestRunDiscrete:
         p = LinearProblem([1.0])
         oracle = GaussianOracle(p, IsotropicCovariance(1.0), sigma=1e160)
         init = OptimizerState.initial(np.zeros((4, 1)), v0=1.0)
-        fns = TestFunctionSet.defaults(dim=1, include_u=False, with_cov_trace=False)
+        fns = TestFunctionSet.from_names(["theta_0", "theta_norm_sq", "loss", "grad_norm"], 1)
         with pytest.raises(NonFiniteError) as err:
             run_discrete(
                 p, oracle, "sgd", HyperParams(eta=1e160), init, 10, fns, [10],

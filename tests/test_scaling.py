@@ -5,42 +5,43 @@ from hypothesis import strategies as st
 
 from adasde.optimizers import HyperParams
 from adasde.scaling import (
+    hyperparams_from_constants,
     make_plan,
-    scale_adam,
     scale_linear_variant,
     scale_partial_sqrt,
-    scale_rmsprop,
+    scale_sqrt,
     sde_constants,
+    svag_transform_hparams,
 )
 
 
 class TestScaleRmsprop:
     def test_frozen_example(self):
         hp = HyperParams(eta=1e-3, beta=0.999, epsilon=1e-8)
-        out = scale_rmsprop(hp, 4.0)
+        out = scale_sqrt(hp, 4.0, "rmsprop")
         assert out.eta == pytest.approx(2e-3)
         assert out.beta == pytest.approx(0.996)
         assert out.epsilon == pytest.approx(5e-9)
 
     def test_identity_at_kappa_one(self):
         hp = HyperParams(eta=1e-3, beta=0.999, epsilon=1e-8)
-        assert scale_rmsprop(hp, 1.0) == hp
+        assert scale_sqrt(hp, 1.0, "rmsprop") == hp
 
     def test_decay_range_violation(self):
         hp = HyperParams(eta=1e-3, beta=0.999)
         with pytest.raises(ValueError, match=r"\[0,1\)"):
-            scale_rmsprop(hp, 2000.0)
+            scale_sqrt(hp, 2000.0, "rmsprop")
 
     def test_boundary_kappa_exactly_one_over_gap(self):
         hp = HyperParams(eta=1e-3, beta=0.999)
         with pytest.raises(ValueError):
-            scale_rmsprop(hp, 1000.0)  # kappa * (1 - beta) = 1 exactly
+            scale_sqrt(hp, 1000.0, "rmsprop")  # kappa * (1 - beta) = 1 exactly
 
 
 class TestScaleAdam:
     def test_frozen_example(self):
         hp = HyperParams(eta=1e-3, beta1=0.999, beta2=0.999, epsilon=1e-8)
-        out = scale_adam(hp, 16.0)
+        out = scale_sqrt(hp, 16.0, "adam")
         assert out.eta == pytest.approx(4e-3)
         assert out.beta1 == pytest.approx(0.984)
         assert out.beta2 == pytest.approx(0.984)
@@ -53,8 +54,8 @@ class TestScaleAdam:
     @settings(max_examples=50, deadline=None)
     def test_composition(self, a, b):
         hp = HyperParams(eta=1e-3, beta1=0.999, beta2=0.998, epsilon=1e-8)
-        lhs = scale_adam(scale_adam(hp, a), b)
-        rhs = scale_adam(hp, a * b)
+        lhs = scale_sqrt(scale_sqrt(hp, a, "adam"), b, "adam")
+        rhs = scale_sqrt(hp, a * b, "adam")
         assert lhs.eta == pytest.approx(rhs.eta, rel=1e-12)
         assert lhs.beta1 == pytest.approx(rhs.beta1, abs=1e-15)
         assert lhs.beta2 == pytest.approx(rhs.beta2, abs=1e-15)
@@ -62,7 +63,7 @@ class TestScaleAdam:
 
     def test_identity_at_kappa_one(self):
         hp = HyperParams(eta=1e-3, beta1=0.9, beta2=0.999, epsilon=1e-8)
-        assert scale_adam(hp, 1.0) == hp
+        assert scale_sqrt(hp, 1.0, "adam") == hp
 
 
 class TestLinearVariants:
@@ -127,13 +128,41 @@ class TestSdeConstantPreservation:
         hp = HyperParams(eta=0.05, beta=0.99, beta1=0.98, beta2=0.99, epsilon=1e-6)
         sigma = 1.0
         base_r = sde_constants("rmsprop", hp, sigma)
-        scaled_r = sde_constants("rmsprop", scale_rmsprop(hp, kappa), sigma / np.sqrt(kappa))
+        scaled_r = sde_constants("rmsprop", scale_sqrt(hp, kappa, "rmsprop"), sigma / np.sqrt(kappa))
         for key in base_r:
             assert scaled_r[key] == pytest.approx(base_r[key], rel=1e-12, abs=1e-18)
         base_a = sde_constants("adam", hp, sigma)
-        scaled_a = sde_constants("adam", scale_adam(hp, kappa), sigma / np.sqrt(kappa))
+        scaled_a = sde_constants("adam", scale_sqrt(hp, kappa, "adam"), sigma / np.sqrt(kappa))
         for key in base_a:
             assert scaled_a[key] == pytest.approx(base_a[key], rel=1e-12, abs=1e-18)
+
+    @pytest.mark.parametrize("algo", ["rmsprop", "adam"])
+    @pytest.mark.parametrize("ell", [1.0, 2.0, 3.0, 8.0])
+    def test_svag_transform_preserves_constants(self, algo, ell):
+        # the amplified run sees noise ell * sigma
+        hp = HyperParams(eta=0.05, beta=0.99, beta1=0.98, beta2=0.99, epsilon=1e-6)
+        sigma = 1.0
+        base = sde_constants(algo, hp, sigma)
+        amplified = sde_constants(algo, svag_transform_hparams(hp, ell, algo), ell * sigma)
+        assert amplified.keys() == base.keys()
+        for key in base:
+            assert amplified[key] == pytest.approx(base[key], rel=1e-12, abs=1e-18)
+
+    @pytest.mark.parametrize("algo, constants", [
+        ("rmsprop", dict(sigma0=0.7, epsilon0=0.01, c2=1.5)),
+        ("adam", dict(sigma0=0.7, epsilon0=0.01, c1=2.0, c2=1.5)),
+        # SGD runs at sigma = 1 with no epsilon, so its constants are eta and 0
+        ("sgd", dict(sigma0=0.1, epsilon0=0.0)),
+    ])
+    def test_round_trip(self, algo, constants):
+        hp, sigma = hyperparams_from_constants(
+            algo, 0.1, constants["sigma0"], constants["epsilon0"], constants.get("c2", 1.0),
+            c1=constants.get("c1"),
+        )
+        out = sde_constants(algo, hp, sigma)
+        assert out.keys() == constants.keys()
+        for key in constants:
+            assert out[key] == pytest.approx(constants[key], rel=1e-12)
 
     def test_linear_rule_breaks_sigma0(self):
         hp = HyperParams(eta=0.05, beta1=0.99, beta2=0.99, epsilon=1e-6)

@@ -15,14 +15,19 @@ Statistical conventions:
   so both processes ride the same Brownian path. Coupling leaves each
   marginal distribution untouched (the gap estimate is unbiased) while
   shrinking its variance by orders of magnitude; the paired SE is then the
-  honest uncertainty of the gap.
+  honest uncertainty of the gap. The path is never held whole: the finest
+  run draws it one discrete step's block at a time, in the order a single
+  whole-path draw would take, and each coarser run keeps only the summed
+  increments it will read.
 * A gap below 2 SE is reported as inconclusive rather than failed.
 """
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -74,14 +79,18 @@ def derive_rng(root_seed: int, *labels: str) -> np.random.Generator:
 
 
 class _SequencedGaussianOracle(GaussianOracle):
-    """Gaussian oracle fed from a pre-drawn queue of standard-normal blocks.
+    """Gaussian oracle fed from an iterable of standard-normal blocks.
 
     Used internally to couple a discrete run to an integrator run: each
-    ``sample`` consumes the next (seeds, d) block and ignores its rng. Not
-    part of the public oracle family (it is deliberately stateful).
+    ``sample`` consumes the next (seeds, d) block of ``draws`` (any
+    iterable: an array, or a generator that draws on demand) and ignores
+    its rng. Not part of the public oracle family (it is deliberately
+    stateful).
     """
 
-    def __init__(self, problem: Problem, cov: CovarianceSpec, sigma: float, draws: np.ndarray):
+    def __init__(
+        self, problem: Problem, cov: CovarianceSpec, sigma: float, draws: Iterable[np.ndarray]
+    ):
         super().__init__(problem, cov, float(sigma))
         object.__setattr__(self, "_queue", iter(draws))
 
@@ -254,21 +263,17 @@ def compare_at_eta(
     t_checkpoints = [k * dt_e for k in ks]
 
     rng = derive_rng(root_seed, "order", algo, f"eta={eta!r}")
-    prefix = rng.standard_normal((k0, S, d)) if k0 else np.zeros((0, S, d))
-    em_noise = rng.standard_normal(((n_steps - k0) * setup.em_substeps, S, d))
-    if setup.coupled:
-        # Each discrete step's noise is the normalized Wiener increment over
-        # its interval. The stored diffusion keeps a plus sign while the
-        # parameter-block noise enters the discrete update negatively, so the
-        # pathwise identification flips sign except through Adam's momentum.
-        main_draws = _coarse_increments(em_noise, setup.em_substeps)
-        if algo != "adam":
-            main_draws *= -1.0
-    else:
-        main_draws = rng.standard_normal((n_steps - k0, S, d))
-
+    # rng is read in one fixed order: the warm-up prefix, the Euler-Maruyama
+    # noise one discrete step's block at a time, then (uncoupled only) the
+    # discrete draws; each block is drawn when its step runs. Only the
+    # discrete draws are held whole, filled in as the integrator goes. They
+    # are one array, not a list of blocks: freeing an array this size lifts
+    # glibc's heap-trim threshold above the per-substep temporaries of the
+    # empirical covariance, which a list left re-faulting the heap top.
+    prefix = (rng.standard_normal((S, d)) for _ in range(k0))
+    main_draws = np.empty((n_steps - k0, S, d))
     oracle = _SequencedGaussianOracle(
-        setup.problem, setup.cov, sigma, np.concatenate([prefix, main_draws], axis=0)
+        setup.problem, setup.cov, sigma, itertools.chain(prefix, main_draws)
     )
     # SGD never reads v, and its sigma is 1, so unit u0 is as good as any
     u0 = np.ones(d) if setup.u0 is None else setup.u0
@@ -277,11 +282,20 @@ def compare_at_eta(
     )
     for _ in range(k0):  # shared warm-up prefix, momentum path only
         state = adam_step(state, oracle.sample(state.theta, rng), hp)
-    fns = TestFunctionSet.from_names(fn_names, d)
-    discrete = run_discrete(
-        setup.problem, oracle, algo, hp, state, n_steps - k0, fns,
-        [k - k0 for k in ks], rng, cov=setup.cov,
-    )
+
+    def em_noise():
+        for i in range(n_steps - k0):
+            block = rng.standard_normal((setup.em_substeps, S, d))
+            if setup.coupled:
+                # Each discrete step's noise is the normalized Wiener increment
+                # over its interval. The stored diffusion keeps a plus sign while
+                # the parameter-block noise enters the discrete update negatively,
+                # so the pathwise identification flips sign except through
+                # Adam's momentum.
+                main_draws[i] = _coarse_increments(block, setup.em_substeps)[0]
+                if algo != "adam":
+                    main_draws[i] *= -1.0
+            yield from block
 
     if algo == "rmsprop":
         x0 = np.concatenate([state.theta, np.broadcast_to(u0, (S, d))], axis=1)
@@ -289,9 +303,17 @@ def compare_at_eta(
         x0 = np.concatenate([state.theta, state.m, state.v / sigma**2], axis=1)
     else:
         x0 = state.theta.copy()
+    fns = TestFunctionSet.from_names(fn_names, d)
     em_rec = euler_maruyama(
         _build_system(setup, eta), SdeState(x0, k0 * dt_e), n_steps * dt_e, dt, None, fns,
-        t_checkpoints, noise=em_noise,
+        t_checkpoints, noise=em_noise(),
+    )
+    if not setup.coupled:
+        for step_draw in main_draws:
+            rng.standard_normal(out=step_draw)
+    discrete = run_discrete(
+        setup.problem, oracle, algo, hp, state, n_steps - k0, fns,
+        [k - k0 for k in ks], rng, cov=setup.cov,
     )
     return weak_error(discrete, em_rec, fn_names, eta=eta)
 
@@ -423,10 +445,18 @@ def svag_sweep(
     of cross-ell discrepancies drops. Coupling requires every ell to divide
     the largest one. Uncoupled runs draw through the genuine two-sample
     amplifier on independent streams.
+
+    The finest cell runs first: it draws the shared path one base step's
+    block at a time, and each block's summed increments are set aside for
+    the coarser cells, which run after it. Every cell has its own stream,
+    so the order of the runs changes no result. Needs at least 3 distinct
+    ell values, since the decay fit has one point per consecutive pair.
     """
     ells = sorted(float(ell) for ell in ells)
     if len(set(ells)) != len(ells):
         raise ValueError(f"ell values must be distinct, got {ells}")
+    if len(ells) < 3:
+        raise ValueError(f"need at least 3 ell values, got {ells}")
     if ells[0] != 1.0:
         raise ValueError("the sweep must include ell = 1 as its base")
     for ell in ells:
@@ -448,17 +478,25 @@ def svag_sweep(
         for ell in ells:
             if ell_max % int(round(ell)) != 0:
                 raise ValueError("coupled sweeps need every ell to divide the largest ell")
-        fine = derive_rng(root_seed, "svag", setup.algo, "shared-path").standard_normal(
-            (base_steps * ell_max**2, setup.seeds, d)
-        )
+        # a coarser cell takes ell^2 steps per base step; its draws are filled
+        # in as the finest cell draws the shared path
+        per_base = {ell: int(round(ell)) ** 2 for ell in ells[:-1]}
+        coarse = {ell: np.empty((base_steps * m, setup.seeds, d)) for ell, m in per_base.items()}
+        shared = derive_rng(root_seed, "svag", setup.algo, "shared-path")
+
+        def fine_path():
+            for k in range(base_steps):
+                block = shared.standard_normal((ell_max**2, setup.seeds, d))
+                for ell, m in per_base.items():
+                    coarse[ell][k * m : (k + 1) * m] = _coarse_increments(block, ell_max**2 // m)
+                yield from block
 
     def run_cell(ell: float) -> TrajectoryRecord:
         ell_i = int(round(ell))
         hp_ell = svag_transform_hparams(hp, ell, setup.algo) if ell > 1 else hp
         if setup.coupled:
-            factor = (ell_max // ell_i) ** 2
-            # coarsening by 1 would only copy the path, so the finest run reads it directly
-            draws = fine if factor == 1 else _coarse_increments(fine, factor)
+            # the finest run draws the shared path, the coarser ones read their sums of it
+            draws = fine_path() if ell_i == ell_max else coarse.pop(ell)
             oracle: GradientOracle = _SequencedGaussianOracle(
                 setup.problem, setup.cov, ell * sigma, draws
             )
@@ -476,7 +514,8 @@ def svag_sweep(
             base_steps * ell_i**2, fns, ks, rng, cov=setup.cov,
         )
 
-    records = {ell: run_cell(ell) for ell in ells}
+    finest_first = {ell: run_cell(ell) for ell in reversed(ells)}
+    records = {ell: finest_first[ell] for ell in ells}
     for ell, rec in records.items():
         expected = np.asarray(base_ks, dtype=float) * dt_e
         if np.any(np.abs(rec.times - expected) > 1e-9):

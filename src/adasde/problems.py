@@ -241,8 +241,15 @@ class EmpiricalCovariance(CovarianceSpec):
 
     @staticmethod
     def _centred(problem: Problem, theta) -> np.ndarray:
-        """Per-datum gradients minus the full gradient, shape (..., n, d)."""
-        return problem.per_datum_gradients(theta) - problem.full_gradient(theta)[..., None, :]
+        """Per-datum gradients minus the full gradient, shape (..., n, d).
+
+        The subtraction is in place: a second (..., n, d) temporary per call
+        is enough for glibc to trim and re-fault the heap top on every
+        Euler-Maruyama substep.
+        """
+        c = problem.per_datum_gradients(theta)
+        c -= problem.full_gradient(theta)[..., None, :]
+        return c
 
     def matrix(self, problem: Problem, theta) -> np.ndarray:
         c = self._centred(problem, theta)

@@ -20,12 +20,15 @@ Every integration runs through one Euler-Maruyama loop, ``_em_loop``, which
 owns the step and the checks on each state (finite values, u > 0 where the
 system requires it). ``euler_maruyama`` records test functions at
 checkpoints on top of it; the one-step moment estimators call it directly.
+The loop reads its standard-normal increments one step's block at a time,
+from any iterable of blocks or from its rng, so no caller has to hold a
+whole path of noise.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -293,18 +296,23 @@ def _em_loop(
     dt: float,
     n_steps: int,
     rng: np.random.Generator | None,
-    noise: np.ndarray | None = None,
+    noise: Iterable[np.ndarray] | None = None,
     on_state: Callable | None = None,
 ) -> np.ndarray:
     """The Euler-Maruyama loop x <- x + b dt + sigma sqrt(dt) w over a path ensemble.
 
     ``x`` of shape (paths, D) (or (D,) for one path) starts at time t0 and
-    advances n_steps of size dt > 0. The increments w are ``noise[n]`` when a
-    (n_steps, paths, noise_dim) array is given, else fresh draws from rng.
-    The start and every step are checked: a non-finite state raises
-    NonFiniteError with its step, and u <= 0 on a system that requires u > 0
-    raises ValueError. ``on_state(x, step)`` sees the start (step 0) and the
-    state after every step. Returns the final states.
+    advances n_steps of size dt > 0. Step n reads its increment w, a
+    (paths, noise_dim) standard-normal block, as the next item of ``noise``
+    when given, else as a fresh draw from rng. ``noise`` is any iterable of
+    such blocks in step order: an (n_steps, paths, noise_dim) array (checked
+    up front) or a generator that draws each block when the step asks for
+    it. A block of another shape, or a stream that ends before n_steps,
+    raises ValueError naming the step. The start and every step are checked:
+    a non-finite state raises NonFiniteError with its step, and u <= 0 on a
+    system that requires u > 0 raises ValueError. ``on_state(x, step)`` sees
+    the start (step 0) and the state after every step. Returns the final
+    states.
     """
     if t0 < system.min_time:
         raise ValueError(f"initial time {t0} below the system's domain (> {system.min_time:g})")
@@ -314,12 +322,13 @@ def _em_loop(
     if x.shape[-1] != system.state_dim:
         raise ValueError(f"state has dimension {x.shape[-1]}, system expects {system.state_dim}")
     noise_shape = (x.shape[0], system.noise_dim)
-    if noise is not None:
-        noise = np.asarray(noise, dtype=float)
-        if noise.shape != (n_steps, *noise_shape):
-            raise ValueError(f"noise must have shape {(n_steps, *noise_shape)}, got {noise.shape}")
-    elif rng is None and n_steps > 0:
-        raise ValueError("either rng or a noise array is required")
+    if noise is None:
+        if rng is None and n_steps > 0:
+            raise ValueError("either rng or a noise stream is required")
+        noise = (rng.standard_normal(noise_shape) for _ in range(n_steps))
+    elif isinstance(noise, np.ndarray) and noise.shape != (n_steps, *noise_shape):
+        raise ValueError(f"noise must have shape {(n_steps, *noise_shape)}, got {noise.shape}")
+    blocks = iter(noise)
 
     u_slice = system.blocks.get("u") if system.requires_positive_u else None
 
@@ -337,7 +346,13 @@ def _em_loop(
     sqrt_dt = math.sqrt(dt)
     for n in range(n_steps):
         t = t0 + n * dt
-        w = noise[n] if noise is not None else rng.standard_normal(noise_shape)
+        w = next(blocks, None)
+        if w is None:
+            raise ValueError(f"noise stream ended at step {n} of {n_steps}")
+        if np.shape(w) != noise_shape:
+            raise ValueError(
+                f"noise block at step {n} has shape {np.shape(w)}, expected {noise_shape}"
+            )
         x = x + system.drift(x, t) * dt + system.apply_diffusion(x, t, sqrt_dt * w)
         visit(x, n + 1, t + dt)
     return x
@@ -351,15 +366,17 @@ def euler_maruyama(
     rng: np.random.Generator | None,
     fns: TestFunctionSet,
     checkpoint_times,
-    noise: np.ndarray | None = None,
+    noise: Iterable[np.ndarray] | None = None,
 ) -> TrajectoryRecord:
     """Fixed-step integration of a path ensemble, recorded at checkpoints.
 
     ``init.x`` of shape (paths, D) integrates all paths against a shared
     vectorized stream; checkpoints snap to the nearest grid time (callers
     align the grid so they coincide). ``noise`` optionally supplies the
-    standard-normal increments, shape (n_steps, paths, noise_dim), enabling
-    exact noise sharing between systems.
+    standard-normal increments as an iterable of (paths, noise_dim) blocks,
+    one per step in order (an (n_steps, paths, noise_dim) array qualifies),
+    enabling exact noise sharing between systems; a generator lets the
+    caller draw each block only when the step reads it.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")

@@ -1,10 +1,15 @@
 """Sweep harness: exact sweep figures, the sequenced oracle and the shared integrator checks."""
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from adasde import harness
 from adasde.harness import (
     ApproximationSetup,
     _SequencedGaussianOracle,
+    compare_at_eta,
     linear_warmup_check,
     order_sweep,
     svag_sweep,
@@ -246,7 +251,90 @@ class TestGoldenSweeps:
         assert _svag_figures(report) == GOLDEN[f"svag/coupled={coupled}"]
 
 
+class TestCellStreams:
+    @pytest.mark.parametrize("algo", ["rmsprop", "adam"])
+    def test_order_cells_do_not_depend_on_the_other_etas(self, algo):
+        # derive_rng keys a cell by its label, so adding eta = 0.07 to the
+        # sweep leaves the other cells' figures unchanged bit for bit
+        setup = ApproximationSetup(
+            PROBLEM, COV, algo, theta0=np.ones(2), T=0.5, seeds=32, em_substeps=4,
+            n_checkpoints=3, **ORDER_EXTRA[algo],
+        )
+        three = order_sweep(setup, (0.2, 0.14, 0.1), FNS, ROOT_SEED)
+        four = order_sweep(setup, (0.2, 0.14, 0.1, 0.07), FNS, ROOT_SEED)
+        assert four.etas[:3] == three.etas
+        for a, b in zip(three.reports, four.reports):
+            for name in FNS:
+                np.testing.assert_array_equal(a.gaps[name], b.gaps[name])
+                np.testing.assert_array_equal(a.paired_se[name], b.paired_se[name])
+                np.testing.assert_array_equal(a.discrete.values[name], b.discrete.values[name])
+                np.testing.assert_array_equal(a.continuous.values[name], b.continuous.values[name])
+
+
+class TestNoiseMemory:
+    """The coupled runs hold a step's noise at a time, never a whole path of it.
+
+    numpy reports its buffers to tracemalloc, so the traced peak counts every
+    array a sweep allocates. Each case is sized so the whole noise path is
+    about 16 MB; holding it at any point would break the half-size bound.
+    """
+
+    @staticmethod
+    def _peak_bytes(run):
+        """Traced peak during run() above what stays allocated after it.
+
+        What stays (modules numpy imports lazily on a first call) is not
+        working memory of the run, and would make the figure depend on which
+        test ran first.
+        """
+        tracemalloc.start()
+        try:
+            run()
+            retained, peak = tracemalloc.get_traced_memory()
+            return peak - retained
+        finally:
+            tracemalloc.stop()
+
+    def test_svag_sweep_peaks_below_half_the_fine_path(self):
+        setup = ApproximationSetup(
+            PROBLEM, COV, "rmsprop", theta0=np.ones(2), u0=np.ones(2), T=1.0, seeds=2500,
+            n_checkpoints=3,
+        )
+        eta, ells = 0.2, (1, 2, 4)
+        base_steps = math.floor(setup.T / eta**2 + 1e-9)
+        fine_path_bytes = base_steps * ells[-1] ** 2 * setup.seeds * PROBLEM.dim * 8
+        assert fine_path_bytes == 16_000_000
+        peak = self._peak_bytes(lambda: svag_sweep(setup, eta, ells, FNS, ROOT_SEED))
+        assert peak < fine_path_bytes / 2
+
+    def test_compare_at_eta_peaks_below_half_its_em_noise(self):
+        setup = ApproximationSetup(
+            PROBLEM, COV, "rmsprop", theta0=np.ones(2), u0=np.ones(2), T=0.5, seeds=1000,
+            em_substeps=20, n_checkpoints=3,
+        )
+        eta = 0.1
+        n_steps = math.floor(setup.T / eta**2 + 1e-9)
+        em_noise_bytes = n_steps * setup.em_substeps * setup.seeds * PROBLEM.dim * 8
+        assert em_noise_bytes == 16_000_000
+        peak = self._peak_bytes(lambda: compare_at_eta(setup, eta, FNS, ROOT_SEED))
+        assert peak < em_noise_bytes / 2
+
+
 class TestSweepArguments:
+    @pytest.mark.parametrize("ells", [(1,), (1, 2)])
+    def test_svag_rejects_fewer_than_three_ells_before_any_run(self, ells, monkeypatch):
+        # the decay fit needs two consecutive pairs; check that before paying for a run
+        def no_run(*args, **kwargs):
+            raise AssertionError("a cell ran before the ell values were checked")
+
+        monkeypatch.setattr(harness, "run_discrete", no_run)
+        setup = ApproximationSetup(
+            PROBLEM, COV, "rmsprop", theta0=np.ones(2), u0=np.ones(2), T=0.4, seeds=8,
+            n_checkpoints=3,
+        )
+        with pytest.raises(ValueError, match="at least 3 ell values"):
+            svag_sweep(setup, 0.2, ells, FNS, ROOT_SEED)
+
     def test_svag_rejects_repeated_ell(self):
         # a repeated ell pairs a run with itself: a zero gap and a meaningless decay slope
         setup = ApproximationSetup(

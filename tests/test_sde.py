@@ -325,6 +325,49 @@ class TestEulerMaruyama:
             euler_maruyama(system, init, 1.0, 0.05, np.random.default_rng(0), fns, [1.0])
 
 
+class TestNoiseStream:
+    """``noise`` is any iterable of (paths, noise_dim) blocks, read one per step."""
+
+    N_STEPS, PATHS, DT = 50, 4, 0.01
+
+    def _run(self, noise, rng=None):
+        init = SdeState(np.ones((self.PATHS, 1)))
+        return euler_maruyama(
+            ou_system(), init, self.N_STEPS * self.DT, self.DT, rng, COORD_FNS, [0.25, 0.5],
+            noise=noise,
+        )
+
+    def _noise(self):
+        return np.random.default_rng(6).standard_normal((self.N_STEPS, self.PATHS, 1))
+
+    def test_generator_of_rows_matches_the_array(self):
+        noise = self._noise()
+        from_array = self._run(noise)
+        from_stream = self._run(row for row in noise)
+        np.testing.assert_array_equal(from_stream.values["theta_0"], from_array.values["theta_0"])
+
+    def test_per_step_rng_draws_match_one_whole_draw(self):
+        # numpy draws the same normals whether asked per step or all at once,
+        # so streaming the noise keeps every seeded result bit for bit
+        per_step = self._run(None, rng=np.random.default_rng(6))
+        whole = self._run(self._noise())
+        np.testing.assert_array_equal(per_step.values["theta_0"], whole.values["theta_0"])
+
+    def test_stream_one_block_short_names_the_step(self):
+        with pytest.raises(ValueError, match="ended at step 49 of 50"):
+            self._run(iter(self._noise()[:-1]))
+
+    def test_misshapen_block_names_the_step(self):
+        blocks = list(self._noise())
+        blocks[3] = np.zeros((self.PATHS + 1, 1))
+        with pytest.raises(ValueError, match=r"step 3 has shape \(5, 1\)"):
+            self._run(blocks)
+
+    def test_array_of_the_wrong_shape_is_rejected_up_front(self):
+        with pytest.raises(ValueError, match="noise must have shape"):
+            self._run(self._noise()[:-1])
+
+
 class TestAuxiliarySystem:
     def test_clamped_equals_unclamped_when_u_stays_high(self):
         problem = QuadraticProblem(np.diag([1.0, 3.0]))

@@ -32,7 +32,6 @@ from .sde import (
     SdeState,
     SdeSystem,
     build_adam_sde,
-    build_auxiliary_sde,
     build_rmsprop_sde,
     build_sgd_sde,
     clamp_mu,

@@ -15,16 +15,15 @@ Statistical conventions:
   so both processes ride the same Brownian path. Coupling leaves each
   marginal distribution untouched (the gap estimate is unbiased) while
   shrinking its variance by orders of magnitude; the paired SE is then the
-  honest uncertainty of the gap. The path is never held whole: the finest
-  run draws it one discrete step's block at a time, in the order a single
-  whole-path draw would take, and each coarser run keeps only the summed
-  increments it will read.
+  honest uncertainty of the gap. The path is never held whole:
+  ``_shared_path`` draws it one step's block at a time for the finest run,
+  in the order a single whole-path draw would take, and keeps for each
+  coarser run only the summed increments it will read.
 * A gap below 2 SE is reported as inconclusive rather than failed.
 """
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -130,6 +129,14 @@ class ApproximationSetup:
             raise ValueError("adaptive setups need u0")
         if "c1" in DECAYS[self.algo].values() and self.c1 is None:
             raise ValueError(f"{self.algo} setups need c1")
+        if not isinstance(self.em_substeps, (int, np.integer)) or self.em_substeps < 1:
+            raise ValueError(f"em_substeps must be an int >= 1, got {self.em_substeps!r}")
+        if self.seeds < 2:  # every SE needs two samples
+            raise ValueError(f"seeds must be at least 2, got {self.seeds!r}")
+        if self.n_checkpoints < 1:
+            raise ValueError(f"n_checkpoints must be at least 1, got {self.n_checkpoints!r}")
+        if not self.T > 0:
+            raise ValueError(f"T must be positive, got {self.T!r}")
 
 
 @dataclass
@@ -212,11 +219,32 @@ def _checkpoint_steps(k_start: int, n_steps: int, count: int) -> list[int]:
     return [int(k) for k in ks if k > k_start]
 
 
-def _coarse_increments(fine: np.ndarray, factor: int) -> np.ndarray:
-    """Sum ``factor`` consecutive standard-normal blocks along axis 0, rescaled to unit variance."""
-    out = fine.reshape(fine.shape[0] // factor, factor, *fine.shape[1:]).sum(axis=1)
-    out /= math.sqrt(factor)
-    return out
+def _shared_path(rng, steps: int, fine: int, shape, coarse):
+    """One Brownian path at nested resolutions, drawn one step at a time.
+
+    Returns (blocks, sums). ``blocks`` yields the path's standard-normal
+    blocks of ``shape`` in draw order, ``fine`` per step for ``steps``
+    steps. For each m in ``coarse`` (each dividing ``fine``), ``sums[m]``
+    holds steps * m blocks, each the unit-variance sum of the fine // m fine
+    blocks it spans, written as ``blocks`` reaches them. A step's fine
+    blocks are dropped before the next step's are drawn, so a reader that
+    keeps no block holds one step of the path. A sum is one array, not a
+    list of blocks, so freeing it lifts glibc's heap-trim threshold above
+    the empirical covariance's per-substep temporaries.
+    """
+    sums = {m: np.empty((steps * m, *shape)) for m in coarse}
+
+    def blocks():
+        for k in range(steps):
+            block = rng.standard_normal((fine, *shape))
+            for m, out in sums.items():
+                part = out[k * m : (k + 1) * m]
+                block.reshape(m, fine // m, *shape).sum(axis=1, out=part)
+                part /= math.sqrt(fine // m)
+            yield from block
+            del block
+
+    return blocks(), sums
 
 
 def _build_system(setup: ApproximationSetup, eta: float):
@@ -263,18 +291,10 @@ def compare_at_eta(
     t_checkpoints = [k * dt_e for k in ks]
 
     rng = derive_rng(root_seed, "order", algo, f"eta={eta!r}")
-    # rng is read in one fixed order: the warm-up prefix, the Euler-Maruyama
-    # noise one discrete step's block at a time, then (uncoupled only) the
-    # discrete draws; each block is drawn when its step runs. Only the
-    # discrete draws are held whole, filled in as the integrator goes. They
-    # are one array, not a list of blocks: freeing an array this size lifts
-    # glibc's heap-trim threshold above the per-substep temporaries of the
-    # empirical covariance, which a list left re-faulting the heap top.
-    prefix = (rng.standard_normal((S, d)) for _ in range(k0))
-    main_draws = np.empty((n_steps - k0, S, d))
-    oracle = _SequencedGaussianOracle(
-        setup.problem, setup.cov, sigma, itertools.chain(prefix, main_draws)
-    )
+    # rng is read in one fixed order: the warm-up, the Euler-Maruyama noise
+    # one discrete step's block at a time, then (uncoupled only) the discrete
+    # draws; each block is drawn when its step runs
+    oracle = GaussianOracle(setup.problem, setup.cov, sigma)
     # SGD never reads v, and its sigma is 1, so unit u0 is as good as any
     u0 = np.ones(d) if setup.u0 is None else setup.u0
     state = OptimizerState.initial(
@@ -283,20 +303,6 @@ def compare_at_eta(
     for _ in range(k0):  # shared warm-up prefix, momentum path only
         state = adam_step(state, oracle.sample(state.theta, rng), hp)
 
-    def em_noise():
-        for i in range(n_steps - k0):
-            block = rng.standard_normal((setup.em_substeps, S, d))
-            if setup.coupled:
-                # Each discrete step's noise is the normalized Wiener increment
-                # over its interval. The stored diffusion keeps a plus sign while
-                # the parameter-block noise enters the discrete update negatively,
-                # so the pathwise identification flips sign except through
-                # Adam's momentum.
-                main_draws[i] = _coarse_increments(block, setup.em_substeps)[0]
-                if algo != "adam":
-                    main_draws[i] *= -1.0
-            yield from block
-
     if algo == "rmsprop":
         x0 = np.concatenate([state.theta, np.broadcast_to(u0, (S, d))], axis=1)
     elif algo == "adam":
@@ -304,13 +310,22 @@ def compare_at_eta(
     else:
         x0 = state.theta.copy()
     fns = TestFunctionSet.from_names(fn_names, d)
+    # coupled, each discrete step's noise is the normalized Wiener increment
+    # over its interval
+    em_noise, sums = _shared_path(
+        rng, n_steps - k0, setup.em_substeps, (S, d), (1,) if setup.coupled else ()
+    )
     em_rec = euler_maruyama(
         _build_system(setup, eta), SdeState(x0, k0 * dt_e), n_steps * dt_e, dt, None, fns,
-        t_checkpoints, noise=em_noise(),
+        t_checkpoints, noise=em_noise,
     )
-    if not setup.coupled:
-        for step_draw in main_draws:
-            rng.standard_normal(out=step_draw)
+    if setup.coupled:
+        if algo != "adam":
+            # The stored diffusion keeps a plus sign while the parameter-block
+            # noise enters the discrete update negatively, so the pathwise
+            # identification flips sign except through Adam's momentum.
+            np.negative(sums[1], out=sums[1])
+        oracle = _SequencedGaussianOracle(setup.problem, setup.cov, sigma, sums[1])
     discrete = run_discrete(
         setup.problem, oracle, algo, hp, state, n_steps - k0, fns,
         [k - k0 for k in ks], rng, cov=setup.cov,
@@ -478,27 +493,21 @@ def svag_sweep(
         for ell in ells:
             if ell_max % int(round(ell)) != 0:
                 raise ValueError("coupled sweeps need every ell to divide the largest ell")
-        # a coarser cell takes ell^2 steps per base step; its draws are filled
-        # in as the finest cell draws the shared path
-        per_base = {ell: int(round(ell)) ** 2 for ell in ells[:-1]}
-        coarse = {ell: np.empty((base_steps * m, setup.seeds, d)) for ell, m in per_base.items()}
-        shared = derive_rng(root_seed, "svag", setup.algo, "shared-path")
-
-        def fine_path():
-            for k in range(base_steps):
-                block = shared.standard_normal((ell_max**2, setup.seeds, d))
-                for ell, m in per_base.items():
-                    coarse[ell][k * m : (k + 1) * m] = _coarse_increments(block, ell_max**2 // m)
-                yield from block
+        # cell ell reads ell^2 blocks per base step: the finest cell the shared
+        # path as it is drawn, each coarser cell its sums of it
+        fine_path, draws = _shared_path(
+            derive_rng(root_seed, "svag", setup.algo, "shared-path"), base_steps, ell_max**2,
+            (setup.seeds, d), [int(round(ell)) ** 2 for ell in ells[:-1]],
+        )
+        draws[ell_max**2] = fine_path
+        del fine_path  # held by the finest cell alone, its last block goes with it
 
     def run_cell(ell: float) -> TrajectoryRecord:
         ell_i = int(round(ell))
         hp_ell = svag_transform_hparams(hp, ell, setup.algo) if ell > 1 else hp
         if setup.coupled:
-            # the finest run draws the shared path, the coarser ones read their sums of it
-            draws = fine_path() if ell_i == ell_max else coarse.pop(ell)
             oracle: GradientOracle = _SequencedGaussianOracle(
-                setup.problem, setup.cov, ell * sigma, draws
+                setup.problem, setup.cov, ell * sigma, draws.pop(ell_i**2)
             )
         else:
             oracle = SvagOracle(base_oracle, ell) if ell > 1 else base_oracle
@@ -597,14 +606,16 @@ def validate_scaling(
     """Compare test-function traces at aligned checkpoints across batch sizes.
 
     The base run uses ``batch_size`` minibatch noise (or a Gaussian oracle at
-    scale ``sigma``); the scaled run multiplies the batch by plan.kappa (or
-    divides sigma by sqrt(kappa)) and runs floor(steps/kappa) steps with the
-    plan's hyperparameters, so total continuous time matches under the
-    square-root rule. Checkpoints must be divisible by kappa so that aligned
+    scale ``sigma`` on ``cov``); the scaled run multiplies the batch by
+    plan.kappa (or divides sigma by sqrt(kappa)) and runs floor(steps/kappa)
+    steps with the plan's hyperparameters, so total continuous time matches
+    under the square-root rule. Checkpoints must be divisible by kappa so that aligned
     pairs share exact times. Both runs start from u = 1.
     """
     if (batch_size is None) == (sigma is None):
         raise ValueError("give exactly one of batch_size or sigma")
+    if sigma is not None and cov is None:
+        raise ValueError("a Gaussian oracle at scale sigma needs cov")
     kappa = plan.kappa
     if kappa < 1:
         raise ValueError("kappa must be at least 1")

@@ -75,9 +75,10 @@ class OptimizerState:
         object.__setattr__(self, "v", v)
 
     @classmethod
-    def initial(cls, theta0, v0, m0=0.0) -> "OptimizerState":
+    def initial(cls, theta0, v0) -> "OptimizerState":
+        """State at step 0 with zero momentum."""
         theta0 = np.asarray(theta0, dtype=float)
-        return cls(theta=theta0, m=np.broadcast_to(m0, theta0.shape),
+        return cls(theta=theta0, m=np.broadcast_to(0.0, theta0.shape),
                    v=np.broadcast_to(v0, theta0.shape), k=0)
 
 

@@ -16,13 +16,17 @@ components are consumed per step. ``apply_diffusion`` scales
 D x D matrix from ``CovarianceSpec.sqrt`` as the reference for cross-checks
 on small systems.
 
+The adaptive builders take ``u_min`` to build the clamped system, whose
+sqrt(u) denominators read sqrt(mu(u)) (``clamp_mu``); it coincides with the
+unclamped one wherever u stays at or above u_min.
+
 Every integration runs through one Euler-Maruyama loop, ``_em_loop``, which
-owns the step and the checks on each state (finite values, u > 0 where the
-system requires it). ``euler_maruyama`` records test functions at
-checkpoints on top of it; the one-step moment estimators call it directly.
-The loop reads its standard-normal increments one step's block at a time,
-from any iterable of blocks or from its rng, so no caller has to hold a
-whole path of noise.
+owns the step and the checks on each state (finite values, u > 0 on an
+unclamped system with a u block). ``euler_maruyama`` records test functions
+at checkpoints on top of it; the one-step moment estimators call it
+directly. The loop reads its standard-normal increments one step's block at
+a time, from any iterable of blocks or from its rng, so no caller has to
+hold a whole path of noise.
 """
 from __future__ import annotations
 
@@ -41,7 +45,6 @@ __all__ = [
     "build_rmsprop_sde",
     "build_adam_sde",
     "build_sgd_sde",
-    "build_auxiliary_sde",
     "transition_tau",
     "clamp_mu",
     "euler_maruyama",
@@ -101,12 +104,9 @@ class SdeSystem:
     dense_diffusion: Callable  # (x, t) -> (..., D, D)
     blocks: dict = field(default_factory=dict)  # name -> slice
     algorithm: str = "custom"
-    constants: dict = field(default_factory=dict)
     problem: Problem | None = None
     cov: CovarianceSpec | None = None
-    requires_positive_u: bool = True
-    min_time: float = 0.0
-    u_min: float | None = None  # set on clamped systems
+    u_min: float | None = None  # set on clamped systems, whose u need not stay positive
 
     def block(self, x: np.ndarray, name: str) -> np.ndarray | None:
         sl = self.blocks.get(name)
@@ -132,8 +132,7 @@ def build_rmsprop_sde(
     if sigma0 <= 0 or c2 <= 0 or epsilon0 < 0:
         raise ValueError("need sigma0 > 0, c2 > 0, epsilon0 >= 0")
     d = problem.dim
-    clamped = u_min is not None
-    u_of = (lambda u: clamp_mu(u, u_min)) if clamped else (lambda u: u)
+    u_of = (lambda u: clamp_mu(u, u_min)) if u_min is not None else (lambda u: u)
 
     def drift(x, t):
         theta, u = x[..., :d], x[..., d:]
@@ -165,10 +164,8 @@ def build_rmsprop_sde(
         dense_diffusion=dense_diffusion,
         blocks={"theta": slice(0, d), "u": slice(d, 2 * d)},
         algorithm="rmsprop",
-        constants={"sigma0": sigma0, "epsilon0": epsilon0, "c2": c2},
         problem=problem,
         cov=cov,
-        requires_positive_u=not clamped,
         u_min=u_min,
     )
 
@@ -191,8 +188,7 @@ def build_adam_sde(
     if sigma0 <= 0 or c1 <= 0 or c2 <= 0 or epsilon0 < 0:
         raise ValueError("need sigma0, c1, c2 > 0 and epsilon0 >= 0")
     d = problem.dim
-    clamped = u_min is not None
-    u_of = (lambda u: clamp_mu(u, u_min)) if clamped else (lambda u: u)
+    u_of = (lambda u: clamp_mu(u, u_min)) if u_min is not None else (lambda u: u)
 
     def gammas(t):
         if t <= 0:
@@ -231,11 +227,8 @@ def build_adam_sde(
         dense_diffusion=dense_diffusion,
         blocks={"theta": slice(0, d), "m": slice(d, 2 * d), "u": slice(2 * d, 3 * d)},
         algorithm="adam",
-        constants={"sigma0": sigma0, "epsilon0": epsilon0, "c1": c1, "c2": c2},
         problem=problem,
         cov=cov,
-        requires_positive_u=not clamped,
-        min_time=np.nextafter(0.0, 1.0),
         u_min=u_min,
     )
 
@@ -264,28 +257,8 @@ def build_sgd_sde(problem: Problem, cov: CovarianceSpec, eta: float) -> SdeSyste
         dense_diffusion=dense_diffusion,
         blocks={"theta": slice(0, d)},
         algorithm="sgd",
-        constants={"eta": eta},
         problem=problem,
         cov=cov,
-        requires_positive_u=False,
-    )
-
-
-def build_auxiliary_sde(system: SdeSystem, u_min: float) -> SdeSystem:
-    """Clamped twin of an adaptive system: sqrt(u) denominators become sqrt(mu(u)).
-
-    Paths of the clamped and unclamped systems coincide under shared noise
-    whenever u stays at or above u_min.
-    """
-    if system.algorithm not in ("rmsprop", "adam"):
-        raise ValueError("only the adaptive systems have a clamped variant")
-    if system.u_min is not None:
-        raise ValueError("system is already clamped")
-    c = system.constants
-    if system.algorithm == "rmsprop":
-        return build_rmsprop_sde(system.problem, system.cov, c["sigma0"], c["epsilon0"], c["c2"], u_min=u_min)
-    return build_adam_sde(
-        system.problem, system.cov, c["sigma0"], c["epsilon0"], c["c1"], c["c2"], u_min=u_min
     )
 
 
@@ -309,13 +282,12 @@ def _em_loop(
     up front) or a generator that draws each block when the step asks for
     it. A block of another shape, or a stream that ends before n_steps,
     raises ValueError naming the step. The start and every step are checked:
-    a non-finite state raises NonFiniteError with its step, and u <= 0 on a
-    system that requires u > 0 raises ValueError. ``on_state(x, step)`` sees
-    the start (step 0) and the state after every step. Returns the final
-    states.
+    a non-finite state raises NonFiniteError with its step, and u <= 0 on an
+    unclamped system with a "u" block raises ValueError. A system defined
+    only for t > 0 (Adam's) raises from its drift on the first step.
+    ``on_state(x, step)`` sees the start (step 0) and the state after every
+    step. Returns the final states.
     """
-    if t0 < system.min_time:
-        raise ValueError(f"initial time {t0} below the system's domain (> {system.min_time:g})")
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[None, :]
@@ -330,14 +302,14 @@ def _em_loop(
         raise ValueError(f"noise must have shape {(n_steps, *noise_shape)}, got {noise.shape}")
     blocks = iter(noise)
 
-    u_slice = system.blocks.get("u") if system.requires_positive_u else None
+    u_slice = system.blocks.get("u") if system.u_min is None else None
 
     def visit(xc, step, t):
         if not np.all(np.isfinite(xc)):
             raise NonFiniteError(step, f"t={t:.6g}")
         if u_slice is not None and np.any(xc[..., u_slice] <= 0.0):
             raise ValueError(
-                f"u reached zero at t={t:.6g}; integrate the clamped auxiliary system or reduce dt"
+                f"u reached zero at t={t:.6g}; build the clamped system with u_min or reduce dt"
             )
         if on_state is not None:
             on_state(xc, step)

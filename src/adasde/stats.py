@@ -11,24 +11,24 @@ __all__ = [
 ]
 
 
-def jackknife_se(per_sample_terms: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Delete-one jackknife standard error of a mean-of-terms statistic.
+def jackknife_se(per_sample_terms: np.ndarray) -> np.ndarray:
+    """Delete-one jackknife standard error of a mean-of-terms statistic over axis 0.
 
     For a statistic that is the average of per-sample terms, the delete-one
     jackknife SE reduces exactly to std(terms, ddof=1) / sqrt(n).
     """
     terms = np.asarray(per_sample_terms, dtype=float)
-    n = terms.shape[axis]
+    n = terms.shape[0]
     if n < 2:
         raise ValueError("need at least 2 samples for a jackknife")
-    return np.std(terms, axis=axis, ddof=1) / np.sqrt(n)
+    return np.std(terms, axis=0, ddof=1) / np.sqrt(n)
 
 
-def select_third_triples(dim: int, count: int = 20, seed: int = 0x7E57) -> list[tuple[int, int, int]]:
+def select_third_triples(dim: int, count: int = 20) -> list[tuple[int, int, int]]:
     """Deterministic sample of off-diagonal index triples i <= j <= k.
 
     Diagonal entries (i == j == k) are tracked separately, so they are
-    excluded here. The selection depends only on (dim, count, seed).
+    excluded here. The selection depends only on (dim, count).
     """
     triples = [
         (i, j, k)
@@ -39,7 +39,7 @@ def select_third_triples(dim: int, count: int = 20, seed: int = 0x7E57) -> list[
     ]
     if len(triples) <= count:
         return triples
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0x7E57)
     idx = rng.choice(len(triples), size=count, replace=False)
     return [triples[i] for i in sorted(idx)]
 

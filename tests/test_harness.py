@@ -1,4 +1,5 @@
 """Sweep harness: exact sweep figures, the sequenced oracle and the shared integrator checks."""
+import dataclasses
 import math
 import tracemalloc
 
@@ -191,6 +192,102 @@ GOLDEN = {
             'status': 'inconclusive',
         },
     },
+    'order/rmsprop/coupled=False': {
+        'theta_0': {
+            'slope': '0x1.1b4f3a5655d3dp-3',
+            'slope_se': '0x1.186b91e9f530ep+0',
+            'status': 'inconclusive',
+            'max_gap': [
+                '0x1.693111b14a748p-4',
+                '0x1.c5565a0d21e10p-4',
+                '0x1.466412a44e8a0p-4',
+            ],
+            'se_at_max': [
+                '0x1.f0b4ddc7a86fep-4',
+                '0x1.3a5244bb67804p-5',
+                '0x1.054396a4f2a89p-3',
+            ],
+        },
+        'loss': {
+            'slope': '0x1.36682fe292b6ap+1',
+            'slope_se': '0x1.41aa0199262bdp+0',
+            'status': 'inconclusive',
+            'max_gap': [
+                '0x1.531797b219ac8p-4',
+                '0x1.101a15644eae0p-3',
+                '0x1.ec07b7ac31100p-7',
+            ],
+            'se_at_max': [
+                '0x1.29c14ecc67dbfp-3',
+                '0x1.601e934abe196p-5',
+                '0x1.288ec94ac7d0cp-3',
+            ],
+        },
+    },
+    'order/adam/coupled=False': {
+        'theta_0': {
+            'slope': '0x1.61391b8e747a5p+1',
+            'slope_se': '0x1.72125612939b8p+0',
+            'status': 'inconclusive',
+            'max_gap': [
+                '0x1.451b4945f60f8p-4',
+                '0x1.40317a44fa228p-3',
+                '0x1.73be25025e640p-7',
+            ],
+            'se_at_max': [
+                '0x1.719506bde288dp-5',
+                '0x1.27918ee03195cp-4',
+                '0x1.5ba1c6397a175p-5',
+            ],
+        },
+        'loss': {
+            'slope': '0x1.03bd5520dcf54p+0',
+            'slope_se': '0x1.530400be8f6c4p+0',
+            'status': 'inconclusive',
+            'max_gap': [
+                '0x1.570e3cc2efe88p-4',
+                '0x1.625633bfad7bcp-3',
+                '0x1.4c6e3a9993e00p-5',
+            ],
+            'se_at_max': [
+                '0x1.9b63b3a22dfb5p-5',
+                '0x1.35f9b35885d29p-4',
+                '0x1.4ec0578fe7b25p-5',
+            ],
+        },
+    },
+    'order/sgd/coupled=False': {
+        'theta_0': {
+            'slope': '0x1.484a72de23db1p+1',
+            'slope_se': '0x1.14167605c917ap+0',
+            'status': 'inconclusive',
+            'max_gap': [
+                '0x1.2cae1030db500p-4',
+                '0x1.43d2b80e536c0p-5',
+                '0x1.943433f064980p-7',
+            ],
+            'se_at_max': [
+                '0x1.18dba14687a20p-4',
+                '0x1.2db3b6c7c4cdap-5',
+                '0x1.415a7c60ead13p-6',
+            ],
+        },
+        'loss': {
+            'slope': '0x1.1019b65ebaf71p+1',
+            'slope_se': '0x1.079fb1f206e5bp+0',
+            'status': 'inconclusive',
+            'max_gap': [
+                '0x1.67f1d106eda48p-4',
+                '0x1.66abaf55fd180p-5',
+                '0x1.497e418e8e820p-6',
+            ],
+            'se_at_max': [
+                '0x1.9b18785159a5cp-5',
+                '0x1.0ded630863c58p-5',
+                '0x1.7d9055139c25fp-6',
+            ],
+        },
+    },
 }
 
 
@@ -241,6 +338,16 @@ class TestGoldenSweeps:
         report = order_sweep(setup, (0.2, 0.14, 0.1), FNS, ROOT_SEED)
         assert _order_figures(report) == GOLDEN[f"order/{algo}"]
 
+    @pytest.mark.parametrize("algo", list(ORDER_EXTRA))
+    def test_uncoupled_order_sweep(self, algo):
+        # the discrete run draws its own noise after the integrator's
+        setup = ApproximationSetup(
+            PROBLEM, COV, algo, theta0=np.ones(2), T=0.5, seeds=32, em_substeps=4,
+            n_checkpoints=3, coupled=False, **ORDER_EXTRA[algo],
+        )
+        report = order_sweep(setup, (0.2, 0.14, 0.1), FNS, ROOT_SEED)
+        assert _order_figures(report) == GOLDEN[f"order/{algo}/coupled=False"]
+
     @pytest.mark.parametrize("coupled", [True, False])
     def test_svag_sweep(self, coupled):
         setup = ApproximationSetup(
@@ -269,6 +376,59 @@ class TestCellStreams:
                 np.testing.assert_array_equal(a.paired_se[name], b.paired_se[name])
                 np.testing.assert_array_equal(a.discrete.values[name], b.discrete.values[name])
                 np.testing.assert_array_equal(a.continuous.values[name], b.continuous.values[name])
+
+
+class TestCouplingInvariant:
+    """Coupling leaves the gap unbiased and shrinks only its paired SE.
+
+    The two gaps of a cell agree within 4 combined SE whether or not the
+    discrete run rides the integrator's Brownian path, so their agreement
+    cannot see a wrong sign in the coupling: the paired SE can. With the
+    right sign it is at most 0.063 of the combined SE at t = T (400 seeds,
+    eta = 0.2, 4 substeps); with the diffusion negated the discrete and
+    continuous noise anti-correlate and the ratio is 0.68 to 1.41.
+    """
+
+    RATIO_BOUND = 0.2
+
+    @staticmethod
+    def _reports(algo):
+        reports = {}
+        for coupled in (True, False):
+            setup = ApproximationSetup(
+                PROBLEM, COV, algo, theta0=np.ones(2), T=0.5, seeds=400, em_substeps=4,
+                coupled=coupled, **ORDER_EXTRA[algo],
+            )
+            reports[coupled] = compare_at_eta(setup, 0.2, FNS, ROOT_SEED)
+        return reports[True], reports[False]
+
+    @staticmethod
+    def _last_ratio(report, name):
+        return report.paired_se[name][-1] / report.combined_se[name][-1]
+
+    @pytest.mark.parametrize("algo", list(ORDER_EXTRA))
+    def test_coupling_shrinks_the_paired_se_and_keeps_the_gap(self, algo):
+        coupled, uncoupled = self._reports(algo)
+        for name in FNS:
+            se = np.hypot(coupled.combined_se[name], uncoupled.combined_se[name])
+            assert np.all(np.abs(coupled.gaps[name] - uncoupled.gaps[name]) <= 4.0 * se)
+            assert self._last_ratio(coupled, name) <= self.RATIO_BOUND
+
+    @pytest.mark.parametrize("algo", list(ORDER_EXTRA))
+    def test_negated_diffusion_fails_the_ratio_bound(self, algo, monkeypatch):
+        build = harness._build_system
+
+        def negated(setup, eta):
+            system = build(setup, eta)
+            diffusion = system.apply_diffusion
+            return dataclasses.replace(
+                system, apply_diffusion=lambda x, t, dw: -diffusion(x, t, dw)
+            )
+
+        monkeypatch.setattr(harness, "_build_system", negated)
+        coupled, _ = self._reports(algo)
+        for name in FNS:
+            assert self._last_ratio(coupled, name) > 2.0 * self.RATIO_BOUND
 
 
 class TestNoiseMemory:
@@ -344,6 +504,15 @@ class TestSweepArguments:
         with pytest.raises(ValueError, match="distinct"):
             svag_sweep(setup, 0.2, (1, 2, 2), FNS, ROOT_SEED)
 
+    @pytest.mark.parametrize("field, value", [
+        ("em_substeps", 0), ("em_substeps", 2.0), ("seeds", 1), ("n_checkpoints", 0), ("T", 0.0),
+    ])
+    def test_setup_rejects_sizes_that_fail_later(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ApproximationSetup(
+                PROBLEM, COV, "rmsprop", theta0=np.ones(2), u0=np.ones(2), **{field: value}
+            )
+
     def test_weak_error_rejects_unequal_seed_counts(self):
         def record(seeds):
             return TrajectoryRecord([0.1, 0.2], [1, 2], {"theta_0": np.zeros((2, seeds))})
@@ -402,6 +571,16 @@ class TestValidateScalingArguments:
 
     def test_valid_arguments_run(self):
         assert self._run(2, [4, 8]).times.size == 2
+
+    def test_sigma_without_cov_rejected_before_any_run(self, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before the noise arguments were checked")
+
+        monkeypatch.setattr(harness, "run_discrete", no_run)
+        plan = make_plan("sqrt-rmsprop", HyperParams(eta=0.05, beta=0.99), 2)
+        with pytest.raises(ValueError, match="cov"):
+            validate_scaling(plan, PROBLEM, "rmsprop", FNS, base_steps=8, checkpoints=[4, 8],
+                             seeds=10, root_seed=ROOT_SEED, sigma=1.0)
 
 
 class TestValidateScalingDeterministicCheckpoints:

@@ -157,8 +157,7 @@ class TestMcSde:
             apply_diffusion=lambda x, t, dw: np.zeros_like(x),
             dense_diffusion=lambda x, t: np.zeros(x.shape[:-1] + (1, 1)),
             blocks={"theta": slice(0, 1)},
-            requires_positive_u=False,
-        )
+            )
         mom = mc_sde_moments(system, [1.0], t=0.0, eta=0.1, samples=1000, dt=1e-3, rng=rng())
         np.testing.assert_array_equal(mom.first, 0.0)
         np.testing.assert_array_equal(mom.second, 0.0)

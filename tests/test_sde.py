@@ -18,7 +18,6 @@ from adasde.sde import (
     SdeState,
     SdeSystem,
     build_adam_sde,
-    build_auxiliary_sde,
     build_rmsprop_sde,
     build_sgd_sde,
     clamp_mu,
@@ -46,7 +45,6 @@ def ou_system(rate=1.0, diff=1.0):
         apply_diffusion=apply_diffusion,
         dense_diffusion=dense_diffusion,
         blocks={"theta": slice(0, 1)},
-        requires_positive_u=False,
     )
 
 
@@ -274,8 +272,7 @@ class TestEulerMaruyama:
             apply_diffusion=lambda x, t, dw: np.zeros_like(x),
             dense_diffusion=lambda x, t: np.zeros(x.shape[:-1] + (1, 1)),
             blocks={"theta": slice(0, 1)},
-            requires_positive_u=False,
-        )
+            )
         init = SdeState(np.full((3, 1), 1.5))
         rec = euler_maruyama(system, init, 1.0, 0.01, np.random.default_rng(0), COORD_FNS, [0.5, 1.0])
         np.testing.assert_array_equal(rec.values["theta_0"], 1.5)
@@ -321,7 +318,7 @@ class TestEulerMaruyama:
         system = build_rmsprop_sde(problem, cov, sigma0=1.0, epsilon0=0.5, c2=50.0)
         init = SdeState(np.array([1.0, 1e-9]))
         fns = TestFunctionSet.from_names(["theta_0"], dim=1)
-        with pytest.raises(ValueError, match="auxiliary"):
+        with pytest.raises(ValueError, match="u_min"):
             euler_maruyama(system, init, 1.0, 0.05, np.random.default_rng(0), fns, [1.0])
 
 
@@ -373,7 +370,7 @@ class TestAuxiliarySystem:
         problem = QuadraticProblem(np.diag([1.0, 3.0]))
         cov = ConstantCovariance(np.diag([1.0, 0.7]))
         base = build_rmsprop_sde(problem, cov, sigma0=1.0, epsilon0=0.0, c2=1.0)
-        clamped = build_auxiliary_sde(base, u_min=0.05)
+        clamped = build_rmsprop_sde(problem, cov, sigma0=1.0, epsilon0=0.0, c2=1.0, u_min=0.05)
         u0 = np.array([1.2, 0.9])
         init = SdeState(np.concatenate([np.ones(2), u0]))
         fns = TestFunctionSet.from_names(["theta_0", "theta_1", "u_0", "u_1"], dim=2)
@@ -398,12 +395,6 @@ class TestAuxiliarySystem:
         x = np.array([[1.0, 0.0]])
         assert np.all(np.isfinite(clamped.drift(x, 0.0)))
         assert np.all(np.isfinite(clamped.dense_diffusion(x, 0.0)))
-
-    def test_only_adaptive_systems(self):
-        problem = QuadraticProblem(np.eye(1))
-        sgd = build_sgd_sde(problem, IsotropicCovariance(1.0), eta=0.1)
-        with pytest.raises(ValueError):
-            build_auxiliary_sde(sgd, u_min=0.1)
 
 
 class TestBiasCorrectionCurves:

@@ -289,6 +289,7 @@ def compare_at_eta(
         raise ValueError(f"warm start k0={k0} swallows the whole horizon ({n_steps} steps)")
     ks = _checkpoint_steps(k0, n_steps, setup.n_checkpoints)
     t_checkpoints = [k * dt_e for k in ks]
+    fns = TestFunctionSet.from_names(fn_names, d)
 
     rng = derive_rng(root_seed, "order", algo, f"eta={eta!r}")
     # rng is read in one fixed order: the warm-up, the Euler-Maruyama noise
@@ -309,7 +310,6 @@ def compare_at_eta(
         x0 = np.concatenate([state.theta, state.m, state.v / sigma**2], axis=1)
     else:
         x0 = state.theta.copy()
-    fns = TestFunctionSet.from_names(fn_names, d)
     # coupled, each discrete step's noise is the normalized Wiener increment
     # over its interval
     em_noise, sums = _shared_path(
@@ -616,6 +616,8 @@ def validate_scaling(
         raise ValueError("give exactly one of batch_size or sigma")
     if sigma is not None and cov is None:
         raise ValueError("a Gaussian oracle at scale sigma needs cov")
+    if seeds < 2:  # every SE needs two samples
+        raise ValueError(f"seeds must be at least 2, got {seeds!r}")
     kappa = plan.kappa
     if kappa < 1:
         raise ValueError("kappa must be at least 1")
@@ -724,6 +726,8 @@ def linear_warmup_check(
     g_bar = np.atleast_1d(np.asarray(g_bar, dtype=float))
     if sigma < 100.0 * np.max(np.abs(g_bar)):
         raise ValueError("noise dominance requires sigma >= 100 * max|g_bar|")
+    if seeds < 2:  # every SE needs two samples
+        raise ValueError(f"seeds must be at least 2, got {seeds!r}")
     problem = LinearProblem(g_bar)
     d = problem.dim
     oracle = GaussianOracle(problem, IsotropicCovariance(1.0), sigma)

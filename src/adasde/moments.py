@@ -6,6 +6,9 @@ block not listed decays like eta^4 and is stored as zero. Monte Carlo
 estimators measure the same quantities from repeated single steps, so the
 two can be compared entrywise with an eta^4-sized slack.
 
+A one-step estimate is a ``stats.Moments`` plus the eta it was taken at;
+analytic estimates carry zero third moments and zero standard errors.
+
 All formulas take the continuous-system constants (sigma0, epsilon0, c1,
 c2) together with eta; ``scaling.hyperparams_from_constants`` gives the
 discrete hyperparameters they imply.
@@ -22,7 +25,7 @@ from .optimizers import HyperParams, OptimizerState, step_function
 from .problems import CovarianceSpec, Problem
 from .scaling import hyperparams_from_constants
 from .sde import SdeSystem, _em_loop
-from .stats import fit_loglog_slope, jackknife_moments, select_third_triples
+from .stats import Moments, fit_loglog_slope, jackknife_moments, select_third_triples
 
 __all__ = [
     "OneStepMoments",
@@ -37,30 +40,10 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class OneStepMoments:
-    """First/second/selected-third moments of a one-step difference."""
+class OneStepMoments(Moments):
+    """Moments of a one-step difference; ``second`` holds raw E[Delta_i Delta_j]."""
 
     eta: float
-    first: np.ndarray          # (D,)
-    second: np.ndarray         # (D, D), raw moments E[Delta_i Delta_j]
-    third_diag: np.ndarray     # (D,)
-    third_triples: tuple       # index triples measured off the diagonal
-    third_triple_values: np.ndarray
-    source: str                # analytic-discrete | mc-discrete | mc-sde
-    first_se: np.ndarray | None = None
-    second_se: np.ndarray | None = None
-    third_diag_se: np.ndarray | None = None
-    third_triple_se: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.second.shape != (self.first.size, self.first.size):
-            raise ValueError("second moment shape mismatch")
-        if not np.allclose(self.second, self.second.T, atol=1e-12):
-            raise ValueError("second moment must be symmetric")
-
-    @property
-    def dim(self) -> int:
-        return self.first.size
 
 
 def _check_positive_u(u: np.ndarray) -> np.ndarray:
@@ -68,6 +51,24 @@ def _check_positive_u(u: np.ndarray) -> np.ndarray:
     if np.any(u <= 0):
         raise ValueError("u must be positive coordinatewise")
     return u
+
+
+def _exact_moments(first: np.ndarray, second: np.ndarray, eta: float) -> OneStepMoments:
+    """An analytic estimate: the given moments, zero third moments, zero SEs."""
+    dim = first.size
+    triples = tuple(select_third_triples(dim))
+    return OneStepMoments(
+        first=first,
+        first_se=np.zeros(dim),
+        second=second,
+        second_se=np.zeros((dim, dim)),
+        third_diag=np.zeros(dim),
+        third_diag_se=np.zeros(dim),
+        triples=triples,
+        triple_values=np.zeros(len(triples)),
+        triple_se=np.zeros(len(triples)),
+        eta=eta,
+    )
 
 
 def analytic_rmsprop_moments(
@@ -95,17 +96,7 @@ def analytic_rmsprop_moments(
     scale = np.sqrt(u) + epsilon0 / sigma0
     second = np.zeros((2 * d, 2 * d))
     second[:d, :d] = eta**2 * sig / np.outer(scale, scale)
-
-    triples = tuple(select_third_triples(2 * d))
-    return OneStepMoments(
-        eta=eta,
-        first=first,
-        second=second,
-        third_diag=np.zeros(2 * d),
-        third_triples=triples,
-        third_triple_values=np.zeros(len(triples)),
-        source="analytic-discrete",
-    )
+    return _exact_moments(first, second, eta)
 
 
 def analytic_adam_moments(
@@ -147,37 +138,12 @@ def analytic_adam_moments(
 
     second = np.zeros((3 * d, 3 * d))
     second[d : 2 * d, d : 2 * d] = c1**2 * sigma0**2 * eta**2 * sig
-
-    triples = tuple(select_third_triples(3 * d))
-    return OneStepMoments(
-        eta=eta,
-        first=first,
-        second=second,
-        third_diag=np.zeros(3 * d),
-        third_triples=triples,
-        third_triple_values=np.zeros(len(triples)),
-        source="analytic-discrete",
-    )
+    return _exact_moments(first, second, eta)
 
 
-def _moments_from_samples(delta: np.ndarray, eta: float, source: str) -> OneStepMoments:
-    triples = tuple(select_third_triples(delta.shape[1]))
-    first, first_se, second, second_se, third_diag, third_diag_se, tvals, tses = jackknife_moments(
-        delta, triples, centered=False
-    )
-    return OneStepMoments(
-        eta=eta,
-        first=first,
-        second=0.5 * (second + second.T),
-        third_diag=third_diag,
-        third_triples=triples,
-        third_triple_values=tvals,
-        source=source,
-        first_se=first_se,
-        second_se=second_se,
-        third_diag_se=third_diag_se,
-        third_triple_se=tses,
-    )
+def _moments_from_samples(delta: np.ndarray, eta: float) -> OneStepMoments:
+    triples = select_third_triples(delta.shape[1])
+    return OneStepMoments(**vars(jackknife_moments(delta, triples, centered=False)), eta=eta)
 
 
 def mc_discrete_moments(
@@ -223,7 +189,7 @@ def mc_discrete_moments(
         blocks.append(new.m - m0)
     blocks.append((new.v - v) / sigma**2)
     delta = np.concatenate(blocks, axis=1)
-    return _moments_from_samples(delta, hp.eta, "mc-discrete")
+    return _moments_from_samples(delta, hp.eta)
 
 
 def mc_sde_moments(
@@ -244,44 +210,22 @@ def mc_sde_moments(
     x0 = np.broadcast_to(x, (samples, x.size)).copy()
     n_steps = int(round(eta**2 / dt))
     x1 = _em_loop(system, x0, t, eta**2 / n_steps, n_steps, rng)
-    return _moments_from_samples(x1 - x, eta, "mc-sde")
+    return _moments_from_samples(x1 - x, eta)
 
 
 @dataclass(frozen=True)
 class MomentComparisonReport:
-    """Entrywise gaps between two moment estimates and their eta^4 ratios."""
+    """Entrywise gaps between two moment estimates and their combined SEs, per kind."""
 
     eta: float
-    first_gap: np.ndarray
-    first_se: np.ndarray
-    second_gap: np.ndarray
-    second_se: np.ndarray
-    third_diag_gap: np.ndarray
-    third_diag_se: np.ndarray
-    triples: tuple
-    triple_gap: np.ndarray
-    triple_se: np.ndarray
+    gaps: dict[str, np.ndarray]
+    ses: dict[str, np.ndarray]
     tol_eta4: float
     passed: bool
 
     @property
     def max_gap(self) -> float:
-        return float(
-            max(
-                np.max(np.abs(self.first_gap)),
-                np.max(np.abs(self.second_gap)),
-                np.max(np.abs(self.third_diag_gap)),
-                np.max(np.abs(self.triple_gap)) if self.triple_gap.size else 0.0,
-            )
-        )
-
-
-def _combined_se(a, b, shape) -> np.ndarray:
-    out = np.zeros(shape)
-    for se in (a, b):
-        if se is not None:
-            out = np.sqrt(out**2 + se**2)
-    return out
+        return max((float(np.max(np.abs(g))) for g in self.gaps.values() if g.size), default=0.0)
 
 
 def compare_moments(a: OneStepMoments, b: OneStepMoments, tol_eta4: float = 0.0) -> MomentComparisonReport:
@@ -294,41 +238,13 @@ def compare_moments(a: OneStepMoments, b: OneStepMoments, tol_eta4: float = 0.0)
         raise ValueError("moment dimensions differ")
     if a.eta != b.eta:
         raise ValueError("moments were taken at different eta")
-    if a.third_triples != b.third_triples:
+    if a.triples != b.triples:
         raise ValueError("third-moment triples differ")
-    eta = a.eta
-    first_gap = a.first - b.first
-    second_gap = a.second - b.second
-    third_gap = a.third_diag - b.third_diag
-    triple_gap = a.third_triple_values - b.third_triple_values
-    first_se = _combined_se(a.first_se, b.first_se, first_gap.shape)
-    second_se = _combined_se(a.second_se, b.second_se, second_gap.shape)
-    third_se = _combined_se(a.third_diag_se, b.third_diag_se, third_gap.shape)
-    triple_se = _combined_se(a.third_triple_se, b.third_triple_se, triple_gap.shape)
-
-    slack = tol_eta4 * eta**4
-    ok = True
-    for gap, se in (
-        (first_gap, first_se),
-        (second_gap, second_se),
-        (third_gap, third_se),
-        (triple_gap, triple_se),
-    ):
-        ok = ok and bool(np.all(np.abs(gap) <= np.maximum(4.0 * se, slack)))
-    return MomentComparisonReport(
-        eta=eta,
-        first_gap=first_gap,
-        first_se=first_se,
-        second_gap=second_gap,
-        second_se=second_se,
-        third_diag_gap=third_gap,
-        third_diag_se=third_se,
-        triples=a.third_triples,
-        triple_gap=triple_gap,
-        triple_se=triple_se,
-        tol_eta4=tol_eta4,
-        passed=ok,
-    )
+    gaps = {kind: getattr(a, kind) - getattr(b, kind) for kind, _ in Moments.KINDS}
+    ses = {kind: np.hypot(getattr(a, se), getattr(b, se)) for kind, se in Moments.KINDS}
+    slack = tol_eta4 * a.eta**4
+    passed = all(bool(np.all(np.abs(gaps[k]) <= np.maximum(4.0 * ses[k], slack))) for k in gaps)
+    return MomentComparisonReport(eta=a.eta, gaps=gaps, ses=ses, tol_eta4=tol_eta4, passed=passed)
 
 
 def residual_decay_sweep(

@@ -5,6 +5,8 @@ whose covariance Sigma(theta) is fixed across scales. The effective scale is
 sigma for the Gaussian family, 1/sqrt(B) for minibatch sampling, and
 ell * (inner scale) after noise amplification. Sampling is vectorized:
 ``theta`` of shape (..., d) yields one independent draw per leading index.
+``estimate_noise_moments`` measures the moments of z and returns them as a
+``stats.Moments``.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .problems import CovarianceSpec, Problem
-from .stats import jackknife_moments, select_third_triples
+from .stats import Moments, jackknife_moments, select_third_triples
 
 __all__ = [
     "GradientOracle",
@@ -22,7 +24,6 @@ __all__ = [
     "MinibatchOracle",
     "BernoulliNoiseOracle",
     "SvagOracle",
-    "NoiseMomentReport",
     "svag_coefficients",
     "estimate_noise_moments",
     "noise_dominance_ratio",
@@ -192,35 +193,17 @@ class SvagOracle(GradientOracle):
         return self.r1 * g1 + self.r2 * g2
 
 
-@dataclass(frozen=True)
-class NoiseMomentReport:
-    """Empirical moments of the normalized noise with jackknife errors."""
-
-    mean: np.ndarray
-    mean_se: np.ndarray
-    covariance: np.ndarray
-    covariance_se: np.ndarray
-    third_diag: np.ndarray
-    third_diag_se: np.ndarray
-    third_triples: list[tuple[int, int, int]]
-    third_triples_values: np.ndarray
-    third_triples_se: np.ndarray
-    third_moment_norm: float
-    sample_count: int
-    sigma_effective: float
-
-
 def estimate_noise_moments(
     oracle: GradientOracle,
     theta,
     samples: int,
     rng: np.random.Generator,
-) -> NoiseMomentReport:
+) -> Moments:
     """Estimate mean, covariance, and third moments of z = (g - grad f) / scale.
 
-    Third moments cover all diagonal entries E[z_i^3]; off-diagonal triples
-    are measured exhaustively for d <= 8 and on a seeded random subset of 20
-    triples otherwise.
+    ``second`` is the covariance of z. Third moments cover all diagonal
+    entries E[z_i^3]; off-diagonal triples are measured exhaustively for
+    d <= 8 and on a seeded random subset of 20 triples otherwise.
     """
     if samples < 100:
         raise ValueError("need at least 100 samples")
@@ -238,24 +221,7 @@ def estimate_noise_moments(
 
     # a count of d^3 exceeds the number of triples, so small d gets all of them
     triples = select_third_triples(d, count=20 if d > 8 else d**3)
-    mean, mean_se, cov, cov_se, third_diag, third_diag_se, tvals, tses = jackknife_moments(
-        z, triples, centered=True
-    )
-    all_measured = np.concatenate([third_diag, tvals])
-    return NoiseMomentReport(
-        mean=mean,
-        mean_se=mean_se,
-        covariance=cov,
-        covariance_se=cov_se,
-        third_diag=third_diag,
-        third_diag_se=third_diag_se,
-        third_triples=triples,
-        third_triples_values=tvals,
-        third_triples_se=tses,
-        third_moment_norm=float(np.max(np.abs(all_measured))),
-        sample_count=samples,
-        sigma_effective=sigma,
-    )
+    return jackknife_moments(z, triples, centered=True)
 
 
 def noise_dominance_ratio(

@@ -85,6 +85,8 @@ class TestFunctionSet:
     __test__ = False  # not a pytest collectable
 
     def __init__(self, functions: list[TestFunction]):
+        if not functions:
+            raise ValueError("need at least one test function")
         names = [f.name for f in functions]
         if len(set(names)) != len(names):
             raise ValueError("duplicate test function names")

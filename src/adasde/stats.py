@@ -1,14 +1,60 @@
-"""Small statistics helpers shared by the estimators and the sweep harness."""
+"""Small statistics helpers shared by the estimators and the sweep harness.
+
+``Moments`` is the one result of the moment estimator ``jackknife_moments``:
+first, second and selected third moments, each with its standard error.
+"""
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 __all__ = [
+    "Moments",
     "jackknife_se",
     "select_third_triples",
     "jackknife_moments",
     "fit_loglog_slope",
 ]
+
+
+@dataclass(frozen=True)
+class Moments:
+    """First, second and selected third moments of a (d,) variable, with SEs.
+
+    ``third_diag`` holds E[x_i^3] for every i, ``triple_values`` holds
+    E[x_i x_j x_k] for each (i, j, k) in ``triples``. An exact estimate
+    carries standard errors of zero.
+    """
+
+    first: np.ndarray          # (d,)
+    first_se: np.ndarray
+    second: np.ndarray         # (d, d), symmetric
+    second_se: np.ndarray
+    third_diag: np.ndarray     # (d,)
+    third_diag_se: np.ndarray
+    triples: tuple             # index triples measured off the diagonal
+    triple_values: np.ndarray
+    triple_se: np.ndarray
+
+    # each moment kind and the field holding its standard error
+    KINDS: ClassVar[tuple[tuple[str, str], ...]] = (
+        ("first", "first_se"),
+        ("second", "second_se"),
+        ("third_diag", "third_diag_se"),
+        ("triple_values", "triple_se"),
+    )
+
+    def __post_init__(self):
+        if self.second.shape != (self.first.size, self.first.size):
+            raise ValueError("second moment shape mismatch")
+        if not np.allclose(self.second, self.second.T, atol=1e-12):
+            raise ValueError("second moment must be symmetric")
+
+    @property
+    def dim(self) -> int:
+        return self.first.size
 
 
 def jackknife_se(per_sample_terms: np.ndarray) -> np.ndarray:
@@ -44,20 +90,20 @@ def select_third_triples(dim: int, count: int = 20) -> list[tuple[int, int, int]
     return [triples[i] for i in sorted(idx)]
 
 
-def jackknife_moments(samples: np.ndarray, triples, centered: bool) -> tuple[np.ndarray, ...]:
+def jackknife_moments(samples: np.ndarray, triples, centered: bool) -> Moments:
     """Mean, second and third moments of (n, d) samples, each with its jackknife SE.
 
     Second moments are the covariance (about the sample mean, divided by
-    n - 1) when ``centered``, else the raw E[x_i x_j]. Third moments are raw:
-    E[x_i^3] for every i and E[x_i x_j x_k] for each (i, j, k) in ``triples``.
-    Returns (mean, mean_se, second, second_se, third_diag, third_diag_se,
-    triple_values, triple_se).
+    n - 1) when ``centered``, else the raw E[x_i x_j]; either is symmetrized.
+    Third moments are raw: E[x_i^3] for every i and E[x_i x_j x_k] for each
+    (i, j, k) in ``triples``.
     """
     n, d = samples.shape
     mean = np.mean(samples, axis=0)
     mean_se = jackknife_se(samples)
     base = samples - mean if centered else samples
     second = base.T @ base / (n - 1 if centered else n)
+    second = 0.5 * (second + second.T)
     second_se = np.empty((d, d))
     for i in range(d):  # row blocks bound the transient memory at large n
         second_se[i] = jackknife_se(base[:, i, None] * base)
@@ -69,15 +115,29 @@ def jackknife_moments(samples: np.ndarray, triples, centered: bool) -> tuple[np.
         terms = samples[:, i] * samples[:, j] * samples[:, k]
         triple_values[t_idx] = np.mean(terms)
         triple_se[t_idx] = jackknife_se(terms)
-    return mean, mean_se, second, second_se, third_diag, third_diag_se, triple_values, triple_se
+    return Moments(
+        first=mean,
+        first_se=mean_se,
+        second=second,
+        second_se=second_se,
+        third_diag=third_diag,
+        third_diag_se=third_diag_se,
+        triples=tuple(triples),
+        triple_values=triple_values,
+        triple_se=triple_se,
+    )
 
 
 def fit_loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
-    """Least-squares slope of log(y) against log(x); x, y must be positive."""
+    """Least-squares slope of log(y) against log(x); x, y must be finite and positive."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("log-log fit needs finite values")
     if np.any(x <= 0) or np.any(y <= 0):
         raise ValueError("log-log fit needs strictly positive values")
     if x.size < 2:
         raise ValueError("need at least 2 points to fit a slope")
+    if not np.any(x != x[0]):
+        raise ValueError("need at least 2 distinct x values to fit a slope")
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])

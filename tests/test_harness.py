@@ -495,6 +495,23 @@ class TestSweepArguments:
         with pytest.raises(ValueError, match="at least 3 ell values"):
             svag_sweep(setup, 0.2, ells, FNS, ROOT_SEED)
 
+    @pytest.mark.parametrize("algo", ["rmsprop", "adam"])
+    def test_empty_test_function_list_rejected_before_any_run(self, algo, monkeypatch):
+        # an empty list used to run every cell, then fail in weak_error with a bare StopIteration
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before the test functions were checked")
+
+        for name in ("euler_maruyama", "run_discrete", "adam_step"):
+            monkeypatch.setattr(harness, name, no_run)
+        setup = ApproximationSetup(
+            PROBLEM, COV, algo, theta0=np.ones(2), T=0.4, seeds=8, n_checkpoints=3,
+            **ORDER_EXTRA[algo],
+        )
+        with pytest.raises(ValueError, match="test function"):
+            order_sweep(setup, (0.2, 0.14, 0.1), [], ROOT_SEED)
+        with pytest.raises(ValueError, match="test function"):
+            svag_sweep(setup, 0.2, (1, 2, 4), [], ROOT_SEED)
+
     def test_svag_rejects_repeated_ell(self):
         # a repeated ell pairs a run with itself: a zero gap and a meaningless decay slope
         setup = ApproximationSetup(
@@ -572,6 +589,17 @@ class TestValidateScalingArguments:
     def test_valid_arguments_run(self):
         assert self._run(2, [4, 8]).times.size == 2
 
+    def test_single_seed_rejected_before_any_run(self, monkeypatch):
+        # one seed has no sample SE: z came out NaN and the check failed silently
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before the seed count was checked")
+
+        monkeypatch.setattr(harness, "run_discrete", no_run)
+        plan = make_plan("sqrt-rmsprop", HyperParams(eta=0.05, beta=0.99), 2)
+        with pytest.raises(ValueError, match="seeds"):
+            validate_scaling(plan, PROBLEM, "rmsprop", FNS, base_steps=8, checkpoints=[4, 8],
+                             seeds=1, root_seed=ROOT_SEED, sigma=1.0, cov=COV)
+
     def test_sigma_without_cov_rejected_before_any_run(self, monkeypatch):
         def no_run(*args, **kwargs):
             raise AssertionError("a run started before the noise arguments were checked")
@@ -631,6 +659,15 @@ class TestLinearWarmupCheck:
         assert report.passed
         assert np.all(report.approx_mean_rel_err < 1e-4)
         assert np.all(report.approx_var_rel_err < 1e-4)
+
+    def test_single_seed_rejected_before_any_run(self, monkeypatch):
+        # one seed has no sample variance: its SEs came out NaN
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before the seed count was checked")
+
+        monkeypatch.setattr(harness, "run_discrete", no_run)
+        with pytest.raises(ValueError, match="seeds"):
+            linear_warmup_check(self.G_BAR, self.SIGMA, self.ETA, self.K_MAX, 1, ROOT_SEED)
 
     def test_step_zero_checkpoint_scores_zero(self):
         # every sample is theta_0 = 0: zero SE and an exact match, so z = 0, not 0/0

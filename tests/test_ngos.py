@@ -135,7 +135,7 @@ class TestEstimateNoiseMoments:
         theta = np.array([0.5, -0.2, 1.0])
         exact = EmpiricalCovariance().matrix(p, theta)
         report = estimate_noise_moments(oracle, theta, 100_000, rng(4))
-        assert np.all(np.abs(report.covariance - exact) < 4 * report.covariance_se + 1e-12)
+        assert np.all(np.abs(report.second - exact) < 4 * report.second_se + 1e-12)
 
     def test_skew_shrinks_by_known_factor(self):
         p = LinearProblem([0.0])

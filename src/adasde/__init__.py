@@ -29,7 +29,6 @@ from .linalg import psd_sqrt
 from .scaling import svag_transform_hparams
 from .recording import NonFiniteError, TestFunctionSet, TrajectoryRecord
 from .sde import (
-    SdeState,
     SdeSystem,
     build_adam_sde,
     build_rmsprop_sde,

@@ -41,7 +41,7 @@ from .optimizers import (
 from .problems import CovarianceSpec, Problem
 from .recording import TestFunctionSet, TrajectoryRecord
 from .scaling import DECAYS, ScalingPlan, hyperparams_from_constants, svag_transform_hparams
-from .sde import SdeState, build_adam_sde, build_rmsprop_sde, build_sgd_sde, euler_maruyama
+from .sde import build_adam_sde, build_rmsprop_sde, build_sgd_sde, euler_maruyama
 from .stats import fit_loglog_slope
 
 __all__ = [
@@ -149,8 +149,6 @@ class WeakErrorReport:
     paired_se: dict[str, np.ndarray]
     max_gap: dict[str, float]
     argmax_t: dict[str, float]
-    eta: float | None = None
-    meta: dict = field(default_factory=dict)
     discrete: TrajectoryRecord | None = None
     continuous: TrajectoryRecord | None = None
 
@@ -167,7 +165,6 @@ def weak_error(
     discrete: TrajectoryRecord,
     continuous: TrajectoryRecord,
     names,
-    eta: float | None = None,
 ) -> WeakErrorReport:
     """Gap per function per checkpoint, the max over checkpoints, and SEs.
 
@@ -208,7 +205,6 @@ def weak_error(
         paired_se=paired,
         max_gap=max_gap,
         argmax_t=argmax_t,
-        eta=eta,
         discrete=discrete,
         continuous=continuous,
     )
@@ -316,7 +312,7 @@ def compare_at_eta(
         rng, n_steps - k0, setup.em_substeps, (S, d), (1,) if setup.coupled else ()
     )
     em_rec = euler_maruyama(
-        _build_system(setup, eta), SdeState(x0, k0 * dt_e), n_steps * dt_e, dt, None, fns,
+        _build_system(setup, eta), x0, k0 * dt_e, n_steps * dt_e, dt, None, fns,
         t_checkpoints, noise=em_noise,
     )
     if setup.coupled:
@@ -330,7 +326,7 @@ def compare_at_eta(
         setup.problem, oracle, algo, hp, state, n_steps - k0, fns,
         [k - k0 for k in ks], rng, cov=setup.cov,
     )
-    return weak_error(discrete, em_rec, fn_names, eta=eta)
+    return weak_error(discrete, em_rec, fn_names)
 
 
 @dataclass
@@ -610,8 +606,12 @@ def validate_scaling(
     plan.kappa (or divides sigma by sqrt(kappa)) and runs floor(steps/kappa)
     steps with the plan's hyperparameters, so total continuous time matches
     under the square-root rule. Checkpoints must be divisible by kappa so that aligned
-    pairs share exact times. Both runs start from u = 1.
+    pairs share exact times. Both runs start from u = 1. The plan's rule must
+    name ``algo`` after its dash (``sqrt-rmsprop`` runs rmsprop): a plan built
+    for another algorithm moves fields this one does not read.
     """
+    if plan.rule.partition("-")[2] != algo:
+        raise ValueError(f"plan {plan.rule!r} was built for another algorithm than {algo!r}")
     if (batch_size is None) == (sigma is None):
         raise ValueError("give exactly one of batch_size or sigma")
     if sigma is not None and cov is None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problems import CovarianceSpec, Problem
+from .problems import CovarianceSpec, LeastSquaresProblem, Problem
 from .stats import Moments, jackknife_moments, select_third_triples
 
 __all__ = [
@@ -83,11 +83,11 @@ class MinibatchOracle(GradientOracle):
     Sigma(theta) / B for any B >= 1 (B may exceed the number of points).
     """
 
-    problem: Problem
+    problem: LeastSquaresProblem
     batch_size: int
 
     def __post_init__(self):
-        if not self.problem.is_finite_sum:
+        if not isinstance(self.problem, LeastSquaresProblem):  # sample reads its data and targets
             raise ValueError("minibatch sampling needs a finite-sum problem")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")

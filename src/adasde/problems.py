@@ -45,10 +45,6 @@ class Problem:
     def per_datum_gradients(self, theta) -> np.ndarray:
         raise ValueError(f"{type(self).__name__} is not a finite-sum problem")
 
-    @property
-    def is_finite_sum(self) -> bool:
-        return False
-
 
 @dataclass(frozen=True)
 class LinearProblem(Problem):
@@ -137,10 +133,6 @@ class LeastSquaresProblem(Problem):
     def n_points(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def is_finite_sum(self) -> bool:
-        return True
-
     def residuals(self, theta) -> np.ndarray:
         theta = _check_theta(theta, self.dim)
         return theta @ self.data.T - self.targets
@@ -158,14 +150,10 @@ class LeastSquaresProblem(Problem):
 
 
 class CovarianceSpec:
-    """Noise covariance Sigma(theta) attached to a problem."""
+    """Noise covariance Sigma(theta) attached to a problem; subclasses define ``diagonal``."""
 
     def matrix(self, problem: Problem, theta) -> np.ndarray:
         raise NotImplementedError
-
-    def diagonal(self, problem: Problem, theta) -> np.ndarray:
-        mat = self.matrix(problem, theta)
-        return np.diagonal(mat, axis1=-2, axis2=-1).copy()
 
     def sqrt(self, problem: Problem, theta) -> np.ndarray:
         return psd_sqrt(self.matrix(problem, theta))

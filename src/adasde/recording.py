@@ -14,7 +14,7 @@ import numpy as np
 
 from .problems import CovarianceSpec, Problem
 
-__all__ = ["StateView", "TestFunction", "TestFunctionSet", "TrajectoryRecord", "NonFiniteError"]
+__all__ = ["StateView", "TestFunctionSet", "TrajectoryRecord", "NonFiniteError"]
 
 
 class NonFiniteError(RuntimeError):
@@ -38,25 +38,14 @@ class StateView:
     cov: CovarianceSpec | None = None
 
 
-@dataclass(frozen=True)
-class TestFunction:
-    __test__ = False  # not a pytest collectable
-
-    name: str
-    fn: Callable[[StateView], np.ndarray]
-
-    def __call__(self, view: StateView) -> np.ndarray:
-        return np.asarray(self.fn(view), dtype=float)
-
-
-def _coord(which: str, i: int) -> TestFunction:
+def _coord(which: str, i: int) -> Callable[[StateView], np.ndarray]:
     def fn(view: StateView) -> np.ndarray:
         arr = getattr(view, which)
         if arr is None:
             raise ValueError(f"state has no {which} block")
         return arr[:, i]
 
-    return TestFunction(f"{which}_{i}", fn)
+    return fn
 
 
 def _theta_norm_sq(view: StateView) -> np.ndarray:
@@ -79,52 +68,53 @@ def _cov_trace(view: StateView) -> np.ndarray:
     return np.broadcast_to(np.sum(diag, axis=-1), view.theta.shape[:-1]).copy()
 
 
+_NAMED = {
+    "theta_norm_sq": _theta_norm_sq,
+    "loss": _loss,
+    "grad_norm": _grad_norm,
+    "cov_trace": _cov_trace,
+}
+
+
 class TestFunctionSet:
     """Ordered, named scalar functions of the recorded state."""
 
     __test__ = False  # not a pytest collectable
 
-    def __init__(self, functions: list[TestFunction]):
+    def __init__(self, functions: dict[str, Callable[[StateView], np.ndarray]]):
         if not functions:
             raise ValueError("need at least one test function")
-        names = [f.name for f in functions]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate test function names")
-        self.functions = list(functions)
+        self.functions = dict(functions)
 
     @property
     def names(self) -> list[str]:
-        return [f.name for f in self.functions]
+        return list(self.functions)
 
     def evaluate(self, view: StateView) -> dict[str, np.ndarray]:
         out = {}
-        for f in self.functions:
-            vals = f(view)
+        for name, fn in self.functions.items():
+            vals = np.asarray(fn(view), dtype=float)
             if not np.all(np.isfinite(vals)):
-                raise ValueError(f"test function {f.name!r} produced non-finite values")
-            out[f.name] = vals
+                raise ValueError(f"test function {name!r} produced non-finite values")
+            out[name] = vals
         return out
 
     @classmethod
     def from_names(cls, names: list[str], dim: int) -> "TestFunctionSet":
         """Build a set from names (theta_norm_sq, loss, grad_norm, cov_trace, theta_i, u_i, m_i)."""
-        lookup: dict[str, TestFunction] = {
-            "theta_norm_sq": TestFunction("theta_norm_sq", _theta_norm_sq),
-            "loss": TestFunction("loss", _loss),
-            "grad_norm": TestFunction("grad_norm", _grad_norm),
-            "cov_trace": TestFunction("cov_trace", _cov_trace),
-        }
-        fns = []
+        fns = {}
         for name in names:
-            if name in lookup:
-                fns.append(lookup[name])
+            if name in fns:
+                raise ValueError(f"duplicate test function name {name!r}")
+            if name in _NAMED:
+                fns[name] = _NAMED[name]
                 continue
             parts = name.rsplit("_", 1)
             if len(parts) == 2 and parts[0] in ("theta", "u", "m") and parts[1].isdigit():
                 i = int(parts[1])
                 if i >= dim:
                     raise ValueError(f"test function {name!r} indexes beyond dimension {dim}")
-                fns.append(_coord(parts[0], i))
+                fns[name] = _coord(parts[0], i)
             else:
                 raise ValueError(f"unknown test function {name!r}")
         return cls(fns)

@@ -11,8 +11,12 @@ by sqrt(kappa) gives the square-root rule (``scale_sqrt``):
 
     eta' = eta sqrt(kappa),   epsilon' = epsilon / sqrt(kappa),   1 - beta' = kappa (1 - beta).
 
-The noise-amplified (SVAG) transform is the same map at kappa = 1/ell^2. The
-linear variants deliberately break it and exist as ablation baselines.
+The noise-amplified (SVAG) transform is the same map at kappa = 1/ell^2.
+
+``make_plan`` builds one of two batch-size rules, named in ``SCALING_RULES``
+with the algorithm after the dash: the square-root rule above, and the
+linear baseline it is contrasted with, which moves eta only (eta' = kappa
+eta, every other field kept) and so deliberately breaks the constants.
 """
 from __future__ import annotations
 
@@ -27,8 +31,6 @@ __all__ = [
     "SCALING_RULES",
     "hyperparams_from_constants",
     "scale_sqrt",
-    "scale_linear_variant",
-    "scale_partial_sqrt",
     "svag_transform_hparams",
     "make_plan",
     "sde_constants",
@@ -38,8 +40,6 @@ __all__ = [
 DECAYS = {"rmsprop": {"beta": "c2"}, "adam": {"beta1": "c1", "beta2": "c2"}, "sgd": {}}
 
 SCALING_RULES = ("sqrt-rmsprop", "sqrt-adam", "linear-sgd", "linear-adam")
-
-_DECAY_FIELDS = tuple(name for decays in DECAYS.values() for name in decays)
 
 
 def _decays(algo: str) -> dict[str, str]:
@@ -94,37 +94,13 @@ def hyperparams_from_constants(
     return HyperParams(eta=eta, epsilon=epsilon0 / eta, **kwargs), sigma0 / eta
 
 
-def _move_fields(hp: HyperParams, kappa: float, flags, moved: dict) -> HyperParams:
-    """hp with each flagged field moved: eta and epsilon to ``moved``, decays by kappa."""
-    flags = frozenset(flags)
-    unknown = flags - {*moved, *_DECAY_FIELDS}
-    if unknown:
-        raise ValueError(f"unknown rule flags: {sorted(unknown)}")
-    kwargs = {name: value for name, value in moved.items() if name in flags}
-    for name in _DECAY_FIELDS:
-        if name in flags:
-            kwargs[name] = _scaled_decay(name, getattr(hp, name), kappa)
-    return replace(hp, **kwargs)
-
-
-def scale_partial_sqrt(hp: HyperParams, kappa: float, flags) -> HyperParams:
-    """Ablation rule: apply the square-root move to a subset of the fields."""
-    kappa = _check_kappa(kappa)
-    root = math.sqrt(kappa)
-    return _move_fields(hp, kappa, flags, {"eta": hp.eta * root, "epsilon": hp.epsilon / root})
-
-
-def scale_linear_variant(hp: HyperParams, kappa: float, flags) -> HyperParams:
-    """Ablation rule: eta scales by kappa, flagged (1-beta) fields by kappa, eps fixed."""
-    kappa = _check_kappa(kappa)
-    if "eta" not in flags:
-        raise ValueError("the linear variants always scale eta")
-    return _move_fields(hp, kappa, flags, {"eta": hp.eta * kappa})
-
-
 def scale_sqrt(hp: HyperParams, kappa: float, algo: str) -> HyperParams:
     """The square-root rule: keeps ``sde_constants`` when the noise scale divides by sqrt(kappa)."""
-    return scale_partial_sqrt(hp, kappa, {"eta", "epsilon", *_decays(algo)})
+    decays = _decays(algo)
+    kappa = _check_kappa(kappa)
+    root = math.sqrt(kappa)
+    moved = {name: _scaled_decay(name, getattr(hp, name), kappa) for name in decays}
+    return replace(hp, eta=hp.eta * root, epsilon=hp.epsilon / root, **moved)
 
 
 def svag_transform_hparams(hp: HyperParams, ell: float, algo: str) -> HyperParams:
@@ -155,7 +131,7 @@ def make_plan(rule: str, hp: HyperParams, kappa: float) -> ScalingPlan:
     if rule in ("sqrt-rmsprop", "sqrt-adam"):
         scaled = scale_sqrt(hp, kappa, rule.removeprefix("sqrt-"))
     elif rule in ("linear-sgd", "linear-adam"):
-        scaled = scale_linear_variant(hp, kappa, {"eta"})
+        scaled = replace(hp, eta=hp.eta * _check_kappa(kappa))
     else:
         raise ValueError(f"unknown scaling rule {rule!r}; expected one of {SCALING_RULES}")
     return ScalingPlan(rule=rule, kappa=float(kappa), base=hp, scaled=scaled)

@@ -22,11 +22,12 @@ unclamped one wherever u stays at or above u_min.
 
 Every integration runs through one Euler-Maruyama loop, ``_em_loop``, which
 owns the step and the checks on each state (finite values, u > 0 on an
-unclamped system with a u block). ``euler_maruyama`` records test functions
-at checkpoints on top of it; the one-step moment estimators call it
-directly. The loop reads its standard-normal increments one step's block at
-a time, from any iterable of blocks or from its rng, so no caller has to
-hold a whole path of noise.
+unclamped system with a u block). ``euler_maruyama`` starts a path
+ensemble x0 of shape (paths, D) at time t0 >= 0 (Adam's system needs
+t0 > 0) and records test functions at checkpoints on top of it; the
+one-step moment estimators call the loop directly. The loop reads its
+standard-normal increments one step's block at a time, from any iterable of
+blocks or from its rng, so no caller has to hold a whole path of noise.
 """
 from __future__ import annotations
 
@@ -41,7 +42,6 @@ from .recording import NonFiniteError, StateView, TestFunctionSet, TrajectoryRec
 
 __all__ = [
     "SdeSystem",
-    "SdeState",
     "build_rmsprop_sde",
     "build_adam_sde",
     "build_sgd_sde",
@@ -78,19 +78,6 @@ def clamp_mu(u, u_min: float):
     blended = half + transition_tau(2.0 * u_arr / u_min - 1.0) * (u_arr - half)
     out = np.where(u_arr >= u_min, u_arr, blended)
     return float(out) if np.isscalar(u) or np.asarray(u).ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class SdeState:
-    """Continuous state: x of shape (..., D) at time t."""
-
-    x: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        if self.t < 0:
-            raise ValueError("time must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -332,7 +319,8 @@ def _em_loop(
 
 def euler_maruyama(
     system: SdeSystem,
-    init: SdeState,
+    x0,
+    t0: float,
     t_end: float,
     dt: float,
     rng: np.random.Generator | None,
@@ -340,28 +328,31 @@ def euler_maruyama(
     checkpoint_times,
     noise: Iterable[np.ndarray] | None = None,
 ) -> TrajectoryRecord:
-    """Fixed-step integration of a path ensemble, recorded at checkpoints.
+    """Fixed-step integration of a path ensemble from x0 at time t0, recorded at checkpoints.
 
-    ``init.x`` of shape (paths, D) integrates all paths against a shared
-    vectorized stream; checkpoints snap to the nearest grid time (callers
-    align the grid so they coincide). ``noise`` optionally supplies the
-    standard-normal increments as an iterable of (paths, noise_dim) blocks,
-    one per step in order (an (n_steps, paths, noise_dim) array qualifies),
-    enabling exact noise sharing between systems; a generator lets the
-    caller draw each block only when the step reads it.
+    ``x0`` of shape (paths, D) (or (D,) for one path) integrates all paths
+    against a shared vectorized stream from the start time ``t0 >= 0`` to
+    ``t_end``; checkpoints snap to the nearest grid time (callers align the
+    grid so they coincide). ``noise`` optionally supplies the standard-normal
+    increments as an iterable of (paths, noise_dim) blocks, one per step in
+    order (an (n_steps, paths, noise_dim) array qualifies), enabling exact
+    noise sharing between systems; a generator lets the caller draw each
+    block only when the step reads it.
     """
+    if t0 < 0:
+        raise ValueError("time must be nonnegative")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    span = t_end - init.t
+    span = t_end - t0
     if span < -1e-12:
         raise ValueError("t_end must not precede the initial time")
     n_steps = max(int(round(span / dt)), 0)
 
     grid_index: dict[int, float] = {}
     for c in sorted(float(c) for c in checkpoint_times):
-        if c < init.t - 1e-12 or c > t_end + 1e-12:
-            raise ValueError(f"checkpoint {c} outside [{init.t}, {t_end}]")
-        grid_index[min(max(int(round((c - init.t) / dt)), 0), n_steps)] = c
+        if c < t0 - 1e-12 or c > t_end + 1e-12:
+            raise ValueError(f"checkpoint {c} outside [{t0}, {t_end}]")
+        grid_index[min(max(int(round((c - t0) / dt)), 0), n_steps)] = c
 
     recorder = _Recorder(fns)
 
@@ -370,7 +361,7 @@ def euler_maruyama(
             return
         view = StateView(
             theta=xc[..., system.blocks["theta"]],
-            t=init.t + idx * dt,
+            t=t0 + idx * dt,
             k=idx,
             problem=system.problem,
             m=system.block(xc, "m"),
@@ -379,6 +370,6 @@ def euler_maruyama(
         )
         recorder.record(view)
 
-    _em_loop(system, init.x, init.t, dt, n_steps, rng, noise, snapshot)
-    meta = {"algo": system.algorithm, "dt": dt, "t0": init.t, "t_end": t_end}
+    _em_loop(system, x0, t0, dt, n_steps, rng, noise, snapshot)
+    meta = {"algo": system.algorithm, "dt": dt, "t0": t0, "t_end": t_end}
     return recorder.build(meta)

@@ -47,8 +47,15 @@ class Moments:
     )
 
     def __post_init__(self):
-        if self.second.shape != (self.first.size, self.first.size):
-            raise ValueError("second moment shape mismatch")
+        d, t = self.first.size, len(self.triples)
+        shapes = {
+            "first": (d,), "first_se": (d,), "second": (d, d), "second_se": (d, d),
+            "third_diag": (d,), "third_diag_se": (d,), "triple_values": (t,), "triple_se": (t,),
+        }
+        for name, shape in shapes.items():
+            got = np.shape(getattr(self, name))
+            if got != shape:
+                raise ValueError(f"{name} has shape {got}, expected {shape} for dim {d}, {t} triples")
         if not np.allclose(self.second, self.second.T, atol=1e-12):
             raise ValueError("second moment must be symmetric")
 

@@ -611,6 +611,20 @@ class TestValidateScalingArguments:
                              seeds=10, root_seed=ROOT_SEED, sigma=1.0)
 
 
+    @pytest.mark.parametrize("rule, algo", [("sqrt-rmsprop", "adam"), ("linear-sgd", "rmsprop")])
+    def test_plan_for_another_algorithm_rejected_before_any_run(self, rule, algo, monkeypatch):
+        # a sqrt-rmsprop plan scales beta, which Adam never reads: the pair ran
+        # at mismatched constants and reported its z-scores as if it had not
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before the plan's algorithm was checked")
+
+        monkeypatch.setattr(harness, "run_discrete", no_run)
+        plan = make_plan(rule, HyperParams(eta=0.05, beta=0.99), 2)
+        with pytest.raises(ValueError, match="another algorithm"):
+            validate_scaling(plan, PROBLEM, algo, FNS, base_steps=8, checkpoints=[4, 8],
+                             seeds=10, root_seed=ROOT_SEED, sigma=1.0, cov=COV)
+
+
 class TestValidateScalingDeterministicCheckpoints:
     """Step 0 (and any noiseless run) has zero SE in both runs: z is 0 or +-inf, never NaN."""
 

@@ -12,7 +12,7 @@ from adasde.moments import (
 from adasde.ngos import GaussianOracle
 from adasde.problems import ConstantCovariance, IsotropicCovariance, QuadraticProblem
 from adasde.scaling import hyperparams_from_constants
-from adasde.sde import SdeState, SdeSystem, build_rmsprop_sde
+from adasde.sde import SdeSystem, build_rmsprop_sde
 
 
 def rng(seed=0):

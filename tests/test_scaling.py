@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,6 @@ from adasde.optimizers import HyperParams
 from adasde.scaling import (
     hyperparams_from_constants,
     make_plan,
-    scale_linear_variant,
-    scale_partial_sqrt,
     scale_sqrt,
     sde_constants,
     svag_transform_hparams,
@@ -69,29 +69,13 @@ class TestScaleAdam:
 class TestLinearVariants:
     def test_eta_only(self):
         hp = HyperParams(eta=1e-3, beta1=0.999, beta2=0.999, epsilon=1e-8)
-        out = scale_linear_variant(hp, 4.0, {"eta"})
+        out = make_plan("linear-adam", hp, 4.0).scaled
         assert out.eta == pytest.approx(4e-3)
         assert (out.beta1, out.beta2, out.epsilon) == (0.999, 0.999, 1e-8)
 
-    def test_eta_and_decays(self):
-        hp = HyperParams(eta=1e-3, beta1=0.999, beta2=0.999, epsilon=1e-8)
-        out = scale_linear_variant(hp, 4.0, {"eta", "beta1", "beta2"})
-        assert out.eta == pytest.approx(4e-3)
-        assert out.beta1 == pytest.approx(0.996)
-        assert out.beta2 == pytest.approx(0.996)
-        assert out.epsilon == 1e-8
-
     def test_identity_at_kappa_one(self):
         hp = HyperParams(eta=1e-3, beta1=0.999, beta2=0.999)
-        assert scale_linear_variant(hp, 1.0, {"eta", "beta1"}) == hp
-
-    def test_partial_sqrt_subset(self):
-        hp = HyperParams(eta=1e-3, beta1=0.999, beta2=0.999, epsilon=1e-8)
-        out = scale_partial_sqrt(hp, 4.0, {"eta", "epsilon", "beta1"})
-        assert out.eta == pytest.approx(2e-3)
-        assert out.epsilon == pytest.approx(5e-9)
-        assert out.beta1 == pytest.approx(0.996)
-        assert out.beta2 == 0.999
+        assert make_plan("linear-adam", hp, 1.0).scaled == hp
 
 
 class TestPlan:
@@ -110,6 +94,62 @@ class TestPlan:
     def test_unknown_rule(self):
         with pytest.raises(ValueError):
             make_plan("cubic", HyperParams(eta=1e-3), 2.0)
+
+
+class TestExactBits:
+    """float.hex of every field the map returns, in HyperParams order.
+
+    The map's arithmetic feeds every scaled and amplified run; a change that
+    moves one of these bits must record them again and say why.
+    """
+
+    HP = HyperParams(eta=0.05, beta=0.99, beta1=0.9, beta2=0.99, epsilon=1e-6)
+    PLANS = {
+        ("sqrt-rmsprop", 4): ("0x1.999999999999ap-4", "0x1.eb851eb851eb8p-1",
+                              "0x1.ccccccccccccdp-1", "0x1.fae147ae147aep-1",
+                              "0x1.0c6f7a0b5ed8dp-21"),
+        ("sqrt-rmsprop", 16): ("0x1.999999999999ap-3", "0x1.ae147ae147ae0p-1",
+                               "0x1.ccccccccccccdp-1", "0x1.fae147ae147aep-1",
+                               "0x1.0c6f7a0b5ed8dp-22"),
+        ("sqrt-adam", 4): ("0x1.999999999999ap-4", "0x1.fae147ae147aep-1",
+                           "0x1.3333333333334p-1", "0x1.eb851eb851eb8p-1",
+                           "0x1.0c6f7a0b5ed8dp-21"),
+        ("linear-sgd", 4): ("0x1.999999999999ap-3", "0x1.fae147ae147aep-1",
+                            "0x1.ccccccccccccdp-1", "0x1.fae147ae147aep-1",
+                            "0x1.0c6f7a0b5ed8dp-20"),
+        ("linear-sgd", 16): ("0x1.999999999999ap-1", "0x1.fae147ae147aep-1",
+                             "0x1.ccccccccccccdp-1", "0x1.fae147ae147aep-1",
+                             "0x1.0c6f7a0b5ed8dp-20"),
+        ("linear-adam", 4): ("0x1.999999999999ap-3", "0x1.fae147ae147aep-1",
+                             "0x1.ccccccccccccdp-1", "0x1.fae147ae147aep-1",
+                             "0x1.0c6f7a0b5ed8dp-20"),
+        ("linear-adam", 16): ("0x1.999999999999ap-1", "0x1.fae147ae147aep-1",
+                              "0x1.ccccccccccccdp-1", "0x1.fae147ae147aep-1",
+                              "0x1.0c6f7a0b5ed8dp-20"),
+    }
+    SVAG_ELL_3 = {
+        "rmsprop": ("0x1.1111111111111p-6", "0x1.ff6e5d4c3b2a2p-1", "0x1.ccccccccccccdp-1",
+                    "0x1.fae147ae147aep-1", "0x1.92a737110e454p-19"),
+        "adam": ("0x1.1111111111111p-6", "0x1.fae147ae147aep-1", "0x1.fa4fa4fa4fa50p-1",
+                 "0x1.ff6e5d4c3b2a2p-1", "0x1.92a737110e454p-19"),
+    }
+
+    @staticmethod
+    def _hex(hp):
+        return tuple(float(getattr(hp, f.name)).hex() for f in dataclasses.fields(hp))
+
+    @pytest.mark.parametrize("rule, kappa", list(PLANS))
+    def test_make_plan(self, rule, kappa):
+        assert self._hex(make_plan(rule, self.HP, kappa).scaled) == self.PLANS[rule, kappa]
+
+    def test_sqrt_adam_at_kappa_16_leaves_the_decay_range(self):
+        # 16 * (1 - beta1) = 1.6, so no plan exists
+        with pytest.raises(ValueError, match=r"kappa\*\(1-beta1\) = 1.6"):
+            make_plan("sqrt-adam", self.HP, 16)
+
+    @pytest.mark.parametrize("algo", list(SVAG_ELL_3))
+    def test_svag_transform_at_ell_3(self, algo):
+        assert self._hex(svag_transform_hparams(self.HP, 3, algo)) == self.SVAG_ELL_3[algo]
 
 
 class TestAlignCheckpoints:
@@ -168,6 +208,6 @@ class TestSdeConstantPreservation:
         hp = HyperParams(eta=0.05, beta1=0.99, beta2=0.99, epsilon=1e-6)
         kappa, sigma = 4.0, 1.0
         base = sde_constants("adam", hp, sigma)
-        scaled_hp = scale_linear_variant(hp, kappa, {"eta", "beta1", "beta2"})
+        scaled_hp = make_plan("linear-adam", hp, kappa).scaled
         scaled = sde_constants("adam", scaled_hp, sigma / np.sqrt(kappa))
         assert abs(scaled["sigma0"] - base["sigma0"]) > 0

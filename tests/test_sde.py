@@ -15,7 +15,6 @@ from adasde.problems import (
 )
 from adasde.recording import TestFunctionSet
 from adasde.sde import (
-    SdeState,
     SdeSystem,
     build_adam_sde,
     build_rmsprop_sde,
@@ -126,10 +125,10 @@ class TestRmspropSystem:
         c2 = 1.3
         system = build_rmsprop_sde(problem, self.cov, sigma0=1.0, epsilon0=0.0, c2=c2)
         u0 = np.array([2.0, 0.3])
-        init = SdeState(np.concatenate([np.zeros(2), u0]))
+        x0 = np.concatenate([np.zeros(2), u0])
         dt, t_end = 1e-4, 0.5
         fns = TestFunctionSet.from_names(["u_0", "u_1"], dim=2)
-        rec = euler_maruyama(system, init, t_end, dt, np.random.default_rng(0), fns, [t_end])
+        rec = euler_maruyama(system, x0, 0.0, t_end, dt, np.random.default_rng(0), fns, [t_end])
         expected = self.diag + (u0 - self.diag) * math.exp(-c2 * t_end)
         got = np.array([rec.values["u_0"][0, 0], rec.values["u_1"][0, 0]])
         np.testing.assert_allclose(got, expected, atol=5 * dt)
@@ -138,9 +137,9 @@ class TestRmspropSystem:
         cov = IsotropicCovariance(0.0)
         system = build_rmsprop_sde(self.problem, cov, sigma0=1.0, epsilon0=0.1, c2=2.0)
         u0 = np.array([1.0, 1.0])
-        init = SdeState(np.concatenate([np.ones(2), u0]))
+        x0 = np.concatenate([np.ones(2), u0])
         fns = TestFunctionSet.from_names(["u_0"], dim=2)
-        rec = euler_maruyama(system, init, 0.3, 1e-4, np.random.default_rng(0), fns, [0.3])
+        rec = euler_maruyama(system, x0, 0.0, 0.3, 1e-4, np.random.default_rng(0), fns, [0.3])
         assert rec.values["u_0"][0, 0] == pytest.approx(math.exp(-2.0 * 0.3), abs=1e-3)
 
     def test_theta_diffusion_coefficient_cancels_sigma0(self):
@@ -221,7 +220,7 @@ class TestAdamSystem:
             self.system.drift(x, t=0.0)
         with pytest.raises(ValueError):
             euler_maruyama(
-                self.system, SdeState(x[0], t=0.0), 0.1, 1e-3, np.random.default_rng(0),
+                self.system, x[0], 0.0, 0.1, 1e-3, np.random.default_rng(0),
                 TestFunctionSet.from_names(["theta_0"], dim=2), [0.1],
             )
 
@@ -237,16 +236,18 @@ class TestSgdSystem:
     def test_zero_covariance_gradient_flow(self):
         problem = QuadraticProblem(np.eye(1))
         system = build_sgd_sde(problem, IsotropicCovariance(0.0), eta=0.1)
-        init = SdeState(np.array([1.0]))
-        rec = euler_maruyama(system, init, 1.0, 1e-4, np.random.default_rng(0), COORD_FNS, [1.0])
+        x0 = np.array([1.0])
+        rec = euler_maruyama(system, x0, 0.0, 1.0, 1e-4, np.random.default_rng(0), COORD_FNS, [1.0])
         assert rec.values["theta_0"][0, 0] == pytest.approx(math.exp(-1.0), abs=1e-3)
 
     def test_ou_moments(self):
         problem = QuadraticProblem(np.eye(1))
         eta = 0.2
         system = build_sgd_sde(problem, IsotropicCovariance(1.0), eta=eta)
-        init = SdeState(np.ones((4000, 1)) * 2.0)
-        rec = euler_maruyama(system, init, 3.0, 2e-3, np.random.default_rng(1), COORD_FNS, [1.0, 3.0])
+        x0 = np.ones((4000, 1)) * 2.0
+        rec = euler_maruyama(
+            system, x0, 0.0, 3.0, 2e-3, np.random.default_rng(1), COORD_FNS, [1.0, 3.0]
+        )
         vals = rec.values["theta_0"]
         assert vals[0].mean() == pytest.approx(2.0 * math.exp(-1.0), abs=4 * vals[0].std() / 63)
         # near stationarity the variance approaches eta/2
@@ -273,14 +274,16 @@ class TestEulerMaruyama:
             dense_diffusion=lambda x, t: np.zeros(x.shape[:-1] + (1, 1)),
             blocks={"theta": slice(0, 1)},
             )
-        init = SdeState(np.full((3, 1), 1.5))
-        rec = euler_maruyama(system, init, 1.0, 0.01, np.random.default_rng(0), COORD_FNS, [0.5, 1.0])
+        x0 = np.full((3, 1), 1.5)
+        rec = euler_maruyama(
+            system, x0, 0.0, 1.0, 0.01, np.random.default_rng(0), COORD_FNS, [0.5, 1.0]
+        )
         np.testing.assert_array_equal(rec.values["theta_0"], 1.5)
 
     def test_ou_mean_at_unit_time(self):
         system = ou_system()
-        init = SdeState(np.ones((10_000, 1)))
-        rec = euler_maruyama(system, init, 1.0, 1e-3, np.random.default_rng(2), COORD_FNS, [1.0])
+        x0 = np.ones((10_000, 1))
+        rec = euler_maruyama(system, x0, 0.0, 1.0, 1e-3, np.random.default_rng(2), COORD_FNS, [1.0])
         vals = rec.values["theta_0"][0]
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean() - math.exp(-1.0)) < 4 * se
@@ -295,10 +298,10 @@ class TestEulerMaruyama:
         fine = rng.standard_normal((n_fine, paths, 1))
         mid = (fine[0::2] + fine[1::2]) / math.sqrt(2.0)
         coarse = (mid[0::2] + mid[1::2]) / math.sqrt(2.0)
-        init = SdeState(np.ones((paths, 1)))
+        x0 = np.ones((paths, 1))
         means = {}
         for label, dt_k, noise in (("h", dt, coarse), ("h/2", dt / 2, mid), ("h/4", dt / 4, fine)):
-            rec = euler_maruyama(system, init, t_end, dt_k, None, COORD_FNS, [t_end], noise=noise)
+            rec = euler_maruyama(system, x0, 0.0, t_end, dt_k, None, COORD_FNS, [t_end], noise=noise)
             vals = rec.values["theta_0"][0]
             means[label] = (vals.mean(), (vals**2).mean())
         for g in (0, 1):
@@ -308,18 +311,27 @@ class TestEulerMaruyama:
 
     def test_checkpoints_snap_to_grid(self):
         system = ou_system()
-        init = SdeState(np.ones((2, 1)))
-        rec = euler_maruyama(system, init, 1.0, 0.1, np.random.default_rng(0), COORD_FNS, [0.5000001])
+        x0 = np.ones((2, 1))
+        rec = euler_maruyama(
+            system, x0, 0.0, 1.0, 0.1, np.random.default_rng(0), COORD_FNS, [0.5000001]
+        )
         assert rec.times[0] == pytest.approx(0.5)
+
+    def test_negative_start_time_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            euler_maruyama(
+                ou_system(), np.ones((2, 1)), -0.1, 1.0, 0.1, np.random.default_rng(0),
+                COORD_FNS, [1.0],
+            )
 
     def test_u_zero_advises_auxiliary(self):
         problem = QuadraticProblem(np.diag([1.0]))
         cov = IsotropicCovariance(0.0)
         system = build_rmsprop_sde(problem, cov, sigma0=1.0, epsilon0=0.5, c2=50.0)
-        init = SdeState(np.array([1.0, 1e-9]))
+        x0 = np.array([1.0, 1e-9])
         fns = TestFunctionSet.from_names(["theta_0"], dim=1)
         with pytest.raises(ValueError, match="u_min"):
-            euler_maruyama(system, init, 1.0, 0.05, np.random.default_rng(0), fns, [1.0])
+            euler_maruyama(system, x0, 0.0, 1.0, 0.05, np.random.default_rng(0), fns, [1.0])
 
 
 class TestNoiseStream:
@@ -328,9 +340,9 @@ class TestNoiseStream:
     N_STEPS, PATHS, DT = 50, 4, 0.01
 
     def _run(self, noise, rng=None):
-        init = SdeState(np.ones((self.PATHS, 1)))
+        x0 = np.ones((self.PATHS, 1))
         return euler_maruyama(
-            ou_system(), init, self.N_STEPS * self.DT, self.DT, rng, COORD_FNS, [0.25, 0.5],
+            ou_system(), x0, 0.0, self.N_STEPS * self.DT, self.DT, rng, COORD_FNS, [0.25, 0.5],
             noise=noise,
         )
 
@@ -372,12 +384,12 @@ class TestAuxiliarySystem:
         base = build_rmsprop_sde(problem, cov, sigma0=1.0, epsilon0=0.0, c2=1.0)
         clamped = build_rmsprop_sde(problem, cov, sigma0=1.0, epsilon0=0.0, c2=1.0, u_min=0.05)
         u0 = np.array([1.2, 0.9])
-        init = SdeState(np.concatenate([np.ones(2), u0]))
+        x0 = np.concatenate([np.ones(2), u0])
         fns = TestFunctionSet.from_names(["theta_0", "theta_1", "u_0", "u_1"], dim=2)
         n_steps = int(round(1.0 / 1e-3))
         noise = np.random.default_rng(5).standard_normal((n_steps, 1, 2))
         recs = [
-            euler_maruyama(s, init, 1.0, 1e-3, None, fns, [0.5, 1.0], noise=noise)
+            euler_maruyama(s, x0, 0.0, 1.0, 1e-3, None, fns, [0.5, 1.0], noise=noise)
             for s in (base, clamped)
         ]
         for name in recs[0].names:

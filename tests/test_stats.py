@@ -77,6 +77,25 @@ class TestMoments:
         with pytest.raises(ValueError, match="shape"):
             self._moments(np.eye(3))
 
+    @pytest.mark.parametrize("name, bad", [
+        ("first_se", np.zeros(1)),
+        ("second_se", np.zeros((2, 3))),
+        ("third_diag", np.zeros(3)),
+        ("third_diag_se", np.zeros((2, 1))),
+        ("triple_values", np.zeros(3)),
+        ("triple_se", np.zeros(0)),
+    ])
+    def test_rejects_field_sized_for_another_estimate(self, name, bad):
+        # one triple at dim 2: every field's size follows from dim and len(triples)
+        good = dict(
+            first=np.zeros(2), first_se=np.zeros(2), second=np.eye(2), second_se=np.zeros((2, 2)),
+            third_diag=np.zeros(2), third_diag_se=np.zeros(2), triples=((0, 0, 1),),
+            triple_values=np.zeros(1), triple_se=np.zeros(1),
+        )
+        Moments(**good)
+        with pytest.raises(ValueError, match=f"{name} has shape"):
+            Moments(**{**good, name: bad})
+
 
 class TestSelectThirdTriples:
     @pytest.mark.parametrize("dim", [1, 2, 4, 9])

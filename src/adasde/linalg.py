@@ -1,4 +1,12 @@
-"""Symmetric PSD matrix helpers shared by the noise and diffusion code."""
+"""Symmetric PSD matrix helpers shared by the noise and diffusion code.
+
+A noise factor of a covariance Sigma is any L with L L' = Sigma: w ~ N(0, I)
+gives L w ~ N(0, Sigma) whichever factor is used. ``psd_sqrt`` is the
+symmetric root (one ``eigh``), kept where a root is computed once, such as a
+constant covariance. ``psd_cholesky`` is the lower-triangular factor, used
+where a factor is needed per state: one batched LAPACK Cholesky, with an
+``eigh`` path only for singular input.
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -45,3 +53,33 @@ def psd_sqrt(mat: np.ndarray) -> np.ndarray:
     eigvals, eigvecs = psd_eigh(mat, name="covariance")
     root = eigvecs * np.sqrt(eigvals)[..., None, :]
     return root @ np.swapaxes(eigvecs, -1, -2)
+
+
+def psd_cholesky(mat: np.ndarray) -> np.ndarray:
+    """Lower-triangular L of a PSD matrix, L @ L.T = mat.
+
+    Supports batched input of shape (..., d, d). A positive definite batch
+    takes one LAPACK Cholesky; if any member is singular, the whole batch
+    goes through ``_semidefinite_cholesky``.
+    """
+    sym = check_symmetric(mat, name="covariance")
+    try:
+        return np.linalg.cholesky(sym)
+    except np.linalg.LinAlgError:
+        return _semidefinite_cholesky(sym)
+
+
+def _semidefinite_cholesky(sym: np.ndarray) -> np.ndarray:
+    """Lower-triangular factor of a symmetric PSD matrix that may be singular.
+
+    R from the QR factorization of the symmetric root S = QR is upper
+    triangular with R'R = S'S = sym; its rows are signed so that L = R' has
+    a nonnegative diagonal, which makes L the Cholesky factor wherever that
+    exists. Rounding-level negative eigenvalues are clamped and larger ones
+    rejected, as in ``psd_sqrt``. An unpivoted semidefinite Cholesky loop
+    cannot draw that line: after a small pivot, the rounding it amplifies
+    can leave a later pivot of a PSD matrix far below zero.
+    """
+    r = np.linalg.qr(psd_sqrt(sym), mode="r")
+    sign = np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)
+    return np.swapaxes(r * sign[..., :, None], -1, -2)

@@ -47,7 +47,7 @@ class GradientOracle:
 
 @dataclass(frozen=True)
 class GaussianOracle(GradientOracle):
-    """g = grad f + sigma * Sigma(theta)^{1/2} w with w standard normal."""
+    """g = grad f + sigma * L(theta) w with w standard normal and L L' = Sigma(theta) (``cov.sqrt``)."""
 
     problem: Problem
     cov: CovarianceSpec

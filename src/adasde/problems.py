@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import check_symmetric, psd_eigh, psd_sqrt
+from .linalg import check_symmetric, psd_cholesky, psd_eigh, psd_sqrt
 
 __all__ = [
     "Problem",
@@ -150,21 +150,28 @@ class LeastSquaresProblem(Problem):
 
 
 class CovarianceSpec:
-    """Noise covariance Sigma(theta) attached to a problem; subclasses define ``diagonal``."""
+    """Noise covariance Sigma(theta) attached to a problem; subclasses define ``diagonal``.
+
+    ``sqrt`` returns a noise factor: some L with L L' = Sigma(theta), not
+    necessarily the symmetric root. Every increment L w with w ~ N(0, I) has
+    law N(0, Sigma) whichever factor is used, and draws that share w stay
+    coupled as long as they share the covariance's ``sqrt``.
+    """
 
     def matrix(self, problem: Problem, theta) -> np.ndarray:
         raise NotImplementedError
 
     def sqrt(self, problem: Problem, theta) -> np.ndarray:
-        return psd_sqrt(self.matrix(problem, theta))
+        """Lower-triangular Cholesky factor of ``matrix`` (``linalg.psd_cholesky``)."""
+        return psd_cholesky(self.matrix(problem, theta))
 
     def apply_sqrt(self, problem: Problem, theta, w) -> np.ndarray:
-        """Sigma(theta)^{1/2} w for standard-normal draws w of shape (..., d)."""
-        root = self.sqrt(problem, theta)
-        if root.ndim == 2:
-            return w @ root.T
-        # theta-dependent covariance, one root per leading index
-        return np.einsum("...ij,...j->...i", root, w)
+        """L(theta) w, with L = ``sqrt``, for standard-normal draws w of shape (..., d)."""
+        factor = self.sqrt(problem, theta)
+        if factor.ndim == 2:
+            return w @ factor.T
+        # theta-dependent covariance, one factor per leading index
+        return np.einsum("...ij,...j->...i", factor, w)
 
 
 @dataclass(frozen=True)
@@ -189,7 +196,7 @@ class IsotropicCovariance(CovarianceSpec):
 
 @dataclass(frozen=True)
 class ConstantCovariance(CovarianceSpec):
-    """A fixed PSD matrix, validated at construction."""
+    """A fixed PSD matrix, validated at construction; ``sqrt`` is its symmetric root, computed once."""
 
     sigma: np.ndarray
     _sqrt: np.ndarray = field(init=False, repr=False, compare=False)
@@ -223,7 +230,7 @@ class EmpiricalCovariance(CovarianceSpec):
     Sigma(theta) = (1/n) C'C, where the rows of C are the centred per-datum
     gradients grad f_i - grad f (the full gradient is their mean). ``matrix``
     is one batched matmul; ``diagonal`` is the column mean of C*C and never
-    builds the d x d matrix. ``sqrt`` is the symmetric root of ``matrix``.
+    builds the d x d matrix. ``sqrt`` is the Cholesky factor of ``matrix``.
     Only defined for finite-sum problems.
     """
 

@@ -11,10 +11,12 @@ must account for this.
 Diffusion matrices are structured: only the parameter block (RMSprop, SGD)
 or the momentum block (Adam) is driven by noise, and only d Wiener
 components are consumed per step. ``apply_diffusion`` scales
-``CovarianceSpec.apply_sqrt``, the one place a covariance root meets a draw
-(shared with the Gaussian oracle). ``dense_diffusion`` materializes the full
-D x D matrix from ``CovarianceSpec.sqrt`` as the reference for cross-checks
-on small systems.
+``CovarianceSpec.apply_sqrt``, the one place a covariance's noise factor
+(any L with L L' = Sigma, see ``CovarianceSpec``) meets a draw, shared with
+the Gaussian oracle so that discrete and continuous draws on the same w stay
+coupled. ``dense_diffusion`` materializes the full D x D matrix from the same
+factor, ``CovarianceSpec.sqrt``, as the reference for cross-checks on small
+systems; only its product with its transpose is fixed by the SDE.
 
 The adaptive builders take ``u_min`` to build the clamped system, whose
 sqrt(u) denominators read sqrt(mu(u)) (``clamp_mu``); it coincides with the

@@ -137,6 +137,16 @@ class TestEstimateNoiseMoments:
         report = estimate_noise_moments(oracle, theta, 100_000, rng(4))
         assert np.all(np.abs(report.second - exact) < 4 * report.second_se + 1e-12)
 
+    def test_gaussian_on_empirical_covariance_matches_exact(self):
+        # the noise factor is the Cholesky factor, not the symmetric root; the
+        # law depends on L L' alone, so the draws still have covariance Sigma
+        p = random_least_squares(seed=13, n=24, d=3)
+        oracle = GaussianOracle(p, EmpiricalCovariance(), sigma=0.7)
+        theta = np.array([0.5, -0.2, 1.0])
+        exact = EmpiricalCovariance().matrix(p, theta)
+        report = estimate_noise_moments(oracle, theta, 100_000, rng(8))
+        assert np.all(np.abs(report.second - exact) < 4 * report.second_se + 1e-12)
+
     def test_skew_shrinks_by_known_factor(self):
         p = LinearProblem([0.0])
         inner = BernoulliNoiseOracle(p, sigma=1.0, p=0.2)

@@ -166,15 +166,21 @@ class TestApplySqrt:
         ids=["isotropic", "constant", "empirical"],
     )
     def test_matches_dense_root_per_draw(self, cov, lead):
+        # sqrt is a noise factor L with L L' = matrix; only the constant
+        # covariances promise the symmetric root
         p = random_least_squares(seed=4)
         rng = np.random.default_rng(9)
         theta = rng.standard_normal(lead + (p.dim,))
         w = rng.standard_normal(lead + (p.dim,))
         got = cov.apply_sqrt(p, theta, w)
         assert got.shape == w.shape
+        factor = np.broadcast_to(cov.sqrt(p, theta), lead + (p.dim, p.dim))
         for i in np.ndindex(lead):
-            want = psd_sqrt(cov.matrix(p, theta[i])) @ w[i]
-            np.testing.assert_allclose(got[i], want, rtol=1e-12, atol=1e-14)
+            mat = cov.matrix(p, theta[i])
+            np.testing.assert_allclose(got[i], factor[i] @ w[i], rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(factor[i] @ factor[i].T, mat, rtol=1e-12, atol=1e-14)
+            if not isinstance(cov, EmpiricalCovariance):
+                np.testing.assert_allclose(factor[i], psd_sqrt(mat), rtol=1e-12, atol=1e-14)
 
 
 class TestCovarianceDiagonal:

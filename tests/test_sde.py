@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adasde.linalg import psd_sqrt
+from adasde.linalg import _semidefinite_cholesky, psd_cholesky, psd_sqrt
 from adasde.problems import (
     ConstantCovariance,
     EmpiricalCovariance,
@@ -111,6 +111,62 @@ class TestPsdSqrt:
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(ValueError):
             psd_sqrt(np.array([[1.0, 0.0], [0.0, -1e-3]]))
+
+
+def assert_lower_factor(factor, mat):
+    """factor is finite and lower triangular with factor @ factor' = mat to rounding."""
+    assert np.all(np.isfinite(factor))
+    assert np.all(np.triu(factor, 1) == 0.0)
+    scale = max(np.max(np.abs(mat)), 1.0)
+    np.testing.assert_allclose(factor @ np.swapaxes(factor, -1, -2), mat, rtol=0.0, atol=1e-13 * scale)
+
+
+class TestPsdCholesky:
+    def test_positive_definite_batch_matches_semidefinite_path(self):
+        a = np.random.default_rng(21).standard_normal((6, 8, 4))
+        sigma = np.swapaxes(a, -1, -2) @ a / 8
+        lapack = psd_cholesky(sigma)
+        assert_lower_factor(lapack, sigma)
+        np.testing.assert_allclose(lapack, _semidefinite_cholesky(sigma), rtol=0.0, atol=1e-12)
+
+    def test_singular_members_in_a_batch(self):
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((3, 4))
+        theta_star = rng.standard_normal(4)
+        wide = LeastSquaresProblem(x, rng.standard_normal(3))  # n <= d: rank <= n - 1
+        interpolating = LeastSquaresProblem(x, x @ theta_star)  # Sigma(theta*) = 0
+        a = rng.standard_normal((8, 4))
+        batch = np.stack([
+            a.T @ a / 8,
+            EmpiricalCovariance().matrix(wide, rng.standard_normal(4)),
+            EmpiricalCovariance().matrix(interpolating, theta_star),
+        ])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(batch)  # the whole batch takes the semidefinite path
+        factor = psd_cholesky(batch)
+        assert_lower_factor(factor, batch)
+        assert np.all(factor[2] == 0.0)
+
+    @pytest.mark.parametrize("delta", [3e-4, 1e-5])
+    def test_rank_two_with_an_ill_conditioned_leading_block(self, delta):
+        # exactly rank 2, with a leading 2 x 2 pivot of about delta^2 / 2; an
+        # unpivoted semidefinite Cholesky loop amplifies the rounding into a
+        # third pivot near -1e-8 (a false "not PSD" at delta = 3e-4) or a
+        # relative error near 1e-6 in L L' (delta = 1e-5). LAPACK may or may
+        # not accept such a matrix, so the semidefinite path is also called
+        # directly.
+        v = np.array([[1.0, 1.0, 0.3], [1.0, 1.0 + delta, -0.7]])
+        sigma = v.T @ v
+        assert_lower_factor(psd_cholesky(sigma), sigma)
+        assert_lower_factor(_semidefinite_cholesky(sigma), sigma)
+
+    def test_negative_eigenvalue_rejected(self):
+        with pytest.raises(ValueError, match="not PSD"):
+            psd_cholesky(np.array([[1.0, 0.0], [0.0, -1e-3]]))
+
+    def test_asymmetric_rejected(self):
+        with pytest.raises(ValueError, match="not symmetric"):
+            psd_cholesky(np.array([[1.0, 0.5], [0.1, 1.0]]))
 
 
 class TestRmspropSystem:

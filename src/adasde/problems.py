@@ -43,6 +43,11 @@ class Problem:
         raise NotImplementedError
 
     def per_datum_gradients(self, theta) -> np.ndarray:
+        """Per-datum gradients, shape (..., n, d): row i is grad f_i(theta).
+
+        Finite-sum problems return a fresh array that the caller may
+        overwrite, in any memory layout; the full gradient is the row mean.
+        """
         raise ValueError(f"{type(self).__name__} is not a finite-sum problem")
 
 
@@ -112,6 +117,7 @@ class LeastSquaresProblem(Problem):
 
     data: np.ndarray
     targets: np.ndarray
+    _data_t: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x = np.asarray(self.data, dtype=float)
@@ -124,6 +130,7 @@ class LeastSquaresProblem(Problem):
             raise ValueError("finite-sum problem needs at least 2 data points")
         object.__setattr__(self, "data", x)
         object.__setattr__(self, "targets", y)
+        object.__setattr__(self, "_data_t", np.ascontiguousarray(x.T))
 
     @property
     def dim(self) -> int:
@@ -145,8 +152,13 @@ class LeastSquaresProblem(Problem):
         return self.residuals(theta) @ self.data / self.n_points
 
     def per_datum_gradients(self, theta) -> np.ndarray:
+        """Shape (..., n, d), a view of fresh C-contiguous (..., d, n) memory.
+
+        That is the layout ``EmpiricalCovariance`` reduces over: each
+        coordinate's n gradients are contiguous.
+        """
         r = self.residuals(theta)
-        return r[..., :, None] * self.data
+        return np.swapaxes(r[..., None, :] * self._data_t, -1, -2)
 
 
 class CovarianceSpec:
@@ -227,29 +239,36 @@ class ConstantCovariance(CovarianceSpec):
 class EmpiricalCovariance(CovarianceSpec):
     """Covariance of the per-datum gradients around the full gradient.
 
-    Sigma(theta) = (1/n) C'C, where the rows of C are the centred per-datum
-    gradients grad f_i - grad f (the full gradient is their mean). ``matrix``
-    is one batched matmul; ``diagonal`` is the column mean of C*C and never
-    builds the d x d matrix. ``sqrt`` is the Cholesky factor of ``matrix``.
-    Only defined for finite-sum problems.
+    Sigma(theta) = (1/n) C C', where C, shape (..., d, n), holds the centred
+    per-datum gradients grad f_i - grad f as columns (the full gradient is
+    their mean). ``matrix`` is one batched matmul; ``diagonal`` is the row
+    mean of C*C and never builds the d x d matrix. ``sqrt`` is the Cholesky
+    factor of ``matrix``. Only defined for finite-sum problems.
+
+    The uncentred moment form (1/n) sum_i g_i g_i' - grad f grad f' is
+    cheaper but not used: when the mean gradient dominates the noise it
+    cancels catastrophically, down to a matrix that is not PSD.
     """
 
     @staticmethod
     def _centred(problem: Problem, theta) -> np.ndarray:
-        """Per-datum gradients minus the full gradient, shape (..., n, d).
+        """C, the per-datum gradients minus their mean over the n data, shape (..., d, n).
 
-        The subtraction is in place: a second (..., n, d) temporary per call
-        is enough for glibc to trim and re-fault the heap top on every
+        The row mean is the full gradient, so the residuals are evaluated
+        once. C is the transpose of ``per_datum_gradients``, contiguous for
+        ``LeastSquaresProblem``; any other layout gives the same C, only
+        slower. The centring is in place: a second (..., d, n) temporary per
+        call is enough for glibc to trim and re-fault the heap top on every
         Euler-Maruyama substep.
         """
-        c = problem.per_datum_gradients(theta)
-        c -= problem.full_gradient(theta)[..., None, :]
+        c = np.swapaxes(problem.per_datum_gradients(theta), -1, -2)
+        c -= c.mean(axis=-1, keepdims=True)
         return c
 
     def matrix(self, problem: Problem, theta) -> np.ndarray:
         c = self._centred(problem, theta)
-        return np.swapaxes(c, -1, -2) @ c / c.shape[-2]
+        return c @ np.swapaxes(c, -1, -2) / c.shape[-1]
 
     def diagonal(self, problem: Problem, theta) -> np.ndarray:
         c = self._centred(problem, theta)
-        return np.einsum("...ni,...ni->...i", c, c) / c.shape[-2]
+        return np.einsum("...in,...in->...i", c, c) / c.shape[-1]

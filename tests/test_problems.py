@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adasde.linalg import psd_sqrt
+from adasde.linalg import psd_cholesky, psd_sqrt
 from adasde.problems import (
     ConstantCovariance,
     EmpiricalCovariance,
@@ -26,9 +26,23 @@ def central_diff_gradient(problem, theta, h=1e-5):
     return grad
 
 
-def random_least_squares(seed, n=12, d=3):
+def random_least_squares(seed, n=12, d=3, cls=LeastSquaresProblem):
     rng = np.random.default_rng(seed)
-    return LeastSquaresProblem(rng.standard_normal((n, d)), rng.standard_normal(n))
+    return cls(rng.standard_normal((n, d)), rng.standard_normal(n))
+
+
+class RowMajorLeastSquares(LeastSquaresProblem):
+    """Least squares whose per-datum gradients are an ordinary C-contiguous (..., n, d) array."""
+
+    def per_datum_gradients(self, theta):
+        return np.ascontiguousarray(super().per_datum_gradients(theta))
+
+
+# The (d, n) layout LeastSquaresProblem stores and the (n, d) layout any
+# other finite-sum problem may return; the covariance must not depend on it.
+LAYOUTS = pytest.mark.parametrize(
+    "cls", [LeastSquaresProblem, RowMajorLeastSquares], ids=["dn", "nd"]
+)
 
 
 class TestLoss:
@@ -107,6 +121,18 @@ class TestPerDatumGradients:
         with pytest.raises(ValueError):
             LinearProblem([1.0]).per_datum_gradients([0.0])
 
+    @pytest.mark.parametrize("lead", [(5,), ()], ids=["batched", "single"])
+    def test_fresh_writable_array_of_rows(self, lead):
+        # EmpiricalCovariance centres the result in place
+        p = random_least_squares(seed=13, n=7)
+        theta = np.random.default_rng(14).standard_normal(lead + (p.dim,))
+        first = p.per_datum_gradients(theta)
+        second = p.per_datum_gradients(theta)
+        assert second.shape == lead + (p.n_points, p.dim)
+        assert second.flags.writeable
+        assert not np.shares_memory(second, p.data)
+        assert not np.shares_memory(second, first)
+
 
 class TestExactCovariance:
     def test_scalar_hand_example(self):
@@ -153,6 +179,25 @@ class TestExactCovariance:
         got = np.trace(EmpiricalCovariance().matrix(p, theta))
         assert got == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_psd_when_the_mean_gradient_dominates(self, seed):
+        # near-duplicate rows: trace(Sigma) / |grad f|^2 is about 3e-9 at seed 1
+        rng = np.random.default_rng(seed)
+        base = rng.standard_normal(4)
+        p = LeastSquaresProblem(base + 1e-4 * rng.standard_normal((3, 4)), np.ones(3))
+        theta = rng.standard_normal(4)
+        sigma = EmpiricalCovariance().matrix(p, theta)
+        factor = psd_cholesky(sigma)
+        np.testing.assert_allclose(factor @ factor.T, sigma, rtol=1e-12, atol=1e-14 * np.abs(sigma).max())
+        assert np.all(EmpiricalCovariance().diagonal(p, theta) >= 0.0)
+
+        # negative control: the uncentred moment form cancels to a non-PSD matrix
+        grads = p.per_datum_gradients(theta)
+        mean = p.full_gradient(theta)
+        uncentred = grads.T @ grads / p.n_points - np.outer(mean, mean)
+        with pytest.raises(ValueError, match="not PSD"):
+            psd_cholesky(uncentred)
+
 
 class TestApplySqrt:
     @pytest.mark.parametrize("lead", [(5,), ()], ids=["batched", "single"])
@@ -186,20 +231,22 @@ class TestApplySqrt:
 class TestCovarianceDiagonal:
     CONST = np.array([[1.0, 0.4, 0.0], [0.4, 0.8, 0.2], [0.0, 0.2, 0.5]])
 
+    @LAYOUTS
     @pytest.mark.parametrize("lead", [(5,), ()], ids=["batched", "single"])
-    def test_empirical_matrix_matches_centred_einsum(self, lead):
-        p = random_least_squares(seed=17, n=20)
+    def test_empirical_matrix_matches_centred_einsum(self, lead, cls):
+        p = random_least_squares(seed=17, n=20, cls=cls)
         theta = np.random.default_rng(18).standard_normal(lead + (p.dim,)) * 2
         grads = p.per_datum_gradients(theta)
         centered = grads - grads.mean(axis=-2, keepdims=True)
         want = np.einsum("...ni,...nj->...ij", centered, centered) / grads.shape[-2]
         np.testing.assert_allclose(EmpiricalCovariance().matrix(p, theta), want, rtol=1e-12)
 
+    @LAYOUTS
     @pytest.mark.parametrize("lead", [(5,), ()], ids=["batched", "single"])
     @pytest.mark.parametrize("cov", [EmpiricalCovariance(), ConstantCovariance(CONST)],
                              ids=["empirical", "constant"])
-    def test_diagonal_of_matrix_without_building_it(self, cov, lead, monkeypatch):
-        p = random_least_squares(seed=19)
+    def test_diagonal_of_matrix_without_building_it(self, cov, lead, cls, monkeypatch):
+        p = random_least_squares(seed=19, cls=cls)
         theta = np.random.default_rng(20).standard_normal(lead + (p.dim,))
         want = np.diagonal(cov.matrix(p, theta), axis1=-2, axis2=-1)
 
@@ -210,6 +257,26 @@ class TestCovarianceDiagonal:
         got = cov.diagonal(p, theta)
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("method", ["matrix", "diagonal"])
+    def test_empirical_evaluates_the_residuals_once(self, method, monkeypatch):
+        # the row mean of the per-datum gradients is the full gradient
+        p = random_least_squares(seed=23)
+        theta = np.random.default_rng(24).standard_normal((5, p.dim))
+        calls = []
+        residuals = LeastSquaresProblem.residuals
+
+        def counted(self, theta):
+            calls.append(1)
+            return residuals(self, theta)
+
+        def no_full_gradient(self, theta):
+            raise AssertionError("the covariance evaluated the full gradient")
+
+        monkeypatch.setattr(LeastSquaresProblem, "residuals", counted)
+        monkeypatch.setattr(LeastSquaresProblem, "full_gradient", no_full_gradient)
+        getattr(EmpiricalCovariance(), method)(p, theta)
+        assert len(calls) == 1
 
     def test_constant_diagonal_checks_dimension(self):
         cov = ConstantCovariance(self.CONST)

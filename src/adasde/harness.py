@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -123,6 +123,12 @@ class ApproximationSetup:
         object.__setattr__(self, "theta0", np.asarray(self.theta0, dtype=float))
         if self.u0 is not None:
             object.__setattr__(self, "u0", np.asarray(self.u0, dtype=float))
+        for name in ("theta0", "u0"):
+            vec = getattr(self, name)
+            if vec is not None and vec.shape != (self.problem.dim,):
+                raise ValueError(f"{name} must have shape ({self.problem.dim},), got {vec.shape}")
+        if self.u0 is not None and not np.all(self.u0 > 0):
+            raise ValueError("u0 must be positive coordinatewise")
         if self.algo not in DECAYS:
             raise ValueError(f"unknown algorithm {self.algo!r}")
         if self.algo != "sgd" and self.u0 is None:
@@ -148,9 +154,8 @@ class WeakErrorReport:
     combined_se: dict[str, np.ndarray]
     paired_se: dict[str, np.ndarray]
     max_gap: dict[str, float]
-    argmax_t: dict[str, float]
-    discrete: TrajectoryRecord | None = None
-    continuous: TrajectoryRecord | None = None
+    discrete: TrajectoryRecord
+    continuous: TrajectoryRecord
 
     @property
     def names(self) -> list[str]:
@@ -187,24 +192,20 @@ def weak_error(
     if missing:
         raise ValueError(f"functions missing from a record: {missing}")
 
-    gaps, comb, paired = {}, {}, {}
-    max_gap, argmax_t = {}, {}
+    gaps, comb, paired, max_gap = {}, {}, {}, {}
     for name in names:
         g = discrete.mean(name) - continuous.mean(name)
         gaps[name] = g
         comb[name] = np.sqrt(discrete.se(name) ** 2 + continuous.se(name) ** 2)
         diff = discrete.values[name] - continuous.values[name]
         paired[name] = np.std(diff, axis=1, ddof=1) / math.sqrt(diff.shape[1])
-        idx = int(np.argmax(np.abs(g)))
-        max_gap[name] = float(np.abs(g[idx]))
-        argmax_t[name] = float(discrete.times[idx])
+        max_gap[name] = float(np.max(np.abs(g)))
     return WeakErrorReport(
         times=discrete.times.copy(),
         gaps=gaps,
         combined_se=comb,
         paired_se=paired,
         max_gap=max_gap,
-        argmax_t=argmax_t,
         discrete=discrete,
         continuous=continuous,
     )
@@ -338,13 +339,6 @@ class OrderReport:
     slopes: dict[str, float | None]
     slope_se: dict[str, float]
     status: dict[str, str]  # ok | inconclusive | degenerate
-    meta: dict = field(default_factory=dict)
-
-    def passed(self, names, lo: float, hi: float) -> bool:
-        return all(
-            self.status[n] == "ok" and self.slopes[n] is not None and lo <= self.slopes[n] <= hi
-            for n in names
-        )
 
 
 def _fit_gap_decay(x, reports: list[WeakErrorReport], name: str, rng, n_boot: int):
@@ -412,7 +406,6 @@ def order_sweep(
         slopes=slopes,
         slope_se=slope_se,
         status=status,
-        meta={"algo": setup.algo, "seeds": setup.seeds, "coupled": setup.coupled},
     )
 
 
@@ -427,7 +420,6 @@ class SvagReport:
     decay_slope: dict[str, float | None]  # fitted on log gap vs log(1/ell^2)
     decay_slope_se: dict[str, float]
     status: dict[str, str]
-    meta: dict = field(default_factory=dict)
 
     @property
     def pairs(self) -> list[tuple[float, float]]:
@@ -548,7 +540,6 @@ def svag_sweep(
         decay_slope=decay,
         decay_slope_se=decay_se,
         status=status,
-        meta={"eta": eta, "algo": setup.algo, "seeds": setup.seeds},
     )
 
 
@@ -573,7 +564,6 @@ class ScalingReport:
     scaled_mean: dict[str, np.ndarray]
     scaled_se: dict[str, np.ndarray]
     z_scores: dict[str, np.ndarray]
-    meta: dict = field(default_factory=dict)
     threshold = 4.0  # the check passes when every |z| is at most this
 
     @property
@@ -667,7 +657,6 @@ def validate_scaling(
         scaled_mean=s_mean,
         scaled_se=s_se,
         z_scores=z_scores,
-        meta={"algo": algo, "seeds": seeds, "base_steps": base_steps},
     )
 
 
@@ -692,8 +681,6 @@ class WarmupReport:
     approx_mean_rel_err: np.ndarray
     approx_var_rel_err: np.ndarray
     seeds: int
-    meta: dict = field(default_factory=dict)
-    record: TrajectoryRecord | None = None
 
     @property
     def passed(self) -> bool:
@@ -761,6 +748,4 @@ def linear_warmup_check(
         approx_mean_rel_err=_rel_err(exact_mean, approx_mean),
         approx_var_rel_err=_rel_err(exact_var, approx_var),
         seeds=seeds,
-        meta={"eta": eta, "sigma": sigma, "g_bar": g_bar.tolist()},
-        record=rec,
     )

@@ -197,5 +197,4 @@ def run_discrete(
             raise NonFiniteError(state.k, f"algo={algo}, eta={hp.eta}")
         if n in want:
             snapshot(state)
-    meta = {"algo": algo, "eta": hp.eta, "sigma": sigma, "steps": steps}
-    return recorder.build(meta)
+    return recorder.build()

@@ -7,7 +7,7 @@ every registered test function on it, one value per seed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -129,13 +129,10 @@ class TrajectoryRecord:
     """
 
     times: np.ndarray
-    steps: np.ndarray
     values: dict[str, np.ndarray]
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
-        self.steps = np.asarray(self.steps)
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("checkpoint times must be strictly increasing")
         counts = {v.shape for v in self.values.values()}
@@ -168,20 +165,13 @@ class _Recorder:
     def __init__(self, fns: TestFunctionSet):
         self.fns = fns
         self.times: list[float] = []
-        self.steps: list[int] = []
         self.rows: dict[str, list[np.ndarray]] = {name: [] for name in fns.names}
 
     def record(self, view: StateView) -> None:
         self.times.append(view.t)
-        self.steps.append(view.k)
         for name, vals in self.fns.evaluate(view).items():
             self.rows[name].append(vals)
 
-    def build(self, meta: dict | None = None) -> TrajectoryRecord:
+    def build(self) -> TrajectoryRecord:
         values = {name: np.stack(rows) for name, rows in self.rows.items()}
-        return TrajectoryRecord(
-            times=np.array(self.times),
-            steps=np.array(self.steps, dtype=int),
-            values=values,
-            meta=meta or {},
-        )
+        return TrajectoryRecord(times=np.array(self.times), values=values)

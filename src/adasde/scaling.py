@@ -4,7 +4,8 @@ The RMSprop and Adam SDEs see the discrete hyperparameters only through
 
     sigma0 = sigma * eta,   epsilon0 = epsilon * eta,   c = (1 - beta) / eta^2,
 
-one c per decay the algorithm uses (``DECAYS``). ``sde_constants`` reads
+one c per decay the algorithm uses (``DECAYS``). The SGD SDE, on the clock
+t = k eta, sees only sigma0 = sigma * sqrt(eta). ``sde_constants`` reads
 these constants off (hyperparameters, sigma) and ``hyperparams_from_constants``
 inverts it at a given eta. Holding them fixed while the noise scale divides
 by sqrt(kappa) gives the square-root rule (``scale_sqrt``):
@@ -15,8 +16,9 @@ The noise-amplified (SVAG) transform is the same map at kappa = 1/ell^2.
 
 ``make_plan`` builds one of two batch-size rules, named in ``SCALING_RULES``
 with the algorithm after the dash: the square-root rule above, and the
-linear baseline it is contrasted with, which moves eta only (eta' = kappa
-eta, every other field kept) and so deliberately breaks the constants.
+linear rule, which moves eta only (eta' = kappa eta, every other field
+kept). The linear rule keeps SGD's sigma0 and deliberately breaks Adam's
+constants, the baseline the square-root rule is contrasted with.
 """
 from __future__ import annotations
 
@@ -64,8 +66,11 @@ def _scaled_decay(name: str, value: float, kappa: float) -> float:
 
 def sde_constants(algo: str, hp: HyperParams, sigma: float) -> dict[str, float]:
     """Continuous-time constants implied by discrete hyperparameters at noise scale sigma."""
+    decays = _decays(algo)
+    if not decays:  # the SGD SDE's noise amplitude; its step reads no epsilon
+        return {"sigma0": sigma * math.sqrt(hp.eta)}
     out = {"sigma0": sigma * hp.eta, "epsilon0": hp.epsilon * hp.eta}
-    for name, const in _decays(algo).items():
+    for name, const in decays.items():
         out[const] = (1.0 - getattr(hp, name)) / hp.eta**2
     return out
 

@@ -8,15 +8,15 @@ sign, but Wiener increments are symmetric in law, so the diffusion factor is
 stored with a plus sign. Path-wise comparisons against hand-derived formulas
 must account for this.
 
-Diffusion matrices are structured: only the parameter block (RMSprop, SGD)
-or the momentum block (Adam) is driven by noise, and only d Wiener
-components are consumed per step. ``apply_diffusion`` scales
+A system is a drift and an ``apply_diffusion``, which maps a state, a time
+and a draw of d Wiener components to the noise increment. The diffusion is
+structured: only the parameter block (RMSprop, SGD) or the momentum block
+(Adam) is driven by noise. ``apply_diffusion`` scales
 ``CovarianceSpec.apply_sqrt``, the one place a covariance's noise factor
 (any L with L L' = Sigma, see ``CovarianceSpec``) meets a draw, shared with
 the Gaussian oracle so that discrete and continuous draws on the same w stay
-coupled. ``dense_diffusion`` materializes the full D x D matrix from the same
-factor, ``CovarianceSpec.sqrt``, as the reference for cross-checks on small
-systems; only its product with its transpose is fixed by the SDE.
+coupled. Only the diffusion's product with its transpose is fixed by the
+SDE; its columns are ``apply_diffusion`` on the unit draws.
 
 The adaptive builders take ``u_min`` to build the clamped system, whose
 sqrt(u) denominators read sqrt(mu(u)) (``clamp_mu``); it coincides with the
@@ -84,15 +84,18 @@ def clamp_mu(u, u_min: float):
 
 @dataclass(frozen=True)
 class SdeSystem:
-    """Drift/diffusion pair over an augmented state with block structure."""
+    """A drift and an ``apply_diffusion`` over an augmented state with block structure.
+
+    Both return (..., D) arrays: ``drift(x, t)`` the drift, and
+    ``apply_diffusion(x, t, dw)`` the noise increment of a draw dw of shape
+    (..., noise_dim).
+    """
 
     state_dim: int
     noise_dim: int
     drift: Callable
-    apply_diffusion: Callable  # (x, t, dw) -> increment contribution, dw ~ (..., noise_dim)
-    dense_diffusion: Callable  # (x, t) -> (..., D, D)
+    apply_diffusion: Callable
     blocks: dict = field(default_factory=dict)  # name -> slice
-    algorithm: str = "custom"
     problem: Problem | None = None
     cov: CovarianceSpec | None = None
     u_min: float | None = None  # set on clamped systems, whose u need not stay positive
@@ -138,21 +141,12 @@ def build_rmsprop_sde(
         out[..., :d] = scale * cov.apply_sqrt(problem, theta, dw)
         return out
 
-    def dense_diffusion(x, t):
-        theta, u = x[..., :d], x[..., d:]
-        scale = 1.0 / (np.sqrt(u_of(u)) + epsilon0 / sigma0)
-        full = np.zeros(x.shape[:-1] + (2 * d, 2 * d))
-        full[..., :d, :d] = scale[..., :, None] * cov.sqrt(problem, theta)
-        return full
-
     return SdeSystem(
         state_dim=2 * d,
         noise_dim=d,
         drift=drift,
         apply_diffusion=apply_diffusion,
-        dense_diffusion=dense_diffusion,
         blocks={"theta": slice(0, d), "u": slice(d, 2 * d)},
-        algorithm="rmsprop",
         problem=problem,
         cov=cov,
         u_min=u_min,
@@ -201,21 +195,12 @@ def build_adam_sde(
         out[..., d : 2 * d] = sigma0 * c1 * cov.apply_sqrt(problem, theta, dw)
         return out
 
-    def dense_diffusion(x, t):
-        gammas(t)
-        theta = x[..., :d]
-        full = np.zeros(x.shape[:-1] + (3 * d, 3 * d))
-        full[..., d : 2 * d, :d] = sigma0 * c1 * cov.sqrt(problem, theta)
-        return full
-
     return SdeSystem(
         state_dim=3 * d,
         noise_dim=d,
         drift=drift,
         apply_diffusion=apply_diffusion,
-        dense_diffusion=dense_diffusion,
         blocks={"theta": slice(0, d), "m": slice(d, 2 * d), "u": slice(2 * d, 3 * d)},
-        algorithm="adam",
         problem=problem,
         cov=cov,
         u_min=u_min,
@@ -235,17 +220,12 @@ def build_sgd_sde(problem: Problem, cov: CovarianceSpec, eta: float) -> SdeSyste
     def apply_diffusion(x, t, dw):
         return amp * cov.apply_sqrt(problem, x, dw)
 
-    def dense_diffusion(x, t):
-        return amp * np.broadcast_to(cov.sqrt(problem, x), x.shape[:-1] + (d, d))
-
     return SdeSystem(
         state_dim=d,
         noise_dim=d,
         drift=drift,
         apply_diffusion=apply_diffusion,
-        dense_diffusion=dense_diffusion,
         blocks={"theta": slice(0, d)},
-        algorithm="sgd",
         problem=problem,
         cov=cov,
     )
@@ -373,5 +353,4 @@ def euler_maruyama(
         recorder.record(view)
 
     _em_loop(system, x0, t0, dt, n_steps, rng, noise, snapshot)
-    meta = {"algo": system.algorithm, "dt": dt, "t0": t0, "t_end": t_end}
-    return recorder.build(meta)
+    return recorder.build()

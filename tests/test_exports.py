@@ -1,4 +1,6 @@
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -18,3 +20,22 @@ def test_every_export_exists(module_name):
 def test_every_module_is_checked():
     # a package layout the discovery misses would make the check above vacuous
     assert {"adasde.stats", "adasde.ngos", "adasde.moments", "adasde.harness"} <= set(MODULES)
+
+
+def _unused_imports(module_name: str) -> list[str]:
+    """Names a module imports but neither reads nor lists in its ``__all__``."""
+    module = importlib.import_module(module_name)
+    tree = ast.parse(pathlib.Path(module.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read - set(getattr(module, "__all__", ())))
+
+
+def test_no_unused_imports():
+    unused = {name: names for name in MODULES if (names := _unused_imports(name))}
+    assert not unused, f"imported but never read: {unused}"

@@ -530,9 +530,18 @@ class TestSweepArguments:
                 PROBLEM, COV, "rmsprop", theta0=np.ones(2), u0=np.ones(2), **{field: value}
             )
 
+    @pytest.mark.parametrize("field, value", [
+        ("theta0", [1.0, 1.0, 1.0]), ("u0", [1.0, 1.0, 1.0]), ("u0", [0.0, 1.0]), ("u0", [1.0, -0.5]),
+    ], ids=["theta0-shape", "u0-shape", "u0-zero", "u0-negative"])
+    def test_setup_rejects_vectors_that_fail_later(self, field, value):
+        # unchecked, each fails only inside a run, with a message that names no field
+        vectors = {"theta0": np.ones(2), "u0": np.ones(2), field: np.array(value)}
+        with pytest.raises(ValueError, match=field):
+            ApproximationSetup(PROBLEM, COV, "rmsprop", **vectors)
+
     def test_weak_error_rejects_unequal_seed_counts(self):
         def record(seeds):
-            return TrajectoryRecord([0.1, 0.2], [1, 2], {"theta_0": np.zeros((2, seeds))})
+            return TrajectoryRecord([0.1, 0.2], {"theta_0": np.zeros((2, seeds))})
 
         with pytest.raises(ValueError, match="equal seed counts"):
             weak_error(record(4), record(5), ["theta_0"])

@@ -13,6 +13,7 @@ from adasde.ngos import GaussianOracle
 from adasde.problems import ConstantCovariance, IsotropicCovariance, QuadraticProblem
 from adasde.scaling import hyperparams_from_constants
 from adasde.sde import SdeSystem, build_rmsprop_sde
+from test_sde import diffusion_columns
 
 
 def rng(seed=0):
@@ -155,7 +156,6 @@ class TestMcSde:
             noise_dim=1,
             drift=lambda x, t: np.zeros_like(x),
             apply_diffusion=lambda x, t, dw: np.zeros_like(x),
-            dense_diffusion=lambda x, t: np.zeros(x.shape[:-1] + (1, 1)),
             blocks={"theta": slice(0, 1)},
             )
         mom = mc_sde_moments(system, [1.0], t=0.0, eta=0.1, samples=1000, dt=1e-3, rng=rng())
@@ -171,7 +171,7 @@ class TestMcSde:
         mom = mc_sde_moments(system, x, t=0.0, eta=eta, samples=60_000, dt=eta**2 / 20, rng=rng(5))
         b = system.drift(x[None, :], 0.0)[0]
         np.testing.assert_array_less(np.abs(mom.first - eta**2 * b), 4 * mom.first_se + 2e-4)
-        s = system.dense_diffusion(x[None, :], 0.0)[0]
+        s = diffusion_columns(system, x[None, :], 0.0)[0]
         target = eta**2 * s @ s.T
         np.testing.assert_array_less(np.abs(mom.second - target), 4 * mom.second_se + 2e-4)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -191,12 +192,13 @@ class TestSdeConstantPreservation:
     @pytest.mark.parametrize("algo, constants", [
         ("rmsprop", dict(sigma0=0.7, epsilon0=0.01, c2=1.5)),
         ("adam", dict(sigma0=0.7, epsilon0=0.01, c1=2.0, c2=1.5)),
-        # SGD runs at sigma = 1 with no epsilon, so its constants are eta and 0
-        ("sgd", dict(sigma0=0.1, epsilon0=0.0)),
+        # SGD runs at sigma = 1 and reads no epsilon, so its one constant is sqrt(eta)
+        ("sgd", dict(sigma0=math.sqrt(0.1))),
     ])
     def test_round_trip(self, algo, constants):
         hp, sigma = hyperparams_from_constants(
-            algo, 0.1, constants["sigma0"], constants["epsilon0"], constants.get("c2", 1.0),
+            algo, 0.1, constants["sigma0"], constants.get("epsilon0", 0.0),
+            constants.get("c2", 1.0),
             c1=constants.get("c1"),
         )
         out = sde_constants(algo, hp, sigma)
@@ -211,3 +213,15 @@ class TestSdeConstantPreservation:
         scaled_hp = make_plan("linear-adam", hp, kappa).scaled
         scaled = sde_constants("adam", scaled_hp, sigma / np.sqrt(kappa))
         assert abs(scaled["sigma0"] - base["sigma0"]) > 0
+
+    @pytest.mark.parametrize("kappa", [2.0, 4.0, 16.0])
+    def test_linear_rule_preserves_sgd_sigma0(self, kappa):
+        # the SGD SDE's noise is sqrt(eta) sigma: eta' = kappa eta at sigma / sqrt(kappa) keeps it
+        hp, sigma = HyperParams(eta=0.05), 0.8
+        base = sde_constants("sgd", hp, sigma)
+        linear = make_plan("linear-sgd", hp, kappa).scaled
+        scaled = sde_constants("sgd", linear, sigma / math.sqrt(kappa))
+        assert scaled["sigma0"] == pytest.approx(base["sigma0"], rel=1e-12)
+        # the square-root rule moves it: eta' = sqrt(kappa) eta
+        moved = sde_constants("sgd", scale_sqrt(hp, kappa, "sgd"), sigma / math.sqrt(kappa))
+        assert moved["sigma0"] != pytest.approx(base["sigma0"], rel=1e-3)

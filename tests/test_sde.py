@@ -34,16 +34,21 @@ def ou_system(rate=1.0, diff=1.0):
     def apply_diffusion(x, t, dw):
         return diff * dw
 
-    def dense_diffusion(x, t):
-        return np.broadcast_to(diff * np.eye(1), x.shape[:-1] + (1, 1))
-
     return SdeSystem(
         state_dim=1,
         noise_dim=1,
         drift=drift,
         apply_diffusion=apply_diffusion,
-        dense_diffusion=dense_diffusion,
         blocks={"theta": slice(0, 1)},
+    )
+
+
+def diffusion_columns(system, x, t):
+    """The diffusion matrix at x, (paths, D, noise_dim): apply_diffusion on each unit draw."""
+    paths = x.shape[0]
+    return np.stack(
+        [system.apply_diffusion(x, t, np.tile(e, (paths, 1))) for e in np.eye(system.noise_dim)],
+        axis=-1,
     )
 
 
@@ -203,15 +208,16 @@ class TestRmspropSystem:
         system = build_rmsprop_sde(self.problem, cov, sigma0=0.7, epsilon0=0.0, c2=1.0)
         u = np.array([4.0, 0.25])
         x = np.concatenate([np.zeros(2), u])[None, :]
-        dense = system.dense_diffusion(x, 0.0)[0]
-        np.testing.assert_allclose(np.diag(dense[:2, :2]), 1.0 / np.sqrt(u))
-        assert np.all(dense[2:, :] == 0.0)  # u rows carry no noise
+        cols = diffusion_columns(system, x, 0.0)[0]
+        np.testing.assert_allclose(np.diag(cols[:2, :2]), 1.0 / np.sqrt(u))
+        assert np.all(cols[2:, :] == 0.0)  # u rows carry no noise
 
 
+SIGMA0, EPSILON0, C1, ETA = 0.5, 0.2, 1.0, 0.1
 BUILDERS = {
-    "rmsprop": lambda p, cov: build_rmsprop_sde(p, cov, sigma0=0.5, epsilon0=0.2, c2=1.0),
-    "adam": lambda p, cov: build_adam_sde(p, cov, sigma0=0.5, epsilon0=0.2, c1=1.0, c2=1.0),
-    "sgd": lambda p, cov: build_sgd_sde(p, cov, eta=0.1),
+    "rmsprop": lambda p, cov: build_rmsprop_sde(p, cov, SIGMA0, EPSILON0, c2=1.0),
+    "adam": lambda p, cov: build_adam_sde(p, cov, SIGMA0, EPSILON0, c1=C1, c2=1.0),
+    "sgd": lambda p, cov: build_sgd_sde(p, cov, eta=ETA),
 }
 LS_PROBLEM = LeastSquaresProblem(
     np.random.default_rng(11).standard_normal((8, 3)), np.random.default_rng(12).standard_normal(8)
@@ -226,22 +232,30 @@ class TestStructuredDiffusion:
     @pytest.mark.parametrize("cov_name", sorted(COVARIANCES))
     @pytest.mark.parametrize("algo", sorted(BUILDERS))
     def test_structured_matches_dense(self, algo, cov_name):
-        # apply_diffusion goes through CovarianceSpec.apply_sqrt; the dense
-        # matrix is built from CovarianceSpec.sqrt per path
-        system = BUILDERS[algo](LS_PROBLEM, COVARIANCES[cov_name])
+        # apply_diffusion goes through CovarianceSpec.apply_sqrt on the whole
+        # batch; the reference is each system's closed-form coefficient, built
+        # from CovarianceSpec.sqrt one path at a time
+        cov = COVARIANCES[cov_name]
+        system = BUILDERS[algo](LS_PROBLEM, cov)
         d, paths = LS_PROBLEM.dim, 4
+        assert system.noise_dim == d  # only d Wiener components drive the system
         rng = np.random.default_rng(3)
         x = np.concatenate(
             [rng.standard_normal((paths, d)), rng.uniform(0.5, 2.0, (paths, system.state_dim - d))],
             axis=1,
         )
-        dw = rng.standard_normal((paths, system.noise_dim))
+        dw = rng.standard_normal((paths, d))
         fast = system.apply_diffusion(x, 1.0, dw)
-        dense = system.dense_diffusion(x, 1.0)
-        assert dense.shape == (paths, system.state_dim, system.state_dim)
         for i in range(paths):
-            np.testing.assert_allclose(fast[i], dense[i, :, :d] @ dw[i], rtol=1e-12, atol=1e-14)
-            assert np.all(dense[i, :, d:] == 0.0)  # only d Wiener components drive the system
+            noise = cov.sqrt(LS_PROBLEM, x[i, :d]) @ dw[i]
+            expected = np.zeros(system.state_dim)
+            if algo == "rmsprop":  # L dw / (sqrt(u) + eps0/sigma0) on theta
+                expected[:d] = noise / (np.sqrt(x[i, d:]) + EPSILON0 / SIGMA0)
+            elif algo == "adam":  # sigma0 c1 L dw on m
+                expected[d : 2 * d] = SIGMA0 * C1 * noise
+            else:  # sqrt(eta) L dw on theta
+                expected[:] = math.sqrt(ETA) * noise
+            np.testing.assert_allclose(fast[i], expected, rtol=1e-12, atol=1e-14)
 
 
 class TestAdamSystem:
@@ -282,10 +296,10 @@ class TestAdamSystem:
 
     def test_noise_enters_momentum_block_only(self):
         x = np.concatenate([np.zeros(2), np.zeros(2), np.ones(2)])[None, :]
-        dense = self.system.dense_diffusion(x, t=1.0)[0]
-        assert np.all(dense[:2, :] == 0.0)
-        assert np.all(dense[4:, :] == 0.0)
-        assert np.any(dense[2:4, :2] != 0.0)
+        cols = diffusion_columns(self.system, x, 1.0)[0]
+        assert np.all(cols[:2, :] == 0.0)
+        assert np.all(cols[4:, :] == 0.0)
+        assert np.any(cols[2:4, :2] != 0.0)
 
 
 class TestSgdSystem:
@@ -312,8 +326,8 @@ class TestSgdSystem:
     def test_eta_scales_diffusion_sqrt(self):
         problem = QuadraticProblem(np.eye(1))
         x = np.zeros((1, 1))
-        d1 = build_sgd_sde(problem, IsotropicCovariance(1.0), eta=0.1).dense_diffusion(x, 0.0)
-        d2 = build_sgd_sde(problem, IsotropicCovariance(1.0), eta=0.2).dense_diffusion(x, 0.0)
+        d1 = diffusion_columns(build_sgd_sde(problem, IsotropicCovariance(1.0), eta=0.1), x, 0.0)
+        d2 = diffusion_columns(build_sgd_sde(problem, IsotropicCovariance(1.0), eta=0.2), x, 0.0)
         assert d2[0, 0, 0] / d1[0, 0, 0] == pytest.approx(math.sqrt(2.0))
 
 
@@ -327,7 +341,6 @@ class TestEulerMaruyama:
             noise_dim=1,
             drift=zero,
             apply_diffusion=lambda x, t, dw: np.zeros_like(x),
-            dense_diffusion=lambda x, t: np.zeros(x.shape[:-1] + (1, 1)),
             blocks={"theta": slice(0, 1)},
             )
         x0 = np.full((3, 1), 1.5)
@@ -462,7 +475,7 @@ class TestAuxiliarySystem:
         clamped = build_rmsprop_sde(problem, cov, sigma0=1.0, epsilon0=0.0, c2=1.0, u_min=0.1)
         x = np.array([[1.0, 0.0]])
         assert np.all(np.isfinite(clamped.drift(x, 0.0)))
-        assert np.all(np.isfinite(clamped.dense_diffusion(x, 0.0)))
+        assert np.all(np.isfinite(diffusion_columns(clamped, x, 0.0)))
 
 
 class TestBiasCorrectionCurves:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 import numpy as np
@@ -123,14 +123,27 @@ class ApproximationSetup:
         object.__setattr__(self, "theta0", np.asarray(self.theta0, dtype=float))
         if self.u0 is not None:
             object.__setattr__(self, "u0", np.asarray(self.u0, dtype=float))
-        for name in ("theta0", "u0"):
-            vec = getattr(self, name)
-            if vec is not None and vec.shape != (self.problem.dim,):
-                raise ValueError(f"{name} must have shape ({self.problem.dim},), got {vec.shape}")
-        if self.u0 is not None and not np.all(self.u0 > 0):
-            raise ValueError("u0 must be positive coordinatewise")
         if self.algo not in DECAYS:
             raise ValueError(f"unknown algorithm {self.algo!r}")
+        if self.algo == "sgd":
+            # the SGD SDE reads eta and the covariance alone, so any other
+            # constant set here would be ignored without a word
+            for f in fields(self):
+                if f.name not in ("sigma0", "epsilon0", "c1", "c2", "u0"):
+                    continue
+                value = getattr(self, f.name)
+                if value is not None if f.default is None else value != f.default:
+                    raise ValueError(f"SGD setups ignore {f.name}; leave it at {f.default!r}")
+        for name in ("theta0", "u0"):
+            vec = getattr(self, name)
+            if vec is None:
+                continue
+            if vec.shape != (self.problem.dim,):
+                raise ValueError(f"{name} must have shape ({self.problem.dim},), got {vec.shape}")
+            if not np.all(np.isfinite(vec)):
+                raise ValueError(f"{name} must be finite, got {vec}")
+        if self.u0 is not None and not np.all(self.u0 > 0):
+            raise ValueError("u0 must be positive coordinatewise")
         if self.algo != "sgd" and self.u0 is None:
             raise ValueError("adaptive setups need u0")
         if "c1" in DECAYS[self.algo].values() and self.c1 is None:
@@ -166,17 +179,13 @@ class WeakErrorReport:
         return float(self.paired_se[name][idx])
 
 
-def weak_error(
-    discrete: TrajectoryRecord,
-    continuous: TrajectoryRecord,
-    names,
-) -> WeakErrorReport:
+def weak_error(discrete: TrajectoryRecord, continuous: TrajectoryRecord) -> WeakErrorReport:
     """Gap per function per checkpoint, the max over checkpoints, and SEs.
 
-    The two records must share checkpoint times within 1e-9 and their seed
-    counts: seed i of one is paired with seed i of the other. The paired SE
-    (std of the per-seed differences) is the relevant one for coupled runs;
-    the unpaired combined SE is reported alongside it.
+    The two records must hold the same functions and seed counts and share
+    checkpoint times within 1e-9: seed i of one is paired with seed i of the
+    other. The paired SE (std of the per-seed differences) is the relevant
+    one for coupled runs; the unpaired combined SE is reported alongside it.
     """
     if discrete.seed_count != continuous.seed_count:
         raise ValueError(
@@ -187,13 +196,13 @@ def weak_error(
         np.abs(discrete.times - continuous.times) > 1e-9
     ):
         raise ValueError("checkpoint time grids do not match")
-    names = list(names)
-    missing = [n for n in names if n not in discrete.values or n not in continuous.values]
-    if missing:
-        raise ValueError(f"functions missing from a record: {missing}")
+    if set(discrete.names) != set(continuous.names):
+        raise ValueError(
+            f"records hold different test functions: {discrete.names} and {continuous.names}"
+        )
 
     gaps, comb, paired, max_gap = {}, {}, {}, {}
-    for name in names:
+    for name in discrete.names:
         g = discrete.mean(name) - continuous.mean(name)
         gaps[name] = g
         comb[name] = np.sqrt(discrete.se(name) ** 2 + continuous.se(name) ** 2)
@@ -275,7 +284,8 @@ def compare_at_eta(
     )
     dt_e = effective_time_step(algo, eta)
     n_steps = int(math.floor(setup.T / dt_e + 1e-9))
-    dt = dt_e / setup.em_substeps
+    m = setup.em_substeps
+    dt = dt_e / m
 
     if algo == "adam":  # warm-start time max(10 dt, 0.01 T)
         t0 = max(10 * dt, 0.01 * setup.T)
@@ -285,7 +295,6 @@ def compare_at_eta(
     if k0 >= n_steps:
         raise ValueError(f"warm start k0={k0} swallows the whole horizon ({n_steps} steps)")
     ks = _checkpoint_steps(k0, n_steps, setup.n_checkpoints)
-    t_checkpoints = [k * dt_e for k in ks]
     fns = TestFunctionSet.from_names(fn_names, d)
 
     rng = derive_rng(root_seed, "order", algo, f"eta={eta!r}")
@@ -294,7 +303,7 @@ def compare_at_eta(
     # draws; each block is drawn when its step runs
     oracle = GaussianOracle(setup.problem, setup.cov, sigma)
     # SGD never reads v, and its sigma is 1, so unit u0 is as good as any
-    u0 = np.ones(d) if setup.u0 is None else setup.u0
+    u0 = np.ones(d) if algo == "sgd" else setup.u0
     state = OptimizerState.initial(
         np.broadcast_to(setup.theta0, (S, d)), v0=np.broadcast_to(u0 * sigma**2, (S, d))
     )
@@ -309,12 +318,10 @@ def compare_at_eta(
         x0 = state.theta.copy()
     # coupled, each discrete step's noise is the normalized Wiener increment
     # over its interval
-    em_noise, sums = _shared_path(
-        rng, n_steps - k0, setup.em_substeps, (S, d), (1,) if setup.coupled else ()
-    )
+    em_noise, sums = _shared_path(rng, n_steps - k0, m, (S, d), (1,) if setup.coupled else ())
     em_rec = euler_maruyama(
-        _build_system(setup, eta), x0, k0 * dt_e, n_steps * dt_e, dt, None, fns,
-        t_checkpoints, noise=em_noise,
+        _build_system(setup, eta), x0, k0 * dt_e, dt, (n_steps - k0) * m, None, fns,
+        [(k - k0) * m for k in ks], noise=em_noise,
     )
     if setup.coupled:
         if algo != "adam":
@@ -323,11 +330,8 @@ def compare_at_eta(
             # identification flips sign except through Adam's momentum.
             np.negative(sums[1], out=sums[1])
         oracle = _SequencedGaussianOracle(setup.problem, setup.cov, sigma, sums[1])
-    discrete = run_discrete(
-        setup.problem, oracle, algo, hp, state, n_steps - k0, fns,
-        [k - k0 for k in ks], rng, cov=setup.cov,
-    )
-    return weak_error(discrete, em_rec, fn_names)
+    discrete = run_discrete(oracle, algo, hp, state, n_steps - k0, fns, [k - k0 for k in ks], rng)
+    return weak_error(discrete, em_rec)
 
 
 @dataclass
@@ -506,21 +510,15 @@ def svag_sweep(
         )
         rng = derive_rng(root_seed, "svag", setup.algo, f"ell={ell_i}")
         ks = [k * ell_i**2 for k in base_ks]
-        return run_discrete(
-            setup.problem, oracle, setup.algo, hp_ell, init,
-            base_steps * ell_i**2, fns, ks, rng, cov=setup.cov,
-        )
+        return run_discrete(oracle, setup.algo, hp_ell, init, base_steps * ell_i**2, fns, ks, rng)
 
     finest_first = {ell: run_cell(ell) for ell in reversed(ells)}
     records = {ell: finest_first[ell] for ell in ells}
-    for ell, rec in records.items():
-        expected = np.asarray(base_ks, dtype=float) * dt_e
-        if np.any(np.abs(rec.times - expected) > 1e-9):
-            raise AssertionError("amplified runs drifted off the shared time grid")
 
     # consecutive-ell pairs are weak-error reports, paired seed by seed
-    # (exact seed sharing under coupling)
-    pairs = [weak_error(records[a], records[b], fn_names) for a, b in zip(ells, ells[1:])]
+    # (exact seed sharing under coupling); weak_error rejects a pair whose
+    # runs left the shared time grid
+    pairs = [weak_error(records[a], records[b]) for a, b in zip(ells, ells[1:])]
     pair_x = [1.0 / ell**2 for ell in ells[:-1]]
     pair_gaps: dict[str, np.ndarray] = {}
     pair_se: dict[str, np.ndarray] = {}
@@ -595,8 +593,8 @@ def validate_scaling(
     scale ``sigma`` on ``cov``); the scaled run multiplies the batch by
     plan.kappa (or divides sigma by sqrt(kappa)) and runs floor(steps/kappa)
     steps with the plan's hyperparameters, so total continuous time matches
-    under the square-root rule. Checkpoints must be divisible by kappa so that aligned
-    pairs share exact times. Both runs start from u = 1. The plan's rule must
+    under the square-root rule. Checkpoints are base-run step indices and must be
+    divisible by kappa so that aligned pairs share exact times. Both runs start from u = 1. The plan's rule must
     name ``algo`` after its dash (``sqrt-rmsprop`` runs rmsprop): a plan built
     for another algorithm moves fields this one does not read.
     """
@@ -613,13 +611,9 @@ def validate_scaling(
         raise ValueError("kappa must be at least 1")
     if abs(kappa - round(kappa)) > 1e-12:
         raise ValueError("kappa must be an integer for exact checkpoint alignment")
-    checkpoints = sorted(int(k) for k in checkpoints)
-    if not checkpoints:
-        raise ValueError("need at least one checkpoint")
+    checkpoints = list(checkpoints)
     if any(k % int(round(kappa)) != 0 for k in checkpoints):
         raise ValueError("checkpoints must be multiples of kappa for exact alignment")
-    if checkpoints[-1] > base_steps:
-        raise ValueError("checkpoints exceed the base run length")
     d = problem.dim
     theta0 = np.zeros(d) if theta0 is None else np.asarray(theta0, dtype=float)
     fns = TestFunctionSet.from_names(fn_names, d)
@@ -633,7 +627,7 @@ def validate_scaling(
             np.broadcast_to(theta0, (seeds, d)), v0=oracle.sigma_effective**2
         )
         rng = derive_rng(root_seed, "scaling", plan.rule, tag)
-        return run_discrete(problem, oracle, algo, hp, init, steps, fns, ks, rng, cov=cov)
+        return run_discrete(oracle, algo, hp, init, steps, fns, ks, rng)
 
     scaled_steps = plan.map_step(base_steps)
     scaled_ks = [plan.map_step(k) for k in checkpoints]
@@ -722,13 +716,12 @@ def linear_warmup_check(
     v0 = g_bar**2 + sigma**2
     init = OptimizerState.initial(np.zeros((seeds, d)), v0=np.broadcast_to(v0, (seeds, d)))
     fns = TestFunctionSet.from_names([f"theta_{i}" for i in range(d)], d)
-    ks = sorted(set(int(k) for k in (checkpoints or [k_max])))
+    checkpoints = checkpoints or [k_max]
     rng = derive_rng(root_seed, "warmup")
-    rec = run_discrete(problem, oracle, "rmsprop", hp, init, k_max, fns, ks, rng)
+    rec = run_discrete(oracle, "rmsprop", hp, init, k_max, fns, checkpoints, rng)
 
-    k = ks[-1]
-    idx = len(ks) - 1
-    samples = np.stack([rec.values[f"theta_{i}"][idx] for i in range(d)], axis=1)
+    k = max(checkpoints)  # the last row recorded
+    samples = np.stack([rec.values[f"theta_{i}"][-1] for i in range(d)], axis=1)
     emp_mean = samples.mean(axis=0)
     emp_var = samples.var(axis=0, ddof=1)
     exact_mean = -k * eta * g_bar / np.sqrt(g_bar**2 + sigma**2)

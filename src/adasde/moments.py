@@ -147,7 +147,6 @@ def _moments_from_samples(delta: np.ndarray, eta: float) -> OneStepMoments:
 
 
 def mc_discrete_moments(
-    problem: Problem,
     oracle: GradientOracle,
     algo: str,
     theta,

@@ -142,7 +142,6 @@ def effective_time_step(algo: str, eta: float) -> float:
 
 
 def run_discrete(
-    problem,
     oracle: GradientOracle,
     algo: str,
     hp: HyperParams,
@@ -151,20 +150,17 @@ def run_discrete(
     fns: TestFunctionSet,
     checkpoints,
     rng: np.random.Generator,
-    cov=None,
 ) -> TrajectoryRecord:
     """Run an ensemble of discrete trajectories and record test functions.
 
     ``init.theta`` of shape (seeds, d) advances all seeds through a shared
     vectorized noise stream; a (d,) initial state runs a single trajectory.
-    Checkpoints are step indices in [0, steps]; recorded states carry
-    u = v / sigma_effective^2 so discrete and continuous records share a
-    domain. Any non-finite value aborts with the offending step index.
+    The problem is the oracle's. Checkpoints are step indices in [0, steps];
+    recorded states carry u = v / sigma_effective^2 so discrete and
+    continuous records share a domain. Any non-finite value aborts with the offending step index.
     """
     step = step_function(algo)
-    checkpoints = sorted(set(int(c) for c in checkpoints))
-    if checkpoints and (checkpoints[0] < 0 or checkpoints[-1] > steps):
-        raise ValueError("checkpoints must lie in [0, steps]")
+    recorder = _Recorder(fns, checkpoints, steps)
     state = init
     if state.theta.ndim == 1:
         state = OptimizerState(state.theta[None, :], state.m[None, :], state.v[None, :], state.k)
@@ -172,7 +168,6 @@ def run_discrete(
     sigma = oracle.sigma_effective
     dt_e = effective_time_step(algo, hp.eta)
     adaptive = algo in ("rmsprop", "adam")
-    recorder = _Recorder(fns)
 
     def snapshot(s: OptimizerState) -> None:
         u = s.v / sigma**2 if (adaptive and sigma > 0) else None
@@ -180,21 +175,19 @@ def run_discrete(
             theta=s.theta,
             t=s.k * dt_e,
             k=s.k,
-            problem=problem,
+            problem=oracle.problem,
             m=s.m if algo == "adam" else None,
             u=u,
-            cov=cov,
         )
         recorder.record(view)
 
-    want = set(checkpoints)
-    if 0 in want:
+    if 0 in recorder.checkpoints:
         snapshot(state)
     for n in range(1, steps + 1):
         g = oracle.sample(state.theta, rng)
         state = step(state, g, hp)
         if not (np.all(np.isfinite(state.theta)) and np.all(np.isfinite(state.v)) and np.all(np.isfinite(state.m))):
             raise NonFiniteError(state.k, f"algo={algo}, eta={hp.eta}")
-        if n in want:
+        if n in recorder.checkpoints:
             snapshot(state)
     return recorder.build()

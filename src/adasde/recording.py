@@ -1,9 +1,11 @@
 """Test functions over recorded states and the trajectory record they fill.
 
 Discrete runs and integrated paths are recorded through the same interface:
-at each checkpoint the runner builds a StateView (theta, optional momentum,
-optional noise-normalized second moment u, continuous time t) and evaluates
-every registered test function on it, one value per seed.
+both take a step count and checkpoint step indices, which ``_Recorder``
+checks. At a checkpoint step, and only there, the runner builds a StateView
+(theta, optional momentum, optional noise-normalized second moment u,
+continuous time t) and evaluates every test function on it, one value per
+seed.
 """
 from __future__ import annotations
 
@@ -27,7 +29,10 @@ class NonFiniteError(RuntimeError):
 
 @dataclass(frozen=True)
 class StateView:
-    """Snapshot handed to test functions; arrays have shape (seeds, d)."""
+    """Snapshot handed to test functions; arrays have shape (seeds, d).
+
+    Nothing in this package reads ``k`` or ``cov``; they serve views built by hand.
+    """
 
     theta: np.ndarray
     t: float
@@ -61,18 +66,10 @@ def _grad_norm(view: StateView) -> np.ndarray:
     return np.sqrt(np.sum(g**2, axis=-1))
 
 
-def _cov_trace(view: StateView) -> np.ndarray:
-    if view.cov is None:
-        raise ValueError("state has no covariance spec; cov_trace unavailable")
-    diag = view.cov.diagonal(view.problem, view.theta)
-    return np.broadcast_to(np.sum(diag, axis=-1), view.theta.shape[:-1]).copy()
-
-
 _NAMED = {
     "theta_norm_sq": _theta_norm_sq,
     "loss": _loss,
     "grad_norm": _grad_norm,
-    "cov_trace": _cov_trace,
 }
 
 
@@ -101,7 +98,7 @@ class TestFunctionSet:
 
     @classmethod
     def from_names(cls, names: list[str], dim: int) -> "TestFunctionSet":
-        """Build a set from names (theta_norm_sq, loss, grad_norm, cov_trace, theta_i, u_i, m_i)."""
+        """Build a set from names (theta_norm_sq, loss, grad_norm, theta_i, u_i, m_i)."""
         fns = {}
         for name in names:
             if name in fns:
@@ -160,9 +157,21 @@ class TrajectoryRecord:
 
 
 class _Recorder:
-    """Accumulates checkpoint evaluations into a TrajectoryRecord."""
+    """Accumulates checkpoint evaluations into a TrajectoryRecord.
 
-    def __init__(self, fns: TestFunctionSet):
+    Owns both runners' checkpoint rule: at least one step index, each an
+    integer in [0, steps]. A runner records a step only if it is in
+    ``checkpoints``.
+    """
+
+    def __init__(self, fns: TestFunctionSet, checkpoints, steps: int):
+        checkpoints = list(checkpoints)
+        if not checkpoints:
+            raise ValueError("need at least one checkpoint")
+        for c in checkpoints:
+            if not isinstance(c, (int, np.integer)) or not 0 <= c <= steps:
+                raise ValueError(f"checkpoints must be integers in [0, {steps}], got {c!r}")
+        self.checkpoints = frozenset(int(c) for c in checkpoints)
         self.fns = fns
         self.times: list[float] = []
         self.rows: dict[str, list[np.ndarray]] = {name: [] for name in fns.names}

@@ -26,15 +26,17 @@ Every integration runs through one Euler-Maruyama loop, ``_em_loop``, which
 owns the step and the checks on each state (finite values, u > 0 on an
 unclamped system with a u block). ``euler_maruyama`` starts a path
 ensemble x0 of shape (paths, D) at time t0 >= 0 (Adam's system needs
-t0 > 0) and records test functions at checkpoints on top of it; the
-one-step moment estimators call the loop directly. The loop reads its
+t0 > 0), takes n_steps steps of dt and records test functions at checkpoint
+step indices, as the discrete runner does: step i is at t0 + i dt, so a run
+at m substeps per discrete step reads step k at m k. The one-step moment
+estimators call the loop directly. The loop reads its
 standard-normal increments one step's block at a time, from any iterable of
 blocks or from its rng, so no caller has to hold a whole path of noise.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -88,17 +90,20 @@ class SdeSystem:
 
     Both return (..., D) arrays: ``drift(x, t)`` the drift, and
     ``apply_diffusion(x, t, dw)`` the noise increment of a draw dw of shape
-    (..., noise_dim).
+    (..., noise_dim). ``blocks`` maps each block name to its slice of the
+    state; the state dimension D is where the last block stops.
     """
 
-    state_dim: int
     noise_dim: int
     drift: Callable
     apply_diffusion: Callable
-    blocks: dict = field(default_factory=dict)  # name -> slice
+    blocks: dict  # name -> slice
     problem: Problem | None = None
-    cov: CovarianceSpec | None = None
     u_min: float | None = None  # set on clamped systems, whose u need not stay positive
+
+    @property
+    def state_dim(self) -> int:
+        return max(sl.stop for sl in self.blocks.values())
 
     def block(self, x: np.ndarray, name: str) -> np.ndarray | None:
         sl = self.blocks.get(name)
@@ -142,13 +147,11 @@ def build_rmsprop_sde(
         return out
 
     return SdeSystem(
-        state_dim=2 * d,
         noise_dim=d,
         drift=drift,
         apply_diffusion=apply_diffusion,
         blocks={"theta": slice(0, d), "u": slice(d, 2 * d)},
         problem=problem,
-        cov=cov,
         u_min=u_min,
     )
 
@@ -196,13 +199,11 @@ def build_adam_sde(
         return out
 
     return SdeSystem(
-        state_dim=3 * d,
         noise_dim=d,
         drift=drift,
         apply_diffusion=apply_diffusion,
         blocks={"theta": slice(0, d), "m": slice(d, 2 * d), "u": slice(2 * d, 3 * d)},
         problem=problem,
-        cov=cov,
         u_min=u_min,
     )
 
@@ -221,13 +222,11 @@ def build_sgd_sde(problem: Problem, cov: CovarianceSpec, eta: float) -> SdeSyste
         return amp * cov.apply_sqrt(problem, x, dw)
 
     return SdeSystem(
-        state_dim=d,
         noise_dim=d,
         drift=drift,
         apply_diffusion=apply_diffusion,
         blocks={"theta": slice(0, d)},
         problem=problem,
-        cov=cov,
     )
 
 
@@ -303,19 +302,20 @@ def euler_maruyama(
     system: SdeSystem,
     x0,
     t0: float,
-    t_end: float,
     dt: float,
+    n_steps: int,
     rng: np.random.Generator | None,
     fns: TestFunctionSet,
-    checkpoint_times,
+    checkpoints,
     noise: Iterable[np.ndarray] | None = None,
 ) -> TrajectoryRecord:
-    """Fixed-step integration of a path ensemble from x0 at time t0, recorded at checkpoints.
+    """Integrate a path ensemble from x0 at time t0 for n_steps steps of dt, recorded at checkpoints.
 
     ``x0`` of shape (paths, D) (or (D,) for one path) integrates all paths
-    against a shared vectorized stream from the start time ``t0 >= 0`` to
-    ``t_end``; checkpoints snap to the nearest grid time (callers align the
-    grid so they coincide). ``noise`` optionally supplies the standard-normal
+    against a shared vectorized stream from the start time ``t0 >= 0``.
+    ``checkpoints`` are step indices, integers in [0, n_steps] (``_Recorder``
+    checks them); step i is recorded at time t0 + i dt, and no other step
+    builds a view. ``noise`` optionally supplies the standard-normal
     increments as an iterable of (paths, noise_dim) blocks, one per step in
     order (an (n_steps, paths, noise_dim) array qualifies), enabling exact
     noise sharing between systems; a generator lets the caller draw each
@@ -325,21 +325,10 @@ def euler_maruyama(
         raise ValueError("time must be nonnegative")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    span = t_end - t0
-    if span < -1e-12:
-        raise ValueError("t_end must not precede the initial time")
-    n_steps = max(int(round(span / dt)), 0)
-
-    grid_index: dict[int, float] = {}
-    for c in sorted(float(c) for c in checkpoint_times):
-        if c < t0 - 1e-12 or c > t_end + 1e-12:
-            raise ValueError(f"checkpoint {c} outside [{t0}, {t_end}]")
-        grid_index[min(max(int(round((c - t0) / dt)), 0), n_steps)] = c
-
-    recorder = _Recorder(fns)
+    recorder = _Recorder(fns, checkpoints, n_steps)
 
     def snapshot(xc, idx):
-        if idx not in grid_index:
+        if idx not in recorder.checkpoints:
             return
         view = StateView(
             theta=xc[..., system.blocks["theta"]],
@@ -348,7 +337,6 @@ def euler_maruyama(
             problem=system.problem,
             m=system.block(xc, "m"),
             u=system.block(xc, "u"),
-            cov=system.cov,
         )
         recorder.record(view)
 

@@ -39,3 +39,34 @@ def _unused_imports(module_name: str) -> list[str]:
 def test_no_unused_imports():
     unused = {name: names for name in MODULES if (names := _unused_imports(name))}
     assert not unused, f"imported but never read: {unused}"
+
+
+def _unused_parameters(module_name: str) -> list[str]:
+    """``function(param)`` for each parameter a module-level function never reads.
+
+    Methods and closures are exempt: they implement an interface
+    (``drift(x, t)``, ``sample(theta, rng)``) whose every argument a given
+    implementation need not read. A read inside a closure counts for the
+    enclosing function.
+    """
+    module = importlib.import_module(module_name)
+    tree = ast.parse(pathlib.Path(module.__file__).read_text())
+    unused = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [
+            a for a in (args.vararg, args.kwarg) if a is not None
+        ]
+        read = {
+            n.id for stmt in node.body for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        unused += [f"{node.name}({p.arg})" for p in params if p.arg not in read]
+    return unused
+
+
+def test_no_unused_parameters():
+    unused = {name: names for name in MODULES if (names := _unused_parameters(name))}
+    assert not unused, f"parameters never read: {unused}"

@@ -532,19 +532,36 @@ class TestSweepArguments:
 
     @pytest.mark.parametrize("field, value", [
         ("theta0", [1.0, 1.0, 1.0]), ("u0", [1.0, 1.0, 1.0]), ("u0", [0.0, 1.0]), ("u0", [1.0, -0.5]),
-    ], ids=["theta0-shape", "u0-shape", "u0-zero", "u0-negative"])
+        ("theta0", [np.nan, 1.0]), ("u0", [np.inf, 1.0]),
+    ], ids=["theta0-shape", "u0-shape", "u0-zero", "u0-negative", "theta0-nan", "u0-inf"])
     def test_setup_rejects_vectors_that_fail_later(self, field, value):
         # unchecked, each fails only inside a run, with a message that names no field
         vectors = {"theta0": np.ones(2), "u0": np.ones(2), field: np.array(value)}
         with pytest.raises(ValueError, match=field):
             ApproximationSetup(PROBLEM, COV, "rmsprop", **vectors)
 
+    @pytest.mark.parametrize("field, value", [
+        ("sigma0", 2.0), ("epsilon0", 0.1), ("c1", 1.0), ("c2", 3.0), ("u0", np.ones(2)),
+    ], ids=["sigma0", "epsilon0", "c1", "c2", "u0"])
+    def test_sgd_setup_rejects_constants_it_ignores(self, field, value):
+        # the SGD SDE reads none of these: each one set away from its default
+        # ran at the default and reported the same gaps bit for bit
+        with pytest.raises(ValueError, match=f"SGD setups ignore {field}"):
+            ApproximationSetup(PROBLEM, COV, "sgd", theta0=np.ones(2), **{field: value})
+
     def test_weak_error_rejects_unequal_seed_counts(self):
         def record(seeds):
             return TrajectoryRecord([0.1, 0.2], {"theta_0": np.zeros((2, seeds))})
 
         with pytest.raises(ValueError, match="equal seed counts"):
-            weak_error(record(4), record(5), ["theta_0"])
+            weak_error(record(4), record(5))
+
+    def test_weak_error_rejects_records_of_different_functions(self):
+        def record(name):
+            return TrajectoryRecord([0.1, 0.2], {name: np.zeros((2, 4))})
+
+        with pytest.raises(ValueError, match="different test functions"):
+            weak_error(record("theta_0"), record("loss"))
 
 
 class TestSequencedGaussianOracle:

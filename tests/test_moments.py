@@ -115,7 +115,7 @@ class TestMcDiscrete:
         oracle = GaussianOracle(self.p, self.cov, sigma=0.0)
         hp = hyperparams_from_constants("rmsprop", 0.1, sigma0=1.0, epsilon0=0.1, c2=1.0)[0]
         mom = mc_discrete_moments(
-            self.p, oracle, "rmsprop", [1.0, 1.0], [1.0, 1.0], hp, 1000, rng()
+            oracle, "rmsprop", [1.0, 1.0], [1.0, 1.0], hp, 1000, rng()
         )
         np.testing.assert_allclose(mom.first_se, 0.0, atol=1e-14)
         assert np.all(np.abs(mom.second - np.outer(mom.first, mom.first)) < 1e-14)
@@ -125,7 +125,7 @@ class TestMcDiscrete:
         hp, sigma = hyperparams_from_constants("rmsprop", eta, sigma0=1.0, epsilon0=0.0, c2=1.0)
         oracle = GaussianOracle(self.p, self.cov, sigma=sigma)
         theta, u = np.array([1.0, -0.5]), np.array([1.1, 0.9])
-        mc = mc_discrete_moments(self.p, oracle, "rmsprop", theta, u, hp, 100_000, rng(1))
+        mc = mc_discrete_moments(oracle, "rmsprop", theta, u, hp, 100_000, rng(1))
         an = analytic_rmsprop_moments(self.p, self.cov, theta, u, 1.0, 0.0, 1.0, eta)
         np.testing.assert_array_less(np.abs(mc.first - an.first), 4 * mc.first_se + 1e-15)
 
@@ -135,7 +135,7 @@ class TestMcDiscrete:
         oracle = GaussianOracle(self.p, self.cov, sigma=sigma)
         theta, m, u = np.array([1.0, -0.5]), np.array([0.3, 0.0]), np.array([1.1, 0.9])
         mc = mc_discrete_moments(
-            self.p, oracle, "adam", theta, u, hp, 100_000, rng(2), m=m, k=4
+            oracle, "adam", theta, u, hp, 100_000, rng(2), m=m, k=4
         )
         an = analytic_adam_moments(self.p, self.cov, theta, m, u, 1.0, 0.1, 2.0, 1.0, eta, k=4)
         np.testing.assert_array_less(np.abs(mc.first - an.first), 4 * mc.first_se + 1e-15)
@@ -143,8 +143,8 @@ class TestMcDiscrete:
     def test_se_shrinks_with_sqrt_samples(self):
         hp, sigma = hyperparams_from_constants("rmsprop", 0.1, sigma0=1.0, epsilon0=0.0, c2=1.0)
         oracle = GaussianOracle(self.p, self.cov, sigma=sigma)
-        small = mc_discrete_moments(self.p, oracle, "rmsprop", [1.0, 0.0], [1.0, 1.0], hp, 20_000, rng(3))
-        large = mc_discrete_moments(self.p, oracle, "rmsprop", [1.0, 0.0], [1.0, 1.0], hp, 80_000, rng(4))
+        small = mc_discrete_moments(oracle, "rmsprop", [1.0, 0.0], [1.0, 1.0], hp, 20_000, rng(3))
+        large = mc_discrete_moments(oracle, "rmsprop", [1.0, 0.0], [1.0, 1.0], hp, 80_000, rng(4))
         ratio = np.median(small.first_se / large.first_se)
         assert ratio == pytest.approx(2.0, rel=0.15)
 
@@ -152,7 +152,6 @@ class TestMcDiscrete:
 class TestMcSde:
     def test_zero_dynamics_zero_moments(self):
         system = SdeSystem(
-            state_dim=1,
             noise_dim=1,
             drift=lambda x, t: np.zeros_like(x),
             apply_diffusion=lambda x, t, dw: np.zeros_like(x),
@@ -211,7 +210,7 @@ class TestCompareMoments:
         def make_mc(eta):
             hp, sigma = hyperparams_from_constants("rmsprop", eta, 1.0, 0.0, 1.0)
             oracle = GaussianOracle(p, cov, sigma=sigma)
-            return mc_discrete_moments(p, oracle, "rmsprop", theta, u, hp, 600_000, rng(7))
+            return mc_discrete_moments(oracle, "rmsprop", theta, u, hp, 600_000, rng(7))
 
         out = residual_decay_sweep(make_analytic, make_mc, [0.2, 0.1, 0.05], block=slice(0, 2))
         assert 3.2 <= out["slope"] <= 4.8

@@ -189,7 +189,7 @@ class TestRunDiscrete:
     def test_zero_steps_records_initial_checkpoint_only(self):
         oracle = GaussianOracle(self.problem, self.cov, sigma=1.0)
         rec = run_discrete(
-            self.problem, oracle, "rmsprop", self.hp, self.init, 0, self.fns, [0],
+            oracle, "rmsprop", self.hp, self.init, 0, self.fns, [0],
             np.random.default_rng(0),
         )
         assert rec.times.tolist() == [0.0]
@@ -199,7 +199,7 @@ class TestRunDiscrete:
         oracle = GaussianOracle(self.problem, self.cov, sigma=0.0)
         fns = TestFunctionSet.from_names(["theta_0", "theta_1", "theta_norm_sq", "loss", "grad_norm"], 2)
         rec = run_discrete(
-            self.problem, oracle, "sgd", self.hp, self.init, 5, fns, [5],
+            oracle, "sgd", self.hp, self.init, 5, fns, [5],
             np.random.default_rng(0),
         )
         vals = rec.values["theta_0"][0]
@@ -209,7 +209,7 @@ class TestRunDiscrete:
         oracle = GaussianOracle(self.problem, self.cov, sigma=1.0)
         recs = [
             run_discrete(
-                self.problem, oracle, "rmsprop", self.hp, self.init, 20, self.fns,
+                oracle, "rmsprop", self.hp, self.init, 20, self.fns,
                 [0, 10, 20], np.random.default_rng(123),
             )
             for _ in range(2)
@@ -220,13 +220,13 @@ class TestRunDiscrete:
     def test_continuous_time_scaling(self):
         oracle = GaussianOracle(self.problem, self.cov, sigma=1.0)
         rec = run_discrete(
-            self.problem, oracle, "rmsprop", self.hp, self.init, 10, self.fns, [10],
+            oracle, "rmsprop", self.hp, self.init, 10, self.fns, [10],
             np.random.default_rng(0),
         )
         assert rec.times[-1] == pytest.approx(10 * 0.1**2)
         fns = TestFunctionSet.from_names(["theta_0", "theta_1", "theta_norm_sq", "loss", "grad_norm"], 2)
         rec_sgd = run_discrete(
-            self.problem, oracle, "sgd", self.hp, self.init, 10, fns, [10],
+            oracle, "sgd", self.hp, self.init, 10, fns, [10],
             np.random.default_rng(0),
         )
         assert rec_sgd.times[-1] == pytest.approx(10 * 0.1)
@@ -239,7 +239,7 @@ class TestRunDiscrete:
         fns = TestFunctionSet.from_names(["theta_0", "theta_norm_sq", "loss", "grad_norm"], 1)
         with pytest.raises(NonFiniteError) as err:
             run_discrete(
-                p, oracle, "sgd", HyperParams(eta=1e160), init, 10, fns, [10],
+                oracle, "sgd", HyperParams(eta=1e160), init, 10, fns, [10],
                 np.random.default_rng(0),
             )
         assert err.value.step >= 1

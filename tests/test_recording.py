@@ -1,9 +1,14 @@
-"""Test-function sets: name lookup and the checks on what a function returns."""
+"""Test-function sets, and the checkpoint rule both runners share."""
+import re
+
 import numpy as np
 import pytest
 
-from adasde.problems import QuadraticProblem
+from adasde.ngos import GaussianOracle
+from adasde.optimizers import HyperParams, OptimizerState, run_discrete
+from adasde.problems import IsotropicCovariance, QuadraticProblem
 from adasde.recording import StateView, TestFunctionSet
+from adasde.sde import build_rmsprop_sde, euler_maruyama
 
 PROBLEM = QuadraticProblem(np.eye(2))
 
@@ -42,3 +47,46 @@ class TestEvaluate:
         fns = TestFunctionSet.from_names(["theta_0", "theta_1"], dim=2)
         with pytest.raises(ValueError, match="'theta_1' produced non-finite"):
             fns.evaluate(view([[1.0, np.inf]]))
+
+
+STEPS = 4
+THETA_0 = TestFunctionSet.from_names(["theta_0"], dim=2)
+
+
+def discrete_run(checkpoints):
+    # eta = 0.1: step k sits at t = k eta^2 = 0.01 k
+    oracle = GaussianOracle(PROBLEM, IsotropicCovariance(1.0), sigma=1.0)
+    init = OptimizerState.initial(np.ones((2, 2)), v0=1.0)
+    return run_discrete(
+        oracle, "rmsprop", HyperParams(eta=0.1), init, STEPS, THETA_0, checkpoints,
+        np.random.default_rng(0),
+    )
+
+
+def integrated_run(checkpoints):
+    # dt = 0.01: step k sits at t = 0.01 k
+    system = build_rmsprop_sde(PROBLEM, IsotropicCovariance(1.0), 1.0, 0.0, 1.0)
+    return euler_maruyama(
+        system, np.ones((2, 4)), 0.0, 0.01, STEPS, np.random.default_rng(0), THETA_0, checkpoints
+    )
+
+
+RUNNERS = {"run_discrete": discrete_run, "euler_maruyama": integrated_run}
+
+
+class TestCheckpointRule:
+    """Both runners take checkpoints as step indices, integers in [0, steps]."""
+
+    @pytest.mark.parametrize("checkpoint", [-1, STEPS + 1, 2.5])
+    @pytest.mark.parametrize("runner", list(RUNNERS))
+    def test_rejects_anything_but_a_step_of_the_run(self, runner, checkpoint):
+        # a fractional step used to be truncated (discrete) or snapped to the
+        # nearest grid time (integrated), recording a step nobody asked for
+        message = f"checkpoints must be integers in [0, {STEPS}], got {checkpoint!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RUNNERS[runner]([0, checkpoint])
+
+    @pytest.mark.parametrize("runner", list(RUNNERS))
+    def test_records_each_step_once_in_step_order(self, runner):
+        rec = RUNNERS[runner]([STEPS, 0, 2, 2])
+        np.testing.assert_allclose(rec.times, [0.0, 0.02, 0.04], rtol=0, atol=1e-15)

@@ -23,6 +23,7 @@ Statistical conventions:
 """
 from __future__ import annotations
 
+import collections
 import hashlib
 import math
 from dataclasses import dataclass, fields
@@ -38,7 +39,7 @@ from .optimizers import (
     effective_time_step,
     run_discrete,
 )
-from .problems import CovarianceSpec, Problem
+from .problems import CovarianceSpec, IsotropicCovariance, LinearProblem, Problem
 from .recording import TestFunctionSet, TrajectoryRecord
 from .scaling import DECAYS, ScalingPlan, hyperparams_from_constants, svag_transform_hparams
 from .sde import build_adam_sde, build_rmsprop_sde, build_sgd_sde, euler_maruyama
@@ -100,9 +101,17 @@ class _SequencedGaussianOracle(GaussianOracle):
             raise RuntimeError("sequenced oracle exhausted its draws") from None
 
 
+# The setup constants an adaptive SDE reads, one c per decay; SGD's reads none.
+_READS = {a: {"sigma0", "epsilon0", "u0", *c.values()} if c else set() for a, c in DECAYS.items()}
+
+
 @dataclass(frozen=True)
 class ApproximationSetup:
-    """One discrete-vs-continuous comparison family at fixed constants."""
+    """One discrete-vs-continuous comparison family at fixed constants.
+
+    RMSprop reads sigma0, epsilon0, c2 and u0, Adam these and c1, SGD none:
+    a constant read may not be None, one not read must keep its default.
+    """
 
     problem: Problem
     cov: CovarianceSpec
@@ -125,15 +134,18 @@ class ApproximationSetup:
             object.__setattr__(self, "u0", np.asarray(self.u0, dtype=float))
         if self.algo not in DECAYS:
             raise ValueError(f"unknown algorithm {self.algo!r}")
-        if self.algo == "sgd":
-            # the SGD SDE reads eta and the covariance alone, so any other
-            # constant set here would be ignored without a word
-            for f in fields(self):
-                if f.name not in ("sigma0", "epsilon0", "c1", "c2", "u0"):
-                    continue
-                value = getattr(self, f.name)
-                if value is not None if f.default is None else value != f.default:
-                    raise ValueError(f"SGD setups ignore {f.name}; leave it at {f.default!r}")
+        read = _READS[self.algo]
+        unread = set().union(*_READS.values()) - read
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in read and value is None:
+                raise ValueError(f"{self.algo} setups need {f.name}")
+            if f.name not in unread:
+                continue
+            if value is not None if f.default is None else value != f.default:
+                raise ValueError(
+                    f"{self.algo.upper()} setups ignore {f.name}; leave it at {f.default!r}"
+                )
         for name in ("theta0", "u0"):
             vec = getattr(self, name)
             if vec is None:
@@ -144,10 +156,6 @@ class ApproximationSetup:
                 raise ValueError(f"{name} must be finite, got {vec}")
         if self.u0 is not None and not np.all(self.u0 > 0):
             raise ValueError("u0 must be positive coordinatewise")
-        if self.algo != "sgd" and self.u0 is None:
-            raise ValueError("adaptive setups need u0")
-        if "c1" in DECAYS[self.algo].values() and self.c1 is None:
-            raise ValueError(f"{self.algo} setups need c1")
         if not isinstance(self.em_substeps, (int, np.integer)) or self.em_substeps < 1:
             raise ValueError(f"em_substeps must be an int >= 1, got {self.em_substeps!r}")
         if self.seeds < 2:  # every SE needs two samples
@@ -228,15 +236,16 @@ def _checkpoint_steps(k_start: int, n_steps: int, count: int) -> list[int]:
 def _shared_path(rng, steps: int, fine: int, shape, coarse):
     """One Brownian path at nested resolutions, drawn one step at a time.
 
-    Returns (blocks, sums). ``blocks`` yields the path's standard-normal
-    blocks of ``shape`` in draw order, ``fine`` per step for ``steps``
-    steps. For each m in ``coarse`` (each dividing ``fine``), ``sums[m]``
-    holds steps * m blocks, each the unit-variance sum of the fine // m fine
-    blocks it spans, written as ``blocks`` reaches them. A step's fine
-    blocks are dropped before the next step's are drawn, so a reader that
-    keeps no block holds one step of the path. A sum is one array, not a
-    list of blocks, so freeing it lifts glibc's heap-trim threshold above
-    the empirical covariance's per-substep temporaries.
+    Returns ``{m: blocks}`` for m = ``fine`` and each m in ``coarse`` (each
+    dividing ``fine``): the path's steps * m standard-normal blocks of
+    ``shape``, each the unit-variance sum of the fine // m fine blocks it
+    spans. The ``fine`` entry draws the path as it is read and writes the
+    coarser entries, arrays, as it goes, so it is read first (if ``fine`` is
+    in ``coarse`` too, the path is drawn at once). A step's fine blocks are
+    dropped before the next step's are drawn, so a reader that keeps no
+    block holds one step of the path. A sum is one array, not a list of
+    blocks, so freeing it lifts glibc's heap-trim threshold above the
+    empirical covariance's per-substep temporaries.
     """
     sums = {m: np.empty((steps * m, *shape)) for m in coarse}
 
@@ -250,7 +259,10 @@ def _shared_path(rng, steps: int, fine: int, shape, coarse):
             yield from block
             del block
 
-    return blocks(), sums
+    if fine in sums:  # two readers of the finest blocks: hold them all
+        collections.deque(blocks(), maxlen=0)
+        return sums
+    return {fine: blocks(), **sums}
 
 
 def _build_system(setup: ApproximationSetup, eta: float):
@@ -304,32 +316,27 @@ def compare_at_eta(
     oracle = GaussianOracle(setup.problem, setup.cov, sigma)
     # SGD never reads v, and its sigma is 1, so unit u0 is as good as any
     u0 = np.ones(d) if algo == "sgd" else setup.u0
-    state = OptimizerState.initial(
-        np.broadcast_to(setup.theta0, (S, d)), v0=np.broadcast_to(u0 * sigma**2, (S, d))
-    )
+    state = OptimizerState.initial(np.broadcast_to(setup.theta0, (S, d)), v0=u0 * sigma**2)
     for _ in range(k0):  # shared warm-up prefix, momentum path only
         state = adam_step(state, oracle.sample(state.theta, rng), hp)
 
-    if algo == "rmsprop":
-        x0 = np.concatenate([state.theta, np.broadcast_to(u0, (S, d))], axis=1)
-    elif algo == "adam":
-        x0 = np.concatenate([state.theta, state.m, state.v / sigma**2], axis=1)
-    else:
-        x0 = state.theta.copy()
+    system = _build_system(setup, eta)
+    blocks = {"theta": state.theta, "m": state.m, "u": state.v / sigma**2}
+    x0 = np.concatenate([blocks[b] for b in system.blocks], axis=1)
     # coupled, each discrete step's noise is the normalized Wiener increment
     # over its interval
-    em_noise, sums = _shared_path(rng, n_steps - k0, m, (S, d), (1,) if setup.coupled else ())
+    path = _shared_path(rng, n_steps - k0, m, (S, d), (1,) if setup.coupled else ())
     em_rec = euler_maruyama(
-        _build_system(setup, eta), x0, k0 * dt_e, dt, (n_steps - k0) * m, None, fns,
-        [(k - k0) * m for k in ks], noise=em_noise,
+        system, x0, k0 * dt_e, dt, (n_steps - k0) * m, None, fns,
+        [(k - k0) * m for k in ks], noise=path[m],
     )
     if setup.coupled:
         if algo != "adam":
             # The stored diffusion keeps a plus sign while the parameter-block
             # noise enters the discrete update negatively, so the pathwise
             # identification flips sign except through Adam's momentum.
-            np.negative(sums[1], out=sums[1])
-        oracle = _SequencedGaussianOracle(setup.problem, setup.cov, sigma, sums[1])
+            np.negative(path[1], out=path[1])
+        oracle = _SequencedGaussianOracle(setup.problem, setup.cov, sigma, path[1])
     discrete = run_discrete(oracle, algo, hp, state, n_steps - k0, fns, [k - k0 for k in ks], rng)
     return weak_error(discrete, em_rec)
 
@@ -470,7 +477,7 @@ def svag_sweep(
         if abs(ell - round(ell)) > 1e-12:
             raise ValueError("ell values must be integers so checkpoint grids coincide")
     d = setup.problem.dim
-    if setup.algo not in ("rmsprop", "adam"):
+    if not DECAYS[setup.algo]:
         raise ValueError("the amplified simulation applies to the adaptive algorithms")
     hp, sigma = hyperparams_from_constants(
         setup.algo, eta, setup.sigma0, setup.epsilon0, setup.c2, setup.c1
@@ -487,26 +494,22 @@ def svag_sweep(
                 raise ValueError("coupled sweeps need every ell to divide the largest ell")
         # cell ell reads ell^2 blocks per base step: the finest cell the shared
         # path as it is drawn, each coarser cell its sums of it
-        fine_path, draws = _shared_path(
+        path = _shared_path(
             derive_rng(root_seed, "svag", setup.algo, "shared-path"), base_steps, ell_max**2,
             (setup.seeds, d), [int(round(ell)) ** 2 for ell in ells[:-1]],
         )
-        draws[ell_max**2] = fine_path
-        del fine_path  # held by the finest cell alone, its last block goes with it
 
     def run_cell(ell: float) -> TrajectoryRecord:
         ell_i = int(round(ell))
         hp_ell = svag_transform_hparams(hp, ell, setup.algo) if ell > 1 else hp
         if setup.coupled:
             oracle: GradientOracle = _SequencedGaussianOracle(
-                setup.problem, setup.cov, ell * sigma, draws.pop(ell_i**2)
+                setup.problem, setup.cov, ell * sigma, path.pop(ell_i**2)
             )
         else:
             oracle = SvagOracle(base_oracle, ell) if ell > 1 else base_oracle
-        sig_eff = oracle.sigma_effective
-        theta0 = np.broadcast_to(setup.theta0, (setup.seeds, d))
         init = OptimizerState.initial(
-            theta0, v0=np.broadcast_to(setup.u0 * sig_eff**2, (setup.seeds, d))
+            np.broadcast_to(setup.theta0, (setup.seeds, d)), v0=setup.u0 * oracle.sigma_effective**2
         )
         rng = derive_rng(root_seed, "svag", setup.algo, f"ell={ell_i}")
         ks = [k * ell_i**2 for k in base_ks]
@@ -593,10 +596,11 @@ def validate_scaling(
     scale ``sigma`` on ``cov``); the scaled run multiplies the batch by
     plan.kappa (or divides sigma by sqrt(kappa)) and runs floor(steps/kappa)
     steps with the plan's hyperparameters, so total continuous time matches
-    under the square-root rule. Checkpoints are base-run step indices and must be
-    divisible by kappa so that aligned pairs share exact times. Both runs start from u = 1. The plan's rule must
-    name ``algo`` after its dash (``sqrt-rmsprop`` runs rmsprop): a plan built
-    for another algorithm moves fields this one does not read.
+    under the square-root rule. Checkpoints are base-run step indices and
+    must be divisible by kappa so that aligned pairs share exact times. Both
+    runs start from u = 1. The plan's rule must name ``algo`` after its dash
+    (``sqrt-rmsprop`` runs rmsprop): a plan built for another algorithm
+    moves fields this one does not read.
     """
     if plan.rule.partition("-")[2] != algo:
         raise ValueError(f"plan {plan.rule!r} was built for another algorithm than {algo!r}")
@@ -685,12 +689,11 @@ def linear_warmup_check(
     g_bar,
     sigma: float,
     eta: float,
-    k_max: int,
+    k: int,
     seeds: int,
     root_seed: int,
-    checkpoints=None,
 ) -> WarmupReport:
-    """Frozen-v run on a linear loss against its exact per-coordinate law.
+    """Frozen-v run of k steps on a linear loss against the exact law of step k.
 
     With decay frozen at 1, v stays at g_bar^2 + sigma^2 forever and each
     coordinate of theta_k is exactly Gaussian:
@@ -702,8 +705,6 @@ def linear_warmup_check(
     (-k eta/sigma g, k eta^2 I); both the exact law (within 4 SE) and the
     approximation residual are reported. Requires sigma >= 100 max|g_i|.
     """
-    from .problems import IsotropicCovariance, LinearProblem
-
     g_bar = np.atleast_1d(np.asarray(g_bar, dtype=float))
     if sigma < 100.0 * np.max(np.abs(g_bar)):
         raise ValueError("noise dominance requires sigma >= 100 * max|g_bar|")
@@ -716,12 +717,10 @@ def linear_warmup_check(
     v0 = g_bar**2 + sigma**2
     init = OptimizerState.initial(np.zeros((seeds, d)), v0=np.broadcast_to(v0, (seeds, d)))
     fns = TestFunctionSet.from_names([f"theta_{i}" for i in range(d)], d)
-    checkpoints = checkpoints or [k_max]
     rng = derive_rng(root_seed, "warmup")
-    rec = run_discrete(oracle, "rmsprop", hp, init, k_max, fns, checkpoints, rng)
+    rec = run_discrete(oracle, "rmsprop", hp, init, k, fns, [k], rng)
 
-    k = max(checkpoints)  # the last row recorded
-    samples = np.stack([rec.values[f"theta_{i}"][-1] for i in range(d)], axis=1)
+    samples = np.stack([rec.values[f"theta_{i}"][0] for i in range(d)], axis=1)
     emp_mean = samples.mean(axis=0)
     emp_var = samples.var(axis=0, ddof=1)
     exact_mean = -k * eta * g_bar / np.sqrt(g_bar**2 + sigma**2)

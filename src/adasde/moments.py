@@ -23,7 +23,7 @@ import numpy as np
 from .ngos import GradientOracle
 from .optimizers import HyperParams, OptimizerState, step_function
 from .problems import CovarianceSpec, Problem
-from .scaling import hyperparams_from_constants
+from .scaling import DECAYS, hyperparams_from_constants
 from .sde import SdeSystem, _em_loop
 from .stats import Moments, fit_loglog_slope, jackknife_moments, select_third_triples
 
@@ -166,7 +166,7 @@ def mc_discrete_moments(
     """
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
-    if algo not in ("rmsprop", "adam"):
+    if not DECAYS.get(algo):
         raise ValueError("one-step moments are defined for the adaptive algorithms")
     theta = np.asarray(theta, dtype=float)
     u = _check_positive_u(u)
@@ -197,18 +197,17 @@ def mc_sde_moments(
     t: float,
     eta: float,
     samples: int,
-    dt: float,
+    substeps: int,
     rng: np.random.Generator,
 ) -> OneStepMoments:
-    """Monte Carlo moments of X_{t + eta^2} - x over integrated paths from x."""
+    """Monte Carlo moments of X_{t + eta^2} - x over paths of substeps steps of eta^2 / substeps."""
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
-    if not 0 < dt <= eta**2 / 10:
-        raise ValueError("dt must lie in (0, eta^2 / 10]")
+    if not isinstance(substeps, (int, np.integer)) or substeps < 10:
+        raise ValueError(f"substeps must be an int >= 10, got {substeps!r}")
     x = np.asarray(x, dtype=float)
     x0 = np.broadcast_to(x, (samples, x.size)).copy()
-    n_steps = int(round(eta**2 / dt))
-    x1 = _em_loop(system, x0, t, eta**2 / n_steps, n_steps, rng)
+    x1 = _em_loop(system, x0, t, eta**2 / substeps, substeps, rng)
     return _moments_from_samples(x1 - x, eta)
 
 

@@ -29,9 +29,9 @@ ensemble x0 of shape (paths, D) at time t0 >= 0 (Adam's system needs
 t0 > 0), takes n_steps steps of dt and records test functions at checkpoint
 step indices, as the discrete runner does: step i is at t0 + i dt, so a run
 at m substeps per discrete step reads step k at m k. The one-step moment
-estimators call the loop directly. The loop reads its
-standard-normal increments one step's block at a time, from any iterable of
-blocks or from its rng, so no caller has to hold a whole path of noise.
+estimator calls the loop directly, for substeps >= 10 (an int) steps of eta^2 / substeps.
+The loop reads its standard-normal increments one step's block at a time, from
+any iterable of blocks or from its rng, so no caller holds a whole path of noise.
 """
 from __future__ import annotations
 

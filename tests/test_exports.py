@@ -6,6 +6,7 @@ import pkgutil
 import pytest
 
 import adasde
+from adasde.optimizers import ALGORITHMS
 
 MODULES = [f"adasde.{info.name}" for info in pkgutil.iter_modules(adasde.__path__)]
 
@@ -70,3 +71,30 @@ def _unused_parameters(module_name: str) -> list[str]:
 def test_no_unused_parameters():
     unused = {name: names for name in MODULES if (names := _unused_parameters(name))}
     assert not unused, f"parameters never read: {unused}"
+
+
+def _algorithm_lists(module_name: str) -> list[str]:
+    """``line: literal`` for each tuple, list or set literal of two or more algorithm names.
+
+    Which algorithms share a trait is said once, in ``optimizers`` (the
+    steps) and ``scaling`` (``DECAYS``); a list spelled out anywhere else
+    goes stale when an algorithm is added.
+    """
+    module = importlib.import_module(module_name)
+    tree = ast.parse(pathlib.Path(module.__file__).read_text())
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            continue
+        names = [e for e in node.elts if isinstance(e, ast.Constant) and e.value in ALGORITHMS]
+        if len(names) >= 2:
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_no_algorithm_lists_outside_their_owners():
+    owners = {"adasde.optimizers", "adasde.scaling"}
+    lists = {
+        name: found for name in MODULES if name not in owners and (found := _algorithm_lists(name))
+    }
+    assert not lists, f"algorithm names listed outside optimizers and scaling: {lists}"

@@ -28,7 +28,7 @@ from adasde.problems import (
     QuadraticProblem,
 )
 from adasde.recording import TrajectoryRecord
-from adasde.scaling import make_plan
+from adasde.scaling import DECAYS, make_plan
 from adasde.sde import build_rmsprop_sde
 
 FNS = ["theta_0", "loss"]
@@ -392,11 +392,11 @@ class TestCouplingInvariant:
     RATIO_BOUND = 0.2
 
     @staticmethod
-    def _reports(algo):
+    def _reports(algo, em_substeps=4):
         reports = {}
         for coupled in (True, False):
             setup = ApproximationSetup(
-                PROBLEM, COV, algo, theta0=np.ones(2), T=0.5, seeds=400, em_substeps=4,
+                PROBLEM, COV, algo, theta0=np.ones(2), T=0.5, seeds=400, em_substeps=em_substeps,
                 coupled=coupled, **ORDER_EXTRA[algo],
             )
             reports[coupled] = compare_at_eta(setup, 0.2, FNS, ROOT_SEED)
@@ -406,9 +406,12 @@ class TestCouplingInvariant:
     def _last_ratio(report, name):
         return report.paired_se[name][-1] / report.combined_se[name][-1]
 
+    # at one substep the integrator and the discrete run read the same blocks
+    # of the shared path, one after the other
+    @pytest.mark.parametrize("em_substeps", [4, 1])
     @pytest.mark.parametrize("algo", list(ORDER_EXTRA))
-    def test_coupling_shrinks_the_paired_se_and_keeps_the_gap(self, algo):
-        coupled, uncoupled = self._reports(algo)
+    def test_coupling_shrinks_the_paired_se_and_keeps_the_gap(self, algo, em_substeps):
+        coupled, uncoupled = self._reports(algo, em_substeps)
         for name in FNS:
             se = np.hypot(coupled.combined_se[name], uncoupled.combined_se[name])
             assert np.all(np.abs(coupled.gaps[name] - uncoupled.gaps[name]) <= 4.0 * se)
@@ -480,6 +483,18 @@ class TestNoiseMemory:
         assert peak < em_noise_bytes / 2
 
 
+# A value away from the default for every constant a setup may read. An
+# adaptive algorithm reads sigma0, epsilon0, u0 and the c of each of its
+# decays; SGD reads none of them.
+AWAY_FROM_DEFAULT = {"sigma0": 2.0, "epsilon0": 0.1, "c1": 1.0, "c2": 3.0, "u0": np.ones(2)}
+READS = {
+    algo: {"sigma0", "epsilon0", "u0", *decays.values()} if decays else set()
+    for algo, decays in DECAYS.items()
+}
+UNREAD = [(algo, f) for algo in DECAYS for f in AWAY_FROM_DEFAULT if f not in READS[algo]]
+UNSET = [(algo, f) for algo in DECAYS for f in ("u0", "c1") if f in READS[algo]]
+
+
 class TestSweepArguments:
     @pytest.mark.parametrize("ells", [(1,), (1, 2)])
     def test_svag_rejects_fewer_than_three_ells_before_any_run(self, ells, monkeypatch):
@@ -540,14 +555,21 @@ class TestSweepArguments:
         with pytest.raises(ValueError, match=field):
             ApproximationSetup(PROBLEM, COV, "rmsprop", **vectors)
 
-    @pytest.mark.parametrize("field, value", [
-        ("sigma0", 2.0), ("epsilon0", 0.1), ("c1", 1.0), ("c2", 3.0), ("u0", np.ones(2)),
-    ], ids=["sigma0", "epsilon0", "c1", "c2", "u0"])
-    def test_sgd_setup_rejects_constants_it_ignores(self, field, value):
-        # the SGD SDE reads none of these: each one set away from its default
-        # ran at the default and reported the same gaps bit for bit
-        with pytest.raises(ValueError, match=f"SGD setups ignore {field}"):
-            ApproximationSetup(PROBLEM, COV, "sgd", theta0=np.ones(2), **{field: value})
+    @pytest.mark.parametrize("algo, field", UNREAD, ids=[f"{a}-{f}" for a, f in UNREAD])
+    def test_setup_rejects_constants_it_ignores(self, algo, field):
+        # each one set away from its default ran at the default and reported
+        # the same gaps bit for bit
+        with pytest.raises(ValueError, match=f"{algo.upper()} setups ignore {field}"):
+            ApproximationSetup(
+                PROBLEM, COV, algo, theta0=np.ones(2), **ORDER_EXTRA[algo],
+                **{field: AWAY_FROM_DEFAULT[field]},
+            )
+
+    @pytest.mark.parametrize("algo, field", UNSET, ids=[f"{a}-{f}" for a, f in UNSET])
+    def test_setup_rejects_constants_it_reads_left_unset(self, algo, field):
+        extra = {k: v for k, v in ORDER_EXTRA[algo].items() if k != field}
+        with pytest.raises(ValueError, match=f"{algo} setups need {field}"):
+            ApproximationSetup(PROBLEM, COV, algo, theta0=np.ones(2), **extra)
 
     def test_weak_error_rejects_unequal_seed_counts(self):
         def record(seeds):
@@ -591,7 +613,7 @@ class TestMcSdeLoopChecks:
             QuadraticProblem(np.eye(1)), IsotropicCovariance(0.0), sigma0=1.0, epsilon0=0.0, c2=2000.0
         )
         with pytest.raises(ValueError, match="u reached zero"):
-            mc_sde_moments(system, [1.0, 1.0], 0.0, eta=0.1, samples=1000, dt=1e-3,
+            mc_sde_moments(system, [1.0, 1.0], 0.0, eta=0.1, samples=1000, substeps=10,
                            rng=np.random.default_rng(0))
 
 
@@ -687,15 +709,14 @@ class TestLinearWarmupCheck:
     # outside +-4 with probability ~6e-5 and the variance SE's normal
     # approximation holds; a failure means the frozen-v update or its
     # formulas moved.
-    G_BAR, SIGMA, ETA, K_MAX, SEEDS = (0.01, -0.02), 5.0, 0.1, 200, 2000
+    G_BAR, SIGMA, ETA, K, SEEDS = (0.01, -0.02), 5.0, 0.1, 200, 2000
 
-    def _check(self, checkpoints=None):
-        return linear_warmup_check(self.G_BAR, self.SIGMA, self.ETA, self.K_MAX, self.SEEDS,
-                                   ROOT_SEED, checkpoints=checkpoints)
+    def _check(self, k=K):
+        return linear_warmup_check(self.G_BAR, self.SIGMA, self.ETA, k, self.SEEDS, ROOT_SEED)
 
     def test_documented_regime_passes(self):
         report = self._check()
-        assert report.k == self.K_MAX
+        assert report.k == self.K
         assert report.passed
         assert np.all(report.approx_mean_rel_err < 1e-4)
         assert np.all(report.approx_var_rel_err < 1e-4)
@@ -707,11 +728,11 @@ class TestLinearWarmupCheck:
 
         monkeypatch.setattr(harness, "run_discrete", no_run)
         with pytest.raises(ValueError, match="seeds"):
-            linear_warmup_check(self.G_BAR, self.SIGMA, self.ETA, self.K_MAX, 1, ROOT_SEED)
+            linear_warmup_check(self.G_BAR, self.SIGMA, self.ETA, self.K, 1, ROOT_SEED)
 
-    def test_step_zero_checkpoint_scores_zero(self):
+    def test_zero_steps_score_zero(self):
         # every sample is theta_0 = 0: zero SE and an exact match, so z = 0, not 0/0
-        report = self._check(checkpoints=[0])
+        report = self._check(k=0)
         assert report.k == 0
         assert np.all(report.z_mean == 0.0) and np.all(report.z_var == 0.0)
         assert np.all(report.approx_mean_rel_err == 0.0) and np.all(report.approx_var_rel_err == 0.0)

@@ -157,7 +157,7 @@ class TestMcSde:
             apply_diffusion=lambda x, t, dw: np.zeros_like(x),
             blocks={"theta": slice(0, 1)},
             )
-        mom = mc_sde_moments(system, [1.0], t=0.0, eta=0.1, samples=1000, dt=1e-3, rng=rng())
+        mom = mc_sde_moments(system, [1.0], t=0.0, eta=0.1, samples=1000, substeps=10, rng=rng())
         np.testing.assert_array_equal(mom.first, 0.0)
         np.testing.assert_array_equal(mom.second, 0.0)
 
@@ -167,18 +167,20 @@ class TestMcSde:
         system = build_rmsprop_sde(p, cov, sigma0=1.0, epsilon0=0.1, c2=1.0)
         x = np.concatenate([[1.0, -1.0], [1.2, 0.7]])
         eta = 0.1
-        mom = mc_sde_moments(system, x, t=0.0, eta=eta, samples=60_000, dt=eta**2 / 20, rng=rng(5))
+        mom = mc_sde_moments(system, x, t=0.0, eta=eta, samples=60_000, substeps=20, rng=rng(5))
         b = system.drift(x[None, :], 0.0)[0]
         np.testing.assert_array_less(np.abs(mom.first - eta**2 * b), 4 * mom.first_se + 2e-4)
         s = diffusion_columns(system, x[None, :], 0.0)[0]
         target = eta**2 * s @ s.T
         np.testing.assert_array_less(np.abs(mom.second - target), 4 * mom.second_se + 2e-4)
 
-    def test_dt_cap(self):
+    @pytest.mark.parametrize("substeps", [9, 20.0, 0.5])
+    def test_substeps_must_be_an_int_of_at_least_ten(self, substeps):
+        # a step count it had to round would integrate at a dt nobody asked for
         p = QuadraticProblem(np.eye(1))
         system = build_rmsprop_sde(p, IsotropicCovariance(1.0), sigma0=1.0, epsilon0=0.0, c2=1.0)
-        with pytest.raises(ValueError):
-            mc_sde_moments(system, [1.0, 1.0], 0.0, eta=0.1, samples=1000, dt=0.01, rng=rng())
+        with pytest.raises(ValueError, match="substeps"):
+            mc_sde_moments(system, [1.0, 1.0], 0.0, eta=0.1, samples=1000, substeps=substeps, rng=rng())
 
 
 class TestCompareMoments:

@@ -23,7 +23,6 @@ Statistical conventions:
 """
 from __future__ import annotations
 
-import collections
 import hashlib
 import math
 from dataclasses import dataclass, fields
@@ -236,16 +235,15 @@ def _checkpoint_steps(k_start: int, n_steps: int, count: int) -> list[int]:
 def _shared_path(rng, steps: int, fine: int, shape, coarse):
     """One Brownian path at nested resolutions, drawn one step at a time.
 
-    Returns ``{m: blocks}`` for m = ``fine`` and each m in ``coarse`` (each
-    dividing ``fine``): the path's steps * m standard-normal blocks of
-    ``shape``, each the unit-variance sum of the fine // m fine blocks it
-    spans. The ``fine`` entry draws the path as it is read and writes the
-    coarser entries, arrays, as it goes, so it is read first (if ``fine`` is
-    in ``coarse`` too, the path is drawn at once). A step's fine blocks are
-    dropped before the next step's are drawn, so a reader that keeps no
-    block holds one step of the path. A sum is one array, not a list of
-    blocks, so freeing it lifts glibc's heap-trim threshold above the
-    empirical covariance's per-substep temporaries.
+    Returns (blocks, sums). ``blocks`` yields the path's standard-normal
+    blocks of ``shape`` in draw order, ``fine`` per step for ``steps``
+    steps. For each m in ``coarse`` (each dividing ``fine``), ``sums[m]``
+    holds steps * m blocks, each the unit-variance sum of the fine // m fine
+    blocks it spans, written as ``blocks`` reaches them. A step's fine
+    blocks are dropped before the next step's are drawn, so a reader that
+    keeps no block holds one step of the path. A sum is one array, not a
+    list of blocks, so freeing it lifts glibc's heap-trim threshold above
+    the empirical covariance's per-substep temporaries.
     """
     sums = {m: np.empty((steps * m, *shape)) for m in coarse}
 
@@ -259,10 +257,7 @@ def _shared_path(rng, steps: int, fine: int, shape, coarse):
             yield from block
             del block
 
-    if fine in sums:  # two readers of the finest blocks: hold them all
-        collections.deque(blocks(), maxlen=0)
-        return sums
-    return {fine: blocks(), **sums}
+    return blocks(), sums
 
 
 def _build_system(setup: ApproximationSetup, eta: float):
@@ -325,18 +320,18 @@ def compare_at_eta(
     x0 = np.concatenate([blocks[b] for b in system.blocks], axis=1)
     # coupled, each discrete step's noise is the normalized Wiener increment
     # over its interval
-    path = _shared_path(rng, n_steps - k0, m, (S, d), (1,) if setup.coupled else ())
+    em_noise, sums = _shared_path(rng, n_steps - k0, m, (S, d), (1,) if setup.coupled else ())
     em_rec = euler_maruyama(
         system, x0, k0 * dt_e, dt, (n_steps - k0) * m, None, fns,
-        [(k - k0) * m for k in ks], noise=path[m],
+        [(k - k0) * m for k in ks], noise=em_noise,
     )
     if setup.coupled:
         if algo != "adam":
             # The stored diffusion keeps a plus sign while the parameter-block
             # noise enters the discrete update negatively, so the pathwise
             # identification flips sign except through Adam's momentum.
-            np.negative(path[1], out=path[1])
-        oracle = _SequencedGaussianOracle(setup.problem, setup.cov, sigma, path[1])
+            np.negative(sums[1], out=sums[1])
+        oracle = _SequencedGaussianOracle(setup.problem, setup.cov, sigma, sums[1])
     discrete = run_discrete(oracle, algo, hp, state, n_steps - k0, fns, [k - k0 for k in ks], rng)
     return weak_error(discrete, em_rec)
 
@@ -494,17 +489,19 @@ def svag_sweep(
                 raise ValueError("coupled sweeps need every ell to divide the largest ell")
         # cell ell reads ell^2 blocks per base step: the finest cell the shared
         # path as it is drawn, each coarser cell its sums of it
-        path = _shared_path(
+        fine_path, draws = _shared_path(
             derive_rng(root_seed, "svag", setup.algo, "shared-path"), base_steps, ell_max**2,
             (setup.seeds, d), [int(round(ell)) ** 2 for ell in ells[:-1]],
         )
+        draws[ell_max**2] = fine_path
+        del fine_path  # held by the finest cell alone, its last block goes with it
 
     def run_cell(ell: float) -> TrajectoryRecord:
         ell_i = int(round(ell))
         hp_ell = svag_transform_hparams(hp, ell, setup.algo) if ell > 1 else hp
         if setup.coupled:
             oracle: GradientOracle = _SequencedGaussianOracle(
-                setup.problem, setup.cov, ell * sigma, path.pop(ell_i**2)
+                setup.problem, setup.cov, ell * sigma, draws.pop(ell_i**2)
             )
         else:
             oracle = SvagOracle(base_oracle, ell) if ell > 1 else base_oracle

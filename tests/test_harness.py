@@ -28,7 +28,7 @@ from adasde.problems import (
     QuadraticProblem,
 )
 from adasde.recording import TrajectoryRecord
-from adasde.scaling import DECAYS, make_plan
+from adasde.scaling import make_plan
 from adasde.sde import build_rmsprop_sde
 
 FNS = ["theta_0", "loss"]
@@ -483,16 +483,14 @@ class TestNoiseMemory:
         assert peak < em_noise_bytes / 2
 
 
-# A value away from the default for every constant a setup may read. An
-# adaptive algorithm reads sigma0, epsilon0, u0 and the c of each of its
-# decays; SGD reads none of them.
+# A value away from the default for every constant a setup may read.
 AWAY_FROM_DEFAULT = {"sigma0": 2.0, "epsilon0": 0.1, "c1": 1.0, "c2": 3.0, "u0": np.ones(2)}
-READS = {
-    algo: {"sigma0", "epsilon0", "u0", *decays.values()} if decays else set()
-    for algo, decays in DECAYS.items()
-}
-UNREAD = [(algo, f) for algo in DECAYS for f in AWAY_FROM_DEFAULT if f not in READS[algo]]
-UNSET = [(algo, f) for algo in DECAYS for f in ("u0", "c1") if f in READS[algo]]
+# SGD reads none of these constants, RMSprop all but c1; Adam reads all five.
+UNREAD = [
+    ("sgd", "sigma0"), ("sgd", "epsilon0"), ("sgd", "c1"), ("sgd", "c2"), ("sgd", "u0"),
+    ("rmsprop", "c1"),
+]
+UNSET = [("rmsprop", "u0"), ("adam", "u0"), ("adam", "c1")]
 
 
 class TestSweepArguments:

@@ -15,15 +15,17 @@ Statistical conventions:
   so both processes ride the same Brownian path. Coupling leaves each
   marginal distribution untouched (the gap estimate is unbiased) while
   shrinking its variance by orders of magnitude; the paired SE is then the
-  honest uncertainty of the gap. The path is never held whole:
-  ``_shared_path`` draws it one step's block at a time for the finest run,
-  in the order a single whole-path draw would take, and keeps for each
-  coarser run only the summed increments it will read.
+  honest uncertainty of the gap. The path is never held whole: it is drawn
+  one step's block at a time, in the order a single whole-path draw would
+  take. ``compare_at_eta`` keeps the discrete run's per-step sums of it
+  (``_shared_path``); the SVAG runs advance in lockstep with the draw, each
+  coarser run holding one running sum of its current step's blocks.
 * A gap below 2 SE is reported as inconclusive rather than failed.
 """
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, fields
 from typing import Iterable
@@ -35,7 +37,9 @@ from .optimizers import (
     HyperParams,
     OptimizerState,
     adam_step,
+    discrete_loop,
     effective_time_step,
+    finish,
     run_discrete,
 )
 from .problems import CovarianceSpec, IsotropicCovariance, LinearProblem, Problem
@@ -80,10 +84,10 @@ def derive_rng(root_seed: int, *labels: str) -> np.random.Generator:
 class _SequencedGaussianOracle(GaussianOracle):
     """Gaussian oracle fed from an iterable of standard-normal blocks.
 
-    Used internally to couple a discrete run to an integrator run: each
-    ``sample`` consumes the next (seeds, d) block of ``draws`` (any
-    iterable: an array, or a generator that draws on demand) and ignores
-    its rng. Not part of the public oracle family (it is deliberately
+    Used internally to couple a discrete run to an integrator run or to
+    other discrete runs: each ``sample`` consumes the next (seeds, d) block
+    of ``draws`` (any iterable: an array, or a generator fed as the runs
+    advance) and ignores its rng. Not part of the public oracle family (it is deliberately
     stateful).
     """
 
@@ -232,28 +236,27 @@ def _checkpoint_steps(k_start: int, n_steps: int, count: int) -> list[int]:
     return [int(k) for k in ks if k > k_start]
 
 
-def _shared_path(rng, steps: int, fine: int, shape, coarse):
-    """One Brownian path at nested resolutions, drawn one step at a time.
+def _shared_path(rng, steps: int, fine: int, shape, keep_sums: bool):
+    """One Brownian path drawn one step at a time, with its per-step sums if asked.
 
     Returns (blocks, sums). ``blocks`` yields the path's standard-normal
     blocks of ``shape`` in draw order, ``fine`` per step for ``steps``
-    steps. For each m in ``coarse`` (each dividing ``fine``), ``sums[m]``
-    holds steps * m blocks, each the unit-variance sum of the fine // m fine
-    blocks it spans, written as ``blocks`` reaches them. A step's fine
-    blocks are dropped before the next step's are drawn, so a reader that
-    keeps no block holds one step of the path. A sum is one array, not a
-    list of blocks, so freeing it lifts glibc's heap-trim threshold above
-    the empirical covariance's per-substep temporaries.
+    steps. ``sums`` is None unless ``keep_sums``; then it holds ``steps``
+    blocks, each the unit-variance sum of one step's fine blocks, written as
+    ``blocks`` reaches them. A step's fine blocks are dropped before the next
+    step's are drawn, so a reader that keeps no block holds one step of the
+    path. The sums are one array, not a list of blocks, so freeing it lifts
+    glibc's heap-trim threshold above the empirical covariance's per-substep
+    temporaries.
     """
-    sums = {m: np.empty((steps * m, *shape)) for m in coarse}
+    sums = np.empty((steps, *shape)) if keep_sums else None
 
     def blocks():
         for k in range(steps):
             block = rng.standard_normal((fine, *shape))
-            for m, out in sums.items():
-                part = out[k * m : (k + 1) * m]
-                block.reshape(m, fine // m, *shape).sum(axis=1, out=part)
-                part /= math.sqrt(fine // m)
+            if sums is not None:
+                block.sum(axis=0, out=sums[k])
+                sums[k] /= math.sqrt(fine)
             yield from block
             del block
 
@@ -320,7 +323,7 @@ def compare_at_eta(
     x0 = np.concatenate([blocks[b] for b in system.blocks], axis=1)
     # coupled, each discrete step's noise is the normalized Wiener increment
     # over its interval
-    em_noise, sums = _shared_path(rng, n_steps - k0, m, (S, d), (1,) if setup.coupled else ())
+    em_noise, sums = _shared_path(rng, n_steps - k0, m, (S, d), setup.coupled)
     em_rec = euler_maruyama(
         system, x0, k0 * dt_e, dt, (n_steps - k0) * m, None, fns,
         [(k - k0) * m for k in ks], noise=em_noise,
@@ -330,8 +333,8 @@ def compare_at_eta(
             # The stored diffusion keeps a plus sign while the parameter-block
             # noise enters the discrete update negatively, so the pathwise
             # identification flips sign except through Adam's momentum.
-            np.negative(sums[1], out=sums[1])
-        oracle = _SequencedGaussianOracle(setup.problem, setup.cov, sigma, sums[1])
+            np.negative(sums, out=sums)
+        oracle = _SequencedGaussianOracle(setup.problem, setup.cov, sigma, sums)
     discrete = run_discrete(oracle, algo, hp, state, n_steps - k0, fns, [k - k0 for k in ks], rng)
     return weak_error(discrete, em_rec)
 
@@ -347,13 +350,19 @@ class OrderReport:
     status: dict[str, str]  # ok | inconclusive | degenerate
 
 
+# bootstrap replicates drawn and fitted together
+_BOOT_CHUNK = 8
+
+
 def _fit_gap_decay(x, reports: list[WeakErrorReport], name: str, rng, n_boot: int):
     """Decay of the worst gap of ``name`` against x, one report per point.
 
     Returns (gaps, gap SEs, log-log slope, bootstrap slope SE, status). The
-    bootstrap resamples seed pairs within each report. Status is
-    "degenerate" when every gap vanishes (no slope), "inconclusive" when
-    some gap is within 2 SE, else "ok".
+    bootstrap resamples seed pairs within each report; every report must
+    hold the same seed count. Replicates are drawn, gathered and fitted
+    ``_BOOT_CHUNK`` at a time, which bounds the gathered values at that many
+    copies of the records. Status is "degenerate" when every gap vanishes
+    (no slope), "inconclusive" when some gap is within 2 SE, else "ok".
     """
     gaps = np.array([rep.max_gap[name] for rep in reports])
     ses = np.array([rep.se_at_max(name) for rep in reports])
@@ -362,17 +371,19 @@ def _fit_gap_decay(x, reports: list[WeakErrorReport], name: str, rng, n_boot: in
     status = "inconclusive" if np.any(gaps < 2.0 * ses) else "ok"
     x = np.asarray(x, dtype=float)
     slope = fit_loglog_slope(x, np.maximum(gaps, 1e-300))
+    n = reports[0].discrete.seed_count
     boots = np.empty(n_boot)
-    for b in range(n_boot):
-        boot_gaps = []
-        for rep in reports:
-            dvals = rep.discrete.values[name]
-            svals = rep.continuous.values[name]
-            n = dvals.shape[1]
-            idx = rng.integers(0, n, size=n)
-            gap = np.abs(dvals[:, idx].mean(axis=1) - svals[:, idx].mean(axis=1))
-            boot_gaps.append(max(float(np.max(gap)), 1e-300))
-        boots[b] = fit_loglog_slope(x, np.asarray(boot_gaps))
+    for start in range(0, n_boot, _BOOT_CHUNK):
+        chunk = min(_BOOT_CHUNK, n_boot - start)
+        # one draw in the order the replicates, then the reports, then the seeds take
+        idx = rng.integers(0, n, size=(chunk, len(reports), n))
+        boot_gaps = np.empty((len(reports), chunk))
+        for r, rep in enumerate(reports):
+            dvals = rep.discrete.values[name][:, idx[:, r]]  # (checkpoints, chunk, n)
+            svals = rep.continuous.values[name][:, idx[:, r]]
+            gap = np.abs(dvals.mean(axis=-1) - svals.mean(axis=-1))
+            boot_gaps[r] = np.maximum(gap.max(axis=0), 1e-300)
+        boots[start : start + chunk] = fit_loglog_slope(x, boot_gaps)
     return gaps, ses, slope, float(np.std(boots, ddof=1)), status
 
 
@@ -455,11 +466,15 @@ def svag_sweep(
     the largest one. Uncoupled runs draw through the genuine two-sample
     amplifier on independent streams.
 
-    The finest cell runs first: it draws the shared path one base step's
-    block at a time, and each block's summed increments are set aside for
-    the coarser cells, which run after it. Every cell has its own stream,
-    so the order of the runs changes no result. Needs at least 3 distinct
-    ell values, since the decay fit has one point per consecutive pair.
+    The runs advance in lockstep, one fine block (one step of the finest
+    run) at a time: the shared path is drawn one (seeds, d) block per fine
+    step, the finest run steps on each block, and each coarser run adds it
+    to its one running sum and steps on the normalized sum when its window
+    of blocks is complete. No block is held longer than one fine step, so
+    memory does not grow with the horizon. Uncoupled runs take the same
+    loop without a path. Every cell has its own stream, so the order of the
+    runs changes no result. Needs at least 3 distinct ell values, since the
+    decay fit has one point per consecutive pair.
     """
     ells = sorted(float(ell) for ell in ells)
     if len(set(ells)) != len(ells):
@@ -487,21 +502,15 @@ def svag_sweep(
         for ell in ells:
             if ell_max % int(round(ell)) != 0:
                 raise ValueError("coupled sweeps need every ell to divide the largest ell")
-        # cell ell reads ell^2 blocks per base step: the finest cell the shared
-        # path as it is drawn, each coarser cell its sums of it
-        fine_path, draws = _shared_path(
-            derive_rng(root_seed, "svag", setup.algo, "shared-path"), base_steps, ell_max**2,
-            (setup.seeds, d), [int(round(ell)) ** 2 for ell in ells[:-1]],
-        )
-        draws[ell_max**2] = fine_path
-        del fine_path  # held by the finest cell alone, its last block goes with it
 
-    def run_cell(ell: float) -> TrajectoryRecord:
+    def cell(ell: float):
+        """Run ell as a discrete loop, and the slot that feeds a coupled run its step noise."""
         ell_i = int(round(ell))
         hp_ell = svag_transform_hparams(hp, ell, setup.algo) if ell > 1 else hp
+        slot: list[np.ndarray] = []
         if setup.coupled:
             oracle: GradientOracle = _SequencedGaussianOracle(
-                setup.problem, setup.cov, ell * sigma, draws.pop(ell_i**2)
+                setup.problem, setup.cov, ell * sigma, (slot.pop() for _ in itertools.count())
             )
         else:
             oracle = SvagOracle(base_oracle, ell) if ell > 1 else base_oracle
@@ -510,10 +519,26 @@ def svag_sweep(
         )
         rng = derive_rng(root_seed, "svag", setup.algo, f"ell={ell_i}")
         ks = [k * ell_i**2 for k in base_ks]
-        return run_discrete(oracle, setup.algo, hp_ell, init, base_steps * ell_i**2, fns, ks, rng)
+        loop = discrete_loop(oracle, setup.algo, hp_ell, init, base_steps * ell_i**2, fns, ks, rng)
+        return loop, slot
 
-    finest_first = {ell: run_cell(ell) for ell in reversed(ells)}
-    records = {ell: finest_first[ell] for ell in ells}
+    cells = {ell: cell(ell) for ell in ells}
+    fine = ell_max**2
+    path = derive_rng(root_seed, "svag", setup.algo, "shared-path") if setup.coupled else None
+    sums: dict[float, np.ndarray] = {}  # each run's sum of its window so far
+    for j in range(base_steps * fine):
+        block = None if path is None else path.standard_normal((setup.seeds, d))
+        for ell, (loop, slot) in cells.items():
+            ell2 = int(round(ell)) ** 2
+            due = (j + 1) * ell2 // fine - j * ell2 // fine  # steps of run ell ending at block j
+            if block is not None:  # run ell steps on its window's blocks, summed and normalized
+                window = fine // ell2
+                sums[ell] = sums[ell] + block if j % window else block
+                if due:
+                    slot.append(sums.pop(ell) / math.sqrt(window))
+            for _ in range(due):
+                next(loop)
+    records = {ell: finish(loop) for ell, (loop, _) in cells.items()}
 
     # consecutive-ell pairs are weak-error reports, paired seed by seed
     # (exact seed sharing under coupling); weak_error rejects a pair whose

@@ -102,8 +102,8 @@ class MinibatchOracle(GradientOracle):
         x = self.problem.data
         y = self.problem.targets
         idx = rng.integers(0, n, size=theta.shape[:-1] + (self.batch_size,))
-        xb = x[idx]  # (..., B, d)
-        yb = y[idx]
+        xb = np.take(x, idx, axis=0)  # (..., B, d); take gathers faster than x[idx]
+        yb = np.take(y, idx)
         r = np.einsum("...bi,...i->...b", xb, theta) - yb
         return np.einsum("...b,...bi->...i", r, xb) / self.batch_size
 

@@ -1,5 +1,9 @@
 """Discrete update rules and the trajectory runner.
 
+``run_discrete`` runs a trajectory ensemble to its end; ``discrete_loop`` is
+the same loop held open, one step per ``next``, so that several runs can
+advance together.
+
 Conventions that matter for comparisons with the continuous systems:
 
 * The parameter update divides by the pre-update second-moment estimate
@@ -13,6 +17,7 @@ Conventions that matter for comparisons with the continuous systems:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Generator
 
 import numpy as np
 
@@ -28,6 +33,8 @@ __all__ = [
     "sgd_step",
     "step_function",
     "run_discrete",
+    "discrete_loop",
+    "finish",
     "NonFiniteError",
 ]
 
@@ -159,6 +166,26 @@ def run_discrete(
     recorded states carry u = v / sigma_effective^2 so discrete and
     continuous records share a domain. Any non-finite value aborts with the offending step index.
     """
+    return finish(discrete_loop(oracle, algo, hp, init, steps, fns, checkpoints, rng))
+
+
+def discrete_loop(
+    oracle: GradientOracle,
+    algo: str,
+    hp: HyperParams,
+    init: OptimizerState,
+    steps: int,
+    fns: TestFunctionSet,
+    checkpoints,
+    rng: np.random.Generator,
+) -> Generator[None, None, TrajectoryRecord]:
+    """``run_discrete``'s loop, resumable: each ``next`` runs one step.
+
+    Takes ``run_discrete``'s arguments. Nothing runs until the first
+    ``next``, which also records step 0. After the last step the generator
+    returns the record, which ``finish`` reads; runs held as loops can thus
+    advance together, each on its own schedule.
+    """
     step = step_function(algo)
     recorder = _Recorder(fns, checkpoints, steps)
     state = init
@@ -190,4 +217,14 @@ def run_discrete(
             raise NonFiniteError(state.k, f"algo={algo}, eta={hp.eta}")
         if n in recorder.checkpoints:
             snapshot(state)
+        yield
     return recorder.build()
+
+
+def finish(loop: Generator[None, None, TrajectoryRecord]) -> TrajectoryRecord:
+    """Run a discrete loop's remaining steps and return its record."""
+    while True:
+        try:
+            next(loop)
+        except StopIteration as done:
+            return done.value

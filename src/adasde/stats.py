@@ -135,8 +135,13 @@ def jackknife_moments(samples: np.ndarray, triples, centered: bool) -> Moments:
     )
 
 
-def fit_loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
-    """Least-squares slope of log(y) against log(x); x, y must be finite and positive."""
+def fit_loglog_slope(x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
+    """Least-squares slope of log(y) against log(x); x, y must be finite and positive.
+
+    y of shape (k,) for k points gives one slope; y of shape (k, B) fits
+    each of its B columns against x and gives B slopes, each bitwise the one
+    its column alone would give.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
@@ -147,4 +152,5 @@ def fit_loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
         raise ValueError("need at least 2 points to fit a slope")
     if not np.any(x != x[0]):
         raise ValueError("need at least 2 distinct x values to fit a slope")
-    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
+    slope = np.polyfit(np.log(x), np.log(y), 1)[0]
+    return float(slope) if y.ndim == 1 else slope

@@ -470,6 +470,19 @@ class TestNoiseMemory:
         peak = self._peak_bytes(lambda: svag_sweep(setup, eta, ells, FNS, ROOT_SEED))
         assert peak < fine_path_bytes / 2
 
+    def test_svag_sweep_peak_does_not_grow_with_the_horizon(self):
+        # the runs advance in lockstep, so no run's noise outlives one fine
+        # step and quadrupling the horizon must leave the peak where it was
+        def peak(T):
+            setup = ApproximationSetup(
+                PROBLEM, COV, "rmsprop", theta0=np.ones(2), u0=np.ones(2), T=T, seeds=2500,
+                n_checkpoints=3,
+            )
+            return self._peak_bytes(lambda: svag_sweep(setup, 0.2, (1, 2, 4), FNS, ROOT_SEED))
+
+        short, long = peak(0.4), peak(1.6)
+        assert long < 1.1 * short
+
     def test_compare_at_eta_peaks_below_half_its_em_noise(self):
         setup = ApproximationSetup(
             PROBLEM, COV, "rmsprop", theta0=np.ones(2), u0=np.ones(2), T=0.5, seeds=1000,
@@ -500,7 +513,7 @@ class TestSweepArguments:
         def no_run(*args, **kwargs):
             raise AssertionError("a cell ran before the ell values were checked")
 
-        monkeypatch.setattr(harness, "run_discrete", no_run)
+        monkeypatch.setattr(harness, "discrete_loop", no_run)
         setup = ApproximationSetup(
             PROBLEM, COV, "rmsprop", theta0=np.ones(2), u0=np.ones(2), T=0.4, seeds=8,
             n_checkpoints=3,
@@ -514,7 +527,7 @@ class TestSweepArguments:
         def no_run(*args, **kwargs):
             raise AssertionError("a run started before the test functions were checked")
 
-        for name in ("euler_maruyama", "run_discrete", "adam_step"):
+        for name in ("euler_maruyama", "run_discrete", "adam_step", "discrete_loop"):
             monkeypatch.setattr(harness, name, no_run)
         setup = ApproximationSetup(
             PROBLEM, COV, algo, theta0=np.ones(2), T=0.4, seeds=8, n_checkpoints=3,

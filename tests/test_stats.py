@@ -126,11 +126,18 @@ class TestFitLoglogSlope:
         x = np.array([0.1, 0.2, 0.4, 0.8])
         assert fit_loglog_slope(x, 3.0 * x**2) == pytest.approx(2.0, abs=1e-12)
 
+    def test_columns_fit_bitwise_as_alone(self):
+        x = np.array([0.25, 0.5, 1.0])
+        y = np.random.default_rng(0).uniform(0.1, 2.0, size=(3, 8))
+        slopes = fit_loglog_slope(x, y)
+        assert slopes.tolist() == [fit_loglog_slope(x, y[:, b]) for b in range(8)]
+
     @pytest.mark.parametrize("x, y", [
         ([0.1, np.nan, 0.4], [1.0, 2.0, 3.0]),
         ([0.1, 0.2, 0.4], [1.0, np.inf, 3.0]),
         ([0.1, 0.2, np.inf], [1.0, 2.0, 3.0]),
-    ], ids=["nan-x", "inf-y", "inf-x"])
+        ([0.1, 0.2, 0.4], [[1.0, 2.0], [np.nan, 3.0], [4.0, 5.0]]),
+    ], ids=["nan-x", "inf-y", "inf-x", "nan-in-a-column"])
     def test_rejects_non_finite_values(self, x, y):
         with pytest.raises(ValueError, match="finite"):
             fit_loglog_slope(x, y)

@@ -33,9 +33,7 @@ from .sde import (
     build_adam_sde,
     build_rmsprop_sde,
     build_sgd_sde,
-    clamp_mu,
     euler_maruyama,
-    transition_tau,
 )
 
 __version__ = "0.1.0"

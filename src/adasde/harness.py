@@ -231,6 +231,18 @@ def weak_error(discrete: TrajectoryRecord, continuous: TrajectoryRecord) -> Weak
     )
 
 
+def _horizon_steps(setup: ApproximationSetup, eta: float) -> int:
+    """The discrete steps at eta that fit in the setup's horizon T; at least one."""
+    dt_e = effective_time_step(setup.algo, eta)
+    n_steps = int(math.floor(setup.T / dt_e + 1e-9))
+    if n_steps < 1:
+        raise ValueError(
+            f"horizon T={setup.T:g} is shorter than one {setup.algo} step: "
+            f"at eta={eta:g} each step advances t by {dt_e:g}"
+        )
+    return n_steps
+
+
 def _checkpoint_steps(k_start: int, n_steps: int, count: int) -> list[int]:
     ks = np.unique(np.round(np.linspace(k_start + 1, n_steps, count)).astype(int))
     return [int(k) for k in ks if k > k_start]
@@ -293,7 +305,7 @@ def compare_at_eta(
         algo, eta, setup.sigma0, setup.epsilon0, setup.c2, setup.c1
     )
     dt_e = effective_time_step(algo, eta)
-    n_steps = int(math.floor(setup.T / dt_e + 1e-9))
+    n_steps = _horizon_steps(setup, eta)
     m = setup.em_substeps
     dt = dt_e / m
 
@@ -492,8 +504,7 @@ def svag_sweep(
     hp, sigma = hyperparams_from_constants(
         setup.algo, eta, setup.sigma0, setup.epsilon0, setup.c2, setup.c1
     )
-    dt_e = effective_time_step(setup.algo, eta)
-    base_steps = int(math.floor(setup.T / dt_e + 1e-9))
+    base_steps = _horizon_steps(setup, eta)
     base_ks = _checkpoint_steps(0, base_steps, setup.n_checkpoints)
     fns = TestFunctionSet.from_names(fn_names, d)
     base_oracle = GaussianOracle(setup.problem, setup.cov, sigma)

@@ -38,8 +38,6 @@ __all__ = [
     "NonFiniteError",
 ]
 
-ALGORITHMS = ("rmsprop", "adam", "sgd")
-
 
 @dataclass(frozen=True)
 class HyperParams:
@@ -134,6 +132,7 @@ def sgd_step(state: OptimizerState, g: np.ndarray, hp: HyperParams) -> Optimizer
 
 
 _STEPS = {"rmsprop": rmsprop_step, "adam": adam_step, "sgd": sgd_step}
+ALGORITHMS = tuple(_STEPS)
 
 
 def step_function(algo: str):

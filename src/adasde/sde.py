@@ -18,14 +18,12 @@ the Gaussian oracle so that discrete and continuous draws on the same w stay
 coupled. Only the diffusion's product with its transpose is fixed by the
 SDE; its columns are ``apply_diffusion`` on the unit draws.
 
-The adaptive builders take ``u_min`` to build the clamped system, whose
-sqrt(u) denominators read sqrt(mu(u)) (``clamp_mu``); it coincides with the
-unclamped one wherever u stays at or above u_min.
+The adaptive systems divide by sqrt(u), so they are defined only while u > 0.
 
 Every integration runs through one Euler-Maruyama loop, ``_em_loop``, which
-owns the step and the checks on each state (finite values, u > 0 on an
-unclamped system with a u block). ``euler_maruyama`` starts a path
-ensemble x0 of shape (paths, D) at time t0 >= 0 (Adam's system needs
+owns the step and the checks on each state (finite values, u > 0 on a system
+with a u block); a failed check names its step. ``euler_maruyama`` starts a
+path ensemble x0 of shape (paths, D) at time t0 >= 0 (Adam's system needs
 t0 > 0), takes n_steps steps of dt and records test functions at checkpoint
 step indices, as the discrete runner does: step i is at t0 + i dt, so a run
 at m substeps per discrete step reads step k at m k. The one-step moment
@@ -49,39 +47,8 @@ __all__ = [
     "build_rmsprop_sde",
     "build_adam_sde",
     "build_sgd_sde",
-    "transition_tau",
-    "clamp_mu",
     "euler_maruyama",
 ]
-
-
-def transition_tau(z):
-    """Smooth monotone step: 0 for z <= 0, 1 for z >= 1, C-infinity blend between."""
-    z_arr = np.asarray(z, dtype=float)
-    out = np.zeros_like(z_arr)
-    out[z_arr >= 1.0] = 1.0
-    mid = (z_arr > 0.0) & (z_arr < 1.0)
-    if np.any(mid):
-        zm = z_arr[mid]
-        a = np.exp(-1.0 / zm)
-        b = np.exp(-1.0 / (1.0 - zm))
-        out[mid] = a / (a + b)
-    return float(out) if np.isscalar(z) or np.asarray(z).ndim == 0 else out
-
-
-def clamp_mu(u, u_min: float):
-    """Smooth floor keeping u untouched above u_min and >= u_min/2 everywhere.
-
-    Exactly the identity for u >= u_min (taken on a separate branch so shared
-    noise produces bit-identical paths there).
-    """
-    if u_min <= 0:
-        raise ValueError("u_min must be positive")
-    u_arr = np.asarray(u, dtype=float)
-    half = 0.5 * u_min
-    blended = half + transition_tau(2.0 * u_arr / u_min - 1.0) * (u_arr - half)
-    out = np.where(u_arr >= u_min, u_arr, blended)
-    return float(out) if np.isscalar(u) or np.asarray(u).ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -91,7 +58,8 @@ class SdeSystem:
     Both return (..., D) arrays: ``drift(x, t)`` the drift, and
     ``apply_diffusion(x, t, dw)`` the noise increment of a draw dw of shape
     (..., noise_dim). ``blocks`` maps each block name to its slice of the
-    state; the state dimension D is where the last block stops.
+    state; the state dimension D is where the last block stops. A "u" block
+    must stay positive, and the integrator rejects a state where it does not.
     """
 
     noise_dim: int
@@ -99,7 +67,6 @@ class SdeSystem:
     apply_diffusion: Callable
     blocks: dict  # name -> slice
     problem: Problem | None = None
-    u_min: float | None = None  # set on clamped systems, whose u need not stay positive
 
     @property
     def state_dim(self) -> int:
@@ -116,24 +83,19 @@ def build_rmsprop_sde(
     sigma0: float,
     epsilon0: float,
     c2: float,
-    u_min: float | None = None,
 ) -> SdeSystem:
     """Preconditioned gradient-flow-plus-noise system over (theta, u).
 
     d theta = -P^{-1}(grad f dt + sigma0 Sigma^{1/2} dW), P = sigma0 diag(sqrt u) + eps0 I
     d u     = c2 (diag Sigma - u) dt
-
-    With ``u_min`` set, every sqrt(u) in a denominator becomes sqrt(mu(u)),
-    bounding the preconditioner away from zero.
     """
     if sigma0 <= 0 or c2 <= 0 or epsilon0 < 0:
         raise ValueError("need sigma0 > 0, c2 > 0, epsilon0 >= 0")
     d = problem.dim
-    u_of = (lambda u: clamp_mu(u, u_min)) if u_min is not None else (lambda u: u)
 
     def drift(x, t):
         theta, u = x[..., :d], x[..., d:]
-        denom = sigma0 * np.sqrt(u_of(u)) + epsilon0
+        denom = sigma0 * np.sqrt(u) + epsilon0
         out = np.empty_like(x)
         out[..., :d] = -problem.full_gradient(theta) / denom
         out[..., d:] = c2 * (cov.diagonal(problem, theta) - u)
@@ -141,7 +103,7 @@ def build_rmsprop_sde(
 
     def apply_diffusion(x, t, dw):
         theta, u = x[..., :d], x[..., d:]
-        scale = 1.0 / (np.sqrt(u_of(u)) + epsilon0 / sigma0)
+        scale = 1.0 / (np.sqrt(u) + epsilon0 / sigma0)
         out = np.zeros_like(x)
         out[..., :d] = scale * cov.apply_sqrt(problem, theta, dw)
         return out
@@ -152,7 +114,6 @@ def build_rmsprop_sde(
         apply_diffusion=apply_diffusion,
         blocks={"theta": slice(0, d), "u": slice(d, 2 * d)},
         problem=problem,
-        u_min=u_min,
     )
 
 
@@ -163,7 +124,6 @@ def build_adam_sde(
     epsilon0: float,
     c1: float,
     c2: float,
-    u_min: float | None = None,
 ) -> SdeSystem:
     """Momentum system over (theta, m, u) with time-dependent preconditioner.
 
@@ -174,7 +134,6 @@ def build_adam_sde(
     if sigma0 <= 0 or c1 <= 0 or c2 <= 0 or epsilon0 < 0:
         raise ValueError("need sigma0, c1, c2 > 0 and epsilon0 >= 0")
     d = problem.dim
-    u_of = (lambda u: clamp_mu(u, u_min)) if u_min is not None else (lambda u: u)
 
     def gammas(t):
         if t <= 0:
@@ -184,7 +143,7 @@ def build_adam_sde(
     def drift(x, t):
         g1, g2 = gammas(t)
         theta, m, u = x[..., :d], x[..., d : 2 * d], x[..., 2 * d :]
-        denom = sigma0 * np.sqrt(u_of(u)) + epsilon0 * math.sqrt(g2)
+        denom = sigma0 * np.sqrt(u) + epsilon0 * math.sqrt(g2)
         out = np.empty_like(x)
         out[..., :d] = -(math.sqrt(g2) / g1) * m / denom
         out[..., d : 2 * d] = c1 * (problem.full_gradient(theta) - m)
@@ -204,7 +163,6 @@ def build_adam_sde(
         apply_diffusion=apply_diffusion,
         blocks={"theta": slice(0, d), "m": slice(d, 2 * d), "u": slice(2 * d, 3 * d)},
         problem=problem,
-        u_min=u_min,
     )
 
 
@@ -250,9 +208,10 @@ def _em_loop(
     up front) or a generator that draws each block when the step asks for
     it. A block of another shape, or a stream that ends before n_steps,
     raises ValueError naming the step. The start and every step are checked:
-    a non-finite state raises NonFiniteError with its step, and u <= 0 on an
-    unclamped system with a "u" block raises ValueError. A system defined
-    only for t > 0 (Adam's) raises from its drift on the first step.
+    a non-finite state raises NonFiniteError with its step, and u <= 0 on a
+    system with a "u" block raises ValueError with its step and time. A
+    system defined only for t > 0 (Adam's) raises from its drift on the
+    first step.
     ``on_state(x, step)`` sees the start (step 0) and the state after every
     step. Returns the final states.
     """
@@ -270,15 +229,13 @@ def _em_loop(
         raise ValueError(f"noise must have shape {(n_steps, *noise_shape)}, got {noise.shape}")
     blocks = iter(noise)
 
-    u_slice = system.blocks.get("u") if system.u_min is None else None
+    u_slice = system.blocks.get("u")
 
     def visit(xc, step, t):
         if not np.all(np.isfinite(xc)):
             raise NonFiniteError(step, f"t={t:.6g}")
         if u_slice is not None and np.any(xc[..., u_slice] <= 0.0):
-            raise ValueError(
-                f"u reached zero at t={t:.6g}; build the clamped system with u_min or reduce dt"
-            )
+            raise ValueError(f"u reached zero at step {step}, t={t:.6g}; reduce dt")
         if on_state is not None:
             on_state(xc, step)
 
@@ -319,7 +276,8 @@ def euler_maruyama(
     increments as an iterable of (paths, noise_dim) blocks, one per step in
     order (an (n_steps, paths, noise_dim) array qualifies), enabling exact
     noise sharing between systems; a generator lets the caller draw each
-    block only when the step reads it.
+    block only when the step reads it. Every state passes ``_em_loop``'s
+    checks: a non-finite state, or u <= 0, raises naming its step.
     """
     if t0 < 0:
         raise ValueError("time must be nonnegative")

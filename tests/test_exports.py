@@ -9,6 +9,7 @@ import adasde
 from adasde.optimizers import ALGORITHMS
 
 MODULES = [f"adasde.{info.name}" for info in pkgutil.iter_modules(adasde.__path__)]
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 
 @pytest.mark.parametrize("module_name", MODULES)
@@ -98,3 +99,163 @@ def test_no_algorithm_lists_outside_their_owners():
         name: found for name in MODULES if name not in owners and (found := _algorithm_lists(name))
     }
     assert not lists, f"algorithm names listed outside optimizers and scaling: {lists}"
+
+
+# __all__ names that neither harness nor the bench reaches, each kept until an
+# open ROADMAP item decides it; an entry counts as a root, so what it uses
+# (the stats moment helpers) needs no entry of its own
+UNREACHED_EXPORTS = {
+    "adasde.moments": "ROADMAP item 3: kept if the one-step moment verdict lands",
+    "adasde.ngos.estimate_noise_moments": "ROADMAP item 8: kept if SVAG runs on measured noise",
+    "adasde.ngos.noise_dominance_ratio": "ROADMAP item 4: kept if the kappa ladder reads it",
+    "adasde.scaling.sde_constants": "tests/test_scaling.py checks the constant map against it",
+}
+
+_LIBRARY = {"adasde", *MODULES}
+_TREES = {
+    name: ast.parse(pathlib.Path(importlib.import_module(name).__file__).read_text())
+    for name in _LIBRARY
+}
+
+
+def _imports(tree: ast.Module, package: str) -> dict[str, tuple[str, str | None]]:
+    """Local name -> (module, attribute) for each import, attribute None for a module."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, [package if node.level else None, node.module]))
+            for alias in node.names:
+                sub = f"{base}.{alias.name}"
+                bound[alias.asname or alias.name] = (sub, None) if sub in _LIBRARY else (
+                    base, alias.name
+                )
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = (alias.name if alias.asname else name, None)
+    return bound
+
+
+def _definitions(tree: ast.Module) -> dict[str, list[ast.stmt]]:
+    """Each module-level name a def, class or assignment binds, with its statements."""
+    defs: dict[str, list[ast.stmt]] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            defs.setdefault(name, []).append(node)
+    return defs
+
+
+_IMPORTS = {name: _imports(tree, "adasde") for name, tree in _TREES.items()}
+_DEFS = {name: _definitions(tree) for name, tree in _TREES.items()}
+
+
+def _member(module: str, attr: str):
+    """Where ``module.attr`` is defined: (module, name) or (module, None); None outside adasde."""
+    if module not in _LIBRARY:
+        return None
+    if f"{module}.{attr}" in _LIBRARY:
+        return f"{module}.{attr}", None
+    if attr in _DEFS[module]:
+        return module, attr
+    if attr in _IMPORTS[module]:
+        source, name = _IMPORTS[module][attr]
+        return (source, None) if name is None else _member(source, name)
+    return None
+
+
+def _references(node: ast.AST, bound: dict) -> set:
+    """The adasde definitions a piece of code reads: by name, by attribute, or by string.
+
+    A string lookup is a module followed by a string, as in ``getattr(mod, "f")``
+    or the tracer's ``(mod, "f", wrapper)`` targets.
+    """
+
+    def target(expr):
+        if isinstance(expr, ast.Name):
+            source, name = bound.get(expr.id, (None, None))
+            return (source, None) if name is None else _member(source, name)
+        if isinstance(expr, ast.Attribute):
+            base = target(expr.value)
+            return _member(base[0], expr.attr) if base and base[1] is None else None
+        return None
+
+    refs = set()
+    for n in ast.walk(node):
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load):
+            refs.add(target(n))
+        items = n.elts if isinstance(n, ast.Tuple) else n.args if isinstance(n, ast.Call) else []
+        if len(items) >= 2 and isinstance(items[1], ast.Constant) and isinstance(items[1].value, str):
+            base = target(items[0])
+            if base and base[1] is None:
+                refs.add(_member(base[0], items[1].value))
+    return {ref for ref in refs if ref and ref[0] in _LIBRARY and ref[1] is not None}
+
+
+def _scope(module: str) -> dict:
+    """A library module's names: its imports, and its own definitions over them."""
+    return {**_IMPORTS[module], **{name: (module, name) for name in _DEFS[module]}}
+
+
+def _reached(roots) -> set:
+    seen, todo = set(), list(roots)
+    while todo:
+        ref = todo.pop()
+        if ref in seen:
+            continue
+        seen.add(ref)
+        module, name = ref
+        for node in _DEFS[module][name]:
+            todo += _references(node, _scope(module))
+    return seen
+
+
+def _bench_roots() -> set:
+    """Every adasde definition a ``bench/`` script imports or looks up."""
+    roots = set()
+    for path in BENCH.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        roots |= _references(tree, _imports(tree, package=""))
+    return roots
+
+
+def _exports() -> dict[str, tuple[str, str]]:
+    """``module.name`` for each __all__ entry, with the definition it names."""
+    return {
+        f"{module}.{name}": _member(module, name)
+        for module in MODULES
+        for name in getattr(importlib.import_module(module), "__all__", ())
+    }
+
+
+def _exempted(key: str) -> set:
+    """The definitions an exemption covers: one export, or every export of a module."""
+    return {ref for name, ref in _exports().items() if name == key or name.startswith(key + ".")}
+
+
+def test_bench_roots_are_found():
+    # with bench/ moved or its imports unread, only harness would be a root
+    # and the check below would pass with exemptions it does not need
+    assert {
+        ("adasde.scaling", "make_plan"),  # from adasde.scaling import make_plan
+        ("adasde.ngos", "BernoulliNoiseOracle"),  # ngos.BernoulliNoiseOracle
+        ("adasde.linalg", "psd_sqrt"),  # (problems, "psd_sqrt", ...)
+    } <= _bench_roots()
+
+
+def test_every_export_is_reached():
+    roots = {("adasde.harness", name) for name in _DEFS["adasde.harness"]} | _bench_roots()
+    exempt = {key: _exempted(key) for key in UNREACHED_EXPORTS}
+    plain = _reached(roots)
+    reached = _reached(plain.union(*exempt.values()))
+    unread = sorted(name for name, ref in _exports().items() if ref not in reached)
+    assert not unread, f"exported, but neither harness nor bench/ reaches: {unread}"
+    stale = sorted(key for key, refs in exempt.items() if not refs or refs <= plain)
+    assert not stale, f"exemptions that name nothing or that the roots already reach: {stale}"

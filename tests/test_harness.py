@@ -538,6 +538,25 @@ class TestSweepArguments:
         with pytest.raises(ValueError, match="test function"):
             svag_sweep(setup, 0.2, (1, 2, 4), [], ROOT_SEED)
 
+    @pytest.mark.parametrize("sweep", [
+        lambda setup: compare_at_eta(setup, 0.2, FNS, ROOT_SEED),
+        lambda setup: svag_sweep(setup, 0.2, (1, 2, 4), FNS, ROOT_SEED),
+    ], ids=["compare_at_eta", "svag_sweep"])
+    def test_horizon_shorter_than_one_step_rejected_before_any_run(self, sweep, monkeypatch):
+        # at T < eta^2 no step fits; say so, naming T and eta^2, before building a run
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before the horizon was checked")
+
+        for name in ("euler_maruyama", "run_discrete", "discrete_loop"):
+            monkeypatch.setattr(harness, name, no_run)
+        setup = ApproximationSetup(
+            PROBLEM, COV, "rmsprop", theta0=np.ones(2), u0=np.ones(2), T=0.01, seeds=8,
+            n_checkpoints=3,
+        )
+        with pytest.raises(ValueError, match=r"T=0\.01 is shorter than one rmsprop step: at "
+                                             r"eta=0\.2 each step advances t by 0\.04"):
+            sweep(setup)
+
     def test_svag_rejects_repeated_ell(self):
         # a repeated ell pairs a run with itself: a zero gap and a meaningless decay slope
         setup = ApproximationSetup(

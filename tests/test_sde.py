@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from adasde.linalg import _semidefinite_cholesky, psd_cholesky, psd_sqrt
 from adasde.problems import (
@@ -19,9 +17,7 @@ from adasde.sde import (
     build_adam_sde,
     build_rmsprop_sde,
     build_sgd_sde,
-    clamp_mu,
     euler_maruyama,
-    transition_tau,
 )
 
 
@@ -52,48 +48,6 @@ def diffusion_columns(system, x, t):
 
 
 COORD_FNS = TestFunctionSet.from_names(["theta_0"], dim=1)
-
-
-class TestTransitionTau:
-    def test_clamped_regions(self):
-        assert transition_tau(-1.0) == 0.0
-        assert transition_tau(2.0) == 1.0
-
-    def test_midpoint(self):
-        assert transition_tau(0.5) == pytest.approx(0.5)
-
-    def test_quarter_symmetry(self):
-        assert transition_tau(0.25) + transition_tau(0.75) == pytest.approx(1.0)
-
-    @given(st.floats(min_value=1e-6, max_value=1 - 1e-6))
-    @settings(max_examples=60, deadline=None)
-    def test_reflection_identity(self, z):
-        assert transition_tau(z) + transition_tau(1 - z) == pytest.approx(1.0, abs=1e-12)
-
-    def test_monotone(self):
-        zs = np.linspace(-0.5, 1.5, 401)
-        vals = transition_tau(zs)
-        assert np.all(np.diff(vals) >= 0)
-
-    def test_continuity_at_edges(self):
-        assert transition_tau(1e-4) <= 1e-9
-        assert transition_tau(1 - 1e-4) >= 1 - 1e-9
-
-
-class TestClampMu:
-    def test_frozen_points(self):
-        assert clamp_mu(1e-3, 1e-3) == 1e-3
-        assert clamp_mu(0.0, 1e-3) == pytest.approx(5e-4)
-        assert clamp_mu(2e-3, 1e-3) == 2e-3
-
-    @given(st.floats(min_value=0.0, max_value=10.0))
-    @settings(max_examples=80, deadline=None)
-    def test_floor_and_identity(self, u):
-        u_min = 0.25
-        mu = clamp_mu(u, u_min)
-        assert mu >= 0.5 * u_min - 1e-15
-        if u >= u_min:
-            assert mu == u  # identity branch, bit exact
 
 
 class TestPsdSqrt:
@@ -384,13 +338,14 @@ class TestEulerMaruyama:
                 COORD_FNS, [10],
             )
 
-    def test_u_zero_advises_auxiliary(self):
+    def test_u_zero_names_its_step(self):
+        # u' = -c2 u with no noise: one step of c2 dt = 2.5 carries u from 1e-9 to below zero
         problem = QuadraticProblem(np.diag([1.0]))
         cov = IsotropicCovariance(0.0)
         system = build_rmsprop_sde(problem, cov, sigma0=1.0, epsilon0=0.5, c2=50.0)
         x0 = np.array([1.0, 1e-9])
         fns = TestFunctionSet.from_names(["theta_0"], dim=1)
-        with pytest.raises(ValueError, match="u_min"):
+        with pytest.raises(ValueError, match=r"u reached zero at step 1, t=0\.05"):
             euler_maruyama(system, x0, 0.0, 0.05, 20, np.random.default_rng(0), fns, [20])
 
 
@@ -436,50 +391,42 @@ class TestNoiseStream:
             self._run(self._noise()[:-1])
 
 
-class TestAuxiliarySystem:
-    def test_clamped_equals_unclamped_when_u_stays_high(self):
-        problem = QuadraticProblem(np.diag([1.0, 3.0]))
-        cov = ConstantCovariance(np.diag([1.0, 0.7]))
-        base = build_rmsprop_sde(problem, cov, sigma0=1.0, epsilon0=0.0, c2=1.0)
-        clamped = build_rmsprop_sde(problem, cov, sigma0=1.0, epsilon0=0.0, c2=1.0, u_min=0.05)
-        u0 = np.array([1.2, 0.9])
-        x0 = np.concatenate([np.ones(2), u0])
-        fns = TestFunctionSet.from_names(["theta_0", "theta_1", "u_0", "u_1"], dim=2)
-        n_steps = int(round(1.0 / 1e-3))
-        noise = np.random.default_rng(5).standard_normal((n_steps, 1, 2))
-        recs = [
-            euler_maruyama(s, x0, 0.0, 1e-3, n_steps, None, fns, [500, 1000], noise=noise)
-            for s in (base, clamped)
-        ]
-        for name in recs[0].names:
-            np.testing.assert_allclose(recs[0].values[name], recs[1].values[name], rtol=0, atol=1e-12)
-
-    def test_umin_to_zero_converges_to_identity(self):
-        u = np.array([0.3, 0.05, 1.0])
-        for u_min in (1e-4, 1e-8):
-            np.testing.assert_allclose(clamp_mu(u, u_min), u, rtol=1e-6)
-
-    def test_evaluation_at_zero_u_is_finite(self):
-        problem = QuadraticProblem(np.diag([1.0]))
-        cov = IsotropicCovariance(1.0)
-        clamped = build_rmsprop_sde(problem, cov, sigma0=1.0, epsilon0=0.0, c2=1.0, u_min=0.1)
-        x = np.array([[1.0, 0.0]])
-        assert np.all(np.isfinite(clamped.drift(x, 0.0)))
-        assert np.all(np.isfinite(diffusion_columns(clamped, x, 0.0)))
-
-
 class TestBiasCorrectionCurves:
-    def test_gamma_series_for_small_argument(self):
-        # 1 - exp(-x) agrees with its cubic Taylor series to 1e-12 for small x
-        for x in (1e-5, 3e-5, 1e-4):
-            series = x - x**2 / 2 + x**3 / 6
-            assert abs((1 - math.exp(-x)) - series) < 1e-12
+    """Adam's theta drift scales m by sqrt(gamma_2(t)) / gamma_1(t), gamma_i = 1 - exp(-c_i t)."""
 
-    def test_gamma_monotone_zero_to_one(self):
-        ts = np.linspace(0.0, 50.0, 1000)
-        for c in (0.5, 2.0):
-            g = 1 - np.exp(-c * ts)
-            assert g[0] == 0.0
-            assert np.all(np.diff(g) >= 0)
-            assert np.all(np.diff(g)[ts[1:] * c < 20] > 0)  # strict until float saturation
-            assert g[-1] == pytest.approx(1.0, abs=1e-9)
+    @staticmethod
+    def factor(c1, c2, ts):
+        # theta drift at m = -1, u = 1, sigma0 = 1, epsilon0 = 0 is the factor itself
+        system = build_adam_sde(
+            QuadraticProblem(np.eye(1)), IsotropicCovariance(1.0), sigma0=1.0, epsilon0=0.0,
+            c1=c1, c2=c2,
+        )
+        x = np.array([[0.0, -1.0, 1.0]])
+        return np.array([system.drift(x, t)[0, 0] for t in ts])
+
+    def test_factor_reads_c1_in_gamma_1_and_c2_in_gamma_2(self):
+        ts = np.linspace(0.01, 10.0, 200)
+        expected = np.sqrt(1 - np.exp(-0.5 * ts)) / (1 - np.exp(-2.0 * ts))
+        np.testing.assert_allclose(self.factor(2.0, 0.5, ts), expected, rtol=1e-12)
+
+    def test_small_time_limit(self):
+        # gamma_i ~ c_i t, so the factor ~ sqrt(c2 / t) / c1 as t -> 0
+        ts = np.array([1e-6, 1e-7, 1e-8])
+        ratio = self.factor(2.0, 0.5, ts) * 2.0 / np.sqrt(0.5 / ts)
+        np.testing.assert_allclose(ratio, 1.0, rtol=1e-5)
+
+    def test_factor_settles_to_one(self):
+        for c1, c2 in ((2.0, 0.5), (0.5, 2.0)):
+            assert self.factor(c1, c2, [60.0])[0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_factor_falls_monotonically_when_gamma_2_is_faster(self):
+        steps = np.diff(self.factor(0.5, 2.0, np.linspace(0.01, 40.0, 400)))
+        assert np.all(steps < 0)
+
+    def test_factor_undershoots_one_then_rises_when_gamma_1_is_faster(self):
+        # gamma_1 saturates first, so sqrt(gamma_2) < 1 is left alone in the numerator
+        vals = self.factor(2.0, 0.5, np.linspace(0.01, 40.0, 400))
+        low = int(np.argmin(vals))
+        assert vals[low] < 1.0
+        assert np.all(np.diff(vals[:low + 1]) < 0)
+        assert np.all(np.diff(vals[low:]) > 0)

@@ -250,12 +250,32 @@ def test_bench_roots_are_found():
     } <= _bench_roots()
 
 
-def test_every_export_is_reached():
+def _audit(exemptions) -> tuple[list, list]:
+    """The exports no root reaches, and the exemptions that name nothing or are reached."""
     roots = {("adasde.harness", name) for name in _DEFS["adasde.harness"]} | _bench_roots()
-    exempt = {key: _exempted(key) for key in UNREACHED_EXPORTS}
+    exempt = {key: _exempted(key) for key in exemptions}
     plain = _reached(roots)
     reached = _reached(plain.union(*exempt.values()))
     unread = sorted(name for name, ref in _exports().items() if ref not in reached)
-    assert not unread, f"exported, but neither harness nor bench/ reaches: {unread}"
     stale = sorted(key for key, refs in exempt.items() if not refs or refs <= plain)
+    return unread, stale
+
+
+def test_every_export_is_reached():
+    unread, stale = _audit(UNREACHED_EXPORTS)
+    assert not unread, f"exported, but neither harness nor bench/ reaches: {unread}"
     assert not stale, f"exemptions that name nothing or that the roots already reach: {stale}"
+
+
+@pytest.mark.parametrize("key", sorted(UNREACHED_EXPORTS))
+def test_each_exemption_is_needed(key):
+    # without its entry, what it covers reads as unread, even with the others as roots
+    unread, _ = _audit(UNREACHED_EXPORTS.keys() - {key})
+    covered = [name for name in _exports() if name == key or name.startswith(key + ".")]
+    assert covered and set(covered) <= set(unread)
+
+
+@pytest.mark.parametrize("key", ["adasde.harness.order_sweep", "adasde.ngos.no_such_name"])
+def test_stale_exemption_fails(key):
+    # one that the roots reach without it, and one that names nothing
+    assert _audit({**UNREACHED_EXPORTS, key: "stale"}) == ([], [key])

@@ -557,6 +557,16 @@ class TestSweepArguments:
                                              r"eta=0\.2 each step advances t by 0\.04"):
             sweep(setup)
 
+    @pytest.mark.parametrize("algo, eta, T, steps", [
+        ("rmsprop", 0.2, 0.04, 1), ("adam", 0.2, 0.04, 1), ("sgd", 0.1, 0.3, 3),
+    ])
+    def test_horizon_of_whole_steps_holds_them_all(self, algo, eta, T, steps):
+        # T / dt_e lands a hair under the step count in floating point
+        # (0.04 / 0.2**2 = 0.9999999999999998, 0.3 / 0.1 = 2.9999999999999996),
+        # which a bare floor would cut by one step
+        setup = ApproximationSetup(PROBLEM, COV, algo, theta0=np.ones(2), T=T, **ORDER_EXTRA[algo])
+        assert harness._horizon_steps(setup, eta) == steps
+
     def test_svag_rejects_repeated_ell(self):
         # a repeated ell pairs a run with itself: a zero gap and a meaningless decay slope
         setup = ApproximationSetup(

@@ -348,6 +348,16 @@ class TestEulerMaruyama:
         with pytest.raises(ValueError, match=r"u reached zero at step 1, t=0\.05"):
             euler_maruyama(system, x0, 0.0, 0.05, 20, np.random.default_rng(0), fns, [20])
 
+    def test_adam_u_zero_names_its_step_and_time(self):
+        # the momentum system's u block is checked too, and t counts from t0
+        problem = QuadraticProblem(np.diag([1.0]))
+        cov = IsotropicCovariance(0.0)
+        system = build_adam_sde(problem, cov, sigma0=1.0, epsilon0=0.5, c1=1.0, c2=50.0)
+        x0 = np.array([1.0, 0.0, 1e-9])
+        fns = TestFunctionSet.from_names(["theta_0"], dim=1)
+        with pytest.raises(ValueError, match=r"u reached zero at step 1, t=1\.05"):
+            euler_maruyama(system, x0, 1.0, 0.05, 20, np.random.default_rng(0), fns, [20])
+
 
 class TestNoiseStream:
     """``noise`` is any iterable of (paths, noise_dim) blocks, read one per step."""

@@ -630,10 +630,12 @@ def validate_scaling(
     plan.kappa (or divides sigma by sqrt(kappa)) and runs floor(steps/kappa)
     steps with the plan's hyperparameters, so total continuous time matches
     under the square-root rule. Checkpoints are base-run step indices and
-    must be divisible by kappa so that aligned pairs share exact times. Both
-    runs start from u = 1. The plan's rule must name ``algo`` after its dash
-    (``sqrt-rmsprop`` runs rmsprop): a plan built for another algorithm
-    moves fields this one does not read.
+    must be divisible by kappa so that aligned pairs share exact times; one
+    of them must be after step 0, and ``base_steps`` at least kappa, or the
+    runs would only compare their identical starts. Both runs start from
+    u = 1. The plan's rule must name ``algo`` after its dash (``sqrt-rmsprop``
+    runs rmsprop): a plan built for another algorithm moves fields this one
+    does not read.
     """
     if plan.rule.partition("-")[2] != algo:
         raise ValueError(f"plan {plan.rule!r} was built for another algorithm than {algo!r}")
@@ -648,9 +650,13 @@ def validate_scaling(
         raise ValueError("kappa must be at least 1")
     if abs(kappa - round(kappa)) > 1e-12:
         raise ValueError("kappa must be an integer for exact checkpoint alignment")
+    if base_steps < round(kappa):
+        raise ValueError(f"base_steps {base_steps!r} is below kappa {kappa!r}: the scaled run takes no step")
     checkpoints = list(checkpoints)
     if any(k % int(round(kappa)) != 0 for k in checkpoints):
         raise ValueError("checkpoints must be multiples of kappa for exact alignment")
+    if checkpoints and max(checkpoints) <= 0:  # no checkpoint at all is the recorder's error
+        raise ValueError("checkpoints leave no step after t = 0: both runs would compare their start")
     d = problem.dim
     theta0 = np.zeros(d) if theta0 is None else np.asarray(theta0, dtype=float)
     fns = TestFunctionSet.from_names(fn_names, d)

@@ -18,10 +18,16 @@ SYMMETRY_RTOL = 1e-10
 
 
 def check_symmetric(mat: np.ndarray, rtol: float = SYMMETRY_RTOL, name: str = "matrix") -> np.ndarray:
-    """Validate symmetry within a relative tolerance and return the symmetrized matrix."""
+    """Validate symmetry within a relative tolerance and return the symmetrized matrix.
+
+    The result is always a fresh array. An exactly symmetric input (such as
+    C C') skips the tolerance check: its copy is what symmetrizing gives.
+    """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {mat.shape}")
+    if (mat == np.swapaxes(mat, -1, -2)).all():
+        return mat.copy()
     scale = np.max(np.abs(mat)) if mat.size else 0.0
     asym = np.max(np.abs(mat - np.swapaxes(mat, -1, -2))) if mat.size else 0.0
     if asym > rtol * max(scale, 1e-300):

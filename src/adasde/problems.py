@@ -245,13 +245,22 @@ class EmpiricalCovariance(CovarianceSpec):
     mean of C*C and never builds the d x d matrix. ``sqrt`` is the Cholesky
     factor of ``matrix``. Only defined for finite-sum problems.
 
+    The last C built is kept in a one-entry memo, so that a drift's
+    ``diagonal`` and a diffusion's ``matrix`` at the same state share one
+    build. Its key is the problem itself (held, and compared with ``is``)
+    and theta's shape, dtype and exact bytes: an array changed in place
+    since the last call misses, so the memo is never stale. The memo is not
+    locked; use one instance from one thread at a time. It takes no part in
+    equality or hashing.
+
     The uncentred moment form (1/n) sum_i g_i g_i' - grad f grad f' is
     cheaper but not used: when the mean gradient dominates the noise it
     cancels catastrophically, down to a matrix that is not PSD.
     """
 
-    @staticmethod
-    def _centred(problem: Problem, theta) -> np.ndarray:
+    _memo: list = field(default_factory=list, init=False, repr=False, compare=False)
+
+    def _centred(self, problem: Problem, theta) -> np.ndarray:
         """C, the per-datum gradients minus their mean over the n data, shape (..., d, n).
 
         The row mean is the full gradient, so the residuals are evaluated
@@ -259,10 +268,20 @@ class EmpiricalCovariance(CovarianceSpec):
         ``LeastSquaresProblem``; any other layout gives the same C, only
         slower. The centring is in place: a second (..., d, n) temporary per
         call is enough for glibc to trim and re-fault the heap top on every
-        Euler-Maruyama substep.
+        Euler-Maruyama substep. C is read-only, since the memo hands the
+        same array to the next call at this theta.
         """
+        theta = np.asarray(theta)
+        key = (theta.shape, theta.dtype, theta.tobytes())
+        if self._memo:
+            held, held_key, c = self._memo
+            if held is problem and held_key == key:
+                return c
+            self._memo.clear()  # free the old C before the new one is built
         c = np.swapaxes(problem.per_datum_gradients(theta), -1, -2)
         c -= c.mean(axis=-1, keepdims=True)
+        c.flags.writeable = False
+        self._memo[:] = (problem, key, c)
         return c
 
     def matrix(self, problem: Problem, theta) -> np.ndarray:

@@ -30,6 +30,9 @@ at m substeps per discrete step reads step k at m k. The one-step moment
 estimator calls the loop directly, for substeps >= 10 (an int) steps of eta^2 / substeps.
 The loop reads its standard-normal increments one step's block at a time, from
 any iterable of blocks or from its rng, so no caller holds a whole path of noise.
+It holds the ensemble column-major, so that each block of the state
+(``x[:, :d]``, ``x[:, d:]``) is contiguous, and writes into no array that it
+did not allocate.
 """
 from __future__ import annotations
 
@@ -214,10 +217,18 @@ def _em_loop(
     first step.
     ``on_state(x, step)`` sees the start (step 0) and the state after every
     step. Returns the final states.
+
+    The ensemble is held column-major: a system's blocks are then
+    contiguous columns, and elementwise work on them runs without strided
+    inner loops. Each step allocates one array, the drift's product with dt
+    (column-major whatever the drift's layout), and adds the state and the
+    diffusion into it; x0, the noise and whatever a system returns are only
+    read.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[None, :]
+    x = np.asfortranarray(x)
     if x.shape[-1] != system.state_dim:
         raise ValueError(f"state has dimension {x.shape[-1]}, system expects {system.state_dim}")
     noise_shape = (x.shape[0], system.noise_dim)
@@ -232,9 +243,9 @@ def _em_loop(
     u_slice = system.blocks.get("u")
 
     def visit(xc, step, t):
-        if not np.all(np.isfinite(xc)):
+        if not np.isfinite(xc).all():
             raise NonFiniteError(step, f"t={t:.6g}")
-        if u_slice is not None and np.any(xc[..., u_slice] <= 0.0):
+        if u_slice is not None and not (xc[..., u_slice] > 0.0).all():
             raise ValueError(f"u reached zero at step {step}, t={t:.6g}; reduce dt")
         if on_state is not None:
             on_state(xc, step)
@@ -250,7 +261,10 @@ def _em_loop(
             raise ValueError(
                 f"noise block at step {n} has shape {np.shape(w)}, expected {noise_shape}"
             )
-        x = x + system.drift(x, t) * dt + system.apply_diffusion(x, t, sqrt_dt * w)
+        step = np.multiply(system.drift(x, t), dt, order="F")
+        step += x
+        step += system.apply_diffusion(x, t, sqrt_dt * w)
+        x = step
         visit(x, n + 1, t + dt)
     return x
 

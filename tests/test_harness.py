@@ -699,6 +699,30 @@ class TestValidateScalingArguments:
                              seeds=10, root_seed=ROOT_SEED, sigma=1.0)
 
 
+    @pytest.mark.parametrize("checkpoints", [[0], [0, 0]])
+    def test_only_step_zero_rejected_before_any_run(self, checkpoints, monkeypatch):
+        # both runs compared their identical starts: z = 0 and passed, vacuously
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before the checkpoints were checked")
+
+        monkeypatch.setattr(harness, "run_discrete", no_run)
+        plan = make_plan("sqrt-rmsprop", HyperParams(eta=0.1, beta=0.99), 4)
+        with pytest.raises(ValueError, match="no step after t = 0"):
+            validate_scaling(plan, PROBLEM, "rmsprop", FNS, base_steps=8, checkpoints=checkpoints,
+                             seeds=10, root_seed=ROOT_SEED, sigma=1.0, cov=COV)
+
+    @pytest.mark.parametrize("base_steps", [0, 2, 3])
+    def test_base_steps_below_kappa_rejected_before_any_run(self, base_steps, monkeypatch):
+        # the scaled run took base_steps // kappa = 0 steps
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before base_steps was checked")
+
+        monkeypatch.setattr(harness, "run_discrete", no_run)
+        plan = make_plan("sqrt-rmsprop", HyperParams(eta=0.1, beta=0.99), 4)
+        with pytest.raises(ValueError, match="below kappa"):
+            validate_scaling(plan, PROBLEM, "rmsprop", FNS, base_steps=base_steps, checkpoints=[0],
+                             seeds=10, root_seed=ROOT_SEED, sigma=1.0, cov=COV)
+
     @pytest.mark.parametrize("rule, algo", [("sqrt-rmsprop", "adam"), ("linear-sgd", "rmsprop")])
     def test_plan_for_another_algorithm_rejected_before_any_run(self, rule, algo, monkeypatch):
         # a sqrt-rmsprop plan scales beta, which Adam never reads: the pair ran

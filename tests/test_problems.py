@@ -284,6 +284,46 @@ class TestCovarianceDiagonal:
             cov.diagonal(LinearProblem([1.0, 2.0]), None)
 
 
+class TestEmpiricalMemo:
+    """The one-entry memo of C: keyed on the problem's identity and theta's exact bytes."""
+
+    def setup_method(self):
+        self.problem = random_least_squares(seed=41)
+        self.theta = np.random.default_rng(42).standard_normal((5, self.problem.dim))
+
+    def test_same_state_reuses_one_build(self):
+        cov = EmpiricalCovariance()
+        first = cov._centred(self.problem, self.theta)
+        assert cov._centred(self.problem, self.theta.copy()) is first
+
+    def test_theta_changed_in_place_gives_a_fresh_build(self):
+        cov = EmpiricalCovariance()
+        before = cov.matrix(self.problem, self.theta)
+        self.theta[2, 1] += 0.5
+        got = cov.matrix(self.problem, self.theta)
+        np.testing.assert_array_equal(got, EmpiricalCovariance().matrix(self.problem, self.theta))
+        assert not np.array_equal(got[2], before[2])
+
+    def test_another_problem_at_the_same_theta_gets_its_own(self):
+        other = random_least_squares(seed=43)
+        cov = EmpiricalCovariance()
+        cov.diagonal(self.problem, self.theta)
+        got = cov.diagonal(other, self.theta)
+        np.testing.assert_array_equal(got, EmpiricalCovariance().diagonal(other, self.theta))
+        assert not np.array_equal(got, cov.diagonal(self.problem, self.theta))
+
+    def test_held_c_is_read_only(self):
+        c = EmpiricalCovariance()._centred(self.problem, self.theta)
+        with pytest.raises(ValueError, match="read-only"):
+            c[0, 0, 0] = 0.0
+
+    def test_memo_takes_no_part_in_equality(self):
+        used, fresh = EmpiricalCovariance(), EmpiricalCovariance()
+        used.matrix(self.problem, self.theta)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+
+
 class TestConstruction:
     def test_quadratic_requires_symmetry(self):
         with pytest.raises(ValueError):

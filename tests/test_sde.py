@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from adasde.linalg import _semidefinite_cholesky, psd_cholesky, psd_sqrt
+from adasde.linalg import _semidefinite_cholesky, check_symmetric, psd_cholesky, psd_sqrt
 from adasde.problems import (
     ConstantCovariance,
     EmpiricalCovariance,
@@ -125,6 +126,33 @@ class TestPsdCholesky:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="not symmetric"):
             psd_cholesky(np.array([[1.0, 0.5], [0.1, 1.0]]))
+
+
+class TestCheckSymmetric:
+    def test_exact_input_is_copied_not_aliased(self):
+        mat = np.array([[[2.0, 0.3], [0.3, 1.0]], [[1.0, -0.7], [-0.7, 4.0]]])
+        got = check_symmetric(mat)
+        assert got is not mat and not np.shares_memory(got, mat)
+        np.testing.assert_array_equal(got, mat)
+        np.testing.assert_array_equal(got, 0.5 * (mat + np.swapaxes(mat, -1, -2)))
+
+    def test_within_tolerance_is_symmetrized(self):
+        mat = np.array([[1.0, 0.5], [0.5 * (1 + 1e-14), 1.0]])
+        got = check_symmetric(mat)
+        np.testing.assert_array_equal(got, 0.5 * (mat + mat.T))
+        assert got[0, 1] == got[1, 0] != mat[1, 0]
+
+    def test_beyond_tolerance_raises(self):
+        with pytest.raises(ValueError, match="not symmetric"):
+            check_symmetric(np.array([[1.0, 0.5], [0.5 * (1 + 1e-8), 1.0]]))
+
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+    def test_nan_passes_through_symmetrized(self, where):
+        # NaN compares unequal to itself, so it takes the tolerance path,
+        # whose NaN asymmetry does not raise
+        mat = np.array([[1.0, 0.5], [0.5, 2.0]])
+        mat[where] = mat[where[::-1]] = np.nan
+        np.testing.assert_array_equal(check_symmetric(mat), 0.5 * (mat + mat.T))
 
 
 class TestRmspropSystem:
@@ -357,6 +385,93 @@ class TestEulerMaruyama:
         fns = TestFunctionSet.from_names(["theta_0"], dim=1)
         with pytest.raises(ValueError, match=r"u reached zero at step 1, t=1\.05"):
             euler_maruyama(system, x0, 1.0, 0.05, 20, np.random.default_rng(0), fns, [20])
+
+
+def empirical_system(algo):
+    data = np.random.default_rng(12)
+    problem = LeastSquaresProblem(data.standard_normal((16, 3)), data.standard_normal(16))
+    cov = EmpiricalCovariance()
+    if algo == "adam":
+        return build_adam_sde(problem, cov, sigma0=1.0, epsilon0=0.1, c1=2.0, c2=1.5), 1.0
+    return build_rmsprop_sde(problem, cov, sigma0=1.0, epsilon0=0.1, c2=1.5), 0.0
+
+
+def empirical_start(system, paths=5):
+    x0 = np.ones((paths, system.state_dim))
+    x0[:, system.blocks["theta"]] = np.random.default_rng(13).standard_normal((paths, 3))
+    return x0
+
+
+LOOP_FNS = TestFunctionSet.from_names(["theta_0", "theta_2", "loss"], dim=3)
+
+
+def run_loop(system, x0, t0, noise=None, rng_seed=14, n_steps=12):
+    return euler_maruyama(system, x0, t0, 0.01, n_steps, np.random.default_rng(rng_seed),
+                          LOOP_FNS, [0, 6, n_steps], noise=noise)
+
+
+def assert_same_record(got, want):
+    np.testing.assert_array_equal(got.times, want.times)
+    assert got.values.keys() == want.values.keys()
+    for name in want.values:
+        np.testing.assert_array_equal(got.values[name], want.values[name])
+
+
+class TestLoopContract:
+    """What ``_em_loop`` promises its callers and the systems it calls."""
+
+    @pytest.mark.parametrize("algo", ["rmsprop", "adam"])
+    def test_one_covariance_build_per_step(self, algo, monkeypatch):
+        # the drift's diagonal builds C; the diffusion's matrix at the same state reuses it
+        calls = []
+        per_datum = LeastSquaresProblem.per_datum_gradients
+
+        def counted(self, theta):
+            calls.append(1)
+            return per_datum(self, theta)
+
+        monkeypatch.setattr(LeastSquaresProblem, "per_datum_gradients", counted)
+        system, t0 = empirical_system(algo)
+        run_loop(system, empirical_start(system), t0, n_steps=9)
+        assert len(calls) == 9
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_caller_arrays_are_not_written(self, order):
+        system, t0 = empirical_system("rmsprop")
+        x0 = np.asarray(empirical_start(system), order=order)
+        noise = np.random.default_rng(15).standard_normal((12, 5, system.noise_dim))
+        x0_before, noise_before = x0.copy(), noise.copy()
+        run_loop(system, x0, t0, noise=noise)
+        np.testing.assert_array_equal(x0, x0_before)
+        np.testing.assert_array_equal(noise, noise_before)
+
+    @pytest.mark.parametrize("algo", ["rmsprop", "adam"])
+    def test_system_reusing_its_output_arrays_integrates_the_same(self, algo):
+        system, t0 = empirical_system(algo)
+
+        def reusing(fn):
+            held = {}
+
+            def call(*args):
+                out = fn(*args)
+                buf = held.setdefault("out", np.empty_like(out))
+                buf[...] = out
+                return buf
+
+            return call
+
+        reused = dataclasses.replace(
+            system, drift=reusing(system.drift), apply_diffusion=reusing(system.apply_diffusion)
+        )
+        x0 = empirical_start(system)
+        assert_same_record(run_loop(reused, x0, t0), run_loop(system, x0, t0))
+
+    def test_memory_order_of_the_start_does_not_matter(self):
+        system, t0 = empirical_system("rmsprop")
+        x0 = empirical_start(system)
+        assert_same_record(
+            run_loop(system, np.asfortranarray(x0), t0), run_loop(system, np.ascontiguousarray(x0), t0)
+        )
 
 
 class TestNoiseStream:

@@ -15,20 +15,18 @@ Statistical conventions:
   so both processes ride the same Brownian path. Coupling leaves each
   marginal distribution untouched (the gap estimate is unbiased) while
   shrinking its variance by orders of magnitude; the paired SE is then the
-  honest uncertainty of the gap. The path is never held whole: it is drawn
-  one step's block at a time, in the order a single whole-path draw would
-  take. ``compare_at_eta`` keeps the discrete run's per-step sums of it
-  (``_shared_path``); the SVAG runs advance in lockstep with the draw, each
-  coarser run holding one running sum of its current step's blocks.
+  honest uncertainty of the gap. One mechanism, ``_shared_path``, couples
+  every run: it draws the path one fine block at a time, in the order a
+  single whole-path draw would take, and each discrete run rides it in
+  lockstep, stepping on the normalized sum of its step's blocks. The path
+  is never held whole, and no block outlives the step that reads it.
 * A gap below 2 SE is reported as inconclusive rather than failed.
 """
 from __future__ import annotations
 
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass, fields
-from typing import Iterable
 
 import numpy as np
 
@@ -82,26 +80,34 @@ def derive_rng(root_seed: int, *labels: str) -> np.random.Generator:
 
 
 class _SequencedGaussianOracle(GaussianOracle):
-    """Gaussian oracle fed from an iterable of standard-normal blocks.
+    """Gaussian oracle that samples on the standard-normal blocks fed to it.
 
-    Used internally to couple a discrete run to an integrator run or to
-    other discrete runs: each ``sample`` consumes the next (seeds, d) block
-    of ``draws`` (any iterable: an array, or a generator fed as the runs
-    advance) and ignores its rng. Not part of the public oracle family (it is deliberately
-    stateful).
+    Each ``sample`` reads the (seeds, d) block of the last ``feed`` and
+    ignores its rng. A discrete run riding a shared path is fed one block
+    per step (``_shared_path``). Not part of the public oracle family (it is
+    deliberately stateful).
     """
 
-    def __init__(
-        self, problem: Problem, cov: CovarianceSpec, sigma: float, draws: Iterable[np.ndarray]
-    ):
+    def __init__(self, problem: Problem, cov: CovarianceSpec, sigma: float):
         super().__init__(problem, cov, float(sigma))
-        object.__setattr__(self, "_queue", iter(draws))
+        object.__setattr__(self, "_fed", [])
+
+    def feed(self, block: np.ndarray) -> None:
+        """Set the block the next ``sample`` reads."""
+        self._fed[:] = [block]
 
     def _standard_normal(self, shape, rng) -> np.ndarray:
-        try:
-            return next(self._queue)
-        except StopIteration:
-            raise RuntimeError("sequenced oracle exhausted its draws") from None
+        if not self._fed:
+            raise RuntimeError("sequenced oracle sampled with no block fed")
+        return self._fed.pop()
+
+
+def _check_start(name: str, vec: np.ndarray, d: int) -> None:
+    """Reject a start vector that a run would broadcast, or fail on only at its first step."""
+    if vec.shape != (d,):
+        raise ValueError(f"{name} must have shape ({d},), got {vec.shape}")
+    if not np.all(np.isfinite(vec)):
+        raise ValueError(f"{name} must be finite, got {vec}")
 
 
 # The setup constants an adaptive SDE reads, one c per decay; SGD's reads none.
@@ -150,13 +156,8 @@ class ApproximationSetup:
                     f"{self.algo.upper()} setups ignore {f.name}; leave it at {f.default!r}"
                 )
         for name in ("theta0", "u0"):
-            vec = getattr(self, name)
-            if vec is None:
-                continue
-            if vec.shape != (self.problem.dim,):
-                raise ValueError(f"{name} must have shape ({self.problem.dim},), got {vec.shape}")
-            if not np.all(np.isfinite(vec)):
-                raise ValueError(f"{name} must be finite, got {vec}")
+            if getattr(self, name) is not None:
+                _check_start(name, getattr(self, name), self.problem.dim)
         if self.u0 is not None and not np.all(self.u0 > 0):
             raise ValueError("u0 must be positive coordinatewise")
         if not isinstance(self.em_substeps, (int, np.integer)) or self.em_substeps < 1:
@@ -248,31 +249,29 @@ def _checkpoint_steps(k_start: int, n_steps: int, count: int) -> list[int]:
     return [int(k) for k in ks if k > k_start]
 
 
-def _shared_path(rng, steps: int, fine: int, shape, keep_sums: bool):
-    """One Brownian path drawn one step at a time, with its per-step sums if asked.
+def _shared_path(rng, blocks: int, shape, riders):
+    """One Brownian path, drawn one standard-normal block of ``shape`` at a time.
 
-    Returns (blocks, sums). ``blocks`` yields the path's standard-normal
-    blocks of ``shape`` in draw order, ``fine`` per step for ``steps``
-    steps. ``sums`` is None unless ``keep_sums``; then it holds ``steps``
-    blocks, each the unit-variance sum of one step's fine blocks, written as
-    ``blocks`` reaches them. A step's fine blocks are dropped before the next
-    step's are drawn, so a reader that keeps no block holds one step of the
-    path. The sums are one array, not a list of blocks, so freeing it lifts
-    glibc's heap-trim threshold above the empirical covariance's per-substep
-    temporaries.
+    A generator of the path's ``blocks`` blocks in draw order, for the
+    driver that pulls it (the integrator, or a loop that drains the path). A
+    rider is a discrete run on the path, ``(loop, window, sign, oracle)``: a
+    ``discrete_loop`` sampling from the ``_SequencedGaussianOracle``
+    ``oracle``, one step per ``window`` blocks. Each rider keeps one running
+    sum of its window's blocks. When the window closes, before its last
+    block is yielded, the oracle is fed sign * sum / sqrt(window), a
+    unit-variance block, and the loop runs one step on it. No block outlives
+    the window that reads it, so memory does not grow with the path; an
+    error a rider's step raises reaches the driver as raised.
     """
-    sums = np.empty((steps, *shape)) if keep_sums else None
-
-    def blocks():
-        for k in range(steps):
-            block = rng.standard_normal((fine, *shape))
-            if sums is not None:
-                block.sum(axis=0, out=sums[k])
-                sums[k] /= math.sqrt(fine)
-            yield from block
-            del block
-
-    return blocks(), sums
+    sums = [None] * len(riders)
+    for j in range(blocks):
+        block = rng.standard_normal(shape)
+        for r, (loop, window, sign, oracle) in enumerate(riders):
+            sums[r] = block if j % window == 0 else sums[r] + block
+            if (j + 1) % window == 0:
+                oracle.feed(sums[r] / (sign * math.sqrt(window)))
+                next(loop)
+        yield block
 
 
 def _build_system(setup: ApproximationSetup, eta: float):
@@ -297,6 +296,11 @@ def compare_at_eta(
     (sigma = sigma0/eta, 1 - beta = c eta^2) so the continuous target is the
     same for every eta. Momentum comparisons warm-start: the discrete runs
     alone up to k0 = ceil(t0/eta^2) and hands its states to the integrator.
+
+    Coupled, the discrete run rides the integrator's path (``_shared_path``)
+    with a window of em_substeps blocks per step, so both advance together
+    as the integrator pulls the path. Uncoupled, the path has no rider and
+    the discrete run draws its own noise from the same stream afterwards.
     """
     d = setup.problem.dim
     S = setup.seeds
@@ -320,9 +324,8 @@ def compare_at_eta(
     fns = TestFunctionSet.from_names(fn_names, d)
 
     rng = derive_rng(root_seed, "order", algo, f"eta={eta!r}")
-    # rng is read in one fixed order: the warm-up, the Euler-Maruyama noise
-    # one discrete step's block at a time, then (uncoupled only) the discrete
-    # draws; each block is drawn when its step runs
+    # rng is read in one fixed order: the warm-up, the Euler-Maruyama path one
+    # substep's block at a time, then (uncoupled only) the discrete draws
     oracle = GaussianOracle(setup.problem, setup.cov, sigma)
     # SGD never reads v, and its sigma is 1, so unit u0 is as good as any
     u0 = np.ones(d) if algo == "sgd" else setup.u0
@@ -333,22 +336,20 @@ def compare_at_eta(
     system = _build_system(setup, eta)
     blocks = {"theta": state.theta, "m": state.m, "u": state.v / sigma**2}
     x0 = np.concatenate([blocks[b] for b in system.blocks], axis=1)
-    # coupled, each discrete step's noise is the normalized Wiener increment
-    # over its interval
-    em_noise, sums = _shared_path(rng, n_steps - k0, m, (S, d), setup.coupled)
-    em_rec = euler_maruyama(
-        system, x0, k0 * dt_e, dt, (n_steps - k0) * m, None, fns,
-        [(k - k0) * m for k in ks], noise=em_noise,
-    )
+    steps, ks = n_steps - k0, [k - k0 for k in ks]
     if setup.coupled:
-        if algo != "adam":
-            # The stored diffusion keeps a plus sign while the parameter-block
-            # noise enters the discrete update negatively, so the pathwise
-            # identification flips sign except through Adam's momentum.
-            np.negative(sums, out=sums)
-        oracle = _SequencedGaussianOracle(setup.problem, setup.cov, sigma, sums)
-    discrete = run_discrete(oracle, algo, hp, state, n_steps - k0, fns, [k - k0 for k in ks], rng)
-    return weak_error(discrete, em_rec)
+        oracle = _SequencedGaussianOracle(setup.problem, setup.cov, sigma)
+    loop = discrete_loop(oracle, algo, hp, state, steps, fns, ks, rng)
+    # coupled, each discrete step's noise is the normalized Wiener increment
+    # over its interval. The stored diffusion keeps a plus sign while the
+    # parameter-block noise enters the discrete update negatively, so the
+    # pathwise identification flips sign except through Adam's momentum.
+    riders = [(loop, m, 1.0 if algo == "adam" else -1.0, oracle)] if setup.coupled else []
+    em_rec = euler_maruyama(
+        system, x0, k0 * dt_e, dt, steps * m, None, fns, [k * m for k in ks],
+        noise=_shared_path(rng, steps * m, (S, d), riders),
+    )
+    return weak_error(finish(loop), em_rec)
 
 
 @dataclass
@@ -478,15 +479,12 @@ def svag_sweep(
     the largest one. Uncoupled runs draw through the genuine two-sample
     amplifier on independent streams.
 
-    The runs advance in lockstep, one fine block (one step of the finest
-    run) at a time: the shared path is drawn one (seeds, d) block per fine
-    step, the finest run steps on each block, and each coarser run adds it
-    to its one running sum and steps on the normalized sum when its window
-    of blocks is complete. No block is held longer than one fine step, so
-    memory does not grow with the horizon. Uncoupled runs take the same
-    loop without a path. Every cell has its own stream, so the order of the
-    runs changes no result. Needs at least 3 distinct ell values, since the
-    decay fit has one point per consecutive pair.
+    Coupled, every run rides the shared path (``_shared_path``) with a window
+    of ell_max^2 / ell^2 fine blocks per step, so the runs advance in
+    lockstep and memory does not grow with the horizon. Uncoupled, each run
+    goes to its end in turn. Every cell has its own stream, so the order of
+    the runs changes no result. Needs at least 3 distinct ell values, since
+    the decay fit has one point per consecutive pair.
     """
     ells = sorted(float(ell) for ell in ells)
     if len(set(ells)) != len(ells):
@@ -515,14 +513,11 @@ def svag_sweep(
                 raise ValueError("coupled sweeps need every ell to divide the largest ell")
 
     def cell(ell: float):
-        """Run ell as a discrete loop, and the slot that feeds a coupled run its step noise."""
+        """Run ell as a discrete loop, and its window on the shared path: a rider."""
         ell_i = int(round(ell))
         hp_ell = svag_transform_hparams(hp, ell, setup.algo) if ell > 1 else hp
-        slot: list[np.ndarray] = []
         if setup.coupled:
-            oracle: GradientOracle = _SequencedGaussianOracle(
-                setup.problem, setup.cov, ell * sigma, (slot.pop() for _ in itertools.count())
-            )
+            oracle: GradientOracle = _SequencedGaussianOracle(setup.problem, setup.cov, ell * sigma)
         else:
             oracle = SvagOracle(base_oracle, ell) if ell > 1 else base_oracle
         init = OptimizerState.initial(
@@ -531,25 +526,14 @@ def svag_sweep(
         rng = derive_rng(root_seed, "svag", setup.algo, f"ell={ell_i}")
         ks = [k * ell_i**2 for k in base_ks]
         loop = discrete_loop(oracle, setup.algo, hp_ell, init, base_steps * ell_i**2, fns, ks, rng)
-        return loop, slot
+        return loop, ell_max**2 // ell_i**2, 1.0, oracle
 
-    cells = {ell: cell(ell) for ell in ells}
-    fine = ell_max**2
-    path = derive_rng(root_seed, "svag", setup.algo, "shared-path") if setup.coupled else None
-    sums: dict[float, np.ndarray] = {}  # each run's sum of its window so far
-    for j in range(base_steps * fine):
-        block = None if path is None else path.standard_normal((setup.seeds, d))
-        for ell, (loop, slot) in cells.items():
-            ell2 = int(round(ell)) ** 2
-            due = (j + 1) * ell2 // fine - j * ell2 // fine  # steps of run ell ending at block j
-            if block is not None:  # run ell steps on its window's blocks, summed and normalized
-                window = fine // ell2
-                sums[ell] = sums[ell] + block if j % window else block
-                if due:
-                    slot.append(sums.pop(ell) / math.sqrt(window))
-            for _ in range(due):
-                next(loop)
-    records = {ell: finish(loop) for ell, (loop, _) in cells.items()}
+    riders = [cell(ell) for ell in ells]
+    if setup.coupled:
+        path = derive_rng(root_seed, "svag", setup.algo, "shared-path")
+        for _ in _shared_path(path, base_steps * ell_max**2, (setup.seeds, d), riders):
+            pass
+    records = {ell: finish(loop) for ell, (loop, *_) in zip(ells, riders)}
 
     # consecutive-ell pairs are weak-error reports, paired seed by seed
     # (exact seed sharing under coupling); weak_error rejects a pair whose
@@ -625,17 +609,18 @@ def validate_scaling(
 ) -> ScalingReport:
     """Compare test-function traces at aligned checkpoints across batch sizes.
 
-    The base run uses ``batch_size`` minibatch noise (or a Gaussian oracle at
-    scale ``sigma`` on ``cov``); the scaled run multiplies the batch by
-    plan.kappa (or divides sigma by sqrt(kappa)) and runs floor(steps/kappa)
-    steps with the plan's hyperparameters, so total continuous time matches
-    under the square-root rule. Checkpoints are base-run step indices and
-    must be divisible by kappa so that aligned pairs share exact times; one
-    of them must be after step 0, and ``base_steps`` at least kappa, or the
-    runs would only compare their identical starts. Both runs start from
-    u = 1. The plan's rule must name ``algo`` after its dash (``sqrt-rmsprop``
-    runs rmsprop): a plan built for another algorithm moves fields this one
-    does not read.
+    The base run uses minibatch noise at an integer ``batch_size`` (or, with
+    no batch size, a Gaussian oracle at scale ``sigma`` on ``cov``) from
+    ``theta0``, a finite (d,) vector that defaults to 0, and u = 1; the
+    scaled run multiplies the batch by plan.kappa (or divides sigma by
+    sqrt(kappa)) and runs floor(steps/kappa) steps with the plan's
+    hyperparameters, so total continuous time matches under the square-root
+    rule. Checkpoints are base-run step indices and must be divisible by
+    kappa so that aligned pairs share exact times; one of them must be after
+    step 0, and ``base_steps`` at least kappa, or the runs would only compare
+    their identical starts. The plan's rule must name ``algo`` after its dash
+    (``sqrt-rmsprop`` runs rmsprop): a plan built for another algorithm
+    moves fields this one does not read.
     """
     if plan.rule.partition("-")[2] != algo:
         raise ValueError(f"plan {plan.rule!r} was built for another algorithm than {algo!r}")
@@ -643,6 +628,10 @@ def validate_scaling(
         raise ValueError("give exactly one of batch_size or sigma")
     if sigma is not None and cov is None:
         raise ValueError("a Gaussian oracle at scale sigma needs cov")
+    if batch_size is not None and cov is not None:
+        raise ValueError("cov goes with sigma: minibatch noise is the problem's own")
+    if batch_size is not None and not isinstance(batch_size, (int, np.integer)):
+        raise ValueError(f"batch_size must be an integer, got {batch_size!r}")
     if seeds < 2:  # every SE needs two samples
         raise ValueError(f"seeds must be at least 2, got {seeds!r}")
     kappa = plan.kappa
@@ -659,6 +648,7 @@ def validate_scaling(
         raise ValueError("checkpoints leave no step after t = 0: both runs would compare their start")
     d = problem.dim
     theta0 = np.zeros(d) if theta0 is None else np.asarray(theta0, dtype=float)
+    _check_start("theta0", theta0, d)
     fns = TestFunctionSet.from_names(fn_names, d)
 
     def one_run(tag: str, hp: HyperParams, steps: int, ks, scale_batch: float) -> TrajectoryRecord:

@@ -101,6 +101,20 @@ def test_no_algorithm_lists_outside_their_owners():
     assert not lists, f"algorithm names listed outside optimizers and scaling: {lists}"
 
 
+def test_harness_draws_normals_only_on_the_shared_path():
+    # every coupled run rides harness._shared_path; a second call site of
+    # standard_normal there would be a second path mechanism
+    tree = ast.parse(pathlib.Path(importlib.import_module("adasde.harness").__file__).read_text())
+    sites = [
+        f"{getattr(top, 'name', '<module>')}:{node.lineno}"
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "standard_normal"
+    ]
+    assert len(sites) == 1 and sites[0].startswith("_shared_path:"), sites
+
+
 # __all__ names that neither harness nor the bench reaches, each kept until an
 # open ROADMAP item decides it; an entry counts as a root, so what it uses
 # (the stats moment helpers) needs no entry of its own

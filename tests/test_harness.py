@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from adasde import harness
+from adasde import harness, optimizers
 from adasde.harness import (
     ApproximationSetup,
     _SequencedGaussianOracle,
@@ -27,7 +27,7 @@ from adasde.problems import (
     LeastSquaresProblem,
     QuadraticProblem,
 )
-from adasde.recording import TrajectoryRecord
+from adasde.recording import NonFiniteError, TrajectoryRecord
 from adasde.scaling import make_plan
 from adasde.sde import build_rmsprop_sde
 
@@ -434,6 +434,59 @@ class TestCouplingInvariant:
             assert self._last_ratio(coupled, name) > 2.0 * self.RATIO_BOUND
 
 
+class TestSharedPath:
+    """The one coupling mechanism: each rider steps on the normalized sum of its window."""
+
+    def test_riders_read_the_normalized_sums_of_the_blocks_the_driver_saw(self):
+        shape, n_blocks = (3, 2), 8
+        read = {1: [], 4: []}
+
+        def rider(window, sign):
+            oracle = _SequencedGaussianOracle(PROBLEM, COV, 1.0)
+
+            def loop():
+                while True:
+                    read[window].append(oracle._standard_normal(shape, None))
+                    yield
+
+            return loop(), window, sign, oracle
+
+        riders = [rider(1, 1.0), rider(4, -1.0)]
+        seen = np.stack(list(harness._shared_path(np.random.default_rng(3), n_blocks, shape, riders)))
+        for _, window, sign, _ in riders:
+            assert len(read[window]) == n_blocks // window
+            for i, got in enumerate(read[window]):
+                window_blocks = seen[i * window : (i + 1) * window]
+                np.testing.assert_array_equal(got, sign * window_blocks.sum(axis=0) / math.sqrt(window))
+
+    @pytest.mark.parametrize("error", [NonFiniteError, ValueError])
+    def test_an_error_in_a_riding_run_reaches_the_caller_as_raised(self, error, monkeypatch):
+        # the discrete run steps inside the path's generator; its error must
+        # not turn into a generator's RuntimeError or an exhausted oracle
+        rmsprop_step = optimizers.step_function("rmsprop")
+
+        def failing_step(state, g, hp):
+            nxt = rmsprop_step(state, g, hp)
+            if nxt.k < 3:
+                return nxt
+            if error is ValueError:
+                raise ValueError("the step cannot run")
+            return dataclasses.replace(nxt, theta=np.full_like(nxt.theta, np.nan))
+
+        monkeypatch.setitem(optimizers._STEPS, "rmsprop", failing_step)
+        setup = ApproximationSetup(
+            PROBLEM, COV, "rmsprop", theta0=np.ones(2), u0=np.ones(2), T=0.5, seeds=8,
+            em_substeps=4, n_checkpoints=3,
+        )
+        with pytest.raises(error) as raised:
+            compare_at_eta(setup, 0.2, FNS, ROOT_SEED)
+        assert type(raised.value) is error
+        if error is NonFiniteError:
+            assert raised.value.step == 3
+        else:
+            assert str(raised.value) == "the step cannot run"
+
+
 class TestNoiseMemory:
     """The coupled runs hold a step's noise at a time, never a whole path of it.
 
@@ -494,6 +547,21 @@ class TestNoiseMemory:
         assert em_noise_bytes == 16_000_000
         peak = self._peak_bytes(lambda: compare_at_eta(setup, eta, FNS, ROOT_SEED))
         assert peak < em_noise_bytes / 2
+
+    @pytest.mark.parametrize("algo", ["rmsprop", "adam"])
+    def test_compare_at_eta_peak_does_not_grow_with_the_horizon(self, algo):
+        # the discrete run rides the integrator's path, so no step's sum of
+        # it outlives that step and quadrupling the horizon must leave the
+        # peak where it was (holding the sums read 2.8 times the short peak)
+        def peak(T):
+            setup = ApproximationSetup(
+                PROBLEM, COV, algo, theta0=np.ones(2), T=T, seeds=2500, em_substeps=4,
+                n_checkpoints=3, **ORDER_EXTRA[algo],
+            )
+            return self._peak_bytes(lambda: compare_at_eta(setup, 0.1, FNS, ROOT_SEED))
+
+        short, long = peak(0.4), peak(1.6)
+        assert long < 1.1 * short
 
 
 # A value away from the default for every constant a setup may read.
@@ -635,14 +703,14 @@ class TestSequencedGaussianOracle:
         data = np.random.default_rng(1)
         problem = LeastSquaresProblem(data.standard_normal((8, 3)), data.standard_normal(8))
         thetas = [data.standard_normal((5, 3)) for _ in range(3)]
-        draws = np.random.default_rng(11)
-        queue = np.stack([draws.standard_normal((5, 3)) for _ in thetas])
-        sequenced = _SequencedGaussianOracle(problem, cov, 0.7, queue)
+        fed = np.random.default_rng(11)
+        sequenced = _SequencedGaussianOracle(problem, cov, 0.7)
         reference = GaussianOracle(problem, cov, 0.7)
         draws = np.random.default_rng(11)
         for theta in thetas:
+            sequenced.feed(fed.standard_normal((5, 3)))
             np.testing.assert_array_equal(sequenced.sample(theta, None), reference.sample(theta, draws))
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="no block fed"):  # each block is read once
             sequenced.sample(thetas[0], None)
 
 
@@ -698,6 +766,27 @@ class TestValidateScalingArguments:
             validate_scaling(plan, PROBLEM, "rmsprop", FNS, base_steps=8, checkpoints=[4, 8],
                              seeds=10, root_seed=ROOT_SEED, sigma=1.0)
 
+
+    @pytest.mark.parametrize("arguments, message", [
+        (dict(batch_size=2.5), "batch_size must be an integer"),
+        (dict(batch_size=2, cov=COV), "cov goes with sigma"),
+        (dict(batch_size=2, theta0=[5.0]), r"theta0 must have shape \(2,\)"),
+        (dict(batch_size=2, theta0=[np.nan, 1.0]), "theta0 must be finite"),
+    ], ids=["fractional-batch", "cov-with-batch", "theta0-shape", "theta0-nan"])
+    def test_misread_arguments_rejected_before_any_run(self, arguments, message, monkeypatch):
+        # unchecked, each ran: batch 2.5 as batch 2 against 5 (a ratio of
+        # 2.5 under kappa = 2), cov ignored, theta0 broadcast, and a NaN start
+        # failing only as a NonFiniteError at step 1
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before the arguments were checked")
+
+        monkeypatch.setattr(harness, "run_discrete", no_run)
+        data = np.random.default_rng(2)
+        problem = LeastSquaresProblem(data.standard_normal((8, 2)), data.standard_normal(8))
+        plan = make_plan("sqrt-rmsprop", HyperParams(eta=0.05, beta=0.99), 2)
+        with pytest.raises(ValueError, match=message):
+            validate_scaling(plan, problem, "rmsprop", FNS, base_steps=8, checkpoints=[4, 8],
+                             seeds=10, root_seed=ROOT_SEED, **arguments)
 
     @pytest.mark.parametrize("checkpoints", [[0], [0, 0]])
     def test_only_step_zero_rejected_before_any_run(self, checkpoints, monkeypatch):

@@ -102,6 +102,12 @@ class _SequencedGaussianOracle(GaussianOracle):
         return self._fed.pop()
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Reject a size that is not an int >= ``least``: a run would fail on it deep inside."""
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+
+
 def _check_start(name: str, vec: np.ndarray, d: int) -> None:
     """Reject a start vector that a run would broadcast, or fail on only at its first step."""
     if vec.shape != (d,):
@@ -160,14 +166,11 @@ class ApproximationSetup:
                 _check_start(name, getattr(self, name), self.problem.dim)
         if self.u0 is not None and not np.all(self.u0 > 0):
             raise ValueError("u0 must be positive coordinatewise")
-        if not isinstance(self.em_substeps, (int, np.integer)) or self.em_substeps < 1:
-            raise ValueError(f"em_substeps must be an int >= 1, got {self.em_substeps!r}")
-        if self.seeds < 2:  # every SE needs two samples
-            raise ValueError(f"seeds must be at least 2, got {self.seeds!r}")
-        if self.n_checkpoints < 1:
-            raise ValueError(f"n_checkpoints must be at least 1, got {self.n_checkpoints!r}")
-        if not self.T > 0:
-            raise ValueError(f"T must be positive, got {self.T!r}")
+        _check_count("em_substeps", self.em_substeps, 1)
+        _check_count("seeds", self.seeds, 2)  # every SE needs two samples
+        _check_count("n_checkpoints", self.n_checkpoints, 1)
+        if not 0 < self.T < math.inf:
+            raise ValueError(f"T must be positive and finite, got {self.T!r}")
 
 
 @dataclass
@@ -408,7 +411,7 @@ def order_sweep(
 ) -> OrderReport:
     """Fit log(max gap) against log(eta) per test function.
 
-    Requires at least 3 eta values with successive ratios >= sqrt(2). The
+    Requires at least 3 positive eta values with successive ratios >= sqrt(2). The
     fitted slope targets the approximation order (2 for the adaptive
     algorithms with effective time eta^2, 1 for SGD in eta). Cells whose gap
     never clears 2 SE are flagged inconclusive, not failed; identically zero
@@ -417,6 +420,8 @@ def order_sweep(
     etas = sorted((float(e) for e in etas), reverse=True)
     if len(etas) < 3:
         raise ValueError("need at least 3 eta values")
+    if not etas[-1] > 0:
+        raise ValueError(f"eta values must be positive, got {etas}")
     ratios = [etas[i] / etas[i + 1] for i in range(len(etas) - 1)]
     if min(ratios) < math.sqrt(2.0) * 0.98:  # 2% slack admits the standard 0.2/0.14/0.1/... ladder
         raise ValueError("eta values must shrink by roughly sqrt(2) or more per step")
@@ -632,13 +637,13 @@ def validate_scaling(
         raise ValueError("cov goes with sigma: minibatch noise is the problem's own")
     if batch_size is not None and not isinstance(batch_size, (int, np.integer)):
         raise ValueError(f"batch_size must be an integer, got {batch_size!r}")
-    if seeds < 2:  # every SE needs two samples
-        raise ValueError(f"seeds must be at least 2, got {seeds!r}")
+    _check_count("seeds", seeds, 2)  # every SE needs two samples
     kappa = plan.kappa
     if kappa < 1:
         raise ValueError("kappa must be at least 1")
     if abs(kappa - round(kappa)) > 1e-12:
         raise ValueError("kappa must be an integer for exact checkpoint alignment")
+    _check_count("base_steps", base_steps, 0)
     if base_steps < round(kappa):
         raise ValueError(f"base_steps {base_steps!r} is below kappa {kappa!r}: the scaled run takes no step")
     checkpoints = list(checkpoints)
@@ -732,13 +737,15 @@ def linear_warmup_check(
 
     At sigma >> |g_bar| this collapses to the noise-dominated approximation
     (-k eta/sigma g, k eta^2 I); both the exact law (within 4 SE) and the
-    approximation residual are reported. Requires sigma >= 100 max|g_i|.
+    approximation residual are reported. Requires sigma > 0 and
+    sigma >= 100 max|g_i|.
     """
     g_bar = np.atleast_1d(np.asarray(g_bar, dtype=float))
+    if not sigma > 0:  # at g_bar = 0 the dominance check below holds at sigma = 0
+        raise ValueError(f"sigma must be positive, got {sigma!r}")
     if sigma < 100.0 * np.max(np.abs(g_bar)):
         raise ValueError("noise dominance requires sigma >= 100 * max|g_bar|")
-    if seeds < 2:  # every SE needs two samples
-        raise ValueError(f"seeds must be at least 2, got {seeds!r}")
+    _check_count("seeds", seeds, 2)  # every SE needs two samples
     problem = LinearProblem(g_bar)
     d = problem.dim
     oracle = GaussianOracle(problem, IsotropicCovariance(1.0), sigma)

@@ -1,10 +1,14 @@
-"""One-step moment formulas and Monte Carlo estimators of step differences.
+"""One-step moment formulas and the Monte Carlo estimator of discrete step differences.
 
 The analytic moments carry the exact first moments and the leading-order
 second moments of a single update in (theta[, m], u) coordinates; every
-block not listed decays like eta^4 and is stored as zero. Monte Carlo
-estimators measure the same quantities from repeated single steps, so the
-two can be compared entrywise with an eta^4-sized slack.
+block not listed decays like eta^4 and is stored as zero. The one Monte
+Carlo estimator, ``mc_discrete_moments``, measures the same quantities
+from repeated single discrete steps, so the two can be compared entrywise
+with an eta^4-sized slack. The SDE's side of a one-step comparison needs
+no estimator: over time eta^2 its moments are eta^2 b(x) and
+eta^2 s s' to leading order, read off the system's ``drift`` and
+``apply_diffusion``.
 
 A one-step estimate is a ``stats.Moments`` plus the eta it was taken at;
 analytic estimates carry zero third moments and zero standard errors.
@@ -24,7 +28,6 @@ from .ngos import GradientOracle
 from .optimizers import HyperParams, OptimizerState, step_function
 from .problems import CovarianceSpec, Problem
 from .scaling import DECAYS, hyperparams_from_constants
-from .sde import SdeSystem, _em_loop
 from .stats import Moments, fit_loglog_slope, jackknife_moments, select_third_triples
 
 __all__ = [
@@ -33,7 +36,6 @@ __all__ = [
     "analytic_rmsprop_moments",
     "analytic_adam_moments",
     "mc_discrete_moments",
-    "mc_sde_moments",
     "compare_moments",
     "residual_decay_sweep",
 ]
@@ -189,26 +191,6 @@ def mc_discrete_moments(
     blocks.append((new.v - v) / sigma**2)
     delta = np.concatenate(blocks, axis=1)
     return _moments_from_samples(delta, hp.eta)
-
-
-def mc_sde_moments(
-    system: SdeSystem,
-    x,
-    t: float,
-    eta: float,
-    samples: int,
-    substeps: int,
-    rng: np.random.Generator,
-) -> OneStepMoments:
-    """Monte Carlo moments of X_{t + eta^2} - x over paths of substeps steps of eta^2 / substeps."""
-    if samples < 1000:
-        raise ValueError("need at least 1000 samples")
-    if not isinstance(substeps, (int, np.integer)) or substeps < 10:
-        raise ValueError(f"substeps must be an int >= 10, got {substeps!r}")
-    x = np.asarray(x, dtype=float)
-    x0 = np.broadcast_to(x, (samples, x.size)).copy()
-    x1 = _em_loop(system, x0, t, eta**2 / substeps, substeps, rng)
-    return _moments_from_samples(x1 - x, eta)
 
 
 @dataclass(frozen=True)

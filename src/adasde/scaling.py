@@ -83,6 +83,8 @@ def hyperparams_from_constants(
     SGD has no decays and runs at sigma = 1, so sigma0, epsilon0 and c2 do
     not apply to it.
     """
+    if not eta > 0:  # checked before sigma0 / eta and epsilon0 / eta divide by it
+        raise ValueError("eta must be positive")
     decays = _decays(algo)
     if not decays:
         return HyperParams(eta=eta), 1.0

@@ -20,19 +20,13 @@ SDE; its columns are ``apply_diffusion`` on the unit draws.
 
 The adaptive systems divide by sqrt(u), so they are defined only while u > 0.
 
-Every integration runs through one Euler-Maruyama loop, ``_em_loop``, which
-owns the step and the checks on each state (finite values, u > 0 on a system
-with a u block); a failed check names its step. ``euler_maruyama`` starts a
-path ensemble x0 of shape (paths, D) at time t0 >= 0 (Adam's system needs
-t0 > 0), takes n_steps steps of dt and records test functions at checkpoint
-step indices, as the discrete runner does: step i is at t0 + i dt, so a run
-at m substeps per discrete step reads step k at m k. The one-step moment
-estimator calls the loop directly, for substeps >= 10 (an int) steps of eta^2 / substeps.
-The loop reads its standard-normal increments one step's block at a time, from
-any iterable of blocks or from its rng, so no caller holds a whole path of noise.
-It holds the ensemble column-major, so that each block of the state
-(``x[:, :d]``, ``x[:, d:]``) is contiguous, and writes into no array that it
-did not allocate.
+Every integration runs through ``euler_maruyama``, which owns the step,
+the checks on each state (finite values, u > 0 on a system with a u block;
+a failed check names its step) and the record. It records test functions
+at checkpoint step indices, as the discrete runner does: step i is at
+t0 + i dt, so a run at m substeps per discrete step reads step k at m k.
+It reads its standard-normal increments one step's block at a time, so no
+caller holds a whole path of noise.
 """
 from __future__ import annotations
 
@@ -191,32 +185,36 @@ def build_sgd_sde(problem: Problem, cov: CovarianceSpec, eta: float) -> SdeSyste
     )
 
 
-def _em_loop(
+def euler_maruyama(
     system: SdeSystem,
-    x: np.ndarray,
+    x0,
     t0: float,
     dt: float,
     n_steps: int,
     rng: np.random.Generator | None,
+    fns: TestFunctionSet,
+    checkpoints,
     noise: Iterable[np.ndarray] | None = None,
-    on_state: Callable | None = None,
-) -> np.ndarray:
-    """The Euler-Maruyama loop x <- x + b dt + sigma sqrt(dt) w over a path ensemble.
+) -> TrajectoryRecord:
+    """Integrate x <- x + b dt + sigma sqrt(dt) w from x0 at time t0, recorded at checkpoints.
 
-    ``x`` of shape (paths, D) (or (D,) for one path) starts at time t0 and
-    advances n_steps of size dt > 0. Step n reads its increment w, a
-    (paths, noise_dim) standard-normal block, as the next item of ``noise``
-    when given, else as a fresh draw from rng. ``noise`` is any iterable of
-    such blocks in step order: an (n_steps, paths, noise_dim) array (checked
-    up front) or a generator that draws each block when the step asks for
-    it. A block of another shape, or a stream that ends before n_steps,
-    raises ValueError naming the step. The start and every step are checked:
-    a non-finite state raises NonFiniteError with its step, and u <= 0 on a
-    system with a "u" block raises ValueError with its step and time. A
-    system defined only for t > 0 (Adam's) raises from its drift on the
-    first step.
-    ``on_state(x, step)`` sees the start (step 0) and the state after every
-    step. Returns the final states.
+    ``x0`` of shape (paths, D) (or (D,) for one path) integrates all paths
+    against a shared vectorized stream from the start time ``t0 >= 0`` for
+    n_steps steps of dt > 0. ``checkpoints`` are step indices, integers in
+    [0, n_steps] (``_Recorder`` checks them); step i is recorded at time
+    t0 + i dt, and no other step builds a view.
+
+    Step n reads its increment w, a (paths, noise_dim) standard-normal
+    block, as the next item of ``noise`` when given, else as a fresh draw
+    from rng. ``noise`` is any iterable of such blocks in step order: an
+    (n_steps, paths, noise_dim) array (checked up front), or a generator
+    that draws each block when the step asks for it, which lets systems
+    share noise exactly without holding a whole path. A block of another
+    shape, or a stream that ends before n_steps, raises ValueError naming
+    the step. The start and every step are checked: a non-finite state
+    raises NonFiniteError with its step, and u <= 0 on a system with a "u"
+    block raises ValueError with its step and time. A system defined only
+    for t > 0 (Adam's) raises from its drift on the first step.
 
     The ensemble is held column-major: a system's blocks are then
     contiguous columns, and elementwise work on them runs without strided
@@ -225,7 +223,12 @@ def _em_loop(
     diffusion into it; x0, the noise and whatever a system returns are only
     read.
     """
-    x = np.asarray(x, dtype=float)
+    if t0 < 0:
+        raise ValueError("time must be nonnegative")
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    recorder = _Recorder(fns, checkpoints, n_steps)
+    x = np.asarray(x0, dtype=float)
     if x.ndim == 1:
         x = x[None, :]
     x = np.asfortranarray(x)
@@ -241,19 +244,24 @@ def _em_loop(
     blocks = iter(noise)
 
     u_slice = system.blocks.get("u")
-
-    def visit(xc, step, t):
-        if not np.isfinite(xc).all():
-            raise NonFiniteError(step, f"t={t:.6g}")
-        if u_slice is not None and not (xc[..., u_slice] > 0.0).all():
-            raise ValueError(f"u reached zero at step {step}, t={t:.6g}; reduce dt")
-        if on_state is not None:
-            on_state(xc, step)
-
-    visit(x, 0, t0)
     sqrt_dt = math.sqrt(dt)
-    for n in range(n_steps):
+    for n in range(n_steps + 1):  # check and record state n, then step it unless it is the last
         t = t0 + n * dt
+        if not np.isfinite(x).all():
+            raise NonFiniteError(n, f"t={t:.6g}")
+        if u_slice is not None and not (x[:, u_slice] > 0.0).all():
+            raise ValueError(f"u reached zero at step {n}, t={t:.6g}; reduce dt")
+        if n in recorder.checkpoints:
+            recorder.record(StateView(
+                theta=x[:, system.blocks["theta"]],
+                t=t,
+                k=n,
+                problem=system.problem,
+                m=system.block(x, "m"),
+                u=system.block(x, "u"),
+            ))
+        if n == n_steps:
+            break
         w = next(blocks, None)
         if w is None:
             raise ValueError(f"noise stream ended at step {n} of {n_steps}")
@@ -265,52 +273,4 @@ def _em_loop(
         step += x
         step += system.apply_diffusion(x, t, sqrt_dt * w)
         x = step
-        visit(x, n + 1, t + dt)
-    return x
-
-
-def euler_maruyama(
-    system: SdeSystem,
-    x0,
-    t0: float,
-    dt: float,
-    n_steps: int,
-    rng: np.random.Generator | None,
-    fns: TestFunctionSet,
-    checkpoints,
-    noise: Iterable[np.ndarray] | None = None,
-) -> TrajectoryRecord:
-    """Integrate a path ensemble from x0 at time t0 for n_steps steps of dt, recorded at checkpoints.
-
-    ``x0`` of shape (paths, D) (or (D,) for one path) integrates all paths
-    against a shared vectorized stream from the start time ``t0 >= 0``.
-    ``checkpoints`` are step indices, integers in [0, n_steps] (``_Recorder``
-    checks them); step i is recorded at time t0 + i dt, and no other step
-    builds a view. ``noise`` optionally supplies the standard-normal
-    increments as an iterable of (paths, noise_dim) blocks, one per step in
-    order (an (n_steps, paths, noise_dim) array qualifies), enabling exact
-    noise sharing between systems; a generator lets the caller draw each
-    block only when the step reads it. Every state passes ``_em_loop``'s
-    checks: a non-finite state, or u <= 0, raises naming its step.
-    """
-    if t0 < 0:
-        raise ValueError("time must be nonnegative")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    recorder = _Recorder(fns, checkpoints, n_steps)
-
-    def snapshot(xc, idx):
-        if idx not in recorder.checkpoints:
-            return
-        view = StateView(
-            theta=xc[..., system.blocks["theta"]],
-            t=t0 + idx * dt,
-            k=idx,
-            problem=system.problem,
-            m=system.block(xc, "m"),
-            u=system.block(xc, "u"),
-        )
-        recorder.record(view)
-
-    _em_loop(system, x0, t0, dt, n_steps, rng, noise, snapshot)
     return recorder.build()

@@ -1,4 +1,4 @@
-"""Sweep harness: exact sweep figures, the sequenced oracle and the shared integrator checks."""
+"""Sweep harness: exact sweep figures, the sequenced oracle and the argument checks."""
 import dataclasses
 import math
 import tracemalloc
@@ -17,7 +17,6 @@ from adasde.harness import (
     validate_scaling,
     weak_error,
 )
-from adasde.moments import mc_sde_moments
 from adasde.ngos import GaussianOracle
 from adasde.optimizers import HyperParams
 from adasde.problems import (
@@ -29,7 +28,6 @@ from adasde.problems import (
 )
 from adasde.recording import NonFiniteError, TrajectoryRecord
 from adasde.scaling import make_plan
-from adasde.sde import build_rmsprop_sde
 
 FNS = ["theta_0", "loss"]
 PROBLEM = QuadraticProblem(np.diag([1.0, 0.5]))
@@ -607,6 +605,34 @@ class TestSweepArguments:
             svag_sweep(setup, 0.2, (1, 2, 4), [], ROOT_SEED)
 
     @pytest.mark.parametrize("sweep", [
+        lambda setup: compare_at_eta(setup, 0.0, FNS, ROOT_SEED),
+        lambda setup: svag_sweep(setup, 0.0, (1, 2, 4), FNS, ROOT_SEED),
+    ], ids=["compare_at_eta", "svag_sweep"])
+    def test_zero_eta_rejected_before_any_run(self, sweep, monkeypatch):
+        # the constant map divided sigma0 and epsilon0 by eta: a ZeroDivisionError
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before eta was checked")
+
+        for name in ("euler_maruyama", "run_discrete", "discrete_loop"):
+            monkeypatch.setattr(harness, name, no_run)
+        setup = ApproximationSetup(
+            PROBLEM, COV, "rmsprop", theta0=np.ones(2), u0=np.ones(2), T=0.4, seeds=8,
+            n_checkpoints=3, epsilon0=0.1,
+        )
+        with pytest.raises(ValueError, match="eta must be positive"):
+            sweep(setup)
+
+    def test_order_sweep_rejects_a_zero_eta_before_any_run(self, monkeypatch):
+        # its ratio check divided by the smallest eta
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before the eta values were checked")
+
+        monkeypatch.setattr(harness, "compare_at_eta", no_run)
+        setup = ApproximationSetup(PROBLEM, COV, "rmsprop", theta0=np.ones(2), u0=np.ones(2))
+        with pytest.raises(ValueError, match="eta values must be positive"):
+            order_sweep(setup, (0.2, 0.1, 0.0), FNS, ROOT_SEED)
+
+    @pytest.mark.parametrize("sweep", [
         lambda setup: compare_at_eta(setup, 0.2, FNS, ROOT_SEED),
         lambda setup: svag_sweep(setup, 0.2, (1, 2, 4), FNS, ROOT_SEED),
     ], ids=["compare_at_eta", "svag_sweep"])
@@ -646,8 +672,11 @@ class TestSweepArguments:
 
     @pytest.mark.parametrize("field, value", [
         ("em_substeps", 0), ("em_substeps", 2.0), ("seeds", 1), ("n_checkpoints", 0), ("T", 0.0),
+        ("seeds", 2.5), ("n_checkpoints", 2.5), ("T", math.inf),
     ])
     def test_setup_rejects_sizes_that_fail_later(self, field, value):
+        # a fractional seed or checkpoint count failed as a TypeError inside
+        # the run, and an infinite T as an OverflowError in _horizon_steps
         with pytest.raises(ValueError, match=field):
             ApproximationSetup(
                 PROBLEM, COV, "rmsprop", theta0=np.ones(2), u0=np.ones(2), **{field: value}
@@ -714,17 +743,6 @@ class TestSequencedGaussianOracle:
             sequenced.sample(thetas[0], None)
 
 
-class TestMcSdeLoopChecks:
-    def test_u_reaching_zero_is_reported(self):
-        # zero noise covariance and c2 dt = 2 flip u from 1 to -1 in the first step
-        system = build_rmsprop_sde(
-            QuadraticProblem(np.eye(1)), IsotropicCovariance(0.0), sigma0=1.0, epsilon0=0.0, c2=2000.0
-        )
-        with pytest.raises(ValueError, match="u reached zero"):
-            mc_sde_moments(system, [1.0, 1.0], 0.0, eta=0.1, samples=1000, substeps=10,
-                           rng=np.random.default_rng(0))
-
-
 class TestValidateScalingArguments:
     def _run(self, kappa, checkpoints):
         data = np.random.default_rng(2)
@@ -772,11 +790,15 @@ class TestValidateScalingArguments:
         (dict(batch_size=2, cov=COV), "cov goes with sigma"),
         (dict(batch_size=2, theta0=[5.0]), r"theta0 must have shape \(2,\)"),
         (dict(batch_size=2, theta0=[np.nan, 1.0]), "theta0 must be finite"),
-    ], ids=["fractional-batch", "cov-with-batch", "theta0-shape", "theta0-nan"])
+        (dict(batch_size=2, seeds=2.5), "seeds must be an int"),
+        (dict(batch_size=2, base_steps=8.5), "base_steps must be an int"),
+    ], ids=["fractional-batch", "cov-with-batch", "theta0-shape", "theta0-nan", "fractional-seeds",
+            "fractional-steps"])
     def test_misread_arguments_rejected_before_any_run(self, arguments, message, monkeypatch):
         # unchecked, each ran: batch 2.5 as batch 2 against 5 (a ratio of
-        # 2.5 under kappa = 2), cov ignored, theta0 broadcast, and a NaN start
-        # failing only as a NonFiniteError at step 1
+        # 2.5 under kappa = 2), cov ignored, theta0 broadcast, a NaN start
+        # failing only as a NonFiniteError at step 1, and a fractional seed or
+        # step count failing inside the runs as a TypeError
         def no_run(*args, **kwargs):
             raise AssertionError("a run started before the arguments were checked")
 
@@ -784,9 +806,10 @@ class TestValidateScalingArguments:
         data = np.random.default_rng(2)
         problem = LeastSquaresProblem(data.standard_normal((8, 2)), data.standard_normal(8))
         plan = make_plan("sqrt-rmsprop", HyperParams(eta=0.05, beta=0.99), 2)
+        arguments = {"base_steps": 8, "seeds": 10, **arguments}
         with pytest.raises(ValueError, match=message):
-            validate_scaling(plan, problem, "rmsprop", FNS, base_steps=8, checkpoints=[4, 8],
-                             seeds=10, root_seed=ROOT_SEED, **arguments)
+            validate_scaling(plan, problem, "rmsprop", FNS, checkpoints=[4, 8], root_seed=ROOT_SEED,
+                             **arguments)
 
     @pytest.mark.parametrize("checkpoints", [[0], [0, 0]])
     def test_only_step_zero_rejected_before_any_run(self, checkpoints, monkeypatch):
@@ -882,6 +905,25 @@ class TestLinearWarmupCheck:
         monkeypatch.setattr(harness, "run_discrete", no_run)
         with pytest.raises(ValueError, match="seeds"):
             linear_warmup_check(self.G_BAR, self.SIGMA, self.ETA, self.K, 1, ROOT_SEED)
+
+    def test_fractional_seed_count_rejected_before_any_run(self, monkeypatch):
+        # 2.5 seeds reached the run and failed there as a TypeError
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before the seed count was checked")
+
+        monkeypatch.setattr(harness, "run_discrete", no_run)
+        with pytest.raises(ValueError, match="seeds must be an int"):
+            linear_warmup_check(self.G_BAR, self.SIGMA, self.ETA, self.K, 2.5, ROOT_SEED)
+
+    def test_zero_sigma_rejected_before_any_run(self, monkeypatch):
+        # at g_bar = 0 the dominance check read 0 >= 100 * 0 and passed; the
+        # run then failed at step 1 on sqrt(v) + epsilon = 0
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before sigma was checked")
+
+        monkeypatch.setattr(harness, "run_discrete", no_run)
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            linear_warmup_check([0.0, 0.0], 0.0, self.ETA, self.K, self.SEEDS, ROOT_SEED)
 
     def test_zero_steps_score_zero(self):
         # every sample is theta_0 = 0: zero SE and an exact match, so z = 0, not 0/0

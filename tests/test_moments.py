@@ -6,14 +6,11 @@ from adasde.moments import (
     analytic_rmsprop_moments,
     compare_moments,
     mc_discrete_moments,
-    mc_sde_moments,
     residual_decay_sweep,
 )
 from adasde.ngos import GaussianOracle
 from adasde.problems import ConstantCovariance, IsotropicCovariance, QuadraticProblem
 from adasde.scaling import hyperparams_from_constants
-from adasde.sde import SdeSystem, build_rmsprop_sde
-from test_sde import diffusion_columns
 
 
 def rng(seed=0):
@@ -147,40 +144,6 @@ class TestMcDiscrete:
         large = mc_discrete_moments(oracle, "rmsprop", [1.0, 0.0], [1.0, 1.0], hp, 80_000, rng(4))
         ratio = np.median(small.first_se / large.first_se)
         assert ratio == pytest.approx(2.0, rel=0.15)
-
-
-class TestMcSde:
-    def test_zero_dynamics_zero_moments(self):
-        system = SdeSystem(
-            noise_dim=1,
-            drift=lambda x, t: np.zeros_like(x),
-            apply_diffusion=lambda x, t, dw: np.zeros_like(x),
-            blocks={"theta": slice(0, 1)},
-            )
-        mom = mc_sde_moments(system, [1.0], t=0.0, eta=0.1, samples=1000, substeps=10, rng=rng())
-        np.testing.assert_array_equal(mom.first, 0.0)
-        np.testing.assert_array_equal(mom.second, 0.0)
-
-    def test_first_and_second_moments_match_drift_and_diffusion(self):
-        p = QuadraticProblem(np.diag([1.0, 2.0]))
-        cov = ConstantCovariance(np.array([[1.0, 0.3], [0.3, 0.8]]))
-        system = build_rmsprop_sde(p, cov, sigma0=1.0, epsilon0=0.1, c2=1.0)
-        x = np.concatenate([[1.0, -1.0], [1.2, 0.7]])
-        eta = 0.1
-        mom = mc_sde_moments(system, x, t=0.0, eta=eta, samples=60_000, substeps=20, rng=rng(5))
-        b = system.drift(x[None, :], 0.0)[0]
-        np.testing.assert_array_less(np.abs(mom.first - eta**2 * b), 4 * mom.first_se + 2e-4)
-        s = diffusion_columns(system, x[None, :], 0.0)[0]
-        target = eta**2 * s @ s.T
-        np.testing.assert_array_less(np.abs(mom.second - target), 4 * mom.second_se + 2e-4)
-
-    @pytest.mark.parametrize("substeps", [9, 20.0, 0.5])
-    def test_substeps_must_be_an_int_of_at_least_ten(self, substeps):
-        # a step count it had to round would integrate at a dt nobody asked for
-        p = QuadraticProblem(np.eye(1))
-        system = build_rmsprop_sde(p, IsotropicCovariance(1.0), sigma0=1.0, epsilon0=0.0, c2=1.0)
-        with pytest.raises(ValueError, match="substeps"):
-            mc_sde_moments(system, [1.0, 1.0], 0.0, eta=0.1, samples=1000, substeps=substeps, rng=rng())
 
 
 class TestCompareMoments:

@@ -206,6 +206,12 @@ class TestSdeConstantPreservation:
         for key in constants:
             assert out[key] == pytest.approx(constants[key], rel=1e-12)
 
+    @pytest.mark.parametrize("algo", ["rmsprop", "adam"])
+    def test_zero_eta_rejected(self, algo):
+        # sigma0 / eta and epsilon0 / eta ran before HyperParams could reject eta
+        with pytest.raises(ValueError, match="eta must be positive"):
+            hyperparams_from_constants(algo, 0.0, 1.0, 0.1, 1.0, c1=1.0)
+
     def test_linear_rule_breaks_sigma0(self):
         hp = HyperParams(eta=0.05, beta1=0.99, beta2=0.99, epsilon=1e-6)
         kappa, sigma = 4.0, 1.0

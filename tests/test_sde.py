@@ -418,7 +418,7 @@ def assert_same_record(got, want):
 
 
 class TestLoopContract:
-    """What ``_em_loop`` promises its callers and the systems it calls."""
+    """What ``euler_maruyama`` promises its callers and the systems it calls."""
 
     @pytest.mark.parametrize("algo", ["rmsprop", "adam"])
     def test_one_covariance_build_per_step(self, algo, monkeypatch):

@@ -395,10 +395,11 @@ def _fit_gap_decay(x, reports: list[WeakErrorReport], name: str, rng, n_boot: in
         idx = rng.integers(0, n, size=(chunk, len(reports), n))
         boot_gaps = np.empty((len(reports), chunk))
         for r, rep in enumerate(reports):
-            dvals = rep.discrete.values[name][:, idx[:, r]]  # (checkpoints, chunk, n)
-            svals = rep.continuous.values[name][:, idx[:, r]]
-            gap = np.abs(dvals.mean(axis=-1) - svals.mean(axis=-1))
-            boot_gaps[r] = np.maximum(gap.max(axis=0), 1e-300)
+            # gathered seed-major, (chunk, n, checkpoints), so each mean adds
+            # whole rows of checkpoints in seed order
+            dmean = np.take(rep.discrete.values[name].T, idx[:, r], axis=0).mean(axis=1)
+            smean = np.take(rep.continuous.values[name].T, idx[:, r], axis=0).mean(axis=1)
+            boot_gaps[r] = np.maximum(np.abs(dmean - smean).max(axis=1), 1e-300)
         boots[start : start + chunk] = fit_loglog_slope(x, boot_gaps)
     return gaps, ses, slope, float(np.std(boots, ddof=1)), status
 

@@ -8,7 +8,8 @@ from repeated single discrete steps, so the two can be compared entrywise
 with an eta^4-sized slack. The SDE's side of a one-step comparison needs
 no estimator: over time eta^2 its moments are eta^2 b(x) and
 eta^2 s s' to leading order, read off the system's ``drift`` and
-``apply_diffusion``.
+``apply_diffusion``. The latter gives only the driven block's rows of s
+(its increment on each unit draw); every other row of s is zero.
 
 A one-step estimate is a ``stats.Moments`` plus the eta it was taken at;
 analytic estimates carry zero third moments and zero standard errors.

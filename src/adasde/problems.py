@@ -164,6 +164,10 @@ class LeastSquaresProblem(Problem):
 class CovarianceSpec:
     """Noise covariance Sigma(theta) attached to a problem; subclasses define ``diagonal``.
 
+    ``matrix`` and ``diagonal`` may return the spec's own arrays or views of
+    them (``ConstantCovariance.diagonal`` is a read-only view); callers only
+    read them.
+
     ``sqrt`` returns a noise factor: some L with L L' = Sigma(theta), not
     necessarily the symmetric root. Every increment L w with w ~ N(0, I) has
     law N(0, Sigma) whichever factor is used, and draws that share w stay
@@ -178,9 +182,18 @@ class CovarianceSpec:
         return psd_cholesky(self.matrix(problem, theta))
 
     def apply_sqrt(self, problem: Problem, theta, w) -> np.ndarray:
-        """L(theta) w, with L = ``sqrt``, for standard-normal draws w of shape (..., d)."""
+        """L(theta) w, with L = ``sqrt``, for standard-normal draws w of shape (..., d).
+
+        With one factor for every theta, a column-major theta (the
+        integrator's ensemble) gets a column-major result, computed as
+        (L w')', so that adding it into the ensemble needs no transposing
+        pass; any other theta gets w L' in row-major order. Both hold the
+        same bits.
+        """
         factor = self.sqrt(problem, theta)
         if factor.ndim == 2:
+            if np.isfortran(theta):
+                return np.swapaxes(factor @ np.swapaxes(w, -1, -2), -1, -2)
             return w @ factor.T
         # theta-dependent covariance, one factor per leading index
         return np.einsum("...ij,...j->...i", factor, w)
@@ -228,7 +241,7 @@ class ConstantCovariance(CovarianceSpec):
 
     def diagonal(self, problem: Problem, theta=None) -> np.ndarray:
         self._check_dim(problem)
-        return np.diagonal(self.sigma).copy()
+        return self.sigma.diagonal()  # a read-only view
 
     def sqrt(self, problem: Problem, theta=None) -> np.ndarray:
         self._check_dim(problem)

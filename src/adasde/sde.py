@@ -10,13 +10,15 @@ must account for this.
 
 A system is a drift and an ``apply_diffusion``, which maps a state, a time
 and a draw of d Wiener components to the noise increment. The diffusion is
-structured: only the parameter block (RMSprop, SGD) or the momentum block
-(Adam) is driven by noise. ``apply_diffusion`` scales
-``CovarianceSpec.apply_sqrt``, the one place a covariance's noise factor
-(any L with L L' = Sigma, see ``CovarianceSpec``) meets a draw, shared with
-the Gaussian oracle so that discrete and continuous draws on the same w stay
-coupled. Only the diffusion's product with its transpose is fixed by the
-SDE; its columns are ``apply_diffusion`` on the unit draws.
+structured: one block, the system's ``driven`` one, takes all the noise:
+the parameter block (RMSprop, SGD) or the momentum block (Adam).
+``apply_diffusion`` returns that block's increment alone; every other block
+steps as x + b dt. It scales ``CovarianceSpec.apply_sqrt``, the one place a
+covariance's noise factor (any L with L L' = Sigma, see ``CovarianceSpec``)
+meets a draw, shared with the Gaussian oracle so that discrete and
+continuous draws on the same w stay coupled. Only the diffusion's product
+with its transpose is fixed by the SDE; its columns are ``apply_diffusion``
+on the unit draws, in the driven block's rows, and zero elsewhere.
 
 The adaptive systems divide by sqrt(u), so they are defined only while u > 0.
 
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sized
 
 import numpy as np
 
@@ -52,18 +54,25 @@ __all__ = [
 class SdeSystem:
     """A drift and an ``apply_diffusion`` over an augmented state with block structure.
 
-    Both return (..., D) arrays: ``drift(x, t)`` the drift, and
-    ``apply_diffusion(x, t, dw)`` the noise increment of a draw dw of shape
-    (..., noise_dim). ``blocks`` maps each block name to its slice of the
-    state; the state dimension D is where the last block stops. A "u" block
-    must stay positive, and the integrator rejects a state where it does not.
+    ``drift(x, t)`` returns the (..., D) drift. ``apply_diffusion(x, t, dw)``
+    returns the noise increment of a draw dw of shape (..., noise_dim) in the
+    ``driven`` block alone, an array shaped like ``x[..., blocks[driven]]``;
+    the other blocks take no noise. ``blocks`` maps each block name to its
+    slice of the state; the state dimension D is where the last block stops.
+    A "u" block must stay positive, and the integrator rejects a state where
+    it does not.
     """
 
     noise_dim: int
     drift: Callable
     apply_diffusion: Callable
     blocks: dict  # name -> slice
+    driven: str = "theta"  # the one block apply_diffusion drives
     problem: Problem | None = None
+
+    def __post_init__(self):
+        if self.driven not in self.blocks:
+            raise ValueError(f"driven block {self.driven!r} is not one of {sorted(self.blocks)}")
 
     @property
     def state_dim(self) -> int:
@@ -101,9 +110,7 @@ def build_rmsprop_sde(
     def apply_diffusion(x, t, dw):
         theta, u = x[..., :d], x[..., d:]
         scale = 1.0 / (np.sqrt(u) + epsilon0 / sigma0)
-        out = np.zeros_like(x)
-        out[..., :d] = scale * cov.apply_sqrt(problem, theta, dw)
-        return out
+        return scale * cov.apply_sqrt(problem, theta, dw)
 
     return SdeSystem(
         noise_dim=d,
@@ -149,16 +156,14 @@ def build_adam_sde(
 
     def apply_diffusion(x, t, dw):
         gammas(t)  # enforce the t > 0 domain
-        theta = x[..., :d]
-        out = np.zeros_like(x)
-        out[..., d : 2 * d] = sigma0 * c1 * cov.apply_sqrt(problem, theta, dw)
-        return out
+        return sigma0 * c1 * cov.apply_sqrt(problem, x[..., :d], dw)
 
     return SdeSystem(
         noise_dim=d,
         drift=drift,
         apply_diffusion=apply_diffusion,
         blocks={"theta": slice(0, d), "m": slice(d, 2 * d), "u": slice(2 * d, 3 * d)},
+        driven="m",
         problem=problem,
     )
 
@@ -207,21 +212,22 @@ def euler_maruyama(
     Step n reads its increment w, a (paths, noise_dim) standard-normal
     block, as the next item of ``noise`` when given, else as a fresh draw
     from rng. ``noise`` is any iterable of such blocks in step order: an
-    (n_steps, paths, noise_dim) array (checked up front), or a generator
-    that draws each block when the step asks for it, which lets systems
-    share noise exactly without holding a whole path. A block of another
-    shape, or a stream that ends before n_steps, raises ValueError naming
-    the step. The start and every step are checked: a non-finite state
-    raises NonFiniteError with its step, and u <= 0 on a system with a "u"
-    block raises ValueError with its step and time. A system defined only
-    for t > 0 (Adam's) raises from its drift on the first step.
+    (n_steps, paths, noise_dim) array or another sized collection of n_steps
+    blocks (its shape or length checked up front), or a generator that
+    draws each block when the step asks for it, which lets systems share
+    noise exactly without holding a whole path. A block of another shape,
+    or a stream that ends before n_steps, raises ValueError naming the step.
+    The start and every step are checked: a non-finite state raises
+    NonFiniteError with its step, and u <= 0 on a system with a "u" block
+    raises ValueError with its step and time. A system defined only for
+    t > 0 (Adam's) raises from its drift on the first step.
 
     The ensemble is held column-major: a system's blocks are then
     contiguous columns, and elementwise work on them runs without strided
     inner loops. Each step allocates one array, the drift's product with dt
-    (column-major whatever the drift's layout), and adds the state and the
-    diffusion into it; x0, the noise and whatever a system returns are only
-    read.
+    (column-major whatever the drift's layout), adds the state into it and
+    the diffusion's increment into the driven block's columns; x0, the noise
+    and whatever a system returns are only read.
     """
     if t0 < 0:
         raise ValueError("time must be nonnegative")
@@ -241,9 +247,12 @@ def euler_maruyama(
         noise = (rng.standard_normal(noise_shape) for _ in range(n_steps))
     elif isinstance(noise, np.ndarray) and noise.shape != (n_steps, *noise_shape):
         raise ValueError(f"noise must have shape {(n_steps, *noise_shape)}, got {noise.shape}")
+    elif isinstance(noise, Sized) and len(noise) != n_steps:
+        raise ValueError(f"noise holds {len(noise)} blocks, expected {n_steps}")
     blocks = iter(noise)
 
     u_slice = system.blocks.get("u")
+    driven = system.blocks[system.driven]
     sqrt_dt = math.sqrt(dt)
     for n in range(n_steps + 1):  # check and record state n, then step it unless it is the last
         t = t0 + n * dt
@@ -271,6 +280,6 @@ def euler_maruyama(
             )
         step = np.multiply(system.drift(x, t), dt, order="F")
         step += x
-        step += system.apply_diffusion(x, t, sqrt_dt * w)
+        step[:, driven] += system.apply_diffusion(x, t, sqrt_dt * w)
         x = step
     return recorder.build()

@@ -32,6 +32,8 @@ from adasde.scaling import make_plan
 FNS = ["theta_0", "loss"]
 PROBLEM = QuadraticProblem(np.diag([1.0, 0.5]))
 COV = ConstantCovariance(np.array([[1.0, 0.3], [0.3, 0.6]]))
+_LS_DATA = np.random.default_rng(11)
+LS_PROBLEM = LeastSquaresProblem(_LS_DATA.standard_normal((16, 2)), _LS_DATA.standard_normal(16))
 ROOT_SEED = 7
 
 # float.hex of every figure the tiny sweeps below report. A change that keeps
@@ -286,6 +288,38 @@ GOLDEN = {
             ],
         },
     },
+    'order/rmsprop/empirical': {
+        'theta_0': {
+            'slope': '0x1.036a8ba5b5a6ep+1',
+            'slope_se': '0x1.2ed422bc6148dp+0',
+            'status': 'inconclusive',
+            'max_gap': [
+                '0x1.54e7370b28b20p-7',
+                '0x1.a397232cdcef0p-8',
+                '0x1.4d19717768540p-9',
+            ],
+            'se_at_max': [
+                '0x1.5c7986cf4e742p-8',
+                '0x1.5d24ddc23bbbep-8',
+                '0x1.a69bc999f4de4p-8',
+            ],
+        },
+        'loss': {
+            'slope': '0x1.09df796d0d4b4p+1',
+            'slope_se': '0x1.bd6088bd7eadcp+0',
+            'status': 'inconclusive',
+            'max_gap': [
+                '0x1.3012cc2dd6760p-5',
+                '0x1.5e7ad0bc97300p-9',
+                '0x1.2b21b42377b00p-7',
+            ],
+            'se_at_max': [
+                '0x1.5e153b96afdf2p-6',
+                '0x1.0aecd2ca70e3ep-8',
+                '0x1.7ea765643162ep-7',
+            ],
+        },
+    },
 }
 
 
@@ -345,6 +379,15 @@ class TestGoldenSweeps:
         )
         report = order_sweep(setup, (0.2, 0.14, 0.1), FNS, ROOT_SEED)
         assert _order_figures(report) == GOLDEN[f"order/{algo}/coupled=False"]
+
+    def test_empirical_order_sweep(self):
+        # state-dependent noise: the covariance is rebuilt at every substep's state
+        setup = ApproximationSetup(
+            LS_PROBLEM, EmpiricalCovariance(), "rmsprop", theta0=np.zeros(2), u0=np.ones(2),
+            T=0.5, seeds=32, em_substeps=4, n_checkpoints=3,
+        )
+        report = order_sweep(setup, (0.2, 0.14, 0.1), FNS, ROOT_SEED)
+        assert _order_figures(report) == GOLDEN["order/rmsprop/empirical"]
 
     @pytest.mark.parametrize("coupled", [True, False])
     def test_svag_sweep(self, coupled):

@@ -228,6 +228,26 @@ class TestApplySqrt:
                 np.testing.assert_allclose(factor[i], psd_sqrt(mat), rtol=1e-12, atol=1e-14)
 
 
+    @pytest.mark.parametrize("paths", [1, 2, 32, 200])
+    @pytest.mark.parametrize(
+        "cov",
+        [
+            IsotropicCovariance(2.5),
+            ConstantCovariance(np.array([[1.0, 0.4, 0.0], [0.4, 0.8, 0.2], [0.0, 0.2, 0.5]])),
+        ],
+        ids=["isotropic", "constant"],
+    )
+    def test_column_major_theta_gets_the_same_bits_column_major(self, cov, paths):
+        p = random_least_squares(seed=4)
+        rng = np.random.default_rng(10)
+        theta = rng.standard_normal((paths, p.dim))
+        w = rng.standard_normal((paths, p.dim))
+        rows = cov.apply_sqrt(p, theta, w)
+        cols = cov.apply_sqrt(p, np.asfortranarray(theta), w)
+        np.testing.assert_array_equal(cols, rows)
+        assert cols.flags.f_contiguous
+
+
 class TestCovarianceDiagonal:
     CONST = np.array([[1.0, 0.4, 0.0], [0.4, 0.8, 0.2], [0.0, 0.2, 0.5]])
 
@@ -282,6 +302,14 @@ class TestCovarianceDiagonal:
         cov = ConstantCovariance(self.CONST)
         with pytest.raises(ValueError, match="dimension"):
             cov.diagonal(LinearProblem([1.0, 2.0]), None)
+
+    def test_constant_diagonal_is_a_read_only_view(self):
+        # no copy per call, and a caller cannot write through it into sigma
+        cov = ConstantCovariance(self.CONST)
+        diag = cov.diagonal(LinearProblem(np.ones(self.CONST.shape[0])), None)
+        np.testing.assert_array_equal(diag, np.diag(self.CONST))
+        assert np.shares_memory(diag, cov.sigma)
+        assert not diag.flags.writeable
 
 
 class TestEmpiricalMemo:

@@ -39,11 +39,18 @@ def ou_system(rate=1.0, diff=1.0):
     )
 
 
+def embedded_diffusion(system, x, t, dw):
+    """The (paths, D) noise increment: apply_diffusion in the driven block, zero elsewhere."""
+    out = np.zeros(x.shape)
+    out[:, system.blocks[system.driven]] = system.apply_diffusion(x, t, dw)
+    return out
+
+
 def diffusion_columns(system, x, t):
-    """The diffusion matrix at x, (paths, D, noise_dim): apply_diffusion on each unit draw."""
+    """The diffusion matrix at x, (paths, D, noise_dim): the increment of each unit draw."""
     paths = x.shape[0]
     return np.stack(
-        [system.apply_diffusion(x, t, np.tile(e, (paths, 1))) for e in np.eye(system.noise_dim)],
+        [embedded_diffusion(system, x, t, np.tile(e, (paths, 1))) for e in np.eye(system.noise_dim)],
         axis=-1,
     )
 
@@ -226,7 +233,7 @@ class TestStructuredDiffusion:
             axis=1,
         )
         dw = rng.standard_normal((paths, d))
-        fast = system.apply_diffusion(x, 1.0, dw)
+        fast = embedded_diffusion(system, x, 1.0, dw)
         for i in range(paths):
             noise = cov.sqrt(LS_PROBLEM, x[i, :d]) @ dw[i]
             expected = np.zeros(system.state_dim)
@@ -276,6 +283,7 @@ class TestAdamSystem:
             )
 
     def test_noise_enters_momentum_block_only(self):
+        assert self.system.driven == "m"
         x = np.concatenate([np.zeros(2), np.zeros(2), np.ones(2)])[None, :]
         cols = diffusion_columns(self.system, x, 1.0)[0]
         assert np.all(cols[:2, :] == 0.0)
@@ -310,6 +318,58 @@ class TestSgdSystem:
         d1 = diffusion_columns(build_sgd_sde(problem, IsotropicCovariance(1.0), eta=0.1), x, 0.0)
         d2 = diffusion_columns(build_sgd_sde(problem, IsotropicCovariance(1.0), eta=0.2), x, 0.0)
         assert d2[0, 0, 0] / d1[0, 0, 0] == pytest.approx(math.sqrt(2.0))
+
+
+class TestDrivenBlock:
+    """``apply_diffusion`` returns the driven block's increment; the other blocks take no noise."""
+
+    DRIVEN = {"rmsprop": "theta", "adam": "m", "sgd": "theta"}
+
+    @pytest.mark.parametrize("lead", [(4,), (2, 3)])
+    @pytest.mark.parametrize("cov_name", sorted(COVARIANCES))
+    @pytest.mark.parametrize("algo", sorted(BUILDERS))
+    def test_increment_has_the_driven_block_shape(self, algo, cov_name, lead):
+        system = BUILDERS[algo](LS_PROBLEM, COVARIANCES[cov_name])
+        assert system.driven == self.DRIVEN[algo]
+        assert system.driven in system.blocks
+        d = LS_PROBLEM.dim
+        rng = np.random.default_rng(4)
+        x = np.concatenate(
+            [rng.standard_normal(lead + (d,)), rng.uniform(0.5, 2.0, lead + (system.state_dim - d,))],
+            axis=-1,
+        )
+        out = system.apply_diffusion(x, 1.0, rng.standard_normal(lead + (d,)))
+        assert out.shape == x.shape[:-1] + (d,)
+
+    @pytest.mark.parametrize("cov_name", sorted(COVARIANCES))
+    @pytest.mark.parametrize("algo", ["rmsprop", "adam"])
+    def test_undriven_blocks_step_without_noise(self, algo, cov_name):
+        # one step from x: the undriven blocks read x + dt b exactly, the
+        # driven one adds apply_diffusion's increment of sqrt(dt) w
+        system = BUILDERS[algo](LS_PROBLEM, COVARIANCES[cov_name])
+        d, paths, t0, dt = LS_PROBLEM.dim, 4, 1.0, 0.01
+        rng = np.random.default_rng(5)
+        x = np.asfortranarray(rng.uniform(0.5, 2.0, (paths, system.state_dim)))
+        x[:, :d] = rng.standard_normal((paths, d))
+        w = rng.standard_normal((1, paths, d))
+        names = [f"{name}_{i}" for name in system.blocks for i in range(d)]
+        rec = euler_maruyama(
+            system, x, t0, dt, 1, None, TestFunctionSet.from_names(names, dim=d), [1], noise=w
+        )
+        expected = x + dt * system.drift(x, t0)
+        expected[:, system.blocks[system.driven]] += system.apply_diffusion(
+            x, t0, math.sqrt(dt) * w[0]
+        )
+        for name, sl in system.blocks.items():
+            got = np.stack([rec.values[f"{name}_{i}"][0] for i in range(d)], axis=-1)
+            np.testing.assert_array_equal(got, expected[:, sl], err_msg=name)
+
+    def test_driven_block_must_be_a_block(self):
+        with pytest.raises(ValueError, match="driven block 'm'"):
+            SdeSystem(
+                noise_dim=1, drift=lambda x, t: x, apply_diffusion=lambda x, t, dw: dw,
+                blocks={"theta": slice(0, 1)}, driven="m",
+            )
 
 
 class TestEulerMaruyama:
@@ -514,6 +574,15 @@ class TestNoiseStream:
     def test_array_of_the_wrong_shape_is_rejected_up_front(self):
         with pytest.raises(ValueError, match="noise must have shape"):
             self._run(self._noise()[:-1])
+
+    def test_list_of_the_wrong_length_is_rejected_up_front(self):
+        # a list of 10 blocks for a 5-step run: the extra blocks are not ignored
+        blocks = list(np.zeros((10, self.PATHS, 1)))
+        with pytest.raises(ValueError, match="noise holds 10 blocks, expected 5"):
+            euler_maruyama(
+                ou_system(), np.ones((self.PATHS, 1)), 0.0, self.DT, 5, None, COORD_FNS, [5],
+                noise=blocks,
+            )
 
 
 class TestBiasCorrectionCurves:

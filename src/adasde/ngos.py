@@ -98,17 +98,14 @@ class MinibatchOracle(GradientOracle):
 
     def sample(self, theta, rng) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
+        n = self.problem.n_points
         x = self.problem.data
         y = self.problem.targets
-        idx = rng.integers(0, self.problem.n_points, size=theta.shape[:-1] + (self.batch_size,))
-        # one draw at a time, each (..., d) term added in draw order, so no
-        # (..., B, d) gather is built; take gathers faster than x[idx]
-        total = np.zeros(theta.shape)
-        for b in range(self.batch_size):
-            xb = np.take(x, idx[..., b], axis=0)
-            r = np.einsum("...i,...i->...", xb, theta) - np.take(y, idx[..., b])
-            total += r[..., None] * xb
-        return total / self.batch_size
+        idx = rng.integers(0, n, size=theta.shape[:-1] + (self.batch_size,))
+        xb = np.take(x, idx, axis=0)  # (..., B, d); take gathers faster than x[idx]
+        yb = np.take(y, idx)
+        r = np.einsum("...bi,...i->...b", xb, theta) - yb
+        return np.einsum("...b,...bi->...i", r, xb) / self.batch_size
 
 
 @dataclass(frozen=True)

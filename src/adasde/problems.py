@@ -182,18 +182,9 @@ class CovarianceSpec:
         return psd_cholesky(self.matrix(problem, theta))
 
     def apply_sqrt(self, problem: Problem, theta, w) -> np.ndarray:
-        """L(theta) w, with L = ``sqrt``, for standard-normal draws w of shape (..., d).
-
-        With one factor for every theta, a column-major theta (the
-        integrator's ensemble) gets a column-major result, computed as
-        (L w')', so that adding it into the ensemble needs no transposing
-        pass; any other theta gets w L' in row-major order. Both hold the
-        same bits.
-        """
+        """L(theta) w, with L = ``sqrt``, for standard-normal draws w of shape (..., d)."""
         factor = self.sqrt(problem, theta)
         if factor.ndim == 2:
-            if np.isfortran(theta):
-                return np.swapaxes(factor @ np.swapaxes(w, -1, -2), -1, -2)
             return w @ factor.T
         # theta-dependent covariance, one factor per leading index
         return np.einsum("...ij,...j->...i", factor, w)

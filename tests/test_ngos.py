@@ -73,21 +73,6 @@ class TestSampleGradient:
         with pytest.raises(ValueError):
             MinibatchOracle(LinearProblem([1.0]), batch_size=2)
 
-    @pytest.mark.parametrize("batch_size", [1, 2, 4, 16, 100])
-    @pytest.mark.parametrize("shape", [(4,), (2000, 4), (3, 5, 4)])
-    def test_minibatch_matches_the_whole_batch_gather(self, batch_size, shape):
-        # the reference gathers all B rows at once, (..., B, d), and reduces
-        # over B with einsum; the oracle adds one draw's term at a time in
-        # draw order, which gives the same bits
-        p = random_least_squares(seed=21, n=32, d=4)
-        theta = rng(22).standard_normal(shape)
-        idx = rng(23).integers(0, p.n_points, size=shape[:-1] + (batch_size,))
-        xb = np.take(p.data, idx, axis=0)
-        r = np.einsum("...bi,...i->...b", xb, theta) - np.take(p.targets, idx)
-        expected = np.einsum("...b,...bi->...i", r, xb) / batch_size
-        got = MinibatchOracle(p, batch_size).sample(theta, rng(23))
-        np.testing.assert_array_equal(got, expected)
-
     def test_seeded_stream_is_reproducible(self):
         p = random_least_squares(seed=9)
         for oracle in (

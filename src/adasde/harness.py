@@ -349,7 +349,7 @@ def compare_at_eta(
     # pathwise identification flips sign except through Adam's momentum.
     riders = [(loop, m, 1.0 if algo == "adam" else -1.0, oracle)] if setup.coupled else []
     em_rec = euler_maruyama(
-        system, x0, k0 * dt_e, dt, steps * m, None, fns, [k * m for k in ks],
+        system, x0, k0 * dt_e, dt, steps * m, fns, [k * m for k in ks],
         noise=_shared_path(rng, steps * m, (S, d), riders),
     )
     return weak_error(finish(loop), em_rec)

@@ -89,6 +89,8 @@ class MinibatchOracle(GradientOracle):
     def __post_init__(self):
         if not isinstance(self.problem, LeastSquaresProblem):  # sample reads its data and targets
             raise ValueError("minibatch sampling needs a finite-sum problem")
+        if isinstance(self.batch_size, bool) or not isinstance(self.batch_size, (int, np.integer)):
+            raise ValueError(f"batch_size must be an integer, got {self.batch_size!r}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
 

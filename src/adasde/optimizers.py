@@ -11,12 +11,12 @@ Conventions that matter for comparisons with the continuous systems:
 * Adam's second-moment correction at step k uses 1 - beta2^k, which is
   undefined at k = 0; we take v_hat = v there and start correcting at k = 1.
 * One gradient is drawn per step and never reused across optimizers.
-* States broadcast: theta/m/v of shape (seeds, d) advance a whole ensemble
-  in lockstep (the step index k is shared).
+* A state is an ensemble: theta/m/v of one (seeds, d) shape advance in
+  lockstep (the step index k is shared), and no step writes into them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Generator
 
 import numpy as np
@@ -60,31 +60,24 @@ class HyperParams:
 
 @dataclass(frozen=True)
 class OptimizerState:
-    """Iterate (theta, m, v) at step k; arrays share a trailing dimension d."""
+    """Iterate at step k: theta, m and v, float arrays of one (seeds, d) shape.
+
+    ``initial`` makes them, nothing writes into them, and a run checks them where it starts.
+    """
 
     theta: np.ndarray
     m: np.ndarray
     v: np.ndarray
     k: int = 0
 
-    def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
-        m = np.broadcast_to(np.asarray(self.m, dtype=float), theta.shape).copy()
-        v = np.broadcast_to(np.asarray(self.v, dtype=float), theta.shape).copy()
-        if np.any(v < 0):
-            raise ValueError("v must be nonnegative coordinatewise")
-        if self.k < 0:
-            raise ValueError("step index must be nonnegative")
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "v", v)
-
     @classmethod
     def initial(cls, theta0, v0) -> "OptimizerState":
-        """State at step 0 with zero momentum."""
-        theta0 = np.asarray(theta0, dtype=float)
-        return cls(theta=theta0, m=np.broadcast_to(0.0, theta0.shape),
-                   v=np.broadcast_to(v0, theta0.shape), k=0)
+        """State at step 0 with zero momentum; v0 (>= 0) broadcasts to theta0's shape."""
+        theta = np.asarray(theta0, dtype=float)
+        v = np.broadcast_to(np.asarray(v0, dtype=float), theta.shape).copy()
+        if np.any(v < 0):
+            raise ValueError("v must be nonnegative coordinatewise")
+        return cls(theta, np.zeros(theta.shape), v)
 
 
 def rmsprop_step(state: OptimizerState, g: np.ndarray, hp: HyperParams) -> OptimizerState:
@@ -95,7 +88,7 @@ def rmsprop_step(state: OptimizerState, g: np.ndarray, hp: HyperParams) -> Optim
         raise ValueError("sqrt(v) + epsilon vanishes in some coordinate")
     theta = state.theta - hp.eta * g / denom
     v = hp.beta * state.v + (1.0 - hp.beta) * g * g
-    return replace(state, theta=theta, v=v, k=state.k + 1)
+    return OptimizerState(theta, state.m, v, state.k + 1)
 
 
 def adam_step(state: OptimizerState, g: np.ndarray, hp: HyperParams) -> OptimizerState:
@@ -103,10 +96,12 @@ def adam_step(state: OptimizerState, g: np.ndarray, hp: HyperParams) -> Optimize
 
     The correction for v uses the pre-update v at exponent k (identity at
     k = 0 by convention); the correction for m uses the post-update m at
-    exponent k + 1.
+    exponent k + 1. It is the one step that reads k, so it rejects k < 0.
     """
     g = np.asarray(g, dtype=float)
     k = state.k
+    if k < 0:
+        raise ValueError(f"step index must be nonnegative, got {k}")
     bc1 = 1.0 - hp.beta1 ** (k + 1)
     if bc1 == 0.0:
         raise ValueError("beta1 = 1 makes the momentum correction undefined")
@@ -123,12 +118,12 @@ def adam_step(state: OptimizerState, g: np.ndarray, hp: HyperParams) -> Optimize
         raise ValueError("sqrt(v_hat) + epsilon vanishes in some coordinate")
     theta = state.theta - hp.eta * (m / bc1) / denom
     v = hp.beta2 * state.v + (1.0 - hp.beta2) * g * g
-    return replace(state, theta=theta, m=m, v=v, k=k + 1)
+    return OptimizerState(theta, m, v, k + 1)
 
 
 def sgd_step(state: OptimizerState, g: np.ndarray, hp: HyperParams) -> OptimizerState:
     g = np.asarray(g, dtype=float)
-    return replace(state, theta=state.theta - hp.eta * g, k=state.k + 1)
+    return OptimizerState(state.theta - hp.eta * g, state.m, state.v, state.k + 1)
 
 
 _STEPS = {"rmsprop": rmsprop_step, "adam": adam_step, "sgd": sgd_step}
@@ -160,7 +155,7 @@ def run_discrete(
     """Run an ensemble of discrete trajectories and record test functions.
 
     ``init.theta`` of shape (seeds, d) advances all seeds through a shared
-    vectorized noise stream; a (d,) initial state runs a single trajectory.
+    vectorized noise stream.
     The problem is the oracle's. Checkpoints are step indices in [0, steps];
     recorded states carry u = v / sigma_effective^2 so discrete and
     continuous records share a domain. Any non-finite value aborts with the offending step index.
@@ -183,13 +178,19 @@ def discrete_loop(
     Takes ``run_discrete``'s arguments. Nothing runs until the first
     ``next``, which also records step 0. After the last step the generator
     returns the record, which ``finish`` reads; runs held as loops can thus
-    advance together, each on its own schedule.
+    advance together, each on its own schedule. The first ``next`` checks
+    the start: one (seeds, d) shape, v >= 0 and k >= 0, which every step keeps.
     """
     step = step_function(algo)
     recorder = _Recorder(fns, checkpoints, steps)
     state = init
-    if state.theta.ndim == 1:
-        state = OptimizerState(state.theta[None, :], state.m[None, :], state.v[None, :], state.k)
+    shapes = [np.shape(a) for a in (state.theta, state.m, state.v)]
+    if len(shapes[0]) != 2 or shapes.count(shapes[0]) != 3:
+        raise ValueError(f"theta, m and v must share one (seeds, d) shape, got {shapes}")
+    if np.any(state.v < 0):
+        raise ValueError("v must be nonnegative coordinatewise")
+    if state.k < 0:
+        raise ValueError(f"step index must be nonnegative, got {state.k}")
 
     sigma = oracle.sigma_effective
     dt_e = effective_time_step(algo, hp.eta)

@@ -196,27 +196,26 @@ def euler_maruyama(
     t0: float,
     dt: float,
     n_steps: int,
-    rng: np.random.Generator | None,
     fns: TestFunctionSet,
     checkpoints,
-    noise: Iterable[np.ndarray] | None = None,
+    noise: Iterable[np.ndarray],
 ) -> TrajectoryRecord:
     """Integrate x <- x + b dt + sigma sqrt(dt) w from x0 at time t0, recorded at checkpoints.
 
-    ``x0`` of shape (paths, D) (or (D,) for one path) integrates all paths
+    ``x0`` of shape (paths, D), and no other shape, integrates all paths
     against a shared vectorized stream from the start time ``t0 >= 0`` for
     n_steps steps of dt > 0. ``checkpoints`` are step indices, integers in
     [0, n_steps] (``_Recorder`` checks them); step i is recorded at time
     t0 + i dt, and no other step builds a view.
 
     Step n reads its increment w, a (paths, noise_dim) standard-normal
-    block, as the next item of ``noise`` when given, else as a fresh draw
-    from rng. ``noise`` is any iterable of such blocks in step order: an
-    (n_steps, paths, noise_dim) array or another sized collection of n_steps
-    blocks (its shape or length checked up front), or a generator that
-    draws each block when the step asks for it, which lets systems share
-    noise exactly without holding a whole path. A block of another shape,
-    or a stream that ends before n_steps, raises ValueError naming the step.
+    block, as the next item of ``noise``, the one noise source. ``noise`` is
+    any iterable of such blocks in step order: an (n_steps, paths,
+    noise_dim) array or another sized collection of n_steps blocks (its
+    length checked up front), or a generator that draws each block when the
+    step asks for it, which lets systems share noise exactly without holding
+    a whole path. A block of another shape, or a stream that ends before
+    n_steps, raises ValueError naming the step.
     The start and every step are checked: a non-finite state raises
     NonFiniteError with its step, and u <= 0 on a system with a "u" block
     raises ValueError with its step and time. A system defined only for
@@ -234,20 +233,13 @@ def euler_maruyama(
     if dt <= 0:
         raise ValueError("dt must be positive")
     recorder = _Recorder(fns, checkpoints, n_steps)
-    x = np.asarray(x0, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
-    x = np.asfortranarray(x)
+    x = np.asfortranarray(x0, dtype=float)
+    if x.ndim != 2:
+        raise ValueError(f"x0 must have shape (paths, D), got {x.shape}")
     if x.shape[-1] != system.state_dim:
         raise ValueError(f"state has dimension {x.shape[-1]}, system expects {system.state_dim}")
     noise_shape = (x.shape[0], system.noise_dim)
-    if noise is None:
-        if rng is None and n_steps > 0:
-            raise ValueError("either rng or a noise stream is required")
-        noise = (rng.standard_normal(noise_shape) for _ in range(n_steps))
-    elif isinstance(noise, np.ndarray) and noise.shape != (n_steps, *noise_shape):
-        raise ValueError(f"noise must have shape {(n_steps, *noise_shape)}, got {noise.shape}")
-    elif isinstance(noise, Sized) and len(noise) != n_steps:
+    if isinstance(noise, Sized) and len(noise) != n_steps:
         raise ValueError(f"noise holds {len(noise)} blocks, expected {n_steps}")
     blocks = iter(noise)
 

@@ -137,6 +137,12 @@ class TestMcDiscrete:
         an = analytic_adam_moments(self.p, self.cov, theta, m, u, 1.0, 0.1, 2.0, 1.0, eta, k=4)
         np.testing.assert_array_less(np.abs(mc.first - an.first), 4 * mc.first_se + 1e-15)
 
+    def test_negative_step_index_rejected(self):
+        hp, sigma = hyperparams_from_constants("adam", 0.1, sigma0=1.0, epsilon0=0.1, c2=1.0, c1=2.0)
+        oracle = GaussianOracle(self.p, self.cov, sigma=sigma)
+        with pytest.raises(ValueError, match="step index must be nonnegative"):
+            mc_discrete_moments(oracle, "adam", [1.0, 0.0], [1.0, 1.0], hp, 1000, rng(5), k=-1)
+
     def test_se_shrinks_with_sqrt_samples(self):
         hp, sigma = hyperparams_from_constants("rmsprop", 0.1, sigma0=1.0, epsilon0=0.0, c2=1.0)
         oracle = GaussianOracle(self.p, self.cov, sigma=sigma)

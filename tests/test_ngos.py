@@ -73,6 +73,16 @@ class TestSampleGradient:
         with pytest.raises(ValueError):
             MinibatchOracle(LinearProblem([1.0]), batch_size=2)
 
+    @pytest.mark.parametrize("batch_size", [4.0, 2.5, True])
+    def test_minibatch_rejects_a_batch_size_that_is_not_an_integer(self, batch_size):
+        # caught here, not as a numpy TypeError inside the first draw
+        with pytest.raises(ValueError, match="batch_size must be an integer"):
+            MinibatchOracle(random_least_squares(seed=9), batch_size)
+
+    def test_minibatch_takes_a_numpy_integer_batch_size(self):
+        oracle = MinibatchOracle(random_least_squares(seed=9), np.int64(4))
+        assert oracle.sample(np.zeros((3, 3)), rng(0)).shape == (3, 3)
+
     def test_seeded_stream_is_reproducible(self):
         p = random_least_squares(seed=9)
         for oracle in (

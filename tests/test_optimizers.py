@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from adasde.ngos import GaussianOracle
 from adasde.optimizers import (
+    ALGORITHMS,
     HyperParams,
     NonFiniteError,
     OptimizerState,
@@ -12,6 +15,7 @@ from adasde.optimizers import (
     rmsprop_step,
     run_discrete,
     sgd_step,
+    step_function,
 )
 from adasde.problems import IsotropicCovariance, LinearProblem, QuadraticProblem
 from adasde.recording import TestFunctionSet
@@ -19,7 +23,62 @@ from adasde.scaling import hyperparams_from_constants, svag_transform_hparams
 
 
 def state(theta, v=1.0, m=0.0, k=0):
-    return OptimizerState(np.atleast_1d(np.asarray(theta, float)), m=m, v=v, k=k)
+    """A hand-built state: float arrays of theta's shape, as ``OptimizerState.initial`` makes."""
+    theta = np.atleast_1d(np.asarray(theta, float))
+
+    def full(x):
+        return np.broadcast_to(np.asarray(x, float), theta.shape).copy()
+
+    return OptimizerState(theta, m=full(m), v=full(v), k=k)
+
+
+class TestInitial:
+    def test_arrays_share_theta_shape_with_zero_momentum(self):
+        s = OptimizerState.initial(np.ones((3, 2)), v0=[1.0, 2.0])
+        assert s.theta.shape == s.m.shape == s.v.shape == (3, 2)
+        assert s.k == 0
+        np.testing.assert_array_equal(s.m, 0.0)
+        np.testing.assert_array_equal(s.v, [[1.0, 2.0]] * 3)
+
+    def test_v_is_a_copy_of_the_callers_array(self):
+        v0 = np.ones((3, 2))
+        s = OptimizerState.initial(np.ones((3, 2)), v0=v0)
+        assert not np.shares_memory(s.v, v0)
+
+    def test_negative_v0_rejected(self):
+        with pytest.raises(ValueError, match="v must be nonnegative"):
+            OptimizerState.initial(np.zeros((2, 2)), v0=[1.0, -1e-3])
+
+
+class TestStepContract:
+    """A step builds its successor from the arrays it computed and writes into none of its input's."""
+
+    HP = HyperParams(eta=0.1, beta=0.9, beta1=0.8, beta2=0.95, epsilon=0.01)
+
+    @staticmethod
+    def start():
+        rng = np.random.default_rng(8)
+        s = OptimizerState(
+            rng.standard_normal((3, 2)), m=rng.standard_normal((3, 2)),
+            v=rng.uniform(0.5, 2.0, (3, 2)), k=2,
+        )
+        return s, rng.standard_normal((3, 2))
+
+    @pytest.mark.parametrize("step", [rmsprop_step, sgd_step])
+    def test_a_step_that_keeps_m_passes_the_same_array_on(self, step):
+        s, g = self.start()
+        assert step(s, g, self.HP).m is s.m
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_no_step_writes_into_its_input(self, algo):
+        s, g = self.start()
+        before = {name: getattr(s, name).copy() for name in ("theta", "m", "v")}
+        g_before = g.copy()
+        out = step_function(algo)(s, g, self.HP)
+        assert out.k == s.k + 1
+        for name, values in before.items():
+            np.testing.assert_array_equal(getattr(s, name), values, err_msg=name)
+        np.testing.assert_array_equal(g, g_before)
 
 
 class TestRmspropStep:
@@ -107,6 +166,11 @@ class TestAdamStep:
         hp = HyperParams(eta=0.1, beta1=1.0, beta2=0.99)
         with pytest.raises(ValueError):
             adam_step(state([1.0], v=1.0), np.array([1.0]), hp)
+
+    def test_negative_step_index_rejected(self):
+        hp = HyperParams(eta=0.1, beta1=0.9, beta2=0.99)
+        with pytest.raises(ValueError, match="step index must be nonnegative"):
+            adam_step(state([1.0], v=1.0, k=-1), np.array([1.0]), hp)
 
     def test_beta2_one_rejected_after_first_step(self):
         hp = HyperParams(eta=0.1, beta1=0.9, beta2=1.0)
@@ -243,3 +307,42 @@ class TestRunDiscrete:
                 np.random.default_rng(0),
             )
         assert err.value.step >= 1
+
+
+class TestRunStart:
+    """``run_discrete`` takes an ensemble, and checks the state it starts from once."""
+
+    def setup_method(self):
+        self.problem = QuadraticProblem(np.diag([1.0, 2.0]))
+        self.fns = TestFunctionSet.from_names(["theta_0", "theta_1"], 2)
+        self.init = OptimizerState.initial(np.tile([1.0, -1.0], (8, 1)), v0=1.0)
+
+    def run(self, init, algo="rmsprop"):
+        oracle = GaussianOracle(self.problem, IsotropicCovariance(1.0), sigma=1.0)
+        return run_discrete(
+            oracle, algo, HyperParams(eta=0.1, beta=0.96), init, 3, self.fns, [3],
+            np.random.default_rng(0),
+        )
+
+    @pytest.mark.parametrize("shape", [(3, 4, 2), (2,)])
+    def test_a_start_that_is_not_one_ensemble_is_rejected(self, shape):
+        # a (3, 4, 2) start must not run with theta[:, 0, :] recorded as 3 seeds
+        with pytest.raises(ValueError, match=r"one \(seeds, d\) shape"):
+            self.run(OptimizerState.initial(np.ones(shape), v0=1.0))
+
+    @pytest.mark.parametrize("field", ["m", "v"])
+    def test_an_m_or_v_of_another_shape_is_rejected(self, field):
+        init = replace(self.init, **{field: getattr(self.init, field)[:, :1]})
+        with pytest.raises(ValueError, match=r"one \(seeds, d\) shape"):
+            self.run(init, "adam")
+
+    def test_negative_v_rejected(self):
+        v = self.init.v.copy()
+        v[3, 1] = -1e-3
+        with pytest.raises(ValueError, match="v must be nonnegative"):
+            self.run(replace(self.init, v=v))
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_negative_step_index_rejected(self, algo):
+        with pytest.raises(ValueError, match="step index must be nonnegative"):
+            self.run(replace(self.init, k=-1), algo)

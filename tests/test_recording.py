@@ -63,11 +63,18 @@ def discrete_run(checkpoints):
     )
 
 
+def normals(seed, paths, noise_dim):
+    """A noise stream: one (paths, noise_dim) standard-normal block per step, drawn as read."""
+    rng = np.random.default_rng(seed)
+    while True:
+        yield rng.standard_normal((paths, noise_dim))
+
+
 def integrated_run(checkpoints):
     # dt = 0.01: step k sits at t = 0.01 k
     system = build_rmsprop_sde(PROBLEM, IsotropicCovariance(1.0), 1.0, 0.0, 1.0)
     return euler_maruyama(
-        system, np.ones((2, 4)), 0.0, 0.01, STEPS, np.random.default_rng(0), THETA_0, checkpoints
+        system, np.ones((2, 4)), 0.0, 0.01, STEPS, THETA_0, checkpoints, noise=normals(0, 2, 2)
     )
 
 

@@ -58,6 +58,13 @@ def diffusion_columns(system, x, t):
 COORD_FNS = TestFunctionSet.from_names(["theta_0"], dim=1)
 
 
+def normals(seed, paths, noise_dim):
+    """A noise stream: one (paths, noise_dim) standard-normal block per step, drawn as read."""
+    rng = np.random.default_rng(seed)
+    while True:
+        yield rng.standard_normal((paths, noise_dim))
+
+
 class TestPsdSqrt:
     def test_identity(self):
         np.testing.assert_array_equal(psd_sqrt(np.eye(3)), np.eye(3))
@@ -174,10 +181,10 @@ class TestRmspropSystem:
         c2 = 1.3
         system = build_rmsprop_sde(problem, self.cov, sigma0=1.0, epsilon0=0.0, c2=c2)
         u0 = np.array([2.0, 0.3])
-        x0 = np.concatenate([np.zeros(2), u0])
+        x0 = np.concatenate([np.zeros(2), u0])[None, :]
         dt, t_end = 1e-4, 0.5
         fns = TestFunctionSet.from_names(["u_0", "u_1"], dim=2)
-        rec = euler_maruyama(system, x0, 0.0, dt, 5000, np.random.default_rng(0), fns, [5000])
+        rec = euler_maruyama(system, x0, 0.0, dt, 5000, fns, [5000], noise=normals(0, 1, 2))
         expected = self.diag + (u0 - self.diag) * math.exp(-c2 * t_end)
         got = np.array([rec.values["u_0"][0, 0], rec.values["u_1"][0, 0]])
         np.testing.assert_allclose(got, expected, atol=5 * dt)
@@ -186,9 +193,9 @@ class TestRmspropSystem:
         cov = IsotropicCovariance(0.0)
         system = build_rmsprop_sde(self.problem, cov, sigma0=1.0, epsilon0=0.1, c2=2.0)
         u0 = np.array([1.0, 1.0])
-        x0 = np.concatenate([np.ones(2), u0])
+        x0 = np.concatenate([np.ones(2), u0])[None, :]
         fns = TestFunctionSet.from_names(["u_0"], dim=2)
-        rec = euler_maruyama(system, x0, 0.0, 1e-4, 3000, np.random.default_rng(0), fns, [3000])
+        rec = euler_maruyama(system, x0, 0.0, 1e-4, 3000, fns, [3000], noise=normals(0, 1, 2))
         assert rec.values["u_0"][0, 0] == pytest.approx(math.exp(-2.0 * 0.3), abs=1e-3)
 
     def test_theta_diffusion_coefficient_cancels_sigma0(self):
@@ -278,8 +285,8 @@ class TestAdamSystem:
             self.system.drift(x, t=0.0)
         with pytest.raises(ValueError):
             euler_maruyama(
-                self.system, x[0], 0.0, 1e-3, 100, np.random.default_rng(0),
-                TestFunctionSet.from_names(["theta_0"], dim=2), [100],
+                self.system, x, 0.0, 1e-3, 100,
+                TestFunctionSet.from_names(["theta_0"], dim=2), [100], noise=normals(0, 1, 2),
             )
 
     def test_noise_enters_momentum_block_only(self):
@@ -295,8 +302,8 @@ class TestSgdSystem:
     def test_zero_covariance_gradient_flow(self):
         problem = QuadraticProblem(np.eye(1))
         system = build_sgd_sde(problem, IsotropicCovariance(0.0), eta=0.1)
-        x0 = np.array([1.0])
-        rec = euler_maruyama(system, x0, 0.0, 1e-4, 10_000, np.random.default_rng(0), COORD_FNS, [10_000])
+        x0 = np.array([[1.0]])
+        rec = euler_maruyama(system, x0, 0.0, 1e-4, 10_000, COORD_FNS, [10_000], noise=normals(0, 1, 1))
         assert rec.values["theta_0"][0, 0] == pytest.approx(math.exp(-1.0), abs=1e-3)
 
     def test_ou_moments(self):
@@ -305,7 +312,7 @@ class TestSgdSystem:
         system = build_sgd_sde(problem, IsotropicCovariance(1.0), eta=eta)
         x0 = np.ones((4000, 1)) * 2.0
         rec = euler_maruyama(
-            system, x0, 0.0, 2e-3, 1500, np.random.default_rng(1), COORD_FNS, [500, 1500]
+            system, x0, 0.0, 2e-3, 1500, COORD_FNS, [500, 1500], noise=normals(1, 4000, 1)
         )
         vals = rec.values["theta_0"]
         assert vals[0].mean() == pytest.approx(2.0 * math.exp(-1.0), abs=4 * vals[0].std() / 63)
@@ -354,7 +361,7 @@ class TestDrivenBlock:
         w = rng.standard_normal((1, paths, d))
         names = [f"{name}_{i}" for name in system.blocks for i in range(d)]
         rec = euler_maruyama(
-            system, x, t0, dt, 1, None, TestFunctionSet.from_names(names, dim=d), [1], noise=w
+            system, x, t0, dt, 1, TestFunctionSet.from_names(names, dim=d), [1], noise=w
         )
         expected = x + dt * system.drift(x, t0)
         expected[:, system.blocks[system.driven]] += system.apply_diffusion(
@@ -384,15 +391,13 @@ class TestEulerMaruyama:
             blocks={"theta": slice(0, 1)},
             )
         x0 = np.full((3, 1), 1.5)
-        rec = euler_maruyama(
-            system, x0, 0.0, 0.01, 100, np.random.default_rng(0), COORD_FNS, [50, 100]
-        )
+        rec = euler_maruyama(system, x0, 0.0, 0.01, 100, COORD_FNS, [50, 100], noise=normals(0, 3, 1))
         np.testing.assert_array_equal(rec.values["theta_0"], 1.5)
 
     def test_ou_mean_at_unit_time(self):
         system = ou_system()
         x0 = np.ones((10_000, 1))
-        rec = euler_maruyama(system, x0, 0.0, 1e-3, 1000, np.random.default_rng(2), COORD_FNS, [1000])
+        rec = euler_maruyama(system, x0, 0.0, 1e-3, 1000, COORD_FNS, [1000], noise=normals(2, 10_000, 1))
         vals = rec.values["theta_0"][0]
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean() - math.exp(-1.0)) < 4 * se
@@ -411,7 +416,7 @@ class TestEulerMaruyama:
         means = {}
         for label, dt_k, noise in (("h", dt, coarse), ("h/2", dt / 2, mid), ("h/4", dt / 4, fine)):
             n_k = len(noise)
-            rec = euler_maruyama(system, x0, 0.0, dt_k, n_k, None, COORD_FNS, [n_k], noise=noise)
+            rec = euler_maruyama(system, x0, 0.0, dt_k, n_k, COORD_FNS, [n_k], noise=noise)
             vals = rec.values["theta_0"][0]
             means[label] = (vals.mean(), (vals**2).mean())
         for g in (0, 1):
@@ -419,11 +424,18 @@ class TestEulerMaruyama:
             d2 = abs(means["h/2"][g] - means["h/4"][g])
             assert 1.6 <= d1 / d2 <= 2.5
 
+    @pytest.mark.parametrize("shape", [(3, 4, 1), (1,)])
+    def test_a_start_that_is_not_one_ensemble_is_rejected(self, shape):
+        # caught here, not as a numpy broadcast error inside the first step
+        with pytest.raises(ValueError, match=r"x0 must have shape \(paths, D\)"):
+            euler_maruyama(
+                ou_system(), np.ones(shape), 0.0, 0.1, 10, COORD_FNS, [10], noise=normals(0, 3, 1)
+            )
+
     def test_negative_start_time_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             euler_maruyama(
-                ou_system(), np.ones((2, 1)), -0.1, 0.1, 10, np.random.default_rng(0),
-                COORD_FNS, [10],
+                ou_system(), np.ones((2, 1)), -0.1, 0.1, 10, COORD_FNS, [10], noise=normals(0, 2, 1)
             )
 
     def test_u_zero_names_its_step(self):
@@ -431,20 +443,20 @@ class TestEulerMaruyama:
         problem = QuadraticProblem(np.diag([1.0]))
         cov = IsotropicCovariance(0.0)
         system = build_rmsprop_sde(problem, cov, sigma0=1.0, epsilon0=0.5, c2=50.0)
-        x0 = np.array([1.0, 1e-9])
+        x0 = np.array([[1.0, 1e-9]])
         fns = TestFunctionSet.from_names(["theta_0"], dim=1)
         with pytest.raises(ValueError, match=r"u reached zero at step 1, t=0\.05"):
-            euler_maruyama(system, x0, 0.0, 0.05, 20, np.random.default_rng(0), fns, [20])
+            euler_maruyama(system, x0, 0.0, 0.05, 20, fns, [20], noise=normals(0, 1, 1))
 
     def test_adam_u_zero_names_its_step_and_time(self):
         # the momentum system's u block is checked too, and t counts from t0
         problem = QuadraticProblem(np.diag([1.0]))
         cov = IsotropicCovariance(0.0)
         system = build_adam_sde(problem, cov, sigma0=1.0, epsilon0=0.5, c1=1.0, c2=50.0)
-        x0 = np.array([1.0, 0.0, 1e-9])
+        x0 = np.array([[1.0, 0.0, 1e-9]])
         fns = TestFunctionSet.from_names(["theta_0"], dim=1)
         with pytest.raises(ValueError, match=r"u reached zero at step 1, t=1\.05"):
-            euler_maruyama(system, x0, 1.0, 0.05, 20, np.random.default_rng(0), fns, [20])
+            euler_maruyama(system, x0, 1.0, 0.05, 20, fns, [20], noise=normals(0, 1, 1))
 
 
 def empirical_system(algo):
@@ -465,9 +477,10 @@ def empirical_start(system, paths=5):
 LOOP_FNS = TestFunctionSet.from_names(["theta_0", "theta_2", "loss"], dim=3)
 
 
-def run_loop(system, x0, t0, noise=None, rng_seed=14, n_steps=12):
-    return euler_maruyama(system, x0, t0, 0.01, n_steps, np.random.default_rng(rng_seed),
-                          LOOP_FNS, [0, 6, n_steps], noise=noise)
+def run_loop(system, x0, t0, noise=None, n_steps=12):
+    if noise is None:
+        noise = normals(14, len(x0), system.noise_dim)
+    return euler_maruyama(system, x0, t0, 0.01, n_steps, LOOP_FNS, [0, 6, n_steps], noise=noise)
 
 
 def assert_same_record(got, want):
@@ -539,10 +552,10 @@ class TestNoiseStream:
 
     N_STEPS, PATHS, DT = 50, 4, 0.01
 
-    def _run(self, noise, rng=None):
+    def _run(self, noise):
         x0 = np.ones((self.PATHS, 1))
         return euler_maruyama(
-            ou_system(), x0, 0.0, self.DT, self.N_STEPS, rng, COORD_FNS, [25, 50], noise=noise
+            ou_system(), x0, 0.0, self.DT, self.N_STEPS, COORD_FNS, [25, 50], noise=noise
         )
 
     def _noise(self):
@@ -557,7 +570,7 @@ class TestNoiseStream:
     def test_per_step_rng_draws_match_one_whole_draw(self):
         # numpy draws the same normals whether asked per step or all at once,
         # so streaming the noise keeps every seeded result bit for bit
-        per_step = self._run(None, rng=np.random.default_rng(6))
+        per_step = self._run(normals(6, self.PATHS, 1))
         whole = self._run(self._noise())
         np.testing.assert_array_equal(per_step.values["theta_0"], whole.values["theta_0"])
 
@@ -572,7 +585,7 @@ class TestNoiseStream:
             self._run(blocks)
 
     def test_array_of_the_wrong_shape_is_rejected_up_front(self):
-        with pytest.raises(ValueError, match="noise must have shape"):
+        with pytest.raises(ValueError, match="noise holds 49 blocks, expected 50"):
             self._run(self._noise()[:-1])
 
     def test_list_of_the_wrong_length_is_rejected_up_front(self):
@@ -580,8 +593,7 @@ class TestNoiseStream:
         blocks = list(np.zeros((10, self.PATHS, 1)))
         with pytest.raises(ValueError, match="noise holds 10 blocks, expected 5"):
             euler_maruyama(
-                ou_system(), np.ones((self.PATHS, 1)), 0.0, self.DT, 5, None, COORD_FNS, [5],
-                noise=blocks,
+                ou_system(), np.ones((self.PATHS, 1)), 0.0, self.DT, 5, COORD_FNS, [5], noise=blocks,
             )
 
 

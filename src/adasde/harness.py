@@ -103,8 +103,8 @@ class _SequencedGaussianOracle(GaussianOracle):
 
 
 def _check_count(name: str, value, least: int) -> None:
-    """Reject a size that is not an int >= ``least``: a run would fail on it deep inside."""
-    if not isinstance(value, (int, np.integer)) or value < least:
+    """Reject a size that is not an int >= ``least`` (a bool is not): a run would fail on it deep inside."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
 
 
@@ -257,11 +257,11 @@ def _shared_path(rng, blocks: int, shape, riders):
 
     A generator of the path's ``blocks`` blocks in draw order, for the
     driver that pulls it (the integrator, or a loop that drains the path). A
-    rider is a discrete run on the path, ``(loop, window, sign, oracle)``: a
+    rider is a discrete run on the path, ``(loop, window, oracle)``: a
     ``discrete_loop`` sampling from the ``_SequencedGaussianOracle``
     ``oracle``, one step per ``window`` blocks. Each rider keeps one running
     sum of its window's blocks. When the window closes, before its last
-    block is yielded, the oracle is fed sign * sum / sqrt(window), a
+    block is yielded, the oracle is fed sum / sqrt(window), a
     unit-variance block, and the loop runs one step on it. No block outlives
     the window that reads it, so memory does not grow with the path; an
     error a rider's step raises reaches the driver as raised.
@@ -269,10 +269,10 @@ def _shared_path(rng, blocks: int, shape, riders):
     sums = [None] * len(riders)
     for j in range(blocks):
         block = rng.standard_normal(shape)
-        for r, (loop, window, sign, oracle) in enumerate(riders):
+        for r, (loop, window, oracle) in enumerate(riders):
             sums[r] = block if j % window == 0 else sums[r] + block
             if (j + 1) % window == 0:
-                oracle.feed(sums[r] / (sign * math.sqrt(window)))
+                oracle.feed(sums[r] / math.sqrt(window))
                 next(loop)
         yield block
 
@@ -301,9 +301,10 @@ def compare_at_eta(
     alone up to k0 = ceil(t0/eta^2) and hands its states to the integrator.
 
     Coupled, the discrete run rides the integrator's path (``_shared_path``)
-    with a window of em_substeps blocks per step, so both advance together
-    as the integrator pulls the path. Uncoupled, the path has no rider and
-    the discrete run draws its own noise from the same stream afterwards.
+    with a window of em_substeps blocks per step: both advance together as
+    the integrator pulls the path, each discrete step on the normalized
+    Wiener increment over its interval. Uncoupled, the path has no rider
+    and the discrete run draws its own noise from the same stream afterwards.
     """
     d = setup.problem.dim
     S = setup.seeds
@@ -343,11 +344,7 @@ def compare_at_eta(
     if setup.coupled:
         oracle = _SequencedGaussianOracle(setup.problem, setup.cov, sigma)
     loop = discrete_loop(oracle, algo, hp, state, steps, fns, ks, rng)
-    # coupled, each discrete step's noise is the normalized Wiener increment
-    # over its interval. The stored diffusion keeps a plus sign while the
-    # parameter-block noise enters the discrete update negatively, so the
-    # pathwise identification flips sign except through Adam's momentum.
-    riders = [(loop, m, 1.0 if algo == "adam" else -1.0, oracle)] if setup.coupled else []
+    riders = [(loop, m, oracle)] if setup.coupled else []
     em_rec = euler_maruyama(
         system, x0, k0 * dt_e, dt, steps * m, fns, [k * m for k in ks],
         noise=_shared_path(rng, steps * m, (S, d), riders),
@@ -532,7 +529,7 @@ def svag_sweep(
         rng = derive_rng(root_seed, "svag", setup.algo, f"ell={ell_i}")
         ks = [k * ell_i**2 for k in base_ks]
         loop = discrete_loop(oracle, setup.algo, hp_ell, init, base_steps * ell_i**2, fns, ks, rng)
-        return loop, ell_max**2 // ell_i**2, 1.0, oracle
+        return loop, ell_max**2 // ell_i**2, oracle
 
     riders = [cell(ell) for ell in ells]
     if setup.coupled:
@@ -636,8 +633,8 @@ def validate_scaling(
         raise ValueError("a Gaussian oracle at scale sigma needs cov")
     if batch_size is not None and cov is not None:
         raise ValueError("cov goes with sigma: minibatch noise is the problem's own")
-    if batch_size is not None and not isinstance(batch_size, (int, np.integer)):
-        raise ValueError(f"batch_size must be an integer, got {batch_size!r}")
+    if batch_size is not None:
+        _check_count("batch_size", batch_size, 1)
     _check_count("seeds", seeds, 2)  # every SE needs two samples
     kappa = plan.kappa
     if kappa < 1:

@@ -160,7 +160,7 @@ class _Recorder:
     """Accumulates checkpoint evaluations into a TrajectoryRecord.
 
     Owns both runners' checkpoint rule: at least one step index, each an
-    integer in [0, steps]. A runner records a step only if it is in
+    int (not a bool) in [0, steps]. A runner records a step only if it is in
     ``checkpoints``.
     """
 
@@ -169,7 +169,7 @@ class _Recorder:
         if not checkpoints:
             raise ValueError("need at least one checkpoint")
         for c in checkpoints:
-            if not isinstance(c, (int, np.integer)) or not 0 <= c <= steps:
+            if isinstance(c, bool) or not isinstance(c, (int, np.integer)) or not 0 <= c <= steps:
                 raise ValueError(f"checkpoints must be integers in [0, {steps}], got {c!r}")
         self.checkpoints = frozenset(int(c) for c in checkpoints)
         self.fns = fns

@@ -3,10 +3,8 @@
 State layouts: (theta, u) for the RMSprop system, (theta, m, u) for Adam,
 theta alone for SGD, with u the noise-normalized second-moment estimate.
 
-Sign convention: the parameter-block noise enters the dynamics with a minus
-sign, but Wiener increments are symmetric in law, so the diffusion factor is
-stored with a plus sign. Path-wise comparisons against hand-derived formulas
-must account for this.
+Each diffusion carries its SDE's sign, so a discrete step and the
+integrator read a shared draw with the same sign.
 
 A system is a drift and an ``apply_diffusion``, which maps a state, a time
 and a draw of d Wiener components to the noise increment. The diffusion is
@@ -109,7 +107,7 @@ def build_rmsprop_sde(
 
     def apply_diffusion(x, t, dw):
         theta, u = x[..., :d], x[..., d:]
-        scale = 1.0 / (np.sqrt(u) + epsilon0 / sigma0)
+        scale = -1.0 / (np.sqrt(u) + epsilon0 / sigma0)
         return scale * cov.apply_sqrt(problem, theta, dw)
 
     return SdeSystem(
@@ -131,8 +129,10 @@ def build_adam_sde(
 ) -> SdeSystem:
     """Momentum system over (theta, m, u) with time-dependent preconditioner.
 
-    gamma_1(t) = 1 - exp(-c1 t) and gamma_2(t) = 1 - exp(-c2 t) play the role
-    of the discrete bias corrections; gamma_1(0) = 0 makes t = 0 singular, so
+    d m = c1 (grad f - m) dt + sigma0 c1 Sigma^{1/2} dW takes the noise with
+    the plus sign it has in the discrete momentum update. gamma_1(t) =
+    1 - exp(-c1 t) and gamma_2(t) = 1 - exp(-c2 t) play the role of the
+    discrete bias corrections; gamma_1(0) = 0 makes t = 0 singular, so
     evaluation requires t > 0.
     """
     if sigma0 <= 0 or c1 <= 0 or c2 <= 0 or epsilon0 < 0:
@@ -169,11 +169,14 @@ def build_adam_sde(
 
 
 def build_sgd_sde(problem: Problem, cov: CovarianceSpec, eta: float) -> SdeSystem:
-    """Gradient flow with sqrt(eta)-scaled noise over theta alone."""
+    """Gradient flow with sqrt(eta)-scaled noise over theta alone.
+
+    d theta = -(grad f dt + sqrt(eta) Sigma^{1/2} dW)
+    """
     if eta <= 0:
         raise ValueError("eta must be positive")
     d = problem.dim
-    amp = math.sqrt(eta)
+    amp = -math.sqrt(eta)
 
     def drift(x, t):
         return -problem.full_gradient(x)

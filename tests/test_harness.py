@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,39 +37,40 @@ _LS_DATA = np.random.default_rng(11)
 LS_PROBLEM = LeastSquaresProblem(_LS_DATA.standard_normal((16, 2)), _LS_DATA.standard_normal(16))
 ROOT_SEED = 7
 
-# float.hex of every figure the tiny sweeps below report. A change that keeps
-# the RNG streams must reproduce them bit for bit; one that moves a stream
-# must record them again and say why.
+# float.hex of every figure the tiny sweeps below report (GOLDEN_RUNS). A
+# change that keeps the RNG streams must reproduce them bit for bit; one that
+# moves a stream must record them again and say why:
+# `PYTHONPATH=src python tests/test_harness.py` prints them in this format.
 GOLDEN = {
     'order/rmsprop': {
         'theta_0': {
-            'slope': '-0x1.cf544b8ec9d2bp-3',
-            'slope_se': '0x1.e789390d5dfd5p-1',
+            'slope': '0x1.284a67f2991fap+1',
+            'slope_se': '0x1.2f524cb8a03b3p+0',
             'status': 'inconclusive',
             'max_gap': [
-                '0x1.54f96db066480p-8',
-                '0x1.1b82488245900p-9',
-                '0x1.966fa33a6c000p-8',
+                '0x1.a6bb4759baf80p-8',
+                '0x1.efa0e74937d80p-8',
+                '0x1.4d5d0d0982a00p-10',
             ],
             'se_at_max': [
-                '0x1.3bafa7ef661a3p-8',
-                '0x1.a9b7c08253551p-9',
-                '0x1.304d8f7bb47adp-9',
+                '0x1.a0c2014d580c7p-9',
+                '0x1.b7971c569efadp-9',
+                '0x1.8741732fbfe2dp-9',
             ],
         },
         'loss': {
-            'slope': '0x1.1d1c1b0e71f8fp+0',
-            'slope_se': '0x1.191d5952a08ddp+0',
+            'slope': '0x1.95adfc6eeb46cp+0',
+            'slope_se': '0x1.3fdeec24d68ffp+0',
             'status': 'inconclusive',
             'max_gap': [
-                '0x1.c9b3c9b149a00p-8',
-                '0x1.699b4ba82d600p-9',
-                '0x1.ab728f4a45e00p-9',
+                '0x1.bdc2f3aec7080p-8',
+                '0x1.3061c7846db00p-9',
+                '0x1.2c379e97af600p-9',
             ],
             'se_at_max': [
-                '0x1.d51b13d7e7bd8p-9',
-                '0x1.457bc31974de7p-9',
-                '0x1.12ff3abb66cb8p-9',
+                '0x1.44bcf1439204cp-8',
+                '0x1.09a4a99f5101dp-9',
+                '0x1.8ca862a96e991p-9',
             ],
         },
     },
@@ -106,33 +108,33 @@ GOLDEN = {
     },
     'order/sgd': {
         'theta_0': {
-            'slope': '0x1.e9c059acf6a06p-2',
-            'slope_se': '0x1.16b35d391135fp-2',
+            'slope': '0x1.4d82620816ea1p+0',
+            'slope_se': '0x1.a069424d18166p-3',
             'status': 'ok',
             'max_gap': [
-                '0x1.1ae4ba3078c20p-6',
-                '0x1.261b280cd3b60p-6',
-                '0x1.947a0b40dc5c0p-7',
+                '0x1.e48c1708746e0p-6',
+                '0x1.d094eff1d1540p-7',
+                '0x1.8ae9125feefc0p-7',
             ],
             'se_at_max': [
                 '0x1.991afacfee54ap-9',
-                '0x1.87077f4c969e1p-10',
-                '0x1.3e01adaa77eebp-10',
+                '0x1.87077f4c969e5p-10',
+                '0x1.3e01adaa77ecbp-10',
             ],
         },
         'loss': {
-            'slope': '0x1.368e069e2ea7fp-1',
-            'slope_se': '0x1.f5d914bd8f7f3p-3',
+            'slope': '0x1.38dc5fd9b2b3dp+0',
+            'slope_se': '0x1.ad01abb4bde10p-3',
             'status': 'ok',
             'max_gap': [
-                '0x1.91e9384638180p-7',
-                '0x1.6edbba9e653c0p-7',
-                '0x1.075051c523040p-7',
+                '0x1.23e0b6dd0fcf0p-6',
+                '0x1.5bc3d358b2980p-7',
+                '0x1.f543f22bf64c0p-8',
             ],
             'se_at_max': [
-                '0x1.0d36179f2d95fp-9',
-                '0x1.09e9a7e693711p-10',
-                '0x1.94e1a811490bdp-11',
+                '0x1.edea7153ead99p-10',
+                '0x1.e04eb92da9147p-11',
+                '0x1.74da81cec70aep-11',
             ],
         },
     },
@@ -194,33 +196,33 @@ GOLDEN = {
     },
     'order/rmsprop/coupled=False': {
         'theta_0': {
-            'slope': '0x1.1b4f3a5655d3dp-3',
-            'slope_se': '0x1.186b91e9f530ep+0',
+            'slope': '-0x1.284900794359dp-1',
+            'slope_se': '0x1.13634d84f9583p+0',
             'status': 'inconclusive',
             'max_gap': [
-                '0x1.693111b14a748p-4',
-                '0x1.c5565a0d21e10p-4',
-                '0x1.466412a44e8a0p-4',
+                '0x1.2152e939a122cp-3',
+                '0x1.44a14fd09fa80p-5',
+                '0x1.bccfb8b1ba2e0p-3',
             ],
             'se_at_max': [
-                '0x1.f0b4ddc7a86fep-4',
-                '0x1.3a5244bb67804p-5',
-                '0x1.054396a4f2a89p-3',
+                '0x1.0722e43fa9eaap-3',
+                '0x1.25cb41bd90420p-5',
+                '0x1.60948f500df36p-4',
             ],
         },
         'loss': {
-            'slope': '0x1.36682fe292b6ap+1',
-            'slope_se': '0x1.41aa0199262bdp+0',
+            'slope': '-0x1.2143e059c7da7p-2',
+            'slope_se': '0x1.e3180419e680bp-1',
             'status': 'inconclusive',
             'max_gap': [
-                '0x1.531797b219ac8p-4',
-                '0x1.101a15644eae0p-3',
-                '0x1.ec07b7ac31100p-7',
+                '0x1.11fef3673463cp-3',
+                '0x1.1a2bdf69acfc8p-4',
+                '0x1.524b7b496f930p-3',
             ],
             'se_at_max': [
-                '0x1.29c14ecc67dbfp-3',
-                '0x1.601e934abe196p-5',
-                '0x1.288ec94ac7d0cp-3',
+                '0x1.063f44f90022fp-3',
+                '0x1.5cb4d0f2b91dep-5',
+                '0x1.533fcbea6f6bcp-4',
             ],
         },
     },
@@ -258,65 +260,65 @@ GOLDEN = {
     },
     'order/sgd/coupled=False': {
         'theta_0': {
-            'slope': '0x1.484a72de23db1p+1',
-            'slope_se': '0x1.14167605c917ap+0',
+            'slope': '0x1.0ae919d8d3413p-2',
+            'slope_se': '0x1.4406896433388p+0',
             'status': 'inconclusive',
             'max_gap': [
-                '0x1.2cae1030db500p-4',
-                '0x1.43d2b80e536c0p-5',
-                '0x1.943433f064980p-7',
+                '0x1.2a87a88bd3d00p-5',
+                '0x1.30e13729a97f8p-4',
+                '0x1.ea8a4f57a9820p-6',
             ],
             'se_at_max': [
-                '0x1.18dba14687a20p-4',
-                '0x1.2db3b6c7c4cdap-5',
-                '0x1.415a7c60ead13p-6',
+                '0x1.9a7aa7486e8d1p-5',
+                '0x1.d2680d9a5588cp-5',
+                '0x1.0a8ad1284b242p-5',
             ],
         },
         'loss': {
-            'slope': '0x1.1019b65ebaf71p+1',
-            'slope_se': '0x1.079fb1f206e5bp+0',
+            'slope': '0x1.7062171cdf035p-2',
+            'slope_se': '0x1.39c286df2ecedp+0',
             'status': 'inconclusive',
             'max_gap': [
-                '0x1.67f1d106eda48p-4',
-                '0x1.66abaf55fd180p-5',
-                '0x1.497e418e8e820p-6',
+                '0x1.6e37ddfd6e150p-5',
+                '0x1.8a300a0b72bc0p-5',
+                '0x1.1c43f45f93b90p-5',
             ],
             'se_at_max': [
-                '0x1.9b18785159a5cp-5',
-                '0x1.0ded630863c58p-5',
-                '0x1.7d9055139c25fp-6',
+                '0x1.8b7a74b18a60bp-5',
+                '0x1.55c668616caa9p-5',
+                '0x1.1e1b2590053e9p-5',
             ],
         },
     },
     'order/rmsprop/empirical': {
         'theta_0': {
-            'slope': '0x1.036a8ba5b5a6ep+1',
-            'slope_se': '0x1.2ed422bc6148dp+0',
+            'slope': '-0x1.10e1ed08aff14p-1',
+            'slope_se': '0x1.0ceb1c8f10612p+0',
             'status': 'inconclusive',
             'max_gap': [
-                '0x1.54e7370b28b20p-7',
-                '0x1.a397232cdcef0p-8',
-                '0x1.4d19717768540p-9',
+                '0x1.46fdd9ce53400p-8',
+                '0x1.acd2db66f47a0p-9',
+                '0x1.ded80b75fce40p-8',
             ],
             'se_at_max': [
-                '0x1.5c7986cf4e742p-8',
-                '0x1.5d24ddc23bbbep-8',
-                '0x1.a69bc999f4de4p-8',
+                '0x1.2f78164b3eca2p-7',
+                '0x1.34fd951b49c6ep-8',
+                '0x1.31ffa184993efp-8',
             ],
         },
         'loss': {
-            'slope': '0x1.09df796d0d4b4p+1',
-            'slope_se': '0x1.bd6088bd7eadcp+0',
+            'slope': '0x1.ce436836ef040p+0',
+            'slope_se': '0x1.07a107fceeae3p+0',
             'status': 'inconclusive',
             'max_gap': [
-                '0x1.3012cc2dd6760p-5',
-                '0x1.5e7ad0bc97300p-9',
-                '0x1.2b21b42377b00p-7',
+                '0x1.0ec8b3cc84840p-6',
+                '0x1.8f97ac3da2400p-8',
+                '0x1.37f927edf3bc0p-8',
             ],
             'se_at_max': [
-                '0x1.5e153b96afdf2p-6',
-                '0x1.0aecd2ca70e3ep-8',
-                '0x1.7ea765643162ep-7',
+                '0x1.e88bba7ee36c5p-8',
+                '0x1.3a3382c87d3bap-8',
+                '0x1.17c61fc6715e9p-8',
             ],
         },
     },
@@ -360,43 +362,75 @@ ORDER_EXTRA = {
 }
 
 
+def _order_run(algo, coupled=True):
+    setup = ApproximationSetup(
+        PROBLEM, COV, algo, theta0=np.ones(2), T=0.5, seeds=32, em_substeps=4,
+        n_checkpoints=3, coupled=coupled, **ORDER_EXTRA[algo],
+    )
+    return _order_figures(order_sweep(setup, (0.2, 0.14, 0.1), FNS, ROOT_SEED))
+
+
+def _empirical_order_run():
+    # state-dependent noise: the covariance is rebuilt at every substep's state
+    setup = ApproximationSetup(
+        LS_PROBLEM, EmpiricalCovariance(), "rmsprop", theta0=np.zeros(2), u0=np.ones(2),
+        T=0.5, seeds=32, em_substeps=4, n_checkpoints=3,
+    )
+    return _order_figures(order_sweep(setup, (0.2, 0.14, 0.1), FNS, ROOT_SEED))
+
+
+def _svag_run(coupled):
+    setup = ApproximationSetup(
+        PROBLEM, COV, "rmsprop", theta0=np.ones(2), u0=np.ones(2), T=0.4, seeds=64,
+        n_checkpoints=3, coupled=coupled,
+    )
+    return _svag_figures(svag_sweep(setup, 0.2, (1, 2, 4), FNS, ROOT_SEED))
+
+
+# each GOLDEN entry's sweep, returning its figures
+GOLDEN_RUNS = {
+    **{f"order/{algo}": lambda algo=algo: _order_run(algo) for algo in ORDER_EXTRA},
+    # the uncoupled discrete run draws its own noise after the integrator's
+    **{f"order/{algo}/coupled=False": lambda algo=algo: _order_run(algo, False) for algo in ORDER_EXTRA},
+    "order/rmsprop/empirical": _empirical_order_run,
+    **{f"svag/coupled={c}": lambda c=c: _svag_run(c) for c in (True, False)},
+}
+
+
+def _literal(value, indent=0):
+    """``value`` (dicts, lists and strings) written out as GOLDEN is."""
+    pad = " " * (indent + 4)
+    if isinstance(value, dict):
+        items = [f"{pad}{k!r}: {_literal(v, indent + 4)},\n" for k, v in value.items()]
+    elif isinstance(value, list):
+        items = [f"{pad}{_literal(v, indent + 4)},\n" for v in value]
+    else:
+        return repr(value)
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    return brackets[0] + "\n" + "".join(items) + " " * indent + brackets[1]
+
+
 class TestGoldenSweeps:
     @pytest.mark.parametrize("algo", list(ORDER_EXTRA))
     def test_order_sweep(self, algo):
-        setup = ApproximationSetup(
-            PROBLEM, COV, algo, theta0=np.ones(2), T=0.5, seeds=32, em_substeps=4,
-            n_checkpoints=3, **ORDER_EXTRA[algo],
-        )
-        report = order_sweep(setup, (0.2, 0.14, 0.1), FNS, ROOT_SEED)
-        assert _order_figures(report) == GOLDEN[f"order/{algo}"]
+        assert GOLDEN_RUNS[f"order/{algo}"]() == GOLDEN[f"order/{algo}"]
 
     @pytest.mark.parametrize("algo", list(ORDER_EXTRA))
     def test_uncoupled_order_sweep(self, algo):
-        # the discrete run draws its own noise after the integrator's
-        setup = ApproximationSetup(
-            PROBLEM, COV, algo, theta0=np.ones(2), T=0.5, seeds=32, em_substeps=4,
-            n_checkpoints=3, coupled=False, **ORDER_EXTRA[algo],
-        )
-        report = order_sweep(setup, (0.2, 0.14, 0.1), FNS, ROOT_SEED)
-        assert _order_figures(report) == GOLDEN[f"order/{algo}/coupled=False"]
+        key = f"order/{algo}/coupled=False"
+        assert GOLDEN_RUNS[key]() == GOLDEN[key]
 
     def test_empirical_order_sweep(self):
-        # state-dependent noise: the covariance is rebuilt at every substep's state
-        setup = ApproximationSetup(
-            LS_PROBLEM, EmpiricalCovariance(), "rmsprop", theta0=np.zeros(2), u0=np.ones(2),
-            T=0.5, seeds=32, em_substeps=4, n_checkpoints=3,
-        )
-        report = order_sweep(setup, (0.2, 0.14, 0.1), FNS, ROOT_SEED)
-        assert _order_figures(report) == GOLDEN["order/rmsprop/empirical"]
+        assert GOLDEN_RUNS["order/rmsprop/empirical"]() == GOLDEN["order/rmsprop/empirical"]
 
     @pytest.mark.parametrize("coupled", [True, False])
     def test_svag_sweep(self, coupled):
-        setup = ApproximationSetup(
-            PROBLEM, COV, "rmsprop", theta0=np.ones(2), u0=np.ones(2), T=0.4, seeds=64,
-            n_checkpoints=3, coupled=coupled,
-        )
-        report = svag_sweep(setup, 0.2, (1, 2, 4), FNS, ROOT_SEED)
-        assert _svag_figures(report) == GOLDEN[f"svag/coupled={coupled}"]
+        assert GOLDEN_RUNS[f"svag/coupled={coupled}"]() == GOLDEN[f"svag/coupled={coupled}"]
+
+    def test_printed_figures_are_the_literal_above(self):
+        # re-recording GOLDEN pastes the printout over the literal, so a
+        # diff shows only the figures that moved
+        assert f"\nGOLDEN = {_literal(GOLDEN)}\n" in Path(__file__).read_text()
 
 
 class TestCellStreams:
@@ -419,12 +453,24 @@ class TestCellStreams:
                 np.testing.assert_array_equal(a.continuous.values[name], b.continuous.values[name])
 
 
+def negate_diffusion(monkeypatch):
+    """Make every system the harness builds drive its noise with the opposite sign."""
+    build = harness._build_system
+
+    def negated(setup, eta):
+        system = build(setup, eta)
+        diffusion = system.apply_diffusion
+        return dataclasses.replace(system, apply_diffusion=lambda x, t, dw: -diffusion(x, t, dw))
+
+    monkeypatch.setattr(harness, "_build_system", negated)
+
+
 class TestCouplingInvariant:
     """Coupling leaves the gap unbiased and shrinks only its paired SE.
 
     The two gaps of a cell agree within 4 combined SE whether or not the
     discrete run rides the integrator's Brownian path, so their agreement
-    cannot see a wrong sign in the coupling: the paired SE can. With the
+    cannot see a negated diffusion: the paired SE can. With the
     right sign it is at most 0.063 of the combined SE at t = T (400 seeds,
     eta = 0.2, 4 substeps); with the diffusion negated the discrete and
     continuous noise anti-correlate and the ratio is 0.68 to 1.41.
@@ -460,19 +506,51 @@ class TestCouplingInvariant:
 
     @pytest.mark.parametrize("algo", list(ORDER_EXTRA))
     def test_negated_diffusion_fails_the_ratio_bound(self, algo, monkeypatch):
-        build = harness._build_system
-
-        def negated(setup, eta):
-            system = build(setup, eta)
-            diffusion = system.apply_diffusion
-            return dataclasses.replace(
-                system, apply_diffusion=lambda x, t, dw: -diffusion(x, t, dw)
-            )
-
-        monkeypatch.setattr(harness, "_build_system", negated)
+        negate_diffusion(monkeypatch)
         coupled, _ = self._reports(algo)
         for name in FNS:
             assert self._last_ratio(coupled, name) > 2.0 * self.RATIO_BOUND
+
+
+class TestSgdPathwiseIdentity:
+    """At one substep, coupled SGD and its integrator take the same step.
+
+    Both step theta - eta (grad f + L w) on the same block w: the discrete
+    run as eta sigma L w with sigma = 1, the integrator as -sqrt(eta) L
+    (sqrt(eta) w). So every seed agrees at every checkpoint up to rounding,
+    which pins the diffusion's sign, the window's normalization and the
+    draw order exactly, where the ratio bound above checks them only
+    statistically.
+    """
+
+    BOUND = 1e-12
+
+    @staticmethod
+    def _worst(problem, cov, theta0):
+        setup = ApproximationSetup(
+            problem, cov, "sgd", theta0=theta0, T=0.5, seeds=32, em_substeps=1, n_checkpoints=5,
+        )
+        report = compare_at_eta(setup, 0.1, FNS, ROOT_SEED)
+        return {
+            name: np.max(np.abs(report.discrete.values[name] - report.continuous.values[name]))
+            for name in FNS
+        }
+
+    CASES = {
+        "constant": (PROBLEM, COV, np.ones(2)),
+        "empirical": (LS_PROBLEM, EmpiricalCovariance(), np.zeros(2)),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_discrete_and_integrated_runs_agree_seed_by_seed(self, case):
+        for name, worst in self._worst(*self.CASES[case]).items():
+            assert worst <= self.BOUND, name
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_negated_diffusion_breaks_the_identity(self, case, monkeypatch):
+        negate_diffusion(monkeypatch)
+        for name, worst in self._worst(*self.CASES[case]).items():
+            assert worst > 1e3 * self.BOUND, name
 
 
 class TestSharedPath:
@@ -482,7 +560,7 @@ class TestSharedPath:
         shape, n_blocks = (3, 2), 8
         read = {1: [], 4: []}
 
-        def rider(window, sign):
+        def rider(window):
             oracle = _SequencedGaussianOracle(PROBLEM, COV, 1.0)
 
             def loop():
@@ -490,15 +568,15 @@ class TestSharedPath:
                     read[window].append(oracle._standard_normal(shape, None))
                     yield
 
-            return loop(), window, sign, oracle
+            return loop(), window, oracle
 
-        riders = [rider(1, 1.0), rider(4, -1.0)]
+        riders = [rider(1), rider(4)]
         seen = np.stack(list(harness._shared_path(np.random.default_rng(3), n_blocks, shape, riders)))
-        for _, window, sign, _ in riders:
+        for _, window, _ in riders:
             assert len(read[window]) == n_blocks // window
             for i, got in enumerate(read[window]):
                 window_blocks = seen[i * window : (i + 1) * window]
-                np.testing.assert_array_equal(got, sign * window_blocks.sum(axis=0) / math.sqrt(window))
+                np.testing.assert_array_equal(got, window_blocks.sum(axis=0) / math.sqrt(window))
 
     @pytest.mark.parametrize("error", [NonFiniteError, ValueError])
     def test_an_error_in_a_riding_run_reaches_the_caller_as_raised(self, error, monkeypatch):
@@ -715,11 +793,13 @@ class TestSweepArguments:
 
     @pytest.mark.parametrize("field, value", [
         ("em_substeps", 0), ("em_substeps", 2.0), ("seeds", 1), ("n_checkpoints", 0), ("T", 0.0),
-        ("seeds", 2.5), ("n_checkpoints", 2.5), ("T", math.inf),
+        ("seeds", 2.5), ("n_checkpoints", 2.5), ("T", math.inf), ("em_substeps", True),
+        ("n_checkpoints", True),
     ])
     def test_setup_rejects_sizes_that_fail_later(self, field, value):
         # a fractional seed or checkpoint count failed as a TypeError inside
-        # the run, and an infinite T as an OverflowError in _horizon_steps
+        # the run, an infinite T as an OverflowError in _horizon_steps, and a
+        # bool was read as the count 1
         with pytest.raises(ValueError, match=field):
             ApproximationSetup(
                 PROBLEM, COV, "rmsprop", theta0=np.ones(2), u0=np.ones(2), **{field: value}
@@ -829,19 +909,21 @@ class TestValidateScalingArguments:
 
 
     @pytest.mark.parametrize("arguments, message", [
-        (dict(batch_size=2.5), "batch_size must be an integer"),
+        (dict(batch_size=2.5), "batch_size must be an int"),
+        (dict(batch_size=True), "batch_size must be an int"),
         (dict(batch_size=2, cov=COV), "cov goes with sigma"),
         (dict(batch_size=2, theta0=[5.0]), r"theta0 must have shape \(2,\)"),
         (dict(batch_size=2, theta0=[np.nan, 1.0]), "theta0 must be finite"),
         (dict(batch_size=2, seeds=2.5), "seeds must be an int"),
         (dict(batch_size=2, base_steps=8.5), "base_steps must be an int"),
-    ], ids=["fractional-batch", "cov-with-batch", "theta0-shape", "theta0-nan", "fractional-seeds",
-            "fractional-steps"])
+    ], ids=["fractional-batch", "bool-batch", "cov-with-batch", "theta0-shape", "theta0-nan",
+            "fractional-seeds", "fractional-steps"])
     def test_misread_arguments_rejected_before_any_run(self, arguments, message, monkeypatch):
         # unchecked, each ran: batch 2.5 as batch 2 against 5 (a ratio of
-        # 2.5 under kappa = 2), cov ignored, theta0 broadcast, a NaN start
-        # failing only as a NonFiniteError at step 1, and a fractional seed or
-        # step count failing inside the runs as a TypeError
+        # 2.5 under kappa = 2), batch True as batch 1, cov ignored, theta0
+        # broadcast, a NaN start failing only as a NonFiniteError at step 1,
+        # and a fractional seed or step count failing inside the runs as a
+        # TypeError
         def no_run(*args, **kwargs):
             raise AssertionError("a run started before the arguments were checked")
 
@@ -975,3 +1057,8 @@ class TestLinearWarmupCheck:
         assert np.all(report.z_mean == 0.0) and np.all(report.z_var == 0.0)
         assert np.all(report.approx_mean_rel_err == 0.0) and np.all(report.approx_var_rel_err == 0.0)
         assert report.passed
+
+
+if __name__ == "__main__":
+    # print every GOLDEN entry as the code computes it now, to paste over GOLDEN
+    print("GOLDEN = " + _literal({key: GOLDEN_RUNS[key]() for key in GOLDEN}))

@@ -84,11 +84,12 @@ RUNNERS = {"run_discrete": discrete_run, "euler_maruyama": integrated_run}
 class TestCheckpointRule:
     """Both runners take checkpoints as step indices, integers in [0, steps]."""
 
-    @pytest.mark.parametrize("checkpoint", [-1, STEPS + 1, 2.5])
+    @pytest.mark.parametrize("checkpoint", [-1, STEPS + 1, 2.5, True])
     @pytest.mark.parametrize("runner", list(RUNNERS))
     def test_rejects_anything_but_a_step_of_the_run(self, runner, checkpoint):
         # a fractional step used to be truncated (discrete) or snapped to the
-        # nearest grid time (integrated), recording a step nobody asked for
+        # nearest grid time (integrated), and True was read as step 1,
+        # recording a step nobody asked for
         message = f"checkpoints must be integers in [0, {STEPS}], got {checkpoint!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             RUNNERS[runner]([0, checkpoint])

@@ -204,7 +204,7 @@ class TestRmspropSystem:
         u = np.array([4.0, 0.25])
         x = np.concatenate([np.zeros(2), u])[None, :]
         cols = diffusion_columns(system, x, 0.0)[0]
-        np.testing.assert_allclose(np.diag(cols[:2, :2]), 1.0 / np.sqrt(u))
+        np.testing.assert_allclose(np.diag(cols[:2, :2]), -1.0 / np.sqrt(u))
         assert np.all(cols[2:, :] == 0.0)  # u rows carry no noise
 
 
@@ -244,12 +244,12 @@ class TestStructuredDiffusion:
         for i in range(paths):
             noise = cov.sqrt(LS_PROBLEM, x[i, :d]) @ dw[i]
             expected = np.zeros(system.state_dim)
-            if algo == "rmsprop":  # L dw / (sqrt(u) + eps0/sigma0) on theta
-                expected[:d] = noise / (np.sqrt(x[i, d:]) + EPSILON0 / SIGMA0)
-            elif algo == "adam":  # sigma0 c1 L dw on m
+            if algo == "rmsprop":  # -L dw / (sqrt(u) + eps0/sigma0) on theta
+                expected[:d] = -noise / (np.sqrt(x[i, d:]) + EPSILON0 / SIGMA0)
+            elif algo == "adam":  # +sigma0 c1 L dw on m
                 expected[d : 2 * d] = SIGMA0 * C1 * noise
-            else:  # sqrt(eta) L dw on theta
-                expected[:] = math.sqrt(ETA) * noise
+            else:  # -sqrt(eta) L dw on theta
+                expected[:] = -math.sqrt(ETA) * noise
             np.testing.assert_allclose(fast[i], expected, rtol=1e-12, atol=1e-14)
 
 

@@ -179,7 +179,11 @@ def discrete_loop(
     ``next``, which also records step 0. After the last step the generator
     returns the record, which ``finish`` reads; runs held as loops can thus
     advance together, each on its own schedule. The first ``next`` checks
-    the start: one (seeds, d) shape, v >= 0 and k >= 0, which every step keeps.
+    the start: one (seeds, d) shape, v >= 0 and k >= 0, which every step
+    keeps, and finite values, a failure raising NonFiniteError at the
+    start's step. After that each step checks only the arrays it rebuilt
+    (RMSprop passes m on, SGD m and v) and raises NonFiniteError with its
+    step index when one holds a non-finite value.
     """
     step = step_function(algo)
     recorder = _Recorder(fns, checkpoints, steps)
@@ -191,6 +195,8 @@ def discrete_loop(
         raise ValueError("v must be nonnegative coordinatewise")
     if state.k < 0:
         raise ValueError(f"step index must be nonnegative, got {state.k}")
+    if not _finite(state):
+        raise NonFiniteError(state.k, f"algo={algo}, eta={hp.eta}")
 
     sigma = oracle.sigma_effective
     dt_e = effective_time_step(algo, hp.eta)
@@ -212,13 +218,20 @@ def discrete_loop(
         snapshot(state)
     for n in range(1, steps + 1):
         g = oracle.sample(state.theta, rng)
-        state = step(state, g, hp)
-        if not (np.all(np.isfinite(state.theta)) and np.all(np.isfinite(state.v)) and np.all(np.isfinite(state.m))):
-            raise NonFiniteError(state.k, f"algo={algo}, eta={hp.eta}")
+        new = step(state, g, hp)
+        if not _finite(new, state):
+            raise NonFiniteError(new.k, f"algo={algo}, eta={hp.eta}")
+        state = new
         if n in recorder.checkpoints:
             snapshot(state)
         yield
     return recorder.build()
+
+
+def _finite(state: OptimizerState, prev: OptimizerState | None = None) -> bool:
+    """Whether theta, m and v are finite, reading only those not passed on from ``prev``."""
+    old = (None, None, None) if prev is None else (prev.theta, prev.m, prev.v)
+    return all(np.isfinite(a).all() for a, b in zip((state.theta, state.m, state.v), old) if a is not b)
 
 
 def finish(loop: Generator[None, None, TrajectoryRecord]) -> TrajectoryRecord:

@@ -42,11 +42,13 @@ class Problem:
     def full_gradient(self, theta) -> np.ndarray:
         raise NotImplementedError
 
-    def per_datum_gradients(self, theta) -> np.ndarray:
+    def per_datum_gradients(self, theta, out=None) -> np.ndarray:
         """Per-datum gradients, shape (..., n, d): row i is grad f_i(theta).
 
-        Finite-sum problems return a fresh array that the caller may
-        overwrite, in any memory layout; the full gradient is the row mean.
+        Finite-sum problems write them into ``out``, an array of that shape
+        in any layout, and return it (or a view of it); without ``out`` they
+        return a fresh array that the caller may overwrite, in any memory
+        layout. The full gradient is the row mean.
         """
         raise ValueError(f"{type(self).__name__} is not a finite-sum problem")
 
@@ -151,14 +153,16 @@ class LeastSquaresProblem(Problem):
     def full_gradient(self, theta) -> np.ndarray:
         return self.residuals(theta) @ self.data / self.n_points
 
-    def per_datum_gradients(self, theta) -> np.ndarray:
-        """Shape (..., n, d), a view of fresh C-contiguous (..., d, n) memory.
+    def per_datum_gradients(self, theta, out=None) -> np.ndarray:
+        """Shape (..., n, d), a view of fresh C-contiguous (..., d, n) memory, or of ``out``.
 
         That is the layout ``EmpiricalCovariance`` reduces over: each
         coordinate's n gradients are contiguous.
         """
         r = self.residuals(theta)
-        return np.swapaxes(r[..., None, :] * self._data_t, -1, -2)
+        if out is not None:
+            out = np.swapaxes(out, -1, -2)
+        return np.swapaxes(np.multiply(r[..., None, :], self._data_t, out=out), -1, -2)
 
 
 class CovarianceSpec:
@@ -212,7 +216,11 @@ class IsotropicCovariance(CovarianceSpec):
 
 @dataclass(frozen=True)
 class ConstantCovariance(CovarianceSpec):
-    """A fixed PSD matrix, validated at construction; ``sqrt`` is its symmetric root, computed once."""
+    """A fixed PSD matrix, validated at construction; ``sqrt`` is its symmetric root, computed once.
+
+    The root is stored column-major, so that ``apply_sqrt``'s w @ L' reads
+    L' as a C-contiguous operand; the values are those of ``psd_sqrt``.
+    """
 
     sigma: np.ndarray
     _sqrt: np.ndarray = field(init=False, repr=False, compare=False)
@@ -220,7 +228,7 @@ class ConstantCovariance(CovarianceSpec):
     def __post_init__(self):
         mat = check_symmetric(np.asarray(self.sigma, dtype=float), name="covariance")
         object.__setattr__(self, "sigma", mat)
-        object.__setattr__(self, "_sqrt", psd_sqrt(mat))
+        object.__setattr__(self, "_sqrt", np.asfortranarray(psd_sqrt(mat)))
 
     def _check_dim(self, problem: Problem) -> None:
         if self.sigma.shape[0] != problem.dim:
@@ -253,9 +261,11 @@ class EmpiricalCovariance(CovarianceSpec):
     ``diagonal`` and a diffusion's ``matrix`` at the same state share one
     build. Its key is the problem itself (held, and compared with ``is``)
     and theta's shape, dtype and exact bytes: an array changed in place
-    since the last call misses, so the memo is never stale. The memo is not
-    locked; use one instance from one thread at a time. It takes no part in
-    equality or hashing.
+    since the last call misses, so the memo is never stale. The memo owns
+    its buffer: a miss on the same problem at theta's shape rebuilds C in
+    the memo's array, so an integration allocates C once, not per substep.
+    The memo is not locked; use one instance from one thread at a time. It
+    takes no part in equality or hashing.
 
     The uncentred moment form (1/n) sum_i g_i g_i' - grad f grad f' is
     cheaper but not used: when the mean gradient dominates the noise it
@@ -270,19 +280,25 @@ class EmpiricalCovariance(CovarianceSpec):
         The row mean is the full gradient, so the residuals are evaluated
         once. C is the transpose of ``per_datum_gradients``, contiguous for
         ``LeastSquaresProblem``; any other layout gives the same C, only
-        slower. The centring is in place: a second (..., d, n) temporary per
-        call is enough for glibc to trim and re-fault the heap top on every
-        Euler-Maruyama substep. C is read-only, since the memo hands the
-        same array to the next call at this theta.
+        slower. The build and the centring write into the memo's C where
+        they can: a fresh (..., d, n) array per call is enough for glibc to
+        trim and re-fault the heap top on every Euler-Maruyama substep. C is
+        read-only between calls, since the memo hands the same array to the
+        next call at this theta.
         """
         theta = np.asarray(theta)
         key = (theta.shape, theta.dtype, theta.tobytes())
+        buf = None
         if self._memo:
             held, held_key, c = self._memo
             if held is problem and held_key == key:
                 return c
-            self._memo.clear()  # free the old C before the new one is built
-        c = np.swapaxes(problem.per_datum_gradients(theta), -1, -2)
+            self._memo.clear()  # a build that fails leaves no stale C behind
+            if held is problem and held_key[0] == key[0]:
+                c.flags.writeable = True  # rebuilt in place below
+                buf = np.swapaxes(c, -1, -2)
+            del c  # any other C is freed before the new one is built
+        c = np.swapaxes(problem.per_datum_gradients(theta, out=buf), -1, -2)
         c -= c.mean(axis=-1, keepdims=True)
         c.flags.writeable = False
         self._memo[:] = (problem, key, c)

@@ -100,9 +100,14 @@ def build_rmsprop_sde(
     def drift(x, t):
         theta, u = x[..., :d], x[..., d:]
         denom = sigma0 * np.sqrt(u) + epsilon0
-        out = np.empty_like(x)
-        out[..., :d] = -problem.full_gradient(theta) / denom
-        out[..., d:] = c2 * (cov.diagonal(problem, theta) - u)
+        # column-major, the integrator's layout, so each block is computed
+        # in its own contiguous columns of out, with no temporary
+        out = np.empty(x.shape, order="F")
+        drift_theta, drift_u = out[..., :d], out[..., d:]
+        np.negative(problem.full_gradient(theta), out=drift_theta)
+        drift_theta /= denom
+        np.subtract(cov.diagonal(problem, theta), u, out=drift_u)
+        drift_u *= c2
         return out
 
     def apply_diffusion(x, t, dw):
@@ -148,10 +153,14 @@ def build_adam_sde(
         g1, g2 = gammas(t)
         theta, m, u = x[..., :d], x[..., d : 2 * d], x[..., 2 * d :]
         denom = sigma0 * np.sqrt(u) + epsilon0 * math.sqrt(g2)
-        out = np.empty_like(x)
-        out[..., :d] = -(math.sqrt(g2) / g1) * m / denom
-        out[..., d : 2 * d] = c1 * (problem.full_gradient(theta) - m)
-        out[..., 2 * d :] = c2 * (cov.diagonal(problem, theta) - u)
+        out = np.empty(x.shape, order="F")
+        drift_theta, drift_m, drift_u = out[..., :d], out[..., d : 2 * d], out[..., 2 * d :]
+        np.multiply(-(math.sqrt(g2) / g1), m, out=drift_theta)
+        drift_theta /= denom
+        np.subtract(problem.full_gradient(theta), m, out=drift_m)
+        drift_m *= c1
+        np.subtract(cov.diagonal(problem, theta), u, out=drift_u)
+        drift_u *= c2
         return out
 
     def apply_diffusion(x, t, dw):

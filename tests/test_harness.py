@@ -29,6 +29,7 @@ from adasde.problems import (
 )
 from adasde.recording import NonFiniteError, TrajectoryRecord
 from adasde.scaling import make_plan
+from adasde.stats import fit_loglog_slope
 
 FNS = ["theta_0", "loss"]
 PROBLEM = QuadraticProblem(np.diag([1.0, 0.5]))
@@ -681,6 +682,54 @@ class TestNoiseMemory:
 
         short, long = peak(0.4), peak(1.6)
         assert long < 1.1 * short
+
+
+def _chunk_major_boot_gaps(x, reports, name, rng, n_boot):
+    """The bootstrap's worst gaps per chunk, gathered chunk-major and reduced over the seed axis."""
+    n = reports[0].discrete.seed_count
+    out = []
+    for start in range(0, n_boot, harness._BOOT_CHUNK):
+        chunk = min(harness._BOOT_CHUNK, n_boot - start)
+        idx = rng.integers(0, n, size=(chunk, len(reports), n))
+        boot_gaps = np.empty((len(reports), chunk))
+        for r, rep in enumerate(reports):
+            dmean = np.take(rep.discrete.values[name].T, idx[:, r], axis=0).mean(axis=1)
+            smean = np.take(rep.continuous.values[name].T, idx[:, r], axis=0).mean(axis=1)
+            boot_gaps[r] = np.maximum(np.abs(dmean - smean).max(axis=1), 1e-300)
+        out.append(boot_gaps)
+    return out
+
+
+class TestBootstrapLayout:
+    """The seed-major bootstrap equals a chunk-major one bit for bit, at bench sizes."""
+
+    @pytest.mark.parametrize("seeds, n_reports, n_boot", [(200, 4, 200), (2000, 3, 120)])
+    def test_equals_the_chunk_major_reference(self, seeds, n_reports, n_boot, monkeypatch):
+        data = np.random.default_rng(31)
+        times = np.arange(1.0, 6.0)
+        reports = []
+        for r in range(n_reports):
+            values = data.standard_normal((2, times.size, seeds)) * 10.0 ** data.uniform(-3, 1, (2, 1, 1))
+            reports.append(weak_error(
+                TrajectoryRecord(times, {"f": values[0]}),
+                TrajectoryRecord(times, {"f": values[1] + 0.1 * (r + 1)}),
+            ))
+        x = 0.2 / np.sqrt(2.0) ** np.arange(n_reports)
+        fitted = []
+
+        def recorded(x, y):
+            if np.ndim(y) == 2:
+                fitted.append(np.array(y))
+            return fit_loglog_slope(x, y)
+
+        monkeypatch.setattr(harness, "fit_loglog_slope", recorded)
+        *_, slope_se, _ = harness._fit_gap_decay(x, reports, "f", np.random.default_rng(7), n_boot)
+        want = _chunk_major_boot_gaps(x, reports, "f", np.random.default_rng(7), n_boot)
+        assert len(fitted) == len(want) == -(-n_boot // harness._BOOT_CHUNK)
+        for got, expected in zip(fitted, want):
+            np.testing.assert_array_equal(got, expected)
+        boots = np.concatenate([fit_loglog_slope(x, y) for y in want])
+        assert slope_se == float(np.std(boots, ddof=1))
 
 
 # A value away from the default for every constant a setup may read.

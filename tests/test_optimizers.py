@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adasde import optimizers
 from adasde.ngos import GaussianOracle
 from adasde.optimizers import (
     ALGORITHMS,
@@ -341,6 +342,37 @@ class TestRunStart:
         v[3, 1] = -1e-3
         with pytest.raises(ValueError, match="v must be nonnegative"):
             self.run(replace(self.init, v=v))
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    @pytest.mark.parametrize("field", ["theta", "m", "v"])
+    def test_a_non_finite_start_raises_at_step_zero(self, algo, field):
+        # before the start is recorded, as euler_maruyama checks its start
+        bad = getattr(self.init, field).copy()
+        bad[5, 0] = np.nan
+        with pytest.raises(NonFiniteError) as err:
+            self.run(replace(self.init, **{field: bad}), algo)
+        assert err.value.step == 0
+
+    @pytest.mark.parametrize("algo, field", [
+        ("rmsprop", "theta"), ("rmsprop", "v"), ("sgd", "theta"),
+        ("adam", "theta"), ("adam", "m"), ("adam", "v"),
+    ])
+    def test_a_nan_entering_a_rebuilt_array_raises_with_its_step(self, algo, field, monkeypatch):
+        # each step reads only the arrays it rebuilt; a NaN in any of them is caught where it enters
+        clean = optimizers.step_function(algo)
+
+        def poisoned(state, g, hp):
+            new = clean(state, g, hp)
+            if new.k != 2:
+                return new
+            bad = getattr(new, field).copy()
+            bad[3, 1] = np.nan
+            return replace(new, **{field: bad})
+
+        monkeypatch.setitem(optimizers._STEPS, algo, poisoned)
+        with pytest.raises(NonFiniteError) as err:
+            self.run(self.init, algo)
+        assert err.value.step == 2
 
     @pytest.mark.parametrize("algo", ALGORITHMS)
     def test_negative_step_index_rejected(self, algo):

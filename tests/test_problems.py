@@ -34,8 +34,12 @@ def random_least_squares(seed, n=12, d=3, cls=LeastSquaresProblem):
 class RowMajorLeastSquares(LeastSquaresProblem):
     """Least squares whose per-datum gradients are an ordinary C-contiguous (..., n, d) array."""
 
-    def per_datum_gradients(self, theta):
-        return np.ascontiguousarray(super().per_datum_gradients(theta))
+    def per_datum_gradients(self, theta, out=None):
+        grads = np.ascontiguousarray(super().per_datum_gradients(theta))
+        if out is None:
+            return grads
+        out[...] = grads
+        return out
 
 
 # The (d, n) layout LeastSquaresProblem stores and the (n, d) layout any
@@ -132,6 +136,15 @@ class TestPerDatumGradients:
         assert second.flags.writeable
         assert not np.shares_memory(second, p.data)
         assert not np.shares_memory(second, first)
+
+    @LAYOUTS
+    def test_written_into_out(self, cls):
+        p = random_least_squares(seed=15, cls=cls)
+        theta = np.random.default_rng(16).standard_normal((4, p.dim))
+        out = np.empty((4, p.n_points, p.dim))
+        got = p.per_datum_gradients(theta, out=out)
+        assert np.shares_memory(got, out)
+        np.testing.assert_array_equal(out, p.per_datum_gradients(theta))
 
 
 class TestExactCovariance:
@@ -241,6 +254,19 @@ class TestApplySqrt:
         w = np.random.default_rng(10).standard_normal((6, p.dim))
         np.testing.assert_array_equal(cov.apply_sqrt(p, None, w), w @ cov.sqrt(p).T)
 
+    @pytest.mark.parametrize("paths", [200, 2000])
+    def test_constant_root_is_column_major_and_applied_bit_for_bit(self, paths):
+        # stored column-major, so that w @ L' multiplies a C-contiguous L'
+        sigma = np.array([[1.0, 0.3, 0.0, 0.1], [0.3, 0.6, 0.1, 0.0],
+                          [0.0, 0.1, 0.5, 0.2], [0.1, 0.0, 0.2, 0.4]])
+        cov = ConstantCovariance(sigma)
+        p = QuadraticProblem(np.eye(4))
+        root = cov.sqrt(p)
+        assert root.flags.f_contiguous
+        np.testing.assert_array_equal(root, psd_sqrt(cov.sigma))
+        w = np.random.default_rng(11).standard_normal((paths, 4))
+        np.testing.assert_array_equal(cov.apply_sqrt(p, None, w), w @ np.ascontiguousarray(root.T))
+
 
 class TestCovarianceDiagonal:
     CONST = np.array([[1.0, 0.4, 0.0], [0.4, 0.8, 0.2], [0.0, 0.2, 0.5]])
@@ -333,6 +359,26 @@ class TestEmpiricalMemo:
         got = cov.diagonal(other, self.theta)
         np.testing.assert_array_equal(got, EmpiricalCovariance().diagonal(other, self.theta))
         assert not np.array_equal(got, cov.diagonal(self.problem, self.theta))
+
+    def test_a_miss_at_the_same_shape_rebuilds_in_the_memos_buffer(self):
+        cov = EmpiricalCovariance()
+        first = cov._centred(self.problem, self.theta)
+        moved = self.theta + 0.25
+        second = cov._centred(self.problem, moved)
+        assert np.shares_memory(second, first)
+        np.testing.assert_array_equal(second, EmpiricalCovariance()._centred(self.problem, moved))
+        np.testing.assert_array_equal(
+            cov.matrix(self.problem, moved), EmpiricalCovariance().matrix(self.problem, moved)
+        )
+        assert not second.flags.writeable
+
+    def test_a_new_shape_or_problem_gets_a_fresh_buffer(self):
+        cov = EmpiricalCovariance()
+        first = cov._centred(self.problem, self.theta)
+        wider = cov._centred(self.problem, np.vstack([self.theta, self.theta]))
+        assert not np.shares_memory(wider, first)
+        other = random_least_squares(seed=44)  # the same (d, n): C's shape is wider's
+        assert not np.shares_memory(cov._centred(other, np.vstack([self.theta, self.theta])), wider)
 
     def test_held_c_is_read_only(self):
         c = EmpiricalCovariance()._centred(self.problem, self.theta)

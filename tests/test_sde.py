@@ -499,9 +499,9 @@ class TestLoopContract:
         calls = []
         per_datum = LeastSquaresProblem.per_datum_gradients
 
-        def counted(self, theta):
+        def counted(self, theta, out=None):
             calls.append(1)
-            return per_datum(self, theta)
+            return per_datum(self, theta, out)
 
         monkeypatch.setattr(LeastSquaresProblem, "per_datum_gradients", counted)
         system, t0 = empirical_system(algo)

@@ -1,8 +1,9 @@
 """Closed-form loss landscapes with exact gradients and exact noise covariance.
 
-Every problem is immutable and all operations accept parameter arrays of
-shape (..., d), broadcasting over leading axes so that whole ensembles can
-be evaluated in one call.
+Every problem is immutable: it keeps read-only copies of the arrays it is
+given, so a caller that edits its own array later changes nothing here. All
+operations accept parameter arrays of shape (..., d), broadcasting over
+leading axes so that whole ensembles can be evaluated in one call.
 """
 from __future__ import annotations
 
@@ -31,6 +32,18 @@ def _check_theta(theta, dim: int) -> np.ndarray:
     return theta
 
 
+def _frozen(a) -> np.ndarray:
+    """A read-only float copy of ``a``, in ``a``'s memory layout."""
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+def _state_key(theta: np.ndarray) -> tuple:
+    """theta's shape, dtype and exact bytes: a memo key that an in-place edit of theta misses."""
+    return theta.shape, theta.dtype, theta.tobytes()
+
+
 class Problem:
     """A differentiable loss with closed-form value and gradient."""
 
@@ -48,7 +61,9 @@ class Problem:
         Finite-sum problems write them into ``out``, an array of that shape
         in any layout, and return it (or a view of it); without ``out`` they
         return a fresh array that the caller may overwrite, in any memory
-        layout. The full gradient is the row mean.
+        layout. ``full_gradient`` is their row mean, up to rounding:
+        ``EmpiricalCovariance`` centres them by it instead of reducing them
+        over n a second time.
         """
         raise ValueError(f"{type(self).__name__} is not a finite-sum problem")
 
@@ -60,7 +75,7 @@ class LinearProblem(Problem):
     g_bar: np.ndarray
 
     def __post_init__(self):
-        g = np.atleast_1d(np.asarray(self.g_bar, dtype=float))
+        g = np.atleast_1d(_frozen(self.g_bar))
         if g.ndim != 1 or g.size == 0:
             raise ValueError("g_bar must be a nonempty vector")
         object.__setattr__(self, "g_bar", g)
@@ -90,9 +105,10 @@ class QuadraticProblem(Problem):
         if a.ndim != 2:
             raise ValueError("quadratic matrix must be 2-d")
         psd_eigh(a, name="quadratic matrix")
-        b = np.zeros(a.shape[0]) if self.b is None else np.asarray(self.b, dtype=float)
+        b = _frozen(np.zeros(a.shape[0]) if self.b is None else self.b)
         if b.shape != (a.shape[0],):
             raise ValueError("b must match the matrix dimension")
+        a.flags.writeable = False  # check_symmetric's result is already a copy
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -114,16 +130,28 @@ class LeastSquaresProblem(Problem):
     """Averaged finite-sum least squares.
 
     f_i(theta) = 0.5 (x_i' theta - y_i)^2 and f = (1/n) sum_i f_i, so the
-    full gradient is the mean of the per-datum gradients.
+    full gradient is the mean of the per-datum gradients. ``data`` and
+    ``targets`` are read-only copies of the caller's arrays, and ``_data_t``
+    is the data's transpose, C-contiguous and read-only.
+
+    The last residuals are kept in a one-entry memo, so that ``loss``,
+    ``full_gradient`` and ``per_datum_gradients`` at one theta share one
+    evaluation of theta X' - y. It follows ``EmpiricalCovariance``'s memo:
+    the key is theta's shape, dtype and exact bytes, so a theta changed in
+    place since the last call misses; the residuals it holds are read-only;
+    and a miss builds a fresh array, so no array it has returned is
+    rewritten later. The memo is not locked; use one instance from one
+    thread at a time. It takes no part in equality, hashing or repr.
     """
 
     data: np.ndarray
     targets: np.ndarray
     _data_t: np.ndarray = field(init=False, repr=False, compare=False)
+    _memo: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        x = np.asarray(self.data, dtype=float)
-        y = np.asarray(self.targets, dtype=float)
+        x = _frozen(self.data)
+        y = _frozen(self.targets)
         if x.ndim != 2:
             raise ValueError("data must be an n x d matrix")
         if y.shape != (x.shape[0],):
@@ -132,7 +160,9 @@ class LeastSquaresProblem(Problem):
             raise ValueError("finite-sum problem needs at least 2 data points")
         object.__setattr__(self, "data", x)
         object.__setattr__(self, "targets", y)
-        object.__setattr__(self, "_data_t", np.ascontiguousarray(x.T))
+        data_t = np.ascontiguousarray(x.T)
+        data_t.flags.writeable = False
+        object.__setattr__(self, "_data_t", data_t)
 
     @property
     def dim(self) -> int:
@@ -143,8 +173,17 @@ class LeastSquaresProblem(Problem):
         return self.data.shape[0]
 
     def residuals(self, theta) -> np.ndarray:
+        """x_i' theta - y_i, shape (..., n): read-only, and shared by every call at this theta."""
         theta = _check_theta(theta, self.dim)
-        return theta @ self.data.T - self.targets
+        key = _state_key(theta)
+        if self._memo and self._memo[0] == key:
+            return self._memo[1]
+        self._memo.clear()  # an evaluation that fails leaves nothing stale behind
+        r = theta @ self.data.T
+        r -= self.targets
+        r.flags.writeable = False
+        self._memo[:] = (key, r)
+        return r
 
     def loss(self, theta) -> np.ndarray:
         r = self.residuals(theta)
@@ -252,20 +291,21 @@ class EmpiricalCovariance(CovarianceSpec):
     """Covariance of the per-datum gradients around the full gradient.
 
     Sigma(theta) = (1/n) C C', where C, shape (..., d, n), holds the centred
-    per-datum gradients grad f_i - grad f as columns (the full gradient is
-    their mean). ``matrix`` is one batched matmul; ``diagonal`` is the row
-    mean of C*C and never builds the d x d matrix. ``sqrt`` is the Cholesky
-    factor of ``matrix``. Only defined for finite-sum problems.
+    per-datum gradients grad f_i - grad f as columns. ``matrix`` returns
+    Sigma, one batched matmul; ``diagonal`` is a read-only view of Sigma's
+    diagonal. ``sqrt`` is the Cholesky factor of ``matrix``. Only defined
+    for finite-sum problems.
 
-    The last C built is kept in a one-entry memo, so that a drift's
+    C and Sigma are kept together in a one-entry memo, so that a drift's
     ``diagonal`` and a diffusion's ``matrix`` at the same state share one
-    build. Its key is the problem itself (held, and compared with ``is``)
-    and theta's shape, dtype and exact bytes: an array changed in place
-    since the last call misses, so the memo is never stale. The memo owns
-    its buffer: a miss on the same problem at theta's shape rebuilds C in
-    the memo's array, so an integration allocates C once, not per substep.
-    The memo is not locked; use one instance from one thread at a time. It
-    takes no part in equality or hashing.
+    build of each. Its key is the problem itself (held, and compared with
+    ``is``) and theta's shape, dtype and exact bytes: an array changed in
+    place since the last call misses, so the memo is never stale. Both are
+    read-only. The memo owns C's buffer: a miss on the same problem at
+    theta's shape rebuilds C in the memo's array, so an integration
+    allocates C once, not per substep. Sigma, which callers hold, is fresh
+    on every miss. The memo is not locked; use one instance from one thread
+    at a time. It takes no part in equality or hashing.
 
     The uncentred moment form (1/n) sum_i g_i g_i' - grad f grad f' is
     cheaper but not used: when the mean gradient dominates the noise it
@@ -274,11 +314,14 @@ class EmpiricalCovariance(CovarianceSpec):
 
     _memo: list = field(default_factory=list, init=False, repr=False, compare=False)
 
-    def _centred(self, problem: Problem, theta) -> np.ndarray:
-        """C, the per-datum gradients minus their mean over the n data, shape (..., d, n).
+    def _centred(self, problem: Problem, theta) -> tuple[np.ndarray, np.ndarray]:
+        """C, shape (..., d, n), and Sigma = C C' / n at theta, from the memo or built.
 
-        The row mean is the full gradient, so the residuals are evaluated
-        once. C is the transpose of ``per_datum_gradients``, contiguous for
+        C is the per-datum gradients minus ``problem.full_gradient``, which
+        is their row mean by the ``Problem`` contract; for
+        ``LeastSquaresProblem`` its residual memo makes that one (..., n) x
+        (n, d) product, with the residuals shared by both. C is the
+        transpose of ``per_datum_gradients``, contiguous for
         ``LeastSquaresProblem``; any other layout gives the same C, only
         slower. The build and the centring write into the memo's C where
         they can: a fresh (..., d, n) array per call is enough for glibc to
@@ -287,27 +330,28 @@ class EmpiricalCovariance(CovarianceSpec):
         next call at this theta.
         """
         theta = np.asarray(theta)
-        key = (theta.shape, theta.dtype, theta.tobytes())
+        key = _state_key(theta)
         buf = None
         if self._memo:
-            held, held_key, c = self._memo
+            held, held_key, c = self._memo[:3]
             if held is problem and held_key == key:
-                return c
+                return c, self._memo[3]
             self._memo.clear()  # a build that fails leaves no stale C behind
             if held is problem and held_key[0] == key[0]:
                 c.flags.writeable = True  # rebuilt in place below
                 buf = np.swapaxes(c, -1, -2)
             del c  # any other C is freed before the new one is built
         c = np.swapaxes(problem.per_datum_gradients(theta, out=buf), -1, -2)
-        c -= c.mean(axis=-1, keepdims=True)
+        c -= problem.full_gradient(theta)[..., None]
         c.flags.writeable = False
-        self._memo[:] = (problem, key, c)
-        return c
+        sigma = c @ np.swapaxes(c, -1, -2)
+        sigma /= c.shape[-1]
+        sigma.flags.writeable = False
+        self._memo[:] = (problem, key, c, sigma)
+        return c, sigma
 
     def matrix(self, problem: Problem, theta) -> np.ndarray:
-        c = self._centred(problem, theta)
-        return c @ np.swapaxes(c, -1, -2) / c.shape[-1]
+        return self._centred(problem, theta)[1]
 
     def diagonal(self, problem: Problem, theta) -> np.ndarray:
-        c = self._centred(problem, theta)
-        return np.einsum("...in,...in->...i", c, c) / c.shape[-1]
+        return np.diagonal(self.matrix(problem, theta), axis1=-2, axis2=-1)

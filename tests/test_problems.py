@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from adasde.problems import (
     LinearProblem,
     QuadraticProblem,
 )
+from adasde.sde import build_adam_sde, build_rmsprop_sde
 
 
 def central_diff_gradient(problem, theta, h=1e-5):
@@ -276,15 +279,17 @@ class TestCovarianceDiagonal:
     def test_empirical_matrix_matches_centred_einsum(self, lead, cls):
         p = random_least_squares(seed=17, n=20, cls=cls)
         theta = np.random.default_rng(18).standard_normal(lead + (p.dim,)) * 2
+        # row-mean centring and an einsum diagonal, as C and diag Sigma were once built
         grads = p.per_datum_gradients(theta)
         centered = grads - grads.mean(axis=-2, keepdims=True)
         want = np.einsum("...ni,...nj->...ij", centered, centered) / grads.shape[-2]
+        want_diagonal = np.einsum("...ni,...ni->...i", centered, centered) / grads.shape[-2]
         np.testing.assert_allclose(EmpiricalCovariance().matrix(p, theta), want, rtol=1e-12)
+        np.testing.assert_allclose(EmpiricalCovariance().diagonal(p, theta), want_diagonal, rtol=1e-12)
 
     @LAYOUTS
     @pytest.mark.parametrize("lead", [(5,), ()], ids=["batched", "single"])
-    @pytest.mark.parametrize("cov", [EmpiricalCovariance(), ConstantCovariance(CONST)],
-                             ids=["empirical", "constant"])
+    @pytest.mark.parametrize("cov", [ConstantCovariance(CONST)], ids=["constant"])
     def test_diagonal_of_matrix_without_building_it(self, cov, lead, cls, monkeypatch):
         p = random_least_squares(seed=19, cls=cls)
         theta = np.random.default_rng(20).standard_normal(lead + (p.dim,))
@@ -298,25 +303,48 @@ class TestCovarianceDiagonal:
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("method", ["matrix", "diagonal"])
-    def test_empirical_evaluates_the_residuals_once(self, method, monkeypatch):
-        # the row mean of the per-datum gradients is the full gradient
+    @LAYOUTS
+    @pytest.mark.parametrize("lead", [(5,), ()], ids=["batched", "single"])
+    def test_empirical_diagonal_is_read_off_the_matrix(self, lead, cls):
+        p = random_least_squares(seed=19, cls=cls)
+        theta = np.random.default_rng(20).standard_normal(lead + (p.dim,))
+        got = EmpiricalCovariance().diagonal(p, theta)
+        want = np.diagonal(EmpiricalCovariance().matrix(p, theta), axis1=-2, axis2=-1)
+        assert got.shape == lead + (p.dim,)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("algo", ["rmsprop", "adam"])
+    def test_a_drift_and_a_diffusion_build_each_quantity_once(self, algo, monkeypatch):
+        # both SDEs need diag Sigma in the drift and a factor of Sigma in the
+        # diffusion; at one state that is one residual evaluation, one C and one Sigma
         p = random_least_squares(seed=23)
-        theta = np.random.default_rng(24).standard_normal((5, p.dim))
-        calls = []
-        residuals = LeastSquaresProblem.residuals
+        cov = EmpiricalCovariance()
+        if algo == "adam":
+            system, t = build_adam_sde(p, cov, sigma0=1.0, epsilon0=0.1, c1=2.0, c2=1.5), 1.0
+        else:
+            system, t = build_rmsprop_sde(p, cov, sigma0=1.0, epsilon0=0.1, c2=1.5), 0.0
+        rng = np.random.default_rng(24)
+        x = np.ones((5, system.state_dim), order="F")
+        x[:, system.blocks["theta"]] = rng.standard_normal((5, p.dim))
+        residuals, builds, sigmas = [], [], []
+        evaluate = LeastSquaresProblem.residuals
+        per_datum = LeastSquaresProblem.per_datum_gradients
+        matrix = EmpiricalCovariance.matrix
 
-        def counted(self, theta):
-            calls.append(1)
-            return residuals(self, theta)
+        def kept(calls, fn):
+            def call(*args, **kwargs):
+                calls.append(fn(*args, **kwargs))  # held, so ids stay distinct
+                return calls[-1]
+            return call
 
-        def no_full_gradient(self, theta):
-            raise AssertionError("the covariance evaluated the full gradient")
-
-        monkeypatch.setattr(LeastSquaresProblem, "residuals", counted)
-        monkeypatch.setattr(LeastSquaresProblem, "full_gradient", no_full_gradient)
-        getattr(EmpiricalCovariance(), method)(p, theta)
-        assert len(calls) == 1
+        monkeypatch.setattr(LeastSquaresProblem, "residuals", kept(residuals, evaluate))
+        monkeypatch.setattr(LeastSquaresProblem, "per_datum_gradients", kept(builds, per_datum))
+        monkeypatch.setattr(EmpiricalCovariance, "matrix", kept(sigmas, matrix))
+        system.drift(x, t)
+        system.apply_diffusion(x, t, rng.standard_normal((5, p.dim)))
+        assert len({id(r) for r in residuals}) == 1 and len(residuals) >= 3
+        assert len(builds) == 1
+        assert len({id(sigma) for sigma in sigmas}) == 1 and len(sigmas) == 2
 
     def test_constant_diagonal_checks_dimension(self):
         cov = ConstantCovariance(self.CONST)
@@ -341,8 +369,10 @@ class TestEmpiricalMemo:
 
     def test_same_state_reuses_one_build(self):
         cov = EmpiricalCovariance()
-        first = cov._centred(self.problem, self.theta)
-        assert cov._centred(self.problem, self.theta.copy()) is first
+        first, sigma = cov._centred(self.problem, self.theta)
+        again = cov._centred(self.problem, self.theta.copy())
+        assert again[0] is first and again[1] is sigma
+        assert cov.matrix(self.problem, self.theta) is sigma
 
     def test_theta_changed_in_place_gives_a_fresh_build(self):
         cov = EmpiricalCovariance()
@@ -362,11 +392,11 @@ class TestEmpiricalMemo:
 
     def test_a_miss_at_the_same_shape_rebuilds_in_the_memos_buffer(self):
         cov = EmpiricalCovariance()
-        first = cov._centred(self.problem, self.theta)
+        first = cov._centred(self.problem, self.theta)[0]
         moved = self.theta + 0.25
-        second = cov._centred(self.problem, moved)
+        second = cov._centred(self.problem, moved)[0]
         assert np.shares_memory(second, first)
-        np.testing.assert_array_equal(second, EmpiricalCovariance()._centred(self.problem, moved))
+        np.testing.assert_array_equal(second, EmpiricalCovariance()._centred(self.problem, moved)[0])
         np.testing.assert_array_equal(
             cov.matrix(self.problem, moved), EmpiricalCovariance().matrix(self.problem, moved)
         )
@@ -374,22 +404,117 @@ class TestEmpiricalMemo:
 
     def test_a_new_shape_or_problem_gets_a_fresh_buffer(self):
         cov = EmpiricalCovariance()
-        first = cov._centred(self.problem, self.theta)
-        wider = cov._centred(self.problem, np.vstack([self.theta, self.theta]))
+        first = cov._centred(self.problem, self.theta)[0]
+        wider = cov._centred(self.problem, np.vstack([self.theta, self.theta]))[0]
         assert not np.shares_memory(wider, first)
         other = random_least_squares(seed=44)  # the same (d, n): C's shape is wider's
-        assert not np.shares_memory(cov._centred(other, np.vstack([self.theta, self.theta])), wider)
+        assert not np.shares_memory(cov._centred(other, np.vstack([self.theta, self.theta]))[0], wider)
+
+    def test_a_held_sigma_is_not_rewritten_by_a_later_miss(self):
+        # C is rebuilt in the memo's buffer, but Sigma goes to callers
+        cov = EmpiricalCovariance()
+        sigma = cov.matrix(self.problem, self.theta)
+        diagonal = cov.diagonal(self.problem, self.theta)
+        kept = sigma.copy()
+        moved = cov.matrix(self.problem, self.theta + 0.25)
+        assert not np.shares_memory(moved, sigma)
+        np.testing.assert_array_equal(sigma, kept)
+        np.testing.assert_array_equal(diagonal, np.diagonal(kept, axis1=-2, axis2=-1))
 
     def test_held_c_is_read_only(self):
-        c = EmpiricalCovariance()._centred(self.problem, self.theta)
+        c, sigma = EmpiricalCovariance()._centred(self.problem, self.theta)
         with pytest.raises(ValueError, match="read-only"):
             c[0, 0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            sigma[0, 0, 0] = 0.0
 
     def test_memo_takes_no_part_in_equality(self):
         used, fresh = EmpiricalCovariance(), EmpiricalCovariance()
         used.matrix(self.problem, self.theta)
         assert used == fresh and hash(used) == hash(fresh)
         assert repr(used) == repr(fresh)
+
+
+class TestResidualMemo:
+    """The one-entry memo of least-squares residuals: keyed on theta's exact bytes."""
+
+    def setup_method(self):
+        self.problem = random_least_squares(seed=45)
+        self.theta = np.random.default_rng(46).standard_normal((5, self.problem.dim))
+
+    def test_same_theta_reuses_one_evaluation(self):
+        first = self.problem.residuals(self.theta)
+        assert self.problem.residuals(self.theta.copy()) is first
+        self.problem.loss(self.theta)
+        self.problem.full_gradient(self.theta)
+        self.problem.per_datum_gradients(self.theta)
+        assert self.problem.residuals(self.theta) is first
+
+    def test_theta_changed_in_place_gets_a_fresh_evaluation(self):
+        before = self.problem.residuals(self.theta)
+        self.theta[2, 1] += 0.5
+        got = self.problem.residuals(self.theta)
+        assert got is not before
+        np.testing.assert_array_equal(got, self.theta @ self.problem.data.T - self.problem.targets)
+        np.testing.assert_array_equal(
+            self.problem.full_gradient(self.theta), random_least_squares(seed=45).full_gradient(self.theta)
+        )
+
+    def test_another_problem_at_the_same_theta_gets_its_own(self):
+        other = random_least_squares(seed=47)
+        mine = self.problem.residuals(self.theta)
+        theirs = other.residuals(self.theta)
+        np.testing.assert_array_equal(theirs, self.theta @ other.data.T - other.targets)
+        assert self.problem.residuals(self.theta) is mine
+
+    def test_returned_residuals_are_read_only_and_never_rewritten(self):
+        first = self.problem.residuals(self.theta)
+        kept = first.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0] = 0.0
+        second = self.problem.residuals(self.theta + 0.25)
+        assert not np.shares_memory(second, first)
+        np.testing.assert_array_equal(first, kept)
+
+    def test_memo_takes_no_part_in_equality_hashing_or_repr(self):
+        used, fresh = random_least_squares(seed=45), random_least_squares(seed=45)
+        used.loss(self.theta)
+        assert repr(used) == repr(fresh)
+        assert used == used
+        assert [f.name for f in fields(used) if f.compare] == ["data", "targets"]
+        assert all(f.hash is None for f in fields(used))  # hashing follows compare
+
+
+class TestCallerArrays:
+    """A problem copies what it is given: later edits of the caller's arrays change nothing."""
+
+    def test_least_squares(self):
+        rng = np.random.default_rng(48)
+        x, y = rng.standard_normal((8, 2)), rng.standard_normal(8)
+        p, unedited = LeastSquaresProblem(x, y), LeastSquaresProblem(x.copy(), y.copy())
+        x[0, 0] += 1.0
+        y[3] -= 1.0
+        theta = rng.standard_normal(2)
+        np.testing.assert_array_equal(p.full_gradient(theta), unedited.full_gradient(theta))
+        np.testing.assert_allclose(p.per_datum_gradients(theta).mean(axis=0), p.full_gradient(theta), atol=1e-12)
+        assert not (p.data.flags.writeable or p.targets.flags.writeable)
+
+    def test_quadratic(self):
+        a, b = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([0.3, -0.2])
+        p = QuadraticProblem(a, b)
+        theta = np.array([1.0, -1.0])
+        want = p.full_gradient(theta)
+        a[0, 1] = a[1, 0] = 0.0
+        b[0] = 5.0
+        np.testing.assert_array_equal(p.full_gradient(theta), want)
+        assert not (p.a.flags.writeable or p.b.flags.writeable)
+
+    def test_linear(self):
+        g = np.array([0.5, -2.0])
+        p = LinearProblem(g)
+        g[0] = 7.0
+        np.testing.assert_array_equal(p.full_gradient([1.0, 1.0]), [0.5, -2.0])
+        assert not p.g_bar.flags.writeable
 
 
 class TestConstruction:

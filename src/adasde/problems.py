@@ -1,9 +1,11 @@
 """Closed-form loss landscapes with exact gradients and exact noise covariance.
 
 Every problem is immutable: it keeps read-only copies of the arrays it is
-given, so a caller that edits its own array later changes nothing here. All
-operations accept parameter arrays of shape (..., d), broadcasting over
-leading axes so that whole ensembles can be evaluated in one call.
+given, so a caller that edits its own array later changes nothing here.
+Problems and covariances that hold arrays compare and hash by identity, the
+rule ``EmpiricalCovariance``'s memo keys on. All operations accept parameter
+arrays of shape (..., d), broadcasting over leading axes so that whole
+ensembles can be evaluated in one call.
 """
 from __future__ import annotations
 
@@ -55,20 +57,18 @@ class Problem:
     def full_gradient(self, theta) -> np.ndarray:
         raise NotImplementedError
 
-    def per_datum_gradients(self, theta, out=None) -> np.ndarray:
+    def per_datum_gradients(self, theta) -> np.ndarray:
         """Per-datum gradients, shape (..., n, d): row i is grad f_i(theta).
 
-        Finite-sum problems write them into ``out``, an array of that shape
-        in any layout, and return it (or a view of it); without ``out`` they
-        return a fresh array that the caller may overwrite, in any memory
-        layout. ``full_gradient`` is their row mean, up to rounding:
-        ``EmpiricalCovariance`` centres them by it instead of reducing them
-        over n a second time.
+        Finite-sum problems return a fresh array that the caller may
+        overwrite, in any memory layout. ``full_gradient`` is their row mean,
+        up to rounding: ``EmpiricalCovariance`` centres them by it instead of
+        reducing them over n a second time.
         """
         raise ValueError(f"{type(self).__name__} is not a finite-sum problem")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearProblem(Problem):
     """f(theta) = <theta, g_bar>; the gradient is constant."""
 
@@ -93,7 +93,7 @@ class LinearProblem(Problem):
         return np.broadcast_to(self.g_bar, theta.shape).copy()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticProblem(Problem):
     """f(theta) = 0.5 theta' A theta - b' theta with symmetric PSD A."""
 
@@ -125,7 +125,7 @@ class QuadraticProblem(Problem):
         return theta @ self.a - self.b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LeastSquaresProblem(Problem):
     """Averaged finite-sum least squares.
 
@@ -136,12 +136,11 @@ class LeastSquaresProblem(Problem):
 
     The last residuals are kept in a one-entry memo, so that ``loss``,
     ``full_gradient`` and ``per_datum_gradients`` at one theta share one
-    evaluation of theta X' - y. It follows ``EmpiricalCovariance``'s memo:
-    the key is theta's shape, dtype and exact bytes, so a theta changed in
-    place since the last call misses; the residuals it holds are read-only;
-    and a miss builds a fresh array, so no array it has returned is
-    rewritten later. The memo is not locked; use one instance from one
-    thread at a time. It takes no part in equality, hashing or repr.
+    evaluation of theta X' - y. Its key is theta's shape, dtype and exact
+    bytes, so a theta changed in place since the last call misses. The
+    residuals it holds are read-only, and a miss builds a fresh array, so
+    no array it has returned is rewritten later. The memo is not locked;
+    use one instance from one thread at a time. It takes no part in repr.
     """
 
     data: np.ndarray
@@ -192,16 +191,13 @@ class LeastSquaresProblem(Problem):
     def full_gradient(self, theta) -> np.ndarray:
         return self.residuals(theta) @ self.data / self.n_points
 
-    def per_datum_gradients(self, theta, out=None) -> np.ndarray:
-        """Shape (..., n, d), a view of fresh C-contiguous (..., d, n) memory, or of ``out``.
+    def per_datum_gradients(self, theta) -> np.ndarray:
+        """Shape (..., n, d), a view of fresh C-contiguous (..., d, n) memory.
 
         That is the layout ``EmpiricalCovariance`` reduces over: each
         coordinate's n gradients are contiguous.
         """
-        r = self.residuals(theta)
-        if out is not None:
-            out = np.swapaxes(out, -1, -2)
-        return np.swapaxes(np.multiply(r[..., None, :], self._data_t, out=out), -1, -2)
+        return np.swapaxes(self.residuals(theta)[..., None, :] * self._data_t, -1, -2)
 
 
 class CovarianceSpec:
@@ -253,7 +249,7 @@ class IsotropicCovariance(CovarianceSpec):
         return np.sqrt(self.value) * np.eye(problem.dim)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstantCovariance(CovarianceSpec):
     """A fixed PSD matrix, validated at construction; ``sqrt`` is its symmetric root, computed once.
 
@@ -266,6 +262,8 @@ class ConstantCovariance(CovarianceSpec):
 
     def __post_init__(self):
         mat = check_symmetric(np.asarray(self.sigma, dtype=float), name="covariance")
+        if mat.ndim != 2:
+            raise ValueError(f"covariance must be 2-d, got shape {mat.shape}")
         object.__setattr__(self, "sigma", mat)
         object.__setattr__(self, "_sqrt", np.asfortranarray(psd_sqrt(mat)))
 
@@ -296,16 +294,14 @@ class EmpiricalCovariance(CovarianceSpec):
     diagonal. ``sqrt`` is the Cholesky factor of ``matrix``. Only defined
     for finite-sum problems.
 
-    C and Sigma are kept together in a one-entry memo, so that a drift's
-    ``diagonal`` and a diffusion's ``matrix`` at the same state share one
-    build of each. Its key is the problem itself (held, and compared with
-    ``is``) and theta's shape, dtype and exact bytes: an array changed in
-    place since the last call misses, so the memo is never stale. Both are
-    read-only. The memo owns C's buffer: a miss on the same problem at
-    theta's shape rebuilds C in the memo's array, so an integration
-    allocates C once, not per substep. Sigma, which callers hold, is fresh
-    on every miss. The memo is not locked; use one instance from one thread
-    at a time. It takes no part in equality or hashing.
+    Sigma is kept in a one-entry memo, so that a drift's ``diagonal`` and a
+    diffusion's ``matrix`` at the same state share one build. Its key is the
+    problem itself (held, and compared with ``is``) and theta's shape, dtype
+    and exact bytes: an array changed in place since the last call misses,
+    so the memo is never stale. Sigma is read-only and fresh on every miss,
+    so no array the memo has returned is rewritten later. The memo is not
+    locked; use one instance from one thread at a time. It takes no part in
+    equality, hashing or repr.
 
     The uncentred moment form (1/n) sum_i g_i g_i' - grad f grad f' is
     cheaper but not used: when the mean gradient dominates the noise it
@@ -314,44 +310,29 @@ class EmpiricalCovariance(CovarianceSpec):
 
     _memo: list = field(default_factory=list, init=False, repr=False, compare=False)
 
-    def _centred(self, problem: Problem, theta) -> tuple[np.ndarray, np.ndarray]:
-        """C, shape (..., d, n), and Sigma = C C' / n at theta, from the memo or built.
+    def matrix(self, problem: Problem, theta) -> np.ndarray:
+        """Sigma = C C' / n at theta, from the memo or built.
 
-        C is the per-datum gradients minus ``problem.full_gradient``, which
-        is their row mean by the ``Problem`` contract; for
-        ``LeastSquaresProblem`` its residual memo makes that one (..., n) x
-        (n, d) product, with the residuals shared by both. C is the
-        transpose of ``per_datum_gradients``, contiguous for
-        ``LeastSquaresProblem``; any other layout gives the same C, only
-        slower. The build and the centring write into the memo's C where
-        they can: a fresh (..., d, n) array per call is enough for glibc to
-        trim and re-fault the heap top on every Euler-Maruyama substep. C is
-        read-only between calls, since the memo hands the same array to the
-        next call at this theta.
+        C, shape (..., d, n), is the transpose of ``per_datum_gradients``
+        minus ``problem.full_gradient``, which is their row mean by the
+        ``Problem`` contract; for ``LeastSquaresProblem`` its residual memo
+        makes that one (..., n) x (n, d) product, with the residuals shared
+        by both. C is contiguous for ``LeastSquaresProblem``; any other
+        layout gives the same Sigma, only slower. C lives only for the
+        build: nothing reads it but the product that forms Sigma.
         """
         theta = np.asarray(theta)
         key = _state_key(theta)
-        buf = None
-        if self._memo:
-            held, held_key, c = self._memo[:3]
-            if held is problem and held_key == key:
-                return c, self._memo[3]
-            self._memo.clear()  # a build that fails leaves no stale C behind
-            if held is problem and held_key[0] == key[0]:
-                c.flags.writeable = True  # rebuilt in place below
-                buf = np.swapaxes(c, -1, -2)
-            del c  # any other C is freed before the new one is built
-        c = np.swapaxes(problem.per_datum_gradients(theta, out=buf), -1, -2)
+        if self._memo and self._memo[0] is problem and self._memo[1] == key:
+            return self._memo[2]
+        self._memo.clear()  # a build that fails leaves no stale Sigma behind
+        c = np.swapaxes(problem.per_datum_gradients(theta), -1, -2)
         c -= problem.full_gradient(theta)[..., None]
-        c.flags.writeable = False
         sigma = c @ np.swapaxes(c, -1, -2)
         sigma /= c.shape[-1]
         sigma.flags.writeable = False
-        self._memo[:] = (problem, key, c, sigma)
-        return c, sigma
-
-    def matrix(self, problem: Problem, theta) -> np.ndarray:
-        return self._centred(problem, theta)[1]
+        self._memo[:] = (problem, key, sigma)
+        return sigma
 
     def diagonal(self, problem: Problem, theta) -> np.ndarray:
         return np.diagonal(self.matrix(problem, theta), axis1=-2, axis2=-1)

@@ -37,12 +37,8 @@ def random_least_squares(seed, n=12, d=3, cls=LeastSquaresProblem):
 class RowMajorLeastSquares(LeastSquaresProblem):
     """Least squares whose per-datum gradients are an ordinary C-contiguous (..., n, d) array."""
 
-    def per_datum_gradients(self, theta, out=None):
-        grads = np.ascontiguousarray(super().per_datum_gradients(theta))
-        if out is None:
-            return grads
-        out[...] = grads
-        return out
+    def per_datum_gradients(self, theta):
+        return np.ascontiguousarray(super().per_datum_gradients(theta))
 
 
 # The (d, n) layout LeastSquaresProblem stores and the (n, d) layout any
@@ -140,15 +136,6 @@ class TestPerDatumGradients:
         assert not np.shares_memory(second, p.data)
         assert not np.shares_memory(second, first)
 
-    @LAYOUTS
-    def test_written_into_out(self, cls):
-        p = random_least_squares(seed=15, cls=cls)
-        theta = np.random.default_rng(16).standard_normal((4, p.dim))
-        out = np.empty((4, p.n_points, p.dim))
-        got = p.per_datum_gradients(theta, out=out)
-        assert np.shares_memory(got, out)
-        np.testing.assert_array_equal(out, p.per_datum_gradients(theta))
-
 
 class TestExactCovariance:
     def test_scalar_hand_example(self):
@@ -175,6 +162,11 @@ class TestExactCovariance:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             ConstantCovariance([[1.0, 0.5], [0.1, 1.0]])
+
+    def test_stack_of_matrices_rejected(self):
+        # one matrix per seed would pass the dimension check and broadcast into the drift
+        with pytest.raises(ValueError, match="2-d"):
+            ConstantCovariance(np.stack([np.eye(2), 4 * np.eye(2)]))
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
@@ -361,7 +353,7 @@ class TestCovarianceDiagonal:
 
 
 class TestEmpiricalMemo:
-    """The one-entry memo of C: keyed on the problem's identity and theta's exact bytes."""
+    """The one-entry memo of Sigma: keyed on the problem's identity and theta's exact bytes."""
 
     def setup_method(self):
         self.problem = random_least_squares(seed=41)
@@ -369,10 +361,9 @@ class TestEmpiricalMemo:
 
     def test_same_state_reuses_one_build(self):
         cov = EmpiricalCovariance()
-        first, sigma = cov._centred(self.problem, self.theta)
-        again = cov._centred(self.problem, self.theta.copy())
-        assert again[0] is first and again[1] is sigma
-        assert cov.matrix(self.problem, self.theta) is sigma
+        sigma = cov.matrix(self.problem, self.theta)
+        assert cov.matrix(self.problem, self.theta.copy()) is sigma
+        assert np.shares_memory(cov.diagonal(self.problem, self.theta), sigma)
 
     def test_theta_changed_in_place_gives_a_fresh_build(self):
         cov = EmpiricalCovariance()
@@ -390,28 +381,19 @@ class TestEmpiricalMemo:
         np.testing.assert_array_equal(got, EmpiricalCovariance().diagonal(other, self.theta))
         assert not np.array_equal(got, cov.diagonal(self.problem, self.theta))
 
-    def test_a_miss_at_the_same_shape_rebuilds_in_the_memos_buffer(self):
+    def test_a_new_shape_or_problem_gets_its_own_sigma(self):
         cov = EmpiricalCovariance()
-        first = cov._centred(self.problem, self.theta)[0]
-        moved = self.theta + 0.25
-        second = cov._centred(self.problem, moved)[0]
-        assert np.shares_memory(second, first)
-        np.testing.assert_array_equal(second, EmpiricalCovariance()._centred(self.problem, moved)[0])
-        np.testing.assert_array_equal(
-            cov.matrix(self.problem, moved), EmpiricalCovariance().matrix(self.problem, moved)
-        )
-        assert not second.flags.writeable
-
-    def test_a_new_shape_or_problem_gets_a_fresh_buffer(self):
-        cov = EmpiricalCovariance()
-        first = cov._centred(self.problem, self.theta)[0]
-        wider = cov._centred(self.problem, np.vstack([self.theta, self.theta]))[0]
+        first = cov.matrix(self.problem, self.theta)
+        wide = np.vstack([self.theta, self.theta])
+        wider = cov.matrix(self.problem, wide)
         assert not np.shares_memory(wider, first)
-        other = random_least_squares(seed=44)  # the same (d, n): C's shape is wider's
-        assert not np.shares_memory(cov._centred(other, np.vstack([self.theta, self.theta]))[0], wider)
+        np.testing.assert_array_equal(wider, EmpiricalCovariance().matrix(self.problem, wide))
+        other = random_least_squares(seed=44)  # the same (d, n), so Sigma's shape is wider's
+        theirs = cov.matrix(other, wide)
+        assert not np.shares_memory(theirs, wider)
+        np.testing.assert_array_equal(theirs, EmpiricalCovariance().matrix(other, wide))
 
     def test_a_held_sigma_is_not_rewritten_by_a_later_miss(self):
-        # C is rebuilt in the memo's buffer, but Sigma goes to callers
         cov = EmpiricalCovariance()
         sigma = cov.matrix(self.problem, self.theta)
         diagonal = cov.diagonal(self.problem, self.theta)
@@ -421,12 +403,16 @@ class TestEmpiricalMemo:
         np.testing.assert_array_equal(sigma, kept)
         np.testing.assert_array_equal(diagonal, np.diagonal(kept, axis1=-2, axis2=-1))
 
-    def test_held_c_is_read_only(self):
-        c, sigma = EmpiricalCovariance()._centred(self.problem, self.theta)
-        with pytest.raises(ValueError, match="read-only"):
-            c[0, 0, 0] = 0.0
+    def test_held_sigma_is_read_only(self):
+        sigma = EmpiricalCovariance().matrix(self.problem, self.theta)
         with pytest.raises(ValueError, match="read-only"):
             sigma[0, 0, 0] = 0.0
+
+    def test_the_only_array_held_is_the_returned_sigma(self):
+        cov = EmpiricalCovariance()
+        sigma = cov.matrix(self.problem, self.theta)
+        held = [item for item in cov._memo if isinstance(item, np.ndarray)]
+        assert len(held) == 1 and held[0] is sigma
 
     def test_memo_takes_no_part_in_equality(self):
         used, fresh = EmpiricalCovariance(), EmpiricalCovariance()
@@ -525,3 +511,21 @@ class TestConstruction:
     def test_quadratic_accepts_tiny_asymmetry(self):
         a = np.array([[1.0, 0.5], [0.5 * (1 + 1e-14), 1.0]])
         QuadraticProblem(a)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LinearProblem(np.array([0.5, -2.0])),
+        lambda: QuadraticProblem(np.eye(2), np.array([0.3, -0.2])),
+        lambda: LeastSquaresProblem(np.arange(6.0).reshape(3, 2), np.ones(3)),
+        lambda: ConstantCovariance(np.eye(2)),
+    ],
+    ids=["linear", "quadratic", "least_squares", "constant_covariance"],
+)
+def test_equality_and_hashing_go_by_identity(build):
+    # the covariance memo keys on the problem with `is`; `==` and hash follow the same rule
+    p, twin = build(), build()
+    assert p == p
+    assert not p == twin and p != twin
+    assert hash(p) == hash(p) and len({p, twin}) == 2

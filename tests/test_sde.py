@@ -495,13 +495,13 @@ class TestLoopContract:
 
     @pytest.mark.parametrize("algo", ["rmsprop", "adam"])
     def test_one_covariance_build_per_step(self, algo, monkeypatch):
-        # the drift's diagonal builds C; the diffusion's matrix at the same state reuses it
+        # the drift's diagonal builds Sigma; the diffusion's matrix at the same state reuses it
         calls = []
         per_datum = LeastSquaresProblem.per_datum_gradients
 
-        def counted(self, theta, out=None):
+        def counted(self, theta):
             calls.append(1)
-            return per_datum(self, theta, out)
+            return per_datum(self, theta)
 
         monkeypatch.setattr(LeastSquaresProblem, "per_datum_gradients", counted)
         system, t0 = empirical_system(algo)

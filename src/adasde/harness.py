@@ -120,7 +120,7 @@ def _check_start(name: str, vec: np.ndarray, d: int) -> None:
 _READS = {a: {"sigma0", "epsilon0", "u0", *c.values()} if c else set() for a, c in DECAYS.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ApproximationSetup:
     """One discrete-vs-continuous comparison family at fixed constants.
 
@@ -173,7 +173,7 @@ class ApproximationSetup:
             raise ValueError(f"T must be positive and finite, got {self.T!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class WeakErrorReport:
     """Per-checkpoint expectation gaps between two records of one family."""
 
@@ -352,7 +352,7 @@ def compare_at_eta(
     return weak_error(finish(loop), em_rec)
 
 
-@dataclass
+@dataclass(eq=False)
 class OrderReport:
     """Fitted decay order of the worst expectation gap against eta."""
 
@@ -448,7 +448,7 @@ def order_sweep(
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class SvagReport:
     """Convergence of amplified-noise trajectories as ell grows."""
 
@@ -580,7 +580,7 @@ def _z_scores(diff: np.ndarray, se: np.ndarray) -> np.ndarray:
     return np.divide(diff, se, out=exact, where=se > 0)
 
 
-@dataclass
+@dataclass(eq=False)
 class ScalingReport:
     """Aligned-checkpoint agreement between a base run and a rescaled run."""
 
@@ -703,7 +703,7 @@ def _rel_err(exact: np.ndarray, approx: np.ndarray) -> np.ndarray:
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class WarmupReport:
     """Closed-form check for the frozen-preconditioner linear-loss run."""
 

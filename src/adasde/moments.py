@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OneStepMoments(Moments):
     """Moments of a one-step difference; ``second`` holds raw E[Delta_i Delta_j]."""
 
@@ -194,7 +194,7 @@ def mc_discrete_moments(
     return _moments_from_samples(delta, hp.eta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentComparisonReport:
     """Entrywise gaps between two moment estimates and their combined SEs, per kind."""
 

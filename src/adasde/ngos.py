@@ -81,6 +81,15 @@ class MinibatchOracle(GradientOracle):
     The B indices are drawn uniformly with replacement, independently per
     leading index of theta, which makes the noise covariance exactly
     Sigma(theta) / B for any B >= 1 (B may exceed the number of points).
+
+    ``sample`` draws the indices as one (..., B) block, so each leading
+    index's stream is fixed by the rng alone. It then works seed-minor: the
+    draw axis moves to the front, the rows are gathered from the data's
+    transpose as (d, B, ...), and both contractions run with the leading
+    (ensemble) axes innermost, where d and B are too short to vectorise
+    over. The result is a fresh C-contiguous (..., d) array. The sums are
+    those of the per-datum definition, but their order follows this layout,
+    so a result may differ from a row-major contraction by rounding.
     """
 
     problem: LeastSquaresProblem
@@ -100,14 +109,16 @@ class MinibatchOracle(GradientOracle):
 
     def sample(self, theta, rng) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
-        n = self.problem.n_points
-        x = self.problem.data
-        y = self.problem.targets
-        idx = rng.integers(0, n, size=theta.shape[:-1] + (self.batch_size,))
-        xb = np.take(x, idx, axis=0)  # (..., B, d); take gathers faster than x[idx]
-        yb = np.take(y, idx)
-        r = np.einsum("...bi,...i->...b", xb, theta) - yb
-        return np.einsum("...b,...bi->...i", r, xb) / self.batch_size
+        problem = self.problem
+        theta_t = np.ascontiguousarray(np.moveaxis(theta, -1, 0))  # (d, ...)
+        idx = rng.integers(0, problem.n_points, size=theta.shape[:-1] + (self.batch_size,))
+        idx = np.moveaxis(idx, -1, 0).copy()  # (B, ...), contiguous; the drawn block is freed
+        r = np.take(problem.targets, idx)  # y at the draws, overwritten by the residuals
+        xb = np.take(problem._data_t, idx, axis=1)  # (d, B, ...); take gathers faster than x[idx]
+        del idx  # freed first, so the einsum's (B, ...) result can reuse its memory
+        np.subtract(np.einsum("ib...,i...->b...", xb, theta_t), r, out=r)
+        g = np.einsum("b...,ib...->i...", r, xb)
+        return np.divide(np.moveaxis(g, 0, -1), self.batch_size, order="C")
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,7 @@ class HyperParams:
             raise ValueError("epsilon must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimizerState:
     """Iterate at step k: theta, m and v, float arrays of one (seeds, d) shape.
 

@@ -95,7 +95,13 @@ class LinearProblem(Problem):
 
 @dataclass(frozen=True, eq=False)
 class QuadraticProblem(Problem):
-    """f(theta) = 0.5 theta' A theta - b' theta with symmetric PSD A."""
+    """f(theta) = 0.5 theta' A theta - b' theta with symmetric PSD A.
+
+    ``b`` is optional: left out, it stays None and the problem has no linear
+    term, so ``loss`` and ``full_gradient`` skip it. Their values are those
+    of b = 0 bit for bit (x - 0.0 is x), without the broadcast of a (d,)
+    zero over every leading index.
+    """
 
     a: np.ndarray
     b: np.ndarray | None = None
@@ -105,12 +111,13 @@ class QuadraticProblem(Problem):
         if a.ndim != 2:
             raise ValueError("quadratic matrix must be 2-d")
         psd_eigh(a, name="quadratic matrix")
-        b = _frozen(np.zeros(a.shape[0]) if self.b is None else self.b)
-        if b.shape != (a.shape[0],):
-            raise ValueError("b must match the matrix dimension")
+        if self.b is not None:
+            b = _frozen(self.b)
+            if b.shape != (a.shape[0],):
+                raise ValueError("b must match the matrix dimension")
+            object.__setattr__(self, "b", b)
         a.flags.writeable = False  # check_symmetric's result is already a copy
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
 
     @property
     def dim(self) -> int:
@@ -118,11 +125,17 @@ class QuadraticProblem(Problem):
 
     def loss(self, theta) -> np.ndarray:
         theta = _check_theta(theta, self.dim)
-        return 0.5 * np.einsum("...i,ij,...j->...", theta, self.a, theta) - theta @ self.b
+        value = 0.5 * np.einsum("...i,ij,...j->...", theta, self.a, theta)
+        if self.b is not None:
+            value -= theta @ self.b
+        return value
 
     def full_gradient(self, theta) -> np.ndarray:
         theta = _check_theta(theta, self.dim)
-        return theta @ self.a - self.b
+        grad = theta @ self.a
+        if self.b is not None:
+            grad -= self.b
+        return grad
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,7 +145,8 @@ class LeastSquaresProblem(Problem):
     f_i(theta) = 0.5 (x_i' theta - y_i)^2 and f = (1/n) sum_i f_i, so the
     full gradient is the mean of the per-datum gradients. ``data`` and
     ``targets`` are read-only copies of the caller's arrays, and ``_data_t``
-    is the data's transpose, C-contiguous and read-only.
+    is the data's transpose, C-contiguous and read-only; ``per_datum_gradients``
+    and ``MinibatchOracle`` read it in that (d, n) layout.
 
     The last residuals are kept in a one-entry memo, so that ``loss``,
     ``full_gradient`` and ``per_datum_gradients`` at one theta share one

@@ -27,7 +27,7 @@ class NonFiniteError(RuntimeError):
         super().__init__(f"non-finite state at step {step}" + (f": {detail}" if detail else ""))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateView:
     """Snapshot handed to test functions; arrays have shape (seeds, d).
 
@@ -117,7 +117,7 @@ class TestFunctionSet:
         return cls(fns)
 
 
-@dataclass
+@dataclass(eq=False)
 class TrajectoryRecord:
     """Per-checkpoint test-function samples over seeds.
 

@@ -19,7 +19,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Moments:
     """First, second and selected third moments of a (d,) variable, with SEs.
 

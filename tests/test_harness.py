@@ -18,6 +18,7 @@ from adasde.harness import (
     validate_scaling,
     weak_error,
 )
+from adasde.moments import MomentComparisonReport, _exact_moments
 from adasde.ngos import GaussianOracle
 from adasde.optimizers import HyperParams
 from adasde.problems import (
@@ -27,9 +28,9 @@ from adasde.problems import (
     LeastSquaresProblem,
     QuadraticProblem,
 )
-from adasde.recording import NonFiniteError, TrajectoryRecord
+from adasde.recording import NonFiniteError, StateView, TrajectoryRecord
 from adasde.scaling import make_plan
-from adasde.stats import fit_loglog_slope
+from adasde.stats import fit_loglog_slope, jackknife_moments, select_third_triples
 
 FNS = ["theta_0", "loss"]
 PROBLEM = QuadraticProblem(np.diag([1.0, 0.5]))
@@ -1106,6 +1107,44 @@ class TestLinearWarmupCheck:
         assert np.all(report.z_mean == 0.0) and np.all(report.z_var == 0.0)
         assert np.all(report.approx_mean_rel_err == 0.0) and np.all(report.approx_var_rel_err == 0.0)
         assert report.passed
+
+
+
+def _fields_set_to_arrays(cls):
+    """A builder of ``cls`` with an array in every field, for the report types that check none."""
+    return lambda: cls(**{f.name: np.zeros(2) for f in dataclasses.fields(cls)})
+
+
+_Z = np.random.default_rng(0).standard_normal((10, 2))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: optimizers.OptimizerState.initial(np.zeros((2, 3)), 1.0),
+        lambda: ApproximationSetup(PROBLEM, COV, "sgd", theta0=np.ones(2)),
+        lambda: StateView(np.zeros((3, 2)), 0.0, 0, PROBLEM),
+        lambda: TrajectoryRecord(np.array([0.0, 1.0]), {"loss": np.zeros((2, 3))}),
+        lambda: jackknife_moments(_Z, select_third_triples(2), centered=True),
+        lambda: _exact_moments(np.zeros(2), np.eye(2), 0.1),
+        _fields_set_to_arrays(MomentComparisonReport),
+        _fields_set_to_arrays(harness.WeakErrorReport),
+        _fields_set_to_arrays(harness.OrderReport),
+        _fields_set_to_arrays(harness.SvagReport),
+        _fields_set_to_arrays(harness.ScalingReport),
+        _fields_set_to_arrays(harness.WarmupReport),
+    ],
+    ids=[
+        "optimizer_state", "approximation_setup", "state_view", "trajectory_record", "moments",
+        "one_step_moments", "moment_comparison", "weak_error", "order", "svag", "scaling", "warmup",
+    ],
+)
+def test_types_holding_arrays_compare_and_hash_by_identity(build):
+    # a value comparison would call bool() on an array and raise
+    x, twin = build(), build()
+    assert x == x
+    assert not x == twin and x != twin
+    assert hash(x) == hash(x) and len({x, twin}) == 2
 
 
 if __name__ == "__main__":

@@ -97,6 +97,55 @@ class TestSampleGradient:
             np.testing.assert_array_equal(a, b)
 
 
+
+class TestMinibatchSample:
+    """The seed-minor contraction against the per-datum definition."""
+
+    N, D = 16, 3
+
+    def problem(self):
+        return random_least_squares(seed=5, n=self.N, d=self.D)
+
+    def definition(self, problem, theta, batch_size, seed):
+        """Mean of the per-datum gradients at the indices a re-seeded rng draws."""
+        idx = rng(seed).integers(0, problem.n_points, size=theta.shape[:-1] + (batch_size,))
+        rows = np.take_along_axis(problem.per_datum_gradients(theta), idx[..., None], axis=-2)
+        return rows.mean(axis=-2)
+
+    @pytest.mark.parametrize("lead", [(), (7,), (3, 5)], ids=["single", "seeds", "grid"])
+    @pytest.mark.parametrize("batch_size", [1, 4, 40], ids=["B=1", "B=4", "B>n"])
+    def test_equals_the_per_datum_definition(self, lead, batch_size):
+        p = self.problem()
+        theta = np.random.default_rng(1).standard_normal(lead + (self.D,))
+        got = MinibatchOracle(p, batch_size).sample(theta, rng(8))
+        assert got.shape == lead + (self.D,)
+        np.testing.assert_allclose(got, self.definition(p, theta, batch_size, 8), rtol=1e-12, atol=0)
+
+    def test_draws_one_index_block_and_nothing_else(self):
+        # the rng ends where one integers(0, n, lead + (B,)) call leaves it
+        p, lead, batch_size = self.problem(), (4, 6), 5
+        used = rng(2)
+        MinibatchOracle(p, batch_size).sample(np.zeros(lead + (self.D,)), used)
+        replay = rng(2)
+        replay.integers(0, self.N, size=lead + (batch_size,))
+        assert used.bit_generator.state == replay.bit_generator.state
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_returns_a_c_contiguous_array(self, order):
+        theta = np.asarray(np.random.default_rng(1).standard_normal((9, self.D)), order=order)
+        got = MinibatchOracle(self.problem(), 4).sample(theta, rng(0))
+        assert got.shape == (9, self.D) and got.flags.c_contiguous and got.flags.owndata
+
+    def test_a_broadcast_theta_gives_the_draws_of_its_copy(self):
+        # estimate_noise_moments passes np.broadcast_to(theta, (samples, d))
+        oracle = MinibatchOracle(self.problem(), 4)
+        theta = np.array([0.3, -1.2, 0.5])
+        broadcast = np.broadcast_to(theta, (200, self.D))
+        np.testing.assert_array_equal(
+            oracle.sample(broadcast, rng(6)), oracle.sample(broadcast.copy(), rng(6))
+        )
+
+
 class TestSvagOperator:
     def test_mean_preserved(self):
         p = QuadraticProblem(np.diag([1.0, 3.0]))

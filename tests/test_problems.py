@@ -105,6 +105,28 @@ class TestFullGradient:
             np.testing.assert_allclose(batched[s], p.full_gradient(thetas[s]))
 
 
+
+class TestQuadraticWithoutLinearTerm:
+    A = np.array([[2.0, 0.5, 0.0, 0.1], [0.5, 1.0, 0.2, 0.0], [0.0, 0.2, 3.0, 0.3], [0.1, 0.0, 0.3, 0.5]])
+
+    def test_an_absent_b_stays_none(self):
+        assert QuadraticProblem(self.A).b is None
+
+    @pytest.mark.parametrize("layout", ["row_major", "state_slice"])
+    def test_matches_a_zero_b_bit_for_bit(self, layout):
+        rng = np.random.default_rng(12)
+        if layout == "row_major":
+            theta = rng.standard_normal((50, 4))
+        else:
+            # the theta block of a column-major (S, D) state, as euler_maruyama passes it
+            theta = np.asfortranarray(rng.standard_normal((50, 8)))[:, :4]
+        without, zero = QuadraticProblem(self.A), QuadraticProblem(self.A, np.zeros(4))
+        for method in ("loss", "full_gradient"):
+            got, want = getattr(without, method)(theta), getattr(zero, method)(theta)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert got.flags.c_contiguous == want.flags.c_contiguous
+
+
 class TestPerDatumGradients:
     def test_hand_example(self):
         p = LeastSquaresProblem([[1.0], [-1.0]], [0.0, 0.0])

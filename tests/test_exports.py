@@ -119,7 +119,7 @@ def test_harness_draws_normals_only_on_the_shared_path():
 # open ROADMAP item decides it; an entry counts as a root, so what it uses
 # (the stats moment helpers) needs no entry of its own
 UNREACHED_EXPORTS = {
-    "adasde.moments": "ROADMAP item 3: kept if the one-step moment verdict lands",
+    "adasde.moments": "ROADMAP item 3: mc_discrete_moments is the discrete side of the one-step verdict",
     "adasde.ngos.estimate_noise_moments": "ROADMAP item 8: kept if SVAG runs on measured noise",
     "adasde.ngos.noise_dominance_ratio": "ROADMAP item 4: kept if the kappa ladder reads it",
     "adasde.scaling.sde_constants": "tests/test_scaling.py checks the constant map against it",

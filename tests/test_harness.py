@@ -18,7 +18,6 @@ from adasde.harness import (
     validate_scaling,
     weak_error,
 )
-from adasde.moments import MomentComparisonReport, _exact_moments
 from adasde.ngos import GaussianOracle
 from adasde.optimizers import HyperParams
 from adasde.problems import (
@@ -1126,8 +1125,6 @@ _Z = np.random.default_rng(0).standard_normal((10, 2))
         lambda: StateView(np.zeros((3, 2)), 0.0, 0, PROBLEM),
         lambda: TrajectoryRecord(np.array([0.0, 1.0]), {"loss": np.zeros((2, 3))}),
         lambda: jackknife_moments(_Z, select_third_triples(2), centered=True),
-        lambda: _exact_moments(np.zeros(2), np.eye(2), 0.1),
-        _fields_set_to_arrays(MomentComparisonReport),
         _fields_set_to_arrays(harness.WeakErrorReport),
         _fields_set_to_arrays(harness.OrderReport),
         _fields_set_to_arrays(harness.SvagReport),
@@ -1136,7 +1133,7 @@ _Z = np.random.default_rng(0).standard_normal((10, 2))
     ],
     ids=[
         "optimizer_state", "approximation_setup", "state_view", "trajectory_record", "moments",
-        "one_step_moments", "moment_comparison", "weak_error", "order", "svag", "scaling", "warmup",
+        "weak_error", "order", "svag", "scaling", "warmup",
     ],
 )
 def test_types_holding_arrays_compare_and_hash_by_identity(build):

@@ -231,3 +231,16 @@ class TestSdeConstantPreservation:
         # the square-root rule moves it: eta' = sqrt(kappa) eta
         moved = sde_constants("sgd", scale_sqrt(hp, kappa, "sgd"), sigma / math.sqrt(kappa))
         assert moved["sigma0"] != pytest.approx(base["sigma0"], rel=1e-3)
+
+
+class TestHyperparamsFromConstants:
+    def test_sgd_has_no_decay_range(self):
+        # SGD never uses beta2, so c2 eta^2 > 1 must not reject it
+        hp, sigma = hyperparams_from_constants("sgd", 1.2, 1.0, 0.0, 1.0)
+        assert hp.eta == 1.2
+        assert sigma == 1.0
+
+    @pytest.mark.parametrize("algo", ["rmsprop", "adam"])
+    def test_adaptive_decay_range_still_checked(self, algo):
+        with pytest.raises(ValueError, match="leaves the decay range"):
+            hyperparams_from_constants(algo, 1.2, 1.0, 0.0, 1.0, c1=0.1)

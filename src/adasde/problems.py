@@ -1,11 +1,16 @@
 """Closed-form loss landscapes with exact gradients and exact noise covariance.
 
 Every problem is immutable: it keeps read-only copies of the arrays it is
-given, so a caller that edits its own array later changes nothing here.
-Problems and covariances that hold arrays compare and hash by identity, the
-rule ``EmpiricalCovariance``'s memo keys on. All operations accept parameter
-arrays of shape (..., d), broadcasting over leading axes so that whole
-ensembles can be evaluated in one call.
+given, and anything it derives from them is computed once, at construction,
+and kept read-only too, so a caller that edits its own array later changes
+nothing here. Problems and covariances that hold arrays compare and hash by
+identity, the rule ``EmpiricalCovariance``'s memo keys on. All operations
+accept parameter arrays of shape (..., d), broadcasting over leading axes so
+that whole ensembles can be evaluated in one call.
+
+A finite-sum problem gives ``EmpiricalCovariance`` its centred per-datum
+gradients through ``Problem.centred_gradients``; ``per_datum_gradients`` is
+the reference definition they are checked against.
 """
 from __future__ import annotations
 
@@ -41,13 +46,12 @@ def _frozen(a) -> np.ndarray:
     return a
 
 
-def _state_key(theta: np.ndarray) -> tuple:
-    """theta's shape, dtype and exact bytes: a memo key that an in-place edit of theta misses."""
-    return theta.shape, theta.dtype, theta.tobytes()
-
-
 class Problem:
-    """A differentiable loss with closed-form value and gradient."""
+    """A differentiable loss with closed-form value and gradient.
+
+    A finite-sum problem f = (1/n) sum_i f_i also defines the two per-datum
+    methods below; any other problem rejects them with a ValueError.
+    """
 
     dim: int
 
@@ -60,10 +64,17 @@ class Problem:
     def per_datum_gradients(self, theta) -> np.ndarray:
         """Per-datum gradients, shape (..., n, d): row i is grad f_i(theta).
 
-        Finite-sum problems return a fresh array that the caller may
-        overwrite, in any memory layout. ``full_gradient`` is their row mean,
-        up to rounding: ``EmpiricalCovariance`` centres them by it instead of
-        reducing them over n a second time.
+        The reference definition: a fresh array, in any memory layout, whose
+        row mean is ``full_gradient`` up to rounding.
+        """
+        raise ValueError(f"{type(self).__name__} is not a finite-sum problem")
+
+    def centred_gradients(self, theta) -> np.ndarray:
+        """C, shape (..., d, n): column i is grad f_i(theta) - grad f(theta).
+
+        The per-datum gradients minus their mean, up to rounding, in any
+        memory layout; ``EmpiricalCovariance`` builds Sigma = C C' / n from it
+        and only reads it.
         """
         raise ValueError(f"{type(self).__name__} is not a finite-sum problem")
 
@@ -90,7 +101,8 @@ class LinearProblem(Problem):
 
     def full_gradient(self, theta) -> np.ndarray:
         theta = _check_theta(theta, self.dim)
-        return np.broadcast_to(self.g_bar, theta.shape).copy()
+        # a fresh C-contiguous (..., d); tile copies rows faster than a (d,) broadcast
+        return np.tile(self.g_bar, theta.shape[:-1] + (1,))
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,7 +112,9 @@ class QuadraticProblem(Problem):
     ``b`` is optional: left out, it stays None and the problem has no linear
     term, so ``loss`` and ``full_gradient`` skip it. Their values are those
     of b = 0 bit for bit (x - 0.0 is x), without the broadcast of a (d,)
-    zero over every leading index.
+    zero over every leading index. With ``b``, ``full_gradient`` subtracts
+    it tiled to theta's shape: on ensembles of thousands of rows that
+    same-shape subtraction is faster than broadcasting the (d,) vector.
     """
 
     a: np.ndarray
@@ -134,7 +148,7 @@ class QuadraticProblem(Problem):
         theta = _check_theta(theta, self.dim)
         grad = theta @ self.a
         if self.b is not None:
-            grad -= self.b
+            grad -= np.tile(self.b, theta.shape[:-1] + (1,))
         return grad
 
 
@@ -144,23 +158,29 @@ class LeastSquaresProblem(Problem):
 
     f_i(theta) = 0.5 (x_i' theta - y_i)^2 and f = (1/n) sum_i f_i, so the
     full gradient is the mean of the per-datum gradients. ``data`` and
-    ``targets`` are read-only copies of the caller's arrays, and ``_data_t``
-    is the data's transpose, C-contiguous and read-only; ``per_datum_gradients``
-    and ``MinibatchOracle`` read it in that (d, n) layout.
+    ``targets`` are read-only copies of the caller's arrays and must be
+    finite. ``_data_t`` is the data's transpose, C-contiguous and
+    read-only; ``per_datum_gradients`` and ``MinibatchOracle`` read it in
+    that (d, n) layout.
 
-    The last residuals are kept in a one-entry memo, so that ``loss``,
-    ``full_gradient`` and ``per_datum_gradients`` at one theta share one
-    evaluation of theta X' - y. Its key is theta's shape, dtype and exact
-    bytes, so a theta changed in place since the last call misses. The
-    residuals it holds are read-only, and a miss builds a fresh array, so
-    no array it has returned is rewritten later. The memo is not locked;
-    use one instance from one thread at a time. It takes no part in repr.
+    Each gradient is affine in theta: grad f_i = x_i x_i' theta - y_i x_i,
+    so grad f = P theta - q with P = X'X / n and q = X'y / n, and the
+    centred gradient grad f_i - grad f = (x_i x_i' - P) theta - (y_i x_i - q).
+    Construction computes P, q and these centred coefficients once and keeps
+    them read-only: ``_coef[j, a n + i]``, shape (d, d n), is entry (a, j)
+    of x_i x_i' - P, and ``_offset[a n + i]`` is entry a of y_i x_i - q.
+    ``centred_gradients`` is then one matmul and one subtraction, and
+    ``full_gradient`` one small matmul. No derived array takes part in
+    equality or repr.
     """
 
     data: np.ndarray
     targets: np.ndarray
     _data_t: np.ndarray = field(init=False, repr=False, compare=False)
-    _memo: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _p_bar: np.ndarray = field(init=False, repr=False, compare=False)
+    _q_bar: np.ndarray = field(init=False, repr=False, compare=False)
+    _coef: np.ndarray = field(init=False, repr=False, compare=False)
+    _offset: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x = _frozen(self.data)
@@ -171,11 +191,22 @@ class LeastSquaresProblem(Problem):
             raise ValueError("targets must be an n-vector matching data rows")
         if x.shape[0] < 2:
             raise ValueError("finite-sum problem needs at least 2 data points")
-        object.__setattr__(self, "data", x)
-        object.__setattr__(self, "targets", y)
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError("data and targets must be finite")
         data_t = np.ascontiguousarray(x.T)
-        data_t.flags.writeable = False
-        object.__setattr__(self, "_data_t", data_t)
+        coef = data_t[:, None, :] * data_t  # (d, d, n): [j, a, i] = x_ij x_ia
+        p_bar = coef.mean(axis=-1)
+        coef -= p_bar[..., None]
+        offset = y * data_t  # (d, n): [a, i] = y_i x_ia
+        q_bar = offset.mean(axis=-1)
+        offset -= q_bar[:, None]
+        derived = dict(
+            data=x, targets=y, _data_t=data_t, _p_bar=p_bar, _q_bar=q_bar,
+            _coef=coef.reshape(x.shape[1], -1), _offset=offset.ravel(),
+        )
+        for name, value in derived.items():
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -185,33 +216,34 @@ class LeastSquaresProblem(Problem):
     def n_points(self) -> int:
         return self.data.shape[0]
 
-    def residuals(self, theta) -> np.ndarray:
-        """x_i' theta - y_i, shape (..., n): read-only, and shared by every call at this theta."""
+    def loss(self, theta) -> np.ndarray:
         theta = _check_theta(theta, self.dim)
-        key = _state_key(theta)
-        if self._memo and self._memo[0] == key:
-            return self._memo[1]
-        self._memo.clear()  # an evaluation that fails leaves nothing stale behind
         r = theta @ self.data.T
         r -= self.targets
-        r.flags.writeable = False
-        self._memo[:] = (key, r)
-        return r
-
-    def loss(self, theta) -> np.ndarray:
-        r = self.residuals(theta)
-        return 0.5 * np.mean(r * r, axis=-1)
+        # squared in place: a second (..., n) temporary per call makes the
+        # allocator hand back and re-fault its pages at large ensembles
+        np.multiply(r, r, out=r)
+        return 0.5 * np.mean(r, axis=-1)
 
     def full_gradient(self, theta) -> np.ndarray:
-        return self.residuals(theta) @ self.data / self.n_points
+        theta = _check_theta(theta, self.dim)
+        grad = theta @ self._p_bar
+        grad -= self._q_bar
+        return grad
 
     def per_datum_gradients(self, theta) -> np.ndarray:
-        """Shape (..., n, d), a view of fresh C-contiguous (..., d, n) memory.
+        """Shape (..., n, d), a view of fresh C-contiguous (..., d, n) memory."""
+        theta = _check_theta(theta, self.dim)
+        r = theta @ self.data.T
+        r -= self.targets
+        return np.swapaxes(r[..., None, :] * self._data_t, -1, -2)
 
-        That is the layout ``EmpiricalCovariance`` reduces over: each
-        coordinate's n gradients are contiguous.
-        """
-        return np.swapaxes(self.residuals(theta)[..., None, :] * self._data_t, -1, -2)
+    def centred_gradients(self, theta) -> np.ndarray:
+        """A fresh C-contiguous (..., d, n): each coordinate's n gradients are contiguous."""
+        theta = _check_theta(theta, self.dim)
+        c = theta @ self._coef
+        c -= self._offset
+        return c.reshape(theta.shape[:-1] + (self.dim, self.n_points))
 
 
 class CovarianceSpec:
@@ -303,10 +335,11 @@ class EmpiricalCovariance(CovarianceSpec):
     """Covariance of the per-datum gradients around the full gradient.
 
     Sigma(theta) = (1/n) C C', where C, shape (..., d, n), holds the centred
-    per-datum gradients grad f_i - grad f as columns. ``matrix`` returns
-    Sigma, one batched matmul; ``diagonal`` is a read-only view of Sigma's
-    diagonal. ``sqrt`` is the Cholesky factor of ``matrix``. Only defined
-    for finite-sum problems.
+    per-datum gradients grad f_i - grad f as columns, as the problem's
+    ``centred_gradients`` returns them. ``matrix`` returns Sigma, one
+    batched matmul; ``diagonal`` is a read-only view of Sigma's diagonal.
+    ``sqrt`` is the Cholesky factor of ``matrix``. Only defined for
+    finite-sum problems.
 
     Sigma is kept in a one-entry memo, so that a drift's ``diagonal`` and a
     diffusion's ``matrix`` at the same state share one build. Its key is the
@@ -327,21 +360,18 @@ class EmpiricalCovariance(CovarianceSpec):
     def matrix(self, problem: Problem, theta) -> np.ndarray:
         """Sigma = C C' / n at theta, from the memo or built.
 
-        C, shape (..., d, n), is the transpose of ``per_datum_gradients``
-        minus ``problem.full_gradient``, which is their row mean by the
-        ``Problem`` contract; for ``LeastSquaresProblem`` its residual memo
-        makes that one (..., n) x (n, d) product, with the residuals shared
-        by both. C is contiguous for ``LeastSquaresProblem``; any other
+        C, shape (..., d, n), is ``problem.centred_gradients``; for
+        ``LeastSquaresProblem`` that is one matmul from coefficients fixed at
+        construction. C is contiguous for ``LeastSquaresProblem``; any other
         layout gives the same Sigma, only slower. C lives only for the
         build: nothing reads it but the product that forms Sigma.
         """
         theta = np.asarray(theta)
-        key = _state_key(theta)
+        key = theta.shape, theta.dtype, theta.tobytes()
         if self._memo and self._memo[0] is problem and self._memo[1] == key:
             return self._memo[2]
         self._memo.clear()  # a build that fails leaves no stale Sigma behind
-        c = np.swapaxes(problem.per_datum_gradients(theta), -1, -2)
-        c -= problem.full_gradient(theta)[..., None]
+        c = problem.centred_gradients(theta)
         sigma = c @ np.swapaxes(c, -1, -2)
         sigma /= c.shape[-1]
         sigma.flags.writeable = False

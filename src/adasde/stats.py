@@ -6,7 +6,6 @@ first, second and selected third moments, each with its standard error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -37,14 +36,6 @@ class Moments:
     triples: tuple             # index triples measured off the diagonal
     triple_values: np.ndarray
     triple_se: np.ndarray
-
-    # each moment kind and the field holding its standard error
-    KINDS: ClassVar[tuple[tuple[str, str], ...]] = (
-        ("first", "first_se"),
-        ("second", "second_se"),
-        ("third_diag", "third_diag_se"),
-        ("triple_values", "triple_se"),
-    )
 
     def __post_init__(self):
         d, t = self.first.size, len(self.triples)

@@ -35,13 +35,14 @@ def random_least_squares(seed, n=12, d=3, cls=LeastSquaresProblem):
 
 
 class RowMajorLeastSquares(LeastSquaresProblem):
-    """Least squares whose per-datum gradients are an ordinary C-contiguous (..., n, d) array."""
+    """Least squares whose centred gradients are a (..., d, n) view of C-contiguous (..., n, d) memory."""
 
-    def per_datum_gradients(self, theta):
-        return np.ascontiguousarray(super().per_datum_gradients(theta))
+    def centred_gradients(self, theta):
+        c = super().centred_gradients(theta)
+        return np.swapaxes(np.ascontiguousarray(np.swapaxes(c, -1, -2)), -1, -2)
 
 
-# The (d, n) layout LeastSquaresProblem stores and the (n, d) layout any
+# The (d, n) layout LeastSquaresProblem builds C in and the (n, d) layout any
 # other finite-sum problem may return; the covariance must not depend on it.
 LAYOUTS = pytest.mark.parametrize(
     "cls", [LeastSquaresProblem, RowMajorLeastSquares], ids=["dn", "nd"]
@@ -104,6 +105,34 @@ class TestFullGradient:
         for s in range(6):
             np.testing.assert_allclose(batched[s], p.full_gradient(thetas[s]))
 
+    @pytest.mark.parametrize("lead", [(), (7,), (3, 5)], ids=["single", "batched", "grid"])
+    def test_least_squares_matches_the_residual_form(self, lead):
+        # P theta - q from the moments fixed at construction, against X'(X theta - y) / n
+        p = random_least_squares(seed=9, n=20, d=4)
+        theta = np.random.default_rng(10).standard_normal(lead + (p.dim,)) * 2
+        residuals = theta @ p.data.T - p.targets
+        np.testing.assert_allclose(p.full_gradient(theta), residuals @ p.data / p.n_points, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("lead", [(), (7,), (3, 5)], ids=["single", "batched", "grid"])
+    @pytest.mark.parametrize("kind", ["linear", "quadratic"])
+    def test_constant_vector_term_is_a_fresh_row_major_copy(self, kind, lead):
+        # the tiled constant gives the bits of the (d,) broadcast, in fresh, writable, C-contiguous memory
+        g = np.array([0.5, -2.0, 1.0, 0.25])
+        a = np.array([[2.0, 0.5, 0.0, 0.1], [0.5, 1.0, 0.2, 0.0], [0.0, 0.2, 3.0, 0.3], [0.1, 0.0, 0.3, 0.5]])
+        theta = np.random.default_rng(6).standard_normal(lead + (4,))
+        if kind == "linear":
+            p = LinearProblem(g)
+            want = np.broadcast_to(g, theta.shape).copy()
+        else:
+            p = QuadraticProblem(a, g)
+            want = theta @ a
+            want -= g
+        got = p.full_gradient(theta)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous and got.flags.writeable
+        assert not np.shares_memory(got, theta) and not np.shares_memory(got, g)
+        assert not np.shares_memory(got, p.full_gradient(theta))
+
 
 
 class TestQuadraticWithoutLinearTerm:
@@ -148,7 +177,7 @@ class TestPerDatumGradients:
 
     @pytest.mark.parametrize("lead", [(5,), ()], ids=["batched", "single"])
     def test_fresh_writable_array_of_rows(self, lead):
-        # EmpiricalCovariance centres the result in place
+        # the reference definition hands out its own array, which the caller may overwrite
         p = random_least_squares(seed=13, n=7)
         theta = np.random.default_rng(14).standard_normal(lead + (p.dim,))
         first = p.per_datum_gradients(theta)
@@ -157,6 +186,61 @@ class TestPerDatumGradients:
         assert second.flags.writeable
         assert not np.shares_memory(second, p.data)
         assert not np.shares_memory(second, first)
+
+
+class TestCentredGradients:
+    """C from the centred coefficients fixed at construction, against the per-datum definition."""
+
+    @pytest.mark.parametrize("lead", [(), (7,), (3, 5), "state_slice"],
+                             ids=["single", "batched", "grid", "state_slice"])
+    def test_per_datum_rows_minus_their_mean(self, lead):
+        p = random_least_squares(seed=27, n=16, d=4)
+        rng = np.random.default_rng(28)
+        if lead == "state_slice":
+            # the theta block of a column-major (S, D) state, as euler_maruyama passes it
+            theta = np.asfortranarray(rng.standard_normal((6, 8)))[:, :4] * 2
+        else:
+            theta = rng.standard_normal(lead + (p.dim,)) * 2
+        rows = p.per_datum_gradients(theta)
+        want = np.swapaxes(rows - rows.mean(axis=-2, keepdims=True), -1, -2)
+        got = p.centred_gradients(theta)
+        assert got.shape == theta.shape[:-1] + (p.dim, p.n_points)
+        assert got.flags.c_contiguous and got.flags.writeable
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14 * np.abs(rows).max())
+
+    def test_fresh_on_every_call(self):
+        p = random_least_squares(seed=29)
+        theta = np.random.default_rng(30).standard_normal((5, p.dim))
+        first = p.centred_gradients(theta)
+        assert not np.shares_memory(p.centred_gradients(theta), first)
+
+    def test_noise_free_data_at_the_solution(self):
+        # the centred gradients vanish at theta* up to rounding, and their Sigma still factors
+        rng = np.random.default_rng(31)
+        x, theta_star = rng.standard_normal((12, 3)), rng.standard_normal(3)
+        p = LeastSquaresProblem(x, x @ theta_star)
+        c = p.centred_gradients(theta_star)
+        assert np.abs(c).max() <= 64 * np.finfo(float).eps * np.abs(x).max() ** 2 * np.abs(theta_star).sum()
+        sigma = EmpiricalCovariance().matrix(p, theta_star)
+        factor = psd_cholesky(sigma)
+        np.testing.assert_allclose(factor @ factor.T, sigma, rtol=0, atol=1e-14 * np.abs(sigma).max())
+
+    def test_only_finite_sum_problems(self):
+        with pytest.raises(ValueError, match="finite-sum"):
+            QuadraticProblem(np.eye(2)).centred_gradients([0.0, 0.0])
+        with pytest.raises(ValueError, match="finite-sum"):
+            EmpiricalCovariance().matrix(QuadraticProblem(np.eye(2)), np.zeros(2))
+
+    def test_derived_arrays_are_read_only_and_not_compared(self):
+        p = random_least_squares(seed=33)
+        derived = [f.name for f in fields(p) if not f.init]
+        assert derived == ["_data_t", "_p_bar", "_q_bar", "_coef", "_offset"]
+        for name in derived:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(p, name).flat[0] = 0.0
+        assert [f.name for f in fields(p) if f.compare] == ["data", "targets"]
+        assert [f.name for f in fields(p) if f.repr] == ["data", "targets"]
+        assert all(f.hash is None for f in fields(p))  # hashing follows compare
 
 
 class TestExactCovariance:
@@ -330,7 +414,7 @@ class TestCovarianceDiagonal:
     @pytest.mark.parametrize("algo", ["rmsprop", "adam"])
     def test_a_drift_and_a_diffusion_build_each_quantity_once(self, algo, monkeypatch):
         # both SDEs need diag Sigma in the drift and a factor of Sigma in the
-        # diffusion; at one state that is one residual evaluation, one C and one Sigma
+        # diffusion; at one state that is one full gradient (the drift's), one C and one Sigma
         p = random_least_squares(seed=23)
         cov = EmpiricalCovariance()
         if algo == "adam":
@@ -340,9 +424,9 @@ class TestCovarianceDiagonal:
         rng = np.random.default_rng(24)
         x = np.ones((5, system.state_dim), order="F")
         x[:, system.blocks["theta"]] = rng.standard_normal((5, p.dim))
-        residuals, builds, sigmas = [], [], []
-        evaluate = LeastSquaresProblem.residuals
-        per_datum = LeastSquaresProblem.per_datum_gradients
+        gradients, builds, sigmas = [], [], []
+        full = LeastSquaresProblem.full_gradient
+        centred = LeastSquaresProblem.centred_gradients
         matrix = EmpiricalCovariance.matrix
 
         def kept(calls, fn):
@@ -351,12 +435,12 @@ class TestCovarianceDiagonal:
                 return calls[-1]
             return call
 
-        monkeypatch.setattr(LeastSquaresProblem, "residuals", kept(residuals, evaluate))
-        monkeypatch.setattr(LeastSquaresProblem, "per_datum_gradients", kept(builds, per_datum))
+        monkeypatch.setattr(LeastSquaresProblem, "full_gradient", kept(gradients, full))
+        monkeypatch.setattr(LeastSquaresProblem, "centred_gradients", kept(builds, centred))
         monkeypatch.setattr(EmpiricalCovariance, "matrix", kept(sigmas, matrix))
         system.drift(x, t)
         system.apply_diffusion(x, t, rng.standard_normal((5, p.dim)))
-        assert len({id(r) for r in residuals}) == 1 and len(residuals) >= 3
+        assert len(gradients) == 1
         assert len(builds) == 1
         assert len({id(sigma) for sigma in sigmas}) == 1 and len(sigmas) == 2
 
@@ -443,56 +527,6 @@ class TestEmpiricalMemo:
         assert repr(used) == repr(fresh)
 
 
-class TestResidualMemo:
-    """The one-entry memo of least-squares residuals: keyed on theta's exact bytes."""
-
-    def setup_method(self):
-        self.problem = random_least_squares(seed=45)
-        self.theta = np.random.default_rng(46).standard_normal((5, self.problem.dim))
-
-    def test_same_theta_reuses_one_evaluation(self):
-        first = self.problem.residuals(self.theta)
-        assert self.problem.residuals(self.theta.copy()) is first
-        self.problem.loss(self.theta)
-        self.problem.full_gradient(self.theta)
-        self.problem.per_datum_gradients(self.theta)
-        assert self.problem.residuals(self.theta) is first
-
-    def test_theta_changed_in_place_gets_a_fresh_evaluation(self):
-        before = self.problem.residuals(self.theta)
-        self.theta[2, 1] += 0.5
-        got = self.problem.residuals(self.theta)
-        assert got is not before
-        np.testing.assert_array_equal(got, self.theta @ self.problem.data.T - self.problem.targets)
-        np.testing.assert_array_equal(
-            self.problem.full_gradient(self.theta), random_least_squares(seed=45).full_gradient(self.theta)
-        )
-
-    def test_another_problem_at_the_same_theta_gets_its_own(self):
-        other = random_least_squares(seed=47)
-        mine = self.problem.residuals(self.theta)
-        theirs = other.residuals(self.theta)
-        np.testing.assert_array_equal(theirs, self.theta @ other.data.T - other.targets)
-        assert self.problem.residuals(self.theta) is mine
-
-    def test_returned_residuals_are_read_only_and_never_rewritten(self):
-        first = self.problem.residuals(self.theta)
-        kept = first.copy()
-        with pytest.raises(ValueError, match="read-only"):
-            first[0, 0] = 0.0
-        second = self.problem.residuals(self.theta + 0.25)
-        assert not np.shares_memory(second, first)
-        np.testing.assert_array_equal(first, kept)
-
-    def test_memo_takes_no_part_in_equality_hashing_or_repr(self):
-        used, fresh = random_least_squares(seed=45), random_least_squares(seed=45)
-        used.loss(self.theta)
-        assert repr(used) == repr(fresh)
-        assert used == used
-        assert [f.name for f in fields(used) if f.compare] == ["data", "targets"]
-        assert all(f.hash is None for f in fields(used))  # hashing follows compare
-
-
 class TestCallerArrays:
     """A problem copies what it is given: later edits of the caller's arrays change nothing."""
 
@@ -503,7 +537,8 @@ class TestCallerArrays:
         x[0, 0] += 1.0
         y[3] -= 1.0
         theta = rng.standard_normal(2)
-        np.testing.assert_array_equal(p.full_gradient(theta), unedited.full_gradient(theta))
+        for method in ("loss", "full_gradient", "per_datum_gradients", "centred_gradients"):
+            np.testing.assert_array_equal(getattr(p, method)(theta), getattr(unedited, method)(theta))
         np.testing.assert_allclose(p.per_datum_gradients(theta).mean(axis=0), p.full_gradient(theta), atol=1e-12)
         assert not (p.data.flags.writeable or p.targets.flags.writeable)
 
@@ -533,6 +568,16 @@ class TestConstruction:
     def test_quadratic_accepts_tiny_asymmetry(self):
         a = np.array([[1.0, 0.5], [0.5 * (1 + 1e-14), 1.0]])
         QuadraticProblem(a)
+
+    @pytest.mark.parametrize("where", ["data", "targets"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_least_squares_rejects_non_finite_input(self, where, bad):
+        # a non-finite entry would poison the moments fixed at construction, and every state with them
+        rng = np.random.default_rng(49)
+        arrays = {"data": rng.standard_normal((6, 3)), "targets": rng.standard_normal(6)}
+        arrays[where].flat[4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            LeastSquaresProblem(arrays["data"], arrays["targets"])
 
 
 @pytest.mark.parametrize(

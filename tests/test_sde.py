@@ -107,12 +107,12 @@ class TestPsdCholesky:
         x = rng.standard_normal((3, 4))
         theta_star = rng.standard_normal(4)
         wide = LeastSquaresProblem(x, rng.standard_normal(3))  # n <= d: rank <= n - 1
-        interpolating = LeastSquaresProblem(x, x @ theta_star)  # Sigma(theta*) = 0
+        repeated = LeastSquaresProblem(np.tile(x[0], (2, 1)), np.ones(2))  # two equal gradients: Sigma = 0
         a = rng.standard_normal((8, 4))
         batch = np.stack([
             a.T @ a / 8,
             EmpiricalCovariance().matrix(wide, rng.standard_normal(4)),
-            EmpiricalCovariance().matrix(interpolating, theta_star),
+            EmpiricalCovariance().matrix(repeated, theta_star),
         ])
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(batch)  # the whole batch takes the semidefinite path
@@ -497,13 +497,13 @@ class TestLoopContract:
     def test_one_covariance_build_per_step(self, algo, monkeypatch):
         # the drift's diagonal builds Sigma; the diffusion's matrix at the same state reuses it
         calls = []
-        per_datum = LeastSquaresProblem.per_datum_gradients
+        centred = LeastSquaresProblem.centred_gradients
 
         def counted(self, theta):
             calls.append(1)
-            return per_datum(self, theta)
+            return centred(self, theta)
 
-        monkeypatch.setattr(LeastSquaresProblem, "per_datum_gradients", counted)
+        monkeypatch.setattr(LeastSquaresProblem, "centred_gradients", counted)
         system, t0 = empirical_system(algo)
         run_loop(system, empirical_start(system), t0, n_steps=9)
         assert len(calls) == 9

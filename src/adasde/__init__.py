@@ -13,8 +13,6 @@ from .ngos import (
     GaussianOracle,
     MinibatchOracle,
     SvagOracle,
-    estimate_noise_moments,
-    noise_dominance_ratio,
     svag_coefficients,
 )
 from .optimizers import (

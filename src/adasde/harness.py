@@ -15,11 +15,14 @@ Statistical conventions:
   so both processes ride the same Brownian path. Coupling leaves each
   marginal distribution untouched (the gap estimate is unbiased) while
   shrinking its variance by orders of magnitude; the paired SE is then the
-  honest uncertainty of the gap. One mechanism, ``_shared_path``, couples
-  every run: it draws the path one fine block at a time, in the order a
+  honest uncertainty of the gap. One mechanism, ``_shared_path``, does all
+  the coupling: it draws the path one fine block at a time, in the order a
   single whole-path draw would take, and each discrete run rides it in
   lockstep, stepping on the normalized sum of its step's blocks. The path
   is never held whole, and no block outlives the step that reads it.
+* ``validate_scaling`` is not coupled: its base and scaled runs draw from
+  independent ``derive_rng(..., "scaling", rule, tag)`` streams, and its
+  z-scores use the unpaired SE. Coupling that pair is ROADMAP item 19.
 * A gap below 2 SE is reported as inconclusive rather than failed.
 """
 from __future__ import annotations
@@ -630,6 +633,11 @@ def validate_scaling(
     their identical starts. The plan's rule must name ``algo`` after its dash
     (``sqrt-rmsprop`` runs rmsprop): a plan built for another algorithm
     moves fields this one does not read.
+
+    The two runs are not coupled: each draws from its own
+    ``derive_rng(root_seed, "scaling", plan.rule, tag)`` stream, and each
+    z-score divides the gap by the unpaired SE, sqrt(base SE^2 + scaled
+    SE^2). ROADMAP item 19 puts them on one ``_shared_path``.
     """
     if plan.rule.partition("-")[2] != algo:
         raise ValueError(f"plan {plan.rule!r} was built for another algorithm than {algo!r}")

@@ -5,8 +5,6 @@ whose covariance Sigma(theta) is fixed across scales. The effective scale is
 sigma for the Gaussian family, 1/sqrt(B) for minibatch sampling, and
 ell * (inner scale) after noise amplification. Sampling is vectorized:
 ``theta`` of shape (..., d) yields one independent draw per leading index.
-``estimate_noise_moments`` measures the moments of z and returns them as a
-``stats.Moments``.
 """
 from __future__ import annotations
 
@@ -16,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .problems import CovarianceSpec, LeastSquaresProblem, Problem
-from .stats import Moments, jackknife_moments, select_third_triples
 
 __all__ = [
     "GradientOracle",
@@ -25,8 +22,6 @@ __all__ = [
     "BernoulliNoiseOracle",
     "SvagOracle",
     "svag_coefficients",
-    "estimate_noise_moments",
-    "noise_dominance_ratio",
 ]
 
 
@@ -145,10 +140,6 @@ class BernoulliNoiseOracle(GradientOracle):
     def sigma_effective(self) -> float:
         return self.sigma
 
-    @property
-    def skewness(self) -> float:
-        return (1.0 - 2.0 * self.p) / math.sqrt(self.p * (1.0 - self.p))
-
     def sample(self, theta, rng) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
         grad = self.problem.full_gradient(theta)
@@ -204,62 +195,3 @@ class SvagOracle(GradientOracle):
         g1 = self.inner.sample(theta, rng)
         g2 = self.inner.sample(theta, rng)
         return self.r1 * g1 + self.r2 * g2
-
-
-def estimate_noise_moments(
-    oracle: GradientOracle,
-    theta,
-    samples: int,
-    rng: np.random.Generator,
-) -> Moments:
-    """Estimate mean, covariance, and third moments of z = (g - grad f) / scale.
-
-    ``second`` is the covariance of z. Third moments cover all diagonal
-    entries E[z_i^3]; off-diagonal triples are measured exhaustively for
-    d <= 8 and on a seeded random subset of 20 triples otherwise.
-    """
-    if samples < 100:
-        raise ValueError("need at least 100 samples")
-    sigma = oracle.sigma_effective
-    if sigma == 0.0:
-        raise ValueError("noise moments are undefined at zero noise scale")
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim != 1:
-        raise ValueError("theta must be a single parameter vector")
-    d = theta.size
-
-    grad = oracle.problem.full_gradient(theta)
-    g = oracle.sample(np.broadcast_to(theta, (samples, d)), rng)
-    z = (g - grad) / sigma
-
-    # a count of d^3 exceeds the number of triples, so small d gets all of them
-    triples = select_third_triples(d, count=20 if d > 8 else d**3)
-    return jackknife_moments(z, triples, centered=True)
-
-
-def noise_dominance_ratio(
-    oracle: GradientOracle,
-    theta,
-    samples: int,
-    rng: np.random.Generator,
-) -> float:
-    """Monte Carlo estimate of E||g - grad f||^2 / ||grad f||^2.
-
-    Values far above 1 indicate the noise-dominated regime. Returns +inf
-    when the gradient vanishes but the noise does not ("fully
-    noise-dominated"); a vanishing gradient with zero noise is an error.
-    """
-    if samples < 100:
-        raise ValueError("need at least 100 samples")
-    theta = np.asarray(theta, dtype=float)
-    grad = oracle.problem.full_gradient(theta)
-    grad_sq = float(grad @ grad)
-    if oracle.sigma_effective == 0.0:
-        if grad_sq == 0.0:
-            raise ValueError("both the gradient and the noise vanish; ratio undefined")
-        return 0.0
-    if grad_sq == 0.0:
-        return math.inf
-    g = oracle.sample(np.broadcast_to(theta, (samples, theta.size)), rng)
-    noise_sq = np.sum((g - grad) ** 2, axis=1)
-    return float(np.mean(noise_sq) / grad_sq)

@@ -21,7 +21,7 @@ def test_every_export_exists(module_name):
 
 def test_every_module_is_checked():
     # a package layout the discovery misses would make the check above vacuous
-    assert {"adasde.stats", "adasde.ngos", "adasde.moments", "adasde.harness"} <= set(MODULES)
+    assert {"adasde.stats", "adasde.ngos", "adasde.harness"} <= set(MODULES)
 
 
 def _unused_imports(module_name: str) -> list[str]:
@@ -115,13 +115,10 @@ def test_harness_draws_normals_only_on_the_shared_path():
     assert len(sites) == 1 and sites[0].startswith("_shared_path:"), sites
 
 
-# __all__ names that neither harness nor the bench reaches, each kept until an
-# open ROADMAP item decides it; an entry counts as a root, so what it uses
-# (the stats moment helpers) needs no entry of its own
+# __all__ names that neither harness nor the bench reaches, each with the reason
+# it stays; an entry counts as a root, so a helper only it uses needs no entry
+# of its own
 UNREACHED_EXPORTS = {
-    "adasde.moments": "ROADMAP item 3: mc_discrete_moments is the discrete side of the one-step verdict",
-    "adasde.ngos.estimate_noise_moments": "ROADMAP item 8: kept if SVAG runs on measured noise",
-    "adasde.ngos.noise_dominance_ratio": "ROADMAP item 4: kept if the kappa ladder reads it",
     "adasde.scaling.sde_constants": "tests/test_scaling.py checks the constant map against it",
 }
 

@@ -29,7 +29,7 @@ from adasde.problems import (
 )
 from adasde.recording import NonFiniteError, StateView, TrajectoryRecord
 from adasde.scaling import make_plan
-from adasde.stats import fit_loglog_slope, jackknife_moments, select_third_triples
+from adasde.stats import fit_loglog_slope
 
 FNS = ["theta_0", "loss"]
 PROBLEM = QuadraticProblem(np.diag([1.0, 0.5]))
@@ -1114,9 +1114,6 @@ def _fields_set_to_arrays(cls):
     return lambda: cls(**{f.name: np.zeros(2) for f in dataclasses.fields(cls)})
 
 
-_Z = np.random.default_rng(0).standard_normal((10, 2))
-
-
 @pytest.mark.parametrize(
     "build",
     [
@@ -1124,7 +1121,6 @@ _Z = np.random.default_rng(0).standard_normal((10, 2))
         lambda: ApproximationSetup(PROBLEM, COV, "sgd", theta0=np.ones(2)),
         lambda: StateView(np.zeros((3, 2)), 0.0, 0, PROBLEM),
         lambda: TrajectoryRecord(np.array([0.0, 1.0]), {"loss": np.zeros((2, 3))}),
-        lambda: jackknife_moments(_Z, select_third_triples(2), centered=True),
         _fields_set_to_arrays(harness.WeakErrorReport),
         _fields_set_to_arrays(harness.OrderReport),
         _fields_set_to_arrays(harness.SvagReport),
@@ -1132,7 +1128,7 @@ _Z = np.random.default_rng(0).standard_normal((10, 2))
         _fields_set_to_arrays(harness.WarmupReport),
     ],
     ids=[
-        "optimizer_state", "approximation_setup", "state_view", "trajectory_record", "moments",
+        "optimizer_state", "approximation_setup", "state_view", "trajectory_record",
         "weak_error", "order", "svag", "scaling", "warmup",
     ],
 )

@@ -8,8 +8,6 @@ from adasde.ngos import (
     GaussianOracle,
     MinibatchOracle,
     SvagOracle,
-    estimate_noise_moments,
-    noise_dominance_ratio,
     svag_coefficients,
 )
 from adasde.problems import (
@@ -137,7 +135,8 @@ class TestMinibatchSample:
         assert got.shape == (9, self.D) and got.flags.c_contiguous and got.flags.owndata
 
     def test_a_broadcast_theta_gives_the_draws_of_its_copy(self):
-        # estimate_noise_moments passes np.broadcast_to(theta, (samples, d))
+        # OptimizerState.initial keeps the harness's np.broadcast_to(theta0, (seeds, d))
+        # view, so every run's first oracle draw gets a broadcast theta
         oracle = MinibatchOracle(self.problem(), 4)
         theta = np.array([0.3, -1.2, 0.5])
         broadcast = np.broadcast_to(theta, (200, self.D))
@@ -181,76 +180,143 @@ class TestSvagOperator:
         assert SvagOracle(inner, 8.0).sigma_effective == pytest.approx(2.4)
 
 
-class TestEstimateNoiseMoments:
+def normalized_noise(oracle, theta, n, seed):
+    """n draws of z = (g - grad f) / sigma_effective at one theta, shape (n, d)."""
+    theta = np.asarray(theta, dtype=float)
+    g = oracle.sample(np.broadcast_to(theta, (n, theta.size)), rng(seed))
+    return (g - oracle.problem.full_gradient(theta)) / oracle.sigma_effective
+
+
+def mean_and_se(terms):
+    """The mean of per-sample terms over axis 0, with its standard error."""
+    return terms.mean(axis=0), terms.std(axis=0, ddof=1) / math.sqrt(terms.shape[0])
+
+
+class TestNoiseLaws:
+    """The law of z, estimated with a 4-SE bound from its per-sample terms."""
+
+    def assert_covariance(self, z, target):
+        centered = z - z.mean(axis=0)
+        emp = centered.T @ centered / (z.shape[0] - 1)
+        _, se = mean_and_se(centered[:, :, None] * centered[:, None, :])
+        assert np.all(np.abs(emp - target) < 4 * se + 1e-12)
+
     def test_gaussian_third_moments_vanish(self):
-        p = LinearProblem([1.0, 1.0])
-        oracle = GaussianOracle(p, IsotropicCovariance(1.0), sigma=2.0)
-        report = estimate_noise_moments(oracle, np.zeros(2), 50_000, rng(3))
-        np.testing.assert_array_less(np.abs(report.third_diag), 4 * report.third_diag_se)
+        oracle = GaussianOracle(LinearProblem([1.0, 1.0]), IsotropicCovariance(1.0), sigma=2.0)
+        third, se = mean_and_se(normalized_noise(oracle, np.zeros(2), 50_000, seed=3) ** 3)
+        np.testing.assert_array_less(np.abs(third), 4 * se)
 
     def test_minibatch_covariance_matches_exact(self):
         p = random_least_squares(seed=13, n=24, d=3)
-        oracle = MinibatchOracle(p, batch_size=4)
         theta = np.array([0.5, -0.2, 1.0])
-        exact = EmpiricalCovariance().matrix(p, theta)
-        report = estimate_noise_moments(oracle, theta, 100_000, rng(4))
-        assert np.all(np.abs(report.second - exact) < 4 * report.second_se + 1e-12)
+        z = normalized_noise(MinibatchOracle(p, batch_size=4), theta, 100_000, seed=4)
+        self.assert_covariance(z, EmpiricalCovariance().matrix(p, theta))
 
     def test_gaussian_on_empirical_covariance_matches_exact(self):
         # the noise factor is the Cholesky factor, not the symmetric root; the
         # law depends on L L' alone, so the draws still have covariance Sigma
         p = random_least_squares(seed=13, n=24, d=3)
-        oracle = GaussianOracle(p, EmpiricalCovariance(), sigma=0.7)
         theta = np.array([0.5, -0.2, 1.0])
-        exact = EmpiricalCovariance().matrix(p, theta)
-        report = estimate_noise_moments(oracle, theta, 100_000, rng(8))
-        assert np.all(np.abs(report.second - exact) < 4 * report.second_se + 1e-12)
+        z = normalized_noise(GaussianOracle(p, EmpiricalCovariance(), sigma=0.7), theta, 100_000, seed=8)
+        self.assert_covariance(z, EmpiricalCovariance().matrix(p, theta))
 
     def test_skew_shrinks_by_known_factor(self):
-        p = LinearProblem([0.0])
-        inner = BernoulliNoiseOracle(p, sigma=1.0, p=0.2)
-        base = estimate_noise_moments(inner, np.zeros(1), 200_000, rng(5))
-        for ell in (2.0, 4.0):
-            wrapped = SvagOracle(inner, ell)
-            rep = estimate_noise_moments(wrapped, np.zeros(1), 200_000, rng(6))
+        # ell = 1 replays the base oracle, whose own skew is (1 - 2p) / sqrt(p(1 - p))
+        prob = 0.2
+        skew = (1 - 2 * prob) / math.sqrt(prob * (1 - prob))
+        inner = BernoulliNoiseOracle(LinearProblem([0.0]), sigma=1.0, p=prob)
+        for ell in (1.0, 2.0, 4.0):
+            z = normalized_noise(SvagOracle(inner, ell), np.zeros(1), 200_000, seed=6)
+            third, se = mean_and_se(z[:, 0] ** 3)
             factor = (12 * ell**2 - 4) / (8 * ell**3)
-            target = factor * inner.skewness
-            assert abs(rep.third_diag[0] - target) < 4 * rep.third_diag_se[0]
-            assert base.third_diag_se[0] < 0.1  # sanity: the baseline skew is resolved
+            assert abs(third - factor * skew) < 4 * se
+            assert se < 0.1  # sanity: the skew is resolved
 
-    def test_zero_scale_rejected(self):
-        p = LinearProblem([1.0])
-        oracle = GaussianOracle(p, IsotropicCovariance(1.0), sigma=0.0)
-        with pytest.raises(ValueError):
-            estimate_noise_moments(oracle, np.zeros(1), 1000, rng())
+    @pytest.mark.parametrize("prob", [0.2, 0.5, 0.8])
+    def test_bernoulli_noise_is_standardised(self, prob):
+        # centred and scaled by sqrt(p(1 - p)): mean zero and Sigma = I at any p
+        oracle = BernoulliNoiseOracle(LinearProblem([0.5, -1.0]), sigma=1.5, p=prob)
+        z = normalized_noise(oracle, np.zeros(2), 50_000, seed=21)
+        mean, se = mean_and_se(z)
+        np.testing.assert_array_less(np.abs(mean), 4 * se)
+        self.assert_covariance(z, np.eye(2))
 
-    def test_minimum_samples(self):
-        p = LinearProblem([1.0])
-        oracle = GaussianOracle(p, IsotropicCovariance(1.0), sigma=1.0)
-        with pytest.raises(ValueError):
-            estimate_noise_moments(oracle, np.zeros(1), 99, rng())
+    @pytest.mark.parametrize("prob", [0.1, 0.5, 0.9])
+    def test_bernoulli_skew_follows_p(self, prob):
+        # E[z^3] = (1 - 2p) / sqrt(p(1 - p)): positive below 1/2, zero at it, negative above
+        oracle = BernoulliNoiseOracle(LinearProblem([0.0]), sigma=0.3, p=prob)
+        third, se = mean_and_se(normalized_noise(oracle, np.zeros(1), 100_000, seed=22)[:, 0] ** 3)
+        assert abs(third - (1 - 2 * prob) / math.sqrt(prob * (1 - prob))) < 4 * se
+
+    @pytest.mark.parametrize("cov", [
+        IsotropicCovariance(2.5),
+        ConstantCovariance(np.array([[1.0, 0.4, 0.0], [0.4, 0.8, -0.2], [0.0, -0.2, 0.5]])),
+        EmpiricalCovariance(),
+    ], ids=["isotropic", "constant", "empirical"])
+    def test_gaussian_noise_is_centred(self, cov):
+        p = random_least_squares(seed=13, n=24, d=3)
+        z = normalized_noise(GaussianOracle(p, cov, sigma=0.4), [0.5, -0.2, 1.0], 50_000, seed=23)
+        mean, se = mean_and_se(z)
+        np.testing.assert_array_less(np.abs(mean), 4 * se)
+
+    @pytest.mark.parametrize("cov", [
+        IsotropicCovariance(2.5),
+        ConstantCovariance(np.array([[1.0, 0.4, 0.0], [0.4, 0.8, -0.2], [0.0, -0.2, 0.5]])),
+    ], ids=["isotropic", "constant"])
+    def test_gaussian_covariance_matches_its_spec(self, cov):
+        p = random_least_squares(seed=13, n=24, d=3)
+        theta = np.array([0.5, -0.2, 1.0])
+        z = normalized_noise(GaussianOracle(p, cov, sigma=0.4), theta, 100_000, seed=24)
+        self.assert_covariance(z, cov.matrix(p, theta))
+
+    def test_minibatch_noise_is_centred(self):
+        p = random_least_squares(seed=13, n=24, d=3)
+        z = normalized_noise(MinibatchOracle(p, batch_size=4), [0.5, -0.2, 1.0], 50_000, seed=25)
+        mean, se = mean_and_se(z)
+        np.testing.assert_array_less(np.abs(mean), 4 * se)
+
+    def test_svag_on_minibatch_noise_keeps_its_covariance(self):
+        # sigma_effective = ell / sqrt(B) = 1, so z has covariance Sigma itself
+        p = random_least_squares(seed=13, n=24, d=3)
+        theta = np.array([0.5, -0.2, 1.0])
+        oracle = SvagOracle(MinibatchOracle(p, batch_size=4), 2.0)
+        assert oracle.sigma_effective == 1.0
+        z = normalized_noise(oracle, theta, 100_000, seed=26)
+        self.assert_covariance(z, EmpiricalCovariance().matrix(p, theta))
 
 
-class TestNoiseDominanceRatio:
-    def test_linear_problem_closed_form(self):
-        # E||sigma z||^2 = sigma^2 * d with Sigma = I; ratio = sigma^2 d / ||g||^2
-        p = LinearProblem([1.0])
-        oracle = GaussianOracle(p, IsotropicCovariance(1.0), sigma=100.0)
-        ratio = noise_dominance_ratio(oracle, np.zeros(1), 20_000, rng(7))
-        assert ratio == pytest.approx(1e4, rel=0.2)
+class TestOracleValidation:
+    def test_gaussian_rejects_a_negative_sigma(self):
+        with pytest.raises(ValueError, match="sigma must be nonnegative"):
+            GaussianOracle(LinearProblem([1.0]), IsotropicCovariance(1.0), sigma=-0.1)
 
-    def test_zero_noise_gives_zero(self):
-        p = LinearProblem([1.0])
-        oracle = GaussianOracle(p, IsotropicCovariance(1.0), sigma=0.0)
-        assert noise_dominance_ratio(oracle, np.zeros(1), 1000, rng()) == 0.0
+    def test_bernoulli_rejects_a_negative_sigma(self):
+        with pytest.raises(ValueError, match="sigma must be nonnegative"):
+            BernoulliNoiseOracle(LinearProblem([1.0]), sigma=-0.1)
 
-    def test_zero_gradient_gives_infinity(self):
-        p = QuadraticProblem(np.eye(1))
-        oracle = GaussianOracle(p, IsotropicCovariance(1.0), sigma=1.0)
-        assert noise_dominance_ratio(oracle, np.zeros(1), 1000, rng()) == math.inf
+    @pytest.mark.parametrize("prob", [0.0, 1.0, -0.2, 1.5, math.nan])
+    def test_bernoulli_rejects_a_p_outside_the_open_unit_interval(self, prob):
+        with pytest.raises(ValueError, match="p must lie strictly"):
+            BernoulliNoiseOracle(LinearProblem([1.0]), sigma=1.0, p=prob)
 
-    def test_zero_gradient_zero_noise_rejected(self):
-        p = QuadraticProblem(np.eye(1))
-        oracle = GaussianOracle(p, IsotropicCovariance(1.0), sigma=0.0)
-        with pytest.raises(ValueError):
-            noise_dominance_ratio(oracle, np.zeros(1), 1000, rng())
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_minibatch_rejects_a_batch_size_below_one(self, batch_size):
+        with pytest.raises(ValueError, match="at least 1"):
+            MinibatchOracle(random_least_squares(seed=9), batch_size)
+
+    @pytest.mark.parametrize("ell", [0.5, 0.999])
+    def test_svag_rejects_an_ell_below_one(self, ell):
+        inner = GaussianOracle(LinearProblem([1.0]), IsotropicCovariance(1.0), sigma=1.0)
+        with pytest.raises(ValueError, match="ell must be >= 1"):
+            SvagOracle(inner, ell)
+
+    @pytest.mark.parametrize("build", [
+        lambda p: GaussianOracle(p, IsotropicCovariance(1.0), sigma=0.0),
+        lambda p: BernoulliNoiseOracle(p, sigma=0.0),
+    ], ids=["gaussian", "bernoulli"])
+    def test_a_zero_scale_returns_the_gradient_and_draws_nothing(self, build):
+        p = QuadraticProblem(np.diag([1.0, 2.0]))
+        used, fresh = rng(4), rng(4)
+        g = build(p).sample(np.array([[1.0, 1.0], [0.5, -1.0]]), used)
+        np.testing.assert_array_equal(g, [[1.0, 2.0], [0.5, -2.0]])
+        assert used.bit_generator.state == fresh.bit_generator.state

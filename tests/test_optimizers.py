@@ -18,7 +18,7 @@ from adasde.optimizers import (
     sgd_step,
     step_function,
 )
-from adasde.problems import IsotropicCovariance, LinearProblem, QuadraticProblem
+from adasde.problems import ConstantCovariance, IsotropicCovariance, LinearProblem, QuadraticProblem
 from adasde.recording import TestFunctionSet
 from adasde.scaling import hyperparams_from_constants, svag_transform_hparams
 
@@ -31,6 +31,29 @@ def state(theta, v=1.0, m=0.0, k=0):
         return np.broadcast_to(np.asarray(x, float), theta.shape).copy()
 
     return OptimizerState(theta, m=full(m), v=full(v), k=k)
+
+
+class TestHyperParams:
+    @pytest.mark.parametrize("eta", [0.0, -0.1, float("nan")])
+    def test_rejects_an_eta_that_is_not_positive(self, eta):
+        with pytest.raises(ValueError, match="eta must be positive"):
+            HyperParams(eta=eta)
+
+    @pytest.mark.parametrize("name", ["beta", "beta1", "beta2"])
+    @pytest.mark.parametrize("value", [-0.1, 1.1])
+    def test_rejects_a_decay_outside_the_unit_interval(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} out of"):
+            HyperParams(eta=0.1, **{name: value})
+
+    @pytest.mark.parametrize("name", ["beta", "beta1", "beta2"])
+    def test_accepts_a_decay_at_either_end(self, name):
+        # 0 and 1 are legal decays; a step rejects the one it cannot correct
+        for value in (0.0, 1.0):
+            assert getattr(HyperParams(eta=0.1, **{name: value}), name) == value
+
+    def test_rejects_a_negative_epsilon(self):
+        with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+            HyperParams(eta=0.1, epsilon=-1e-12)
 
 
 class TestInitial:
@@ -132,6 +155,16 @@ class TestAdamStep:
         assert out.m[0] == pytest.approx(0.2)
         assert out.theta[0] == pytest.approx(0.8)
 
+    def test_direct_formula_with_bias_corrections(self):
+        # at k = 2: m' = 0.5 * 0.5 + 0.5 * 2 = 1.25, corrected by 1 - 0.5^3;
+        # v = 1.75 is corrected by 1 - 0.75^2 to 4, so the denominator is 2 + 0.5
+        hp = HyperParams(eta=0.1, beta1=0.5, beta2=0.75, epsilon=0.5)
+        out = adam_step(state([1.0], v=1.75, m=0.5, k=2), np.array([2.0]), hp)
+        assert out.m[0] == 1.25
+        assert out.theta[0] == pytest.approx(1.0 - 0.1 * (1.25 / 0.875) / 2.5, abs=1e-15)
+        assert out.v[0] == pytest.approx(0.75 * 1.75 + 0.25 * 4.0, abs=1e-15)
+        assert out.k == 3
+
     def test_zero_gradient_zero_momentum_fixed_point(self):
         hp = HyperParams(eta=0.1, beta1=0.9, beta2=0.99)
         out = adam_step(state([3.0], v=1.0, m=0.0), np.array([0.0]), hp)
@@ -194,6 +227,182 @@ class TestSgdStep:
         s2 = sgd_step(sgd_step(state([1.0, 1.0]), g, HyperParams(eta=0.2)), g, HyperParams(eta=0.2))
         s1 = sgd_step(state([1.0, 1.0]), g, HyperParams(eta=0.4))
         np.testing.assert_allclose(s2.theta, s1.theta)
+
+
+def one_step_increments(oracle, algo, hp, theta, u, samples, seed, m=None, k=1):
+    """samples draws of one step's increment from a fixed state, in (theta[, m], u) coordinates.
+
+    The state is given in u = v / sigma_effective^2 (u read as v when the oracle
+    is noiseless), and each row steps from it with its own gradient draw.
+    """
+    sigma = oracle.sigma_effective if oracle.sigma_effective > 0 else 1.0
+    d = len(theta)
+    start = state(np.broadcast_to(theta, (samples, d)), v=np.asarray(u) * sigma**2,
+                  m=0.0 if m is None else m, k=k)
+    new = step_function(algo)(start, oracle.sample(start.theta, np.random.default_rng(seed)), hp)
+    blocks = [new.theta - start.theta]
+    if algo == "adam":
+        blocks.append(new.m - start.m)
+    blocks.append((new.v - start.v) / sigma**2)
+    return np.concatenate(blocks, axis=1)
+
+
+def mean_and_se(terms):
+    """The mean of per-sample terms over axis 0, with its standard error."""
+    return terms.mean(axis=0), terms.std(axis=0, ddof=1) / np.sqrt(terms.shape[0])
+
+
+class TestOneStepLaws:
+    """Raw moments of one RMSprop or Adam step under Gaussian noise against closed forms.
+
+    Each is a sample mean of per-draw products, within 4 SE of its exact value.
+    """
+
+    THETA, U = np.array([1.0, -0.5]), np.array([1.1, 0.9])
+
+    def setup_method(self):
+        self.p = QuadraticProblem(np.diag([1.0, 3.0]))
+        self.sig = np.array([[1.0, 0.2], [0.2, 0.6]])
+        self.cov = ConstantCovariance(self.sig)
+
+    def oracle(self, sigma):
+        return GaussianOracle(self.p, self.cov, sigma=sigma)
+
+    def _u_drift(self, decay, grad, sigma):
+        # E[Delta u] with v = u sigma^2 and E[g^2] = grad^2 + sigma^2 diag(Sigma)
+        return (1.0 - decay) * ((grad**2 + sigma**2 * np.diag(self.sig)) / sigma**2 - self.U)
+
+    def _gaussian_moments(self, grad, sigma):
+        # E[g_i g_j], E[g_i g_j g_k] and E[g_i^2 g_j^2] for g ~ N(grad, sigma^2 Sigma)
+        c = sigma**2 * self.sig
+        second = np.outer(grad, grad) + c
+        third = (
+            np.einsum("i,j,k->ijk", grad, grad, grad)
+            + np.einsum("i,jk->ijk", grad, c)
+            + np.einsum("j,ik->ijk", grad, c)
+            + np.einsum("k,ij->ijk", grad, c)
+        )
+        sq = grad**2 + np.diag(c)
+        fourth = np.outer(sq, sq) + 2 * c**2 + 4 * np.outer(grad, grad) * c
+        return second, third, fourth
+
+    def assert_first(self, delta, exact, cols=slice(None)):
+        first, se = mean_and_se(delta[:, cols])
+        np.testing.assert_array_less(np.abs(first - exact), 4 * se + 1e-15)
+
+    def assert_second(self, delta, exact, cols=slice(None)):
+        block = delta[:, cols]
+        second, se = mean_and_se(block[:, :, None] * block[:, None, :])
+        np.testing.assert_array_less(np.abs(second - exact), 4 * se)
+
+    def test_zero_noise_is_deterministic(self):
+        hp = hyperparams_from_constants("rmsprop", 0.1, sigma0=1.0, epsilon0=0.1, c2=1.0)[0]
+        delta = one_step_increments(self.oracle(0.0), "rmsprop", hp, [1.0, 1.0], [1.0, 1.0], 1000, 0)
+        first, se = mean_and_se(delta)
+        np.testing.assert_allclose(se, 0.0, atol=1e-14)
+        second = (delta[:, :, None] * delta[:, None, :]).mean(axis=0)
+        assert np.all(np.abs(second - np.outer(first, first)) < 1e-14)
+
+    def test_rmsprop_matches_exact_first_moments(self):
+        eta = 0.1
+        hp, sigma = hyperparams_from_constants("rmsprop", eta, sigma0=1.0, epsilon0=0.0, c2=1.0)
+        delta = one_step_increments(self.oracle(sigma), "rmsprop", hp, self.THETA, self.U, 100_000, 1)
+        grad = self.p.full_gradient(self.THETA)
+        den = np.sqrt(self.U * sigma**2) + hp.epsilon
+        self.assert_first(delta, np.concatenate([-eta * grad / den, self._u_drift(hp.beta, grad, sigma)]))
+
+    def test_adam_matches_exact_first_moments(self):
+        eta, k = 0.1, 4
+        hp, sigma = hyperparams_from_constants("adam", eta, sigma0=1.0, epsilon0=0.1, c2=1.0, c1=2.0)
+        m = np.array([0.3, 0.0])
+        delta = one_step_increments(self.oracle(sigma), "adam", hp, self.THETA, self.U, 100_000, 2, m=m, k=k)
+        grad = self.p.full_gradient(self.THETA)
+        m_new = hp.beta1 * m + (1.0 - hp.beta1) * grad
+        den = np.sqrt(self.U * sigma**2 / (1.0 - hp.beta2**k)) + hp.epsilon
+        self.assert_first(delta, np.concatenate([
+            -eta * (m_new / (1.0 - hp.beta1 ** (k + 1))) / den,
+            m_new - m,
+            self._u_drift(hp.beta2, grad, sigma),
+        ]))
+
+    @pytest.mark.parametrize("eta", [0.1, 0.2])
+    def test_rmsprop_matches_exact_theta_second_moment(self, eta):
+        # E[Delta theta_i Delta theta_j] = eta^2 E[g_i g_j] / (den_i den_j), exactly
+        hp, sigma = hyperparams_from_constants("rmsprop", eta, sigma0=1.0, epsilon0=0.0, c2=1.0)
+        delta = one_step_increments(self.oracle(sigma), "rmsprop", hp, self.THETA, self.U, 100_000, 7)
+        grad = self.p.full_gradient(self.THETA)
+        den = np.sqrt(self.U * sigma**2) + hp.epsilon
+        exact = eta**2 * (np.outer(grad, grad) + sigma**2 * self.sig) / np.outer(den, den)
+        self.assert_second(delta, exact, cols=slice(0, 2))
+
+    def test_fixed_point_has_zero_first_moments(self):
+        # at the minimum with u = diag(Sigma), E[g] = 0 and E[g^2] / sigma^2 = u
+        hp, sigma = hyperparams_from_constants("rmsprop", 0.1, sigma0=1.0, epsilon0=0.1, c2=1.0)
+        delta = one_step_increments(
+            self.oracle(sigma), "rmsprop", hp, np.zeros(2), np.diag(self.sig), 100_000, 8
+        )
+        self.assert_first(delta, 0.0)
+
+    def test_adam_momentum_equilibrium(self):
+        # m = grad is the momentum's fixed point: E[Delta m] = 0
+        hp, sigma = hyperparams_from_constants("adam", 0.1, sigma0=1.0, epsilon0=0.1, c2=1.0, c1=2.0)
+        grad = self.p.full_gradient(self.THETA)
+        delta = one_step_increments(
+            self.oracle(sigma), "adam", hp, self.THETA, self.U, 100_000, 9, m=grad, k=3
+        )
+        self.assert_first(delta, 0.0, cols=slice(2, 4))
+
+    @pytest.mark.parametrize("k", [0, 1000])
+    def test_adam_theta_first_moment_bias_corrections(self, k):
+        # k = 0 reads v uncorrected; at k = 1000 the v correction is all but gone
+        eta = 0.1
+        hp, sigma = hyperparams_from_constants("adam", eta, sigma0=1.0, epsilon0=0.1, c2=1.0, c1=2.0)
+        m = np.array([0.3, 0.0])
+        delta = one_step_increments(self.oracle(sigma), "adam", hp, self.THETA, self.U, 100_000, 10, m=m, k=k)
+        grad = self.p.full_gradient(self.THETA)
+        m_new = hp.beta1 * m + (1.0 - hp.beta1) * grad
+        bc2 = 1.0 if k == 0 else 1.0 - hp.beta2**k
+        den = np.sqrt(self.U * sigma**2 / bc2) + hp.epsilon
+        self.assert_first(delta, -eta * (m_new / (1.0 - hp.beta1 ** (k + 1))) / den, cols=slice(0, 2))
+
+    def test_adam_matches_exact_m_block_second_moment(self):
+        # Delta m = m' - m + (1 - beta1) (g - grad), so its noise is (1 - beta1)^2 sigma^2 Sigma
+        hp, sigma = hyperparams_from_constants("adam", 0.1, sigma0=1.0, epsilon0=0.1, c2=1.0, c1=2.0)
+        m = np.array([0.3, 0.0])
+        delta = one_step_increments(self.oracle(sigma), "adam", hp, self.THETA, self.U, 100_000, 11, m=m, k=4)
+        grad = self.p.full_gradient(self.THETA)
+        dm = (1.0 - hp.beta1) * (grad - m)
+        exact = np.outer(dm, dm) + (1.0 - hp.beta1) ** 2 * sigma**2 * self.sig
+        self.assert_second(delta, exact, cols=slice(2, 4))
+
+    def test_rmsprop_matches_exact_full_second_moment(self):
+        # Delta theta = -eta g / den and Delta u = (1 - beta) (g^2 / sigma^2 - u)
+        eta = 0.1
+        hp, sigma = hyperparams_from_constants("rmsprop", eta, sigma0=1.0, epsilon0=0.1, c2=1.0)
+        delta = one_step_increments(self.oracle(sigma), "rmsprop", hp, self.THETA, self.U, 100_000, 12)
+        grad = self.p.full_gradient(self.THETA)
+        den = np.sqrt(self.U * sigma**2) + hp.epsilon
+        gg, ggg, gggg = self._gaussian_moments(grad, sigma)
+        a, s2 = -eta / den, sigma**2
+        tt = np.outer(a, a) * gg
+        # E[g_i (g_j^2 / sigma^2 - u_j)]
+        tu = a[:, None] * (1.0 - hp.beta) * (np.einsum("ijj->ij", ggg) / s2 - np.outer(grad, self.U))
+        eg2 = np.diag(gg) / s2
+        uu = (1.0 - hp.beta) ** 2 * (
+            gggg / s2**2 - np.outer(eg2, self.U) - np.outer(self.U, eg2) + np.outer(self.U, self.U)
+        )
+        self.assert_second(delta, np.block([[tt, tu], [tu.T, uu]]))
+
+    def test_rmsprop_matches_exact_theta_third_moments(self):
+        eta = 0.1
+        hp, sigma = hyperparams_from_constants("rmsprop", eta, sigma0=1.0, epsilon0=0.1, c2=1.0)
+        delta = one_step_increments(self.oracle(sigma), "rmsprop", hp, self.THETA, self.U, 100_000, 13)
+        grad = self.p.full_gradient(self.THETA)
+        a = -eta / (np.sqrt(self.U * sigma**2) + hp.epsilon)
+        exact = np.einsum("i,j,k,ijk->ijk", a, a, a, self._gaussian_moments(grad, sigma)[1])
+        t = delta[:, :2]
+        third, se = mean_and_se(t[:, :, None, None] * t[:, None, :, None] * t[:, None, None, :])
+        np.testing.assert_array_less(np.abs(third - exact), 4 * se)
 
 
 class TestSvagTransform:

@@ -49,7 +49,7 @@ class GaussianOracle(GradientOracle):
     sigma: float
 
     def __post_init__(self):
-        if self.sigma < 0:
+        if not self.sigma >= 0:
             raise ValueError("sigma must be nonnegative")
 
     @property
@@ -133,7 +133,7 @@ class BernoulliNoiseOracle(GradientOracle):
     def __post_init__(self):
         if not 0 < self.p < 1:
             raise ValueError("p must lie strictly in (0, 1)")
-        if self.sigma < 0:
+        if not self.sigma >= 0:
             raise ValueError("sigma must be nonnegative")
 
     @property
@@ -156,7 +156,7 @@ def svag_coefficients(ell: float) -> tuple[float, float]:
     r1 + r2 = 1 keeps the mean, and r1^2 + r2^2 = ell^2 amplifies the noise
     scale by ell.
     """
-    if ell < 1:
+    if not ell >= 1:
         raise ValueError("ell must be >= 1")
     root = math.sqrt(2.0 * ell * ell - 1.0)
     return 0.5 * (1.0 - root), 0.5 * (1.0 + root)

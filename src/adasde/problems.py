@@ -8,13 +8,17 @@ identity, the rule ``EmpiricalCovariance``'s memo keys on. All operations
 accept parameter arrays of shape (..., d), broadcasting over leading axes so
 that whole ensembles can be evaluated in one call.
 
-A finite-sum problem gives ``EmpiricalCovariance`` its centred per-datum
-gradients through ``Problem.centred_gradients``; ``per_datum_gradients`` is
-the reference definition they are checked against.
+A finite-sum problem gives ``EmpiricalCovariance`` its noise covariance
+Sigma(theta), the covariance of the per-datum gradients, through
+``Problem.gradient_covariance``; ``per_datum_gradients`` is the reference
+definition it is checked against. Least squares evaluates Sigma as a
+quadratic form in theta - theta_LS with coefficients fixed at construction,
+so a state costs the same whatever the number of data points.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,6 +43,22 @@ def _check_theta(theta, dim: int) -> np.ndarray:
     return theta
 
 
+@lru_cache(maxsize=None)
+def _upper_triangle(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row and column indices of a dim x dim upper triangle, row by row, and its fill.
+
+    ``fill`` has dim * dim entries: entry a dim + b is the position of (a, b)
+    or (b, a) in the triangle, so ``upper[..., fill]`` is the full matrix,
+    exactly symmetric.
+    """
+    rows, cols = np.triu_indices(dim)
+    fill = np.empty((dim, dim), dtype=np.intp)
+    fill[rows, cols] = fill[cols, rows] = np.arange(rows.size)
+    for a in (rows, cols, fill):
+        a.flags.writeable = False
+    return rows, cols, fill.ravel()
+
+
 def _frozen(a) -> np.ndarray:
     """A read-only float copy of ``a``, in ``a``'s memory layout."""
     a = np.array(a, dtype=float)
@@ -49,8 +69,8 @@ def _frozen(a) -> np.ndarray:
 class Problem:
     """A differentiable loss with closed-form value and gradient.
 
-    A finite-sum problem f = (1/n) sum_i f_i also defines the two per-datum
-    methods below; any other problem rejects them with a ValueError.
+    A finite-sum problem f = (1/n) sum_i f_i also defines the two methods
+    below; any other problem rejects them with a ValueError.
     """
 
     dim: int
@@ -69,12 +89,12 @@ class Problem:
         """
         raise ValueError(f"{type(self).__name__} is not a finite-sum problem")
 
-    def centred_gradients(self, theta) -> np.ndarray:
-        """C, shape (..., d, n): column i is grad f_i(theta) - grad f(theta).
+    def gradient_covariance(self, theta) -> np.ndarray:
+        """Sigma(theta), shape (..., d, d): the covariance of the per-datum gradients.
 
-        The per-datum gradients minus their mean, up to rounding, in any
-        memory layout; ``EmpiricalCovariance`` builds Sigma = C C' / n from it
-        and only reads it.
+        (1/n) sum_i c_i c_i' with c_i = grad f_i(theta) - grad f(theta), up to
+        rounding; a fresh array, exactly symmetric. ``EmpiricalCovariance``
+        reads its noise covariance from here.
         """
         raise ValueError(f"{type(self).__name__} is not a finite-sum problem")
 
@@ -164,13 +184,24 @@ class LeastSquaresProblem(Problem):
     that (d, n) layout.
 
     Each gradient is affine in theta: grad f_i = x_i x_i' theta - y_i x_i,
-    so grad f = P theta - q with P = X'X / n and q = X'y / n, and the
-    centred gradient grad f_i - grad f = (x_i x_i' - P) theta - (y_i x_i - q).
-    Construction computes P, q and these centred coefficients once and keeps
-    them read-only: ``_coef[j, a n + i]``, shape (d, d n), is entry (a, j)
-    of x_i x_i' - P, and ``_offset[a n + i]`` is entry a of y_i x_i - q.
-    ``centred_gradients`` is then one matmul and one subtraction, and
-    ``full_gradient`` one small matmul. No derived array takes part in
+    so grad f = P theta - q with P = X'X / n and q = X'y / n, one small
+    matmul per state. The centred gradient is affine too. Written about
+    theta_LS, the least-squares solution (``lstsq``'s minimum-norm one if X
+    is rank-deficient), it is c_i = A_i delta + r_i, with delta =
+    theta - theta_LS, A_i = x_i x_i' - P, and r_i the centred gradient at
+    theta_LS. So Sigma = (1/n) sum_i c_i c_i' is a quadratic form in
+    delta~ = [delta, 1]: its upper triangle is vech(delta~ delta~') @ W,
+    where vech lists a matrix's upper triangle row by row. Construction
+    computes W once, shape ((d+1)(d+2)/2, d(d+1)/2), and
+    ``gradient_covariance`` is then one small GEMM per state, whatever n.
+    W holds O(d^4) doubles: 150 at d = 4, about 4.5 million at d = 64.
+
+    The expansion is about theta_LS, not 0. W's last row, the constant
+    term, is then Sigma(theta_LS), the noise at the optimum, which
+    noise-free data make zero up to rounding. Near the optimum every term
+    is as small as Sigma itself, so no large terms cancel; about 0, terms
+    of order |theta_LS|^2 would cancel down to a small Sigma. P, q,
+    theta_LS and W are kept read-only, and no derived array takes part in
     equality or repr.
     """
 
@@ -179,8 +210,8 @@ class LeastSquaresProblem(Problem):
     _data_t: np.ndarray = field(init=False, repr=False, compare=False)
     _p_bar: np.ndarray = field(init=False, repr=False, compare=False)
     _q_bar: np.ndarray = field(init=False, repr=False, compare=False)
-    _coef: np.ndarray = field(init=False, repr=False, compare=False)
-    _offset: np.ndarray = field(init=False, repr=False, compare=False)
+    _theta_ls: np.ndarray = field(init=False, repr=False, compare=False)
+    _w: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x = _frozen(self.data)
@@ -193,16 +224,30 @@ class LeastSquaresProblem(Problem):
             raise ValueError("finite-sum problem needs at least 2 data points")
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ValueError("data and targets must be finite")
+        n, d = x.shape
         data_t = np.ascontiguousarray(x.T)
-        coef = data_t[:, None, :] * data_t  # (d, d, n): [j, a, i] = x_ij x_ia
+        # b[j, a, i] = entry a of c_i's coefficient on delta~_j:
+        # A_i's column j for j < d, and r_i for j = d
+        b = np.empty((d + 1, d, n))
+        coef = np.multiply(data_t[:, None, :], data_t, out=b[:d])  # [j, a, i] = x_ij x_ia
         p_bar = coef.mean(axis=-1)
         coef -= p_bar[..., None]
-        offset = y * data_t  # (d, n): [a, i] = y_i x_ia
-        q_bar = offset.mean(axis=-1)
-        offset -= q_bar[:, None]
+        q_bar = (y * data_t).mean(axis=-1)
+        theta_ls = np.linalg.lstsq(x, y, rcond=None)[0]
+        np.multiply(x @ theta_ls - y, data_t, out=b[d])
+        b[d] -= b[d].mean(axis=-1, keepdims=True)
+        # g[j, a, k, c] = (1/n) sum_i b[j, a, i] b[k, c, i], so that
+        # Sigma_ac = sum_jk delta~_j delta~_k g[j, a, k, c]
+        flat = b.reshape((d + 1) * d, n)
+        g = (flat @ flat.T / n).reshape(d + 1, d, d + 1, d)
+        rows, cols, _ = _upper_triangle(d + 1)
+        j, k = rows[:, None], cols[:, None]
+        a, c, _ = _upper_triangle(d)
+        # delta~_j delta~_k with j < k stands for both (j, k) and (k, j)
+        w = g[j, a, k, c] + np.where(j < k, g[k, a, j, c], 0.0)
         derived = dict(
             data=x, targets=y, _data_t=data_t, _p_bar=p_bar, _q_bar=q_bar,
-            _coef=coef.reshape(x.shape[1], -1), _offset=offset.ravel(),
+            _theta_ls=theta_ls, _w=w,
         )
         for name, value in derived.items():
             value.flags.writeable = False
@@ -238,12 +283,20 @@ class LeastSquaresProblem(Problem):
         r -= self.targets
         return np.swapaxes(r[..., None, :] * self._data_t, -1, -2)
 
-    def centred_gradients(self, theta) -> np.ndarray:
-        """A fresh C-contiguous (..., d, n): each coordinate's n gradients are contiguous."""
+    def gradient_covariance(self, theta) -> np.ndarray:
+        """Sigma's upper triangle vech(delta~ delta~') @ W, filled out to (..., d, d)."""
         theta = _check_theta(theta, self.dim)
-        c = theta @ self._coef
-        c -= self._offset
-        return c.reshape(theta.shape[:-1] + (self.dim, self.n_points))
+        d = self.dim
+        lead = theta.shape[:-1]
+        delta = np.empty(lead + (d + 1,))
+        np.subtract(theta, self._theta_ls, out=delta[..., :d])
+        delta[..., d] = 1.0
+        rows, cols, _ = _upper_triangle(d + 1)
+        fill = _upper_triangle(d)[2]
+        z = delta[..., rows]
+        z *= delta[..., cols]
+        upper = z.reshape(-1, rows.size) @ self._w
+        return upper[:, fill].reshape(lead + (d, d))
 
 
 class CovarianceSpec:
@@ -282,7 +335,7 @@ class IsotropicCovariance(CovarianceSpec):
     value: float = 1.0
 
     def __post_init__(self):
-        if self.value < 0:
+        if not self.value >= 0:
             raise ValueError("isotropic covariance needs a nonnegative value")
 
     def matrix(self, problem: Problem, theta=None) -> np.ndarray:
@@ -334,12 +387,12 @@ class ConstantCovariance(CovarianceSpec):
 class EmpiricalCovariance(CovarianceSpec):
     """Covariance of the per-datum gradients around the full gradient.
 
-    Sigma(theta) = (1/n) C C', where C, shape (..., d, n), holds the centred
-    per-datum gradients grad f_i - grad f as columns, as the problem's
-    ``centred_gradients`` returns them. ``matrix`` returns Sigma, one
-    batched matmul; ``diagonal`` is a read-only view of Sigma's diagonal.
-    ``sqrt`` is the Cholesky factor of ``matrix``. Only defined for
-    finite-sum problems.
+    Sigma(theta) = (1/n) sum_i c_i c_i', with c_i = grad f_i - grad f the
+    centred per-datum gradients, as the problem's ``gradient_covariance``
+    returns it; least squares evaluates it as a quadratic form about its
+    solution, at a cost free of n. ``matrix`` returns Sigma; ``diagonal`` is
+    a read-only view of Sigma's diagonal. ``sqrt`` is the Cholesky factor of
+    ``matrix``. Only defined for finite-sum problems.
 
     Sigma is kept in a one-entry memo, so that a drift's ``diagonal`` and a
     diffusion's ``matrix`` at the same state share one build. Its key is the
@@ -350,30 +403,24 @@ class EmpiricalCovariance(CovarianceSpec):
     locked; use one instance from one thread at a time. It takes no part in
     equality, hashing or repr.
 
-    The uncentred moment form (1/n) sum_i g_i g_i' - grad f grad f' is
-    cheaper but not used: when the mean gradient dominates the noise it
-    cancels catastrophically, down to a matrix that is not PSD.
+    No ``gradient_covariance`` may use the uncentred moment form
+    (1/n) sum_i g_i g_i' - grad f grad f': when the mean gradient dominates
+    the noise it cancels catastrophically, down to a matrix that is not PSD.
+    Least squares' quadratic form avoids it twice over: its coefficients
+    come from gradients centred before any product, and it is expanded about
+    theta_LS, where the mean gradient is zero.
     """
 
     _memo: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def matrix(self, problem: Problem, theta) -> np.ndarray:
-        """Sigma = C C' / n at theta, from the memo or built.
-
-        C, shape (..., d, n), is ``problem.centred_gradients``; for
-        ``LeastSquaresProblem`` that is one matmul from coefficients fixed at
-        construction. C is contiguous for ``LeastSquaresProblem``; any other
-        layout gives the same Sigma, only slower. C lives only for the
-        build: nothing reads it but the product that forms Sigma.
-        """
+        """Sigma at theta, from the memo or ``problem.gradient_covariance``."""
         theta = np.asarray(theta)
         key = theta.shape, theta.dtype, theta.tobytes()
         if self._memo and self._memo[0] is problem and self._memo[1] == key:
             return self._memo[2]
         self._memo.clear()  # a build that fails leaves no stale Sigma behind
-        c = problem.centred_gradients(theta)
-        sigma = c @ np.swapaxes(c, -1, -2)
-        sigma /= c.shape[-1]
+        sigma = problem.gradient_covariance(theta)
         sigma.flags.writeable = False
         self._memo[:] = (problem, key, sigma)
         return sigma

@@ -52,7 +52,7 @@ def _decays(algo: str) -> dict[str, str]:
 
 
 def _check_kappa(kappa: float) -> float:
-    if kappa <= 0:
+    if not kappa > 0:
         raise ValueError("kappa must be positive")
     return float(kappa)
 
@@ -112,7 +112,7 @@ def scale_sqrt(hp: HyperParams, kappa: float, algo: str) -> HyperParams:
 
 def svag_transform_hparams(hp: HyperParams, ell: float, algo: str) -> HyperParams:
     """Hyperparameters for simulating at amplified noise scale ell: ``scale_sqrt`` at 1/ell^2."""
-    if ell < 1:
+    if not ell >= 1:
         raise ValueError("ell must be >= 1")
     if not _decays(algo):
         raise ValueError(f"noise-amplified simulation applies to rmsprop/adam, not {algo!r}")

@@ -93,7 +93,7 @@ def build_rmsprop_sde(
     d theta = -P^{-1}(grad f dt + sigma0 Sigma^{1/2} dW), P = sigma0 diag(sqrt u) + eps0 I
     d u     = c2 (diag Sigma - u) dt
     """
-    if sigma0 <= 0 or c2 <= 0 or epsilon0 < 0:
+    if not (sigma0 > 0 and c2 > 0 and epsilon0 >= 0):
         raise ValueError("need sigma0 > 0, c2 > 0, epsilon0 >= 0")
     d = problem.dim
 
@@ -140,7 +140,7 @@ def build_adam_sde(
     discrete bias corrections; gamma_1(0) = 0 makes t = 0 singular, so
     evaluation requires t > 0.
     """
-    if sigma0 <= 0 or c1 <= 0 or c2 <= 0 or epsilon0 < 0:
+    if not (sigma0 > 0 and c1 > 0 and c2 > 0 and epsilon0 >= 0):
         raise ValueError("need sigma0, c1, c2 > 0 and epsilon0 >= 0")
     d = problem.dim
 
@@ -182,7 +182,7 @@ def build_sgd_sde(problem: Problem, cov: CovarianceSpec, eta: float) -> SdeSyste
 
     d theta = -(grad f dt + sqrt(eta) Sigma^{1/2} dW)
     """
-    if eta <= 0:
+    if not eta > 0:
         raise ValueError("eta must be positive")
     d = problem.dim
     amp = -math.sqrt(eta)
@@ -240,9 +240,9 @@ def euler_maruyama(
     the diffusion's increment, made column-major, into the driven block's
     columns; x0, the noise and whatever a system returns are only read.
     """
-    if t0 < 0:
+    if not t0 >= 0:
         raise ValueError("time must be nonnegative")
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
     recorder = _Recorder(fns, checkpoints, n_steps)
     x = np.asfortranarray(x0, dtype=float)

@@ -293,33 +293,33 @@ GOLDEN = {
     },
     'order/rmsprop/empirical': {
         'theta_0': {
-            'slope': '-0x1.10e1ed08aff3ep-1',
-            'slope_se': '0x1.0ceb1c8f10618p+0',
+            'slope': '-0x1.10e1ed08afe4bp-1',
+            'slope_se': '0x1.0ceb1c8f1061bp+0',
             'status': 'inconclusive',
             'max_gap': [
-                '0x1.46fdd9ce533e0p-8',
+                '0x1.46fdd9ce53420p-8',
                 '0x1.acd2db66f4740p-9',
-                '0x1.ded80b75fce30p-8',
+                '0x1.ded80b75fcdf0p-8',
             ],
             'se_at_max': [
-                '0x1.2f78164b3ec9ep-7',
-                '0x1.34fd951b49c7dp-8',
-                '0x1.31ffa184993e7p-8',
+                '0x1.2f78164b3ec9fp-7',
+                '0x1.34fd951b49c75p-8',
+                '0x1.31ffa184993e5p-8',
             ],
         },
         'loss': {
-            'slope': '0x1.ce436836ef05cp+0',
-            'slope_se': '0x1.07a107fceeaa9p+0',
+            'slope': '0x1.ce436836ef03dp+0',
+            'slope_se': '0x1.07a107fceead0p+0',
             'status': 'inconclusive',
             'max_gap': [
-                '0x1.0ec8b3cc84820p-6',
-                '0x1.8f97ac3da2400p-8',
-                '0x1.37f927edf3b80p-8',
+                '0x1.0ec8b3cc84840p-6',
+                '0x1.8f97ac3da2440p-8',
+                '0x1.37f927edf3bc0p-8',
             ],
             'se_at_max': [
                 '0x1.e88bba7ee36cfp-8',
-                '0x1.3a3382c87d3bap-8',
-                '0x1.17c61fc671600p-8',
+                '0x1.3a3382c87d3bcp-8',
+                '0x1.17c61fc6715ebp-8',
             ],
         },
     },

@@ -18,6 +18,9 @@ from adasde.problems import (
     LinearProblem,
     QuadraticProblem,
 )
+from adasde.optimizers import HyperParams
+from adasde.scaling import scale_sqrt, svag_transform_hparams
+from adasde.sde import build_adam_sde, build_rmsprop_sde, build_sgd_sde, euler_maruyama
 
 
 def rng(seed=0):
@@ -320,3 +323,37 @@ class TestOracleValidation:
         g = build(p).sample(np.array([[1.0, 1.0], [0.5, -1.0]]), used)
         np.testing.assert_array_equal(g, [[1.0, 2.0], [0.5, -2.0]])
         assert used.bit_generator.state == fresh.bit_generator.state
+
+
+NAN = math.nan
+LINE = LinearProblem([1.0])
+UNIT = IsotropicCovariance(1.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: GaussianOracle(LINE, UNIT, sigma=NAN),
+    lambda: BernoulliNoiseOracle(LINE, sigma=NAN),
+    lambda: IsotropicCovariance(NAN),
+    lambda: HyperParams(eta=0.1, epsilon=NAN),
+    lambda: svag_coefficients(NAN),
+    lambda: svag_transform_hparams(HyperParams(eta=0.1), NAN, "rmsprop"),
+    lambda: scale_sqrt(HyperParams(eta=0.1), NAN, "rmsprop"),
+    lambda: build_rmsprop_sde(LINE, UNIT, sigma0=NAN, epsilon0=0.1, c2=1.0),
+    lambda: build_rmsprop_sde(LINE, UNIT, sigma0=1.0, epsilon0=NAN, c2=1.0),
+    lambda: build_rmsprop_sde(LINE, UNIT, sigma0=1.0, epsilon0=0.1, c2=NAN),
+    lambda: build_adam_sde(LINE, UNIT, sigma0=NAN, epsilon0=0.1, c1=1.0, c2=1.0),
+    lambda: build_adam_sde(LINE, UNIT, sigma0=1.0, epsilon0=NAN, c1=1.0, c2=1.0),
+    lambda: build_adam_sde(LINE, UNIT, sigma0=1.0, epsilon0=0.1, c1=NAN, c2=1.0),
+    lambda: build_adam_sde(LINE, UNIT, sigma0=1.0, epsilon0=0.1, c1=1.0, c2=NAN),
+    lambda: build_sgd_sde(LINE, UNIT, eta=NAN),
+    lambda: euler_maruyama(build_sgd_sde(LINE, UNIT, eta=0.1), np.zeros((2, 1)), NAN, 0.1, 1, None, [1], []),
+    lambda: euler_maruyama(build_sgd_sde(LINE, UNIT, eta=0.1), np.zeros((2, 1)), 0.0, NAN, 1, None, [1], []),
+], ids=[
+    "gaussian_sigma", "bernoulli_sigma", "isotropic_value", "epsilon", "svag_ell", "svag_hparams_ell",
+    "kappa", "rmsprop_sigma0", "rmsprop_epsilon0", "rmsprop_c2", "adam_sigma0", "adam_epsilon0",
+    "adam_c1", "adam_c2", "sgd_eta", "em_t0", "em_dt",
+])
+def test_nan_fails_every_scale_and_step_check(build):
+    # each check reads `not lo <= x`, which NaN fails; `x < lo` would let it through
+    with pytest.raises(ValueError):
+        build()

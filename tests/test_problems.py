@@ -29,24 +29,30 @@ def central_diff_gradient(problem, theta, h=1e-5):
     return grad
 
 
-def random_least_squares(seed, n=12, d=3, cls=LeastSquaresProblem):
+def random_least_squares(seed, n=12, d=3):
     rng = np.random.default_rng(seed)
-    return cls(rng.standard_normal((n, d)), rng.standard_normal(n))
+    return LeastSquaresProblem(rng.standard_normal((n, d)), rng.standard_normal(n))
 
 
-class RowMajorLeastSquares(LeastSquaresProblem):
-    """Least squares whose centred gradients are a (..., d, n) view of C-contiguous (..., n, d) memory."""
+def centred_gram(problem, theta):
+    """The reference Sigma: C C' / n from the per-datum gradients minus their mean."""
+    rows = problem.per_datum_gradients(theta)
+    centred = rows - rows.mean(axis=-2, keepdims=True)
+    return np.einsum("...ni,...nj->...ij", centred, centred) / problem.n_points
 
-    def centred_gradients(self, theta):
-        c = super().centred_gradients(theta)
-        return np.swapaxes(np.ascontiguousarray(np.swapaxes(c, -1, -2)), -1, -2)
 
-
-# The (d, n) layout LeastSquaresProblem builds C in and the (n, d) layout any
-# other finite-sum problem may return; the covariance must not depend on it.
-LAYOUTS = pytest.mark.parametrize(
-    "cls", [LeastSquaresProblem, RowMajorLeastSquares], ids=["dn", "nd"]
-)
+def least_squares_case(kind, seed, n=16, d=4):
+    """(problem, theta_LS, scale of theta's distance from it) for one kind of data."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    if kind == "near_duplicate":
+        x = rng.standard_normal(d) + 1e-4 * x
+    elif kind == "scaled_columns":
+        x *= np.logspace(-3, 3, d)
+    elif kind == "rank_deficient":
+        x = rng.standard_normal((n, 2)) @ rng.standard_normal((2, d))
+    y = rng.standard_normal(n)
+    return LeastSquaresProblem(x, y), np.linalg.lstsq(x, y, rcond=None)[0], 1e3 if kind == "far" else 1.0
 
 
 class TestLoss:
@@ -188,56 +194,74 @@ class TestPerDatumGradients:
         assert not np.shares_memory(second, first)
 
 
-class TestCentredGradients:
-    """C from the centred coefficients fixed at construction, against the per-datum definition."""
+class TestGradientCovariance:
+    """Least squares' Sigma as a quadratic form about theta_LS, against C C' / n from the per-datum gradients."""
 
     @pytest.mark.parametrize("lead", [(), (7,), (3, 5), "state_slice"],
                              ids=["single", "batched", "grid", "state_slice"])
-    def test_per_datum_rows_minus_their_mean(self, lead):
-        p = random_least_squares(seed=27, n=16, d=4)
+    @pytest.mark.parametrize("kind", ["noisy", "near_duplicate", "scaled_columns", "far", "rank_deficient"])
+    def test_matches_the_centred_gram(self, kind, lead):
+        p, theta_ls, scale = least_squares_case(kind, seed=27)
         rng = np.random.default_rng(28)
         if lead == "state_slice":
             # the theta block of a column-major (S, D) state, as euler_maruyama passes it
-            theta = np.asfortranarray(rng.standard_normal((6, 8)))[:, :4] * 2
+            state = np.tile(theta_ls, 2) + scale * rng.standard_normal((6, 2 * p.dim))
+            theta = np.asfortranarray(state)[:, :p.dim]
         else:
-            theta = rng.standard_normal(lead + (p.dim,)) * 2
-        rows = p.per_datum_gradients(theta)
-        want = np.swapaxes(rows - rows.mean(axis=-2, keepdims=True), -1, -2)
-        got = p.centred_gradients(theta)
-        assert got.shape == theta.shape[:-1] + (p.dim, p.n_points)
-        assert got.flags.c_contiguous and got.flags.writeable
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14 * np.abs(rows).max())
+            theta = theta_ls + scale * rng.standard_normal(lead + (p.dim,))
+        want = centred_gram(p, theta)
+        got = p.gradient_covariance(theta)
+        assert got.shape == theta.shape[:-1] + (p.dim, p.dim)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
-    def test_fresh_on_every_call(self):
-        p = random_least_squares(seed=29)
-        theta = np.random.default_rng(30).standard_normal((5, p.dim))
-        first = p.centred_gradients(theta)
-        assert not np.shares_memory(p.centred_gradients(theta), first)
-
-    def test_noise_free_data_at_the_solution(self):
-        # the centred gradients vanish at theta* up to rounding, and their Sigma still factors
+    def test_noise_free_data_near_the_solution(self):
+        # Sigma is O(1e-12) at theta* + 1e-6; the terms about theta_LS are that small too
         rng = np.random.default_rng(31)
+        x, theta_star = rng.standard_normal((16, 4)), rng.standard_normal(4)
+        p = LeastSquaresProblem(x, x @ theta_star)
+        theta = theta_star + 1e-6 * rng.standard_normal((50, 4))
+        wide = np.longdouble
+        residual = theta.astype(wide) @ x.T.astype(wide) - p.targets.astype(wide)
+        rows = residual[..., :, None] * x.astype(wide)
+        rows -= rows.mean(axis=-2, keepdims=True)
+        want = np.einsum("...ni,...nj->...ij", rows, rows) / p.n_points
+        got = p.gradient_covariance(theta)
+        err = np.abs(got - want).max(axis=(-2, -1)) / np.abs(want).max(axis=(-2, -1))
+        assert err.max() <= 1e-8
+
+    def test_noise_free_data_at_the_solution_still_factors(self):
+        rng = np.random.default_rng(33)
         x, theta_star = rng.standard_normal((12, 3)), rng.standard_normal(3)
         p = LeastSquaresProblem(x, x @ theta_star)
-        c = p.centred_gradients(theta_star)
-        assert np.abs(c).max() <= 64 * np.finfo(float).eps * np.abs(x).max() ** 2 * np.abs(theta_star).sum()
         sigma = EmpiricalCovariance().matrix(p, theta_star)
         factor = psd_cholesky(sigma)
         np.testing.assert_allclose(factor @ factor.T, sigma, rtol=0, atol=1e-14 * np.abs(sigma).max())
 
+    @pytest.mark.parametrize("lead", [(), (5,)], ids=["single", "batched"])
+    def test_exactly_symmetric_and_fresh(self, lead):
+        p = random_least_squares(seed=29, n=16, d=4)
+        theta = np.random.default_rng(30).standard_normal(lead + (p.dim,))
+        first = p.gradient_covariance(theta)
+        second = p.gradient_covariance(theta)
+        np.testing.assert_array_equal(first, np.swapaxes(first, -1, -2))
+        np.testing.assert_array_equal(second, first)
+        assert second.flags.writeable and not np.shares_memory(second, first)
+
     def test_only_finite_sum_problems(self):
         with pytest.raises(ValueError, match="finite-sum"):
-            QuadraticProblem(np.eye(2)).centred_gradients([0.0, 0.0])
+            QuadraticProblem(np.eye(2)).gradient_covariance([0.0, 0.0])
         with pytest.raises(ValueError, match="finite-sum"):
             EmpiricalCovariance().matrix(QuadraticProblem(np.eye(2)), np.zeros(2))
 
     def test_derived_arrays_are_read_only_and_not_compared(self):
-        p = random_least_squares(seed=33)
+        p, theta_ls, _ = least_squares_case("noisy", seed=35, n=9, d=3)
         derived = [f.name for f in fields(p) if not f.init]
-        assert derived == ["_data_t", "_p_bar", "_q_bar", "_coef", "_offset"]
+        assert derived == ["_data_t", "_p_bar", "_q_bar", "_theta_ls", "_w"]
         for name in derived:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(p, name).flat[0] = 0.0
+        np.testing.assert_allclose(p._theta_ls, theta_ls, rtol=1e-12)
+        assert p._w.shape == (10, 6)  # ((d+1)(d+2)/2, d(d+1)/2) at d = 3
         assert [f.name for f in fields(p) if f.compare] == ["data", "targets"]
         assert [f.name for f in fields(p) if f.repr] == ["data", "targets"]
         assert all(f.hash is None for f in fields(p))  # hashing follows compare
@@ -372,10 +396,9 @@ class TestApplySqrt:
 class TestCovarianceDiagonal:
     CONST = np.array([[1.0, 0.4, 0.0], [0.4, 0.8, 0.2], [0.0, 0.2, 0.5]])
 
-    @LAYOUTS
     @pytest.mark.parametrize("lead", [(5,), ()], ids=["batched", "single"])
-    def test_empirical_matrix_matches_centred_einsum(self, lead, cls):
-        p = random_least_squares(seed=17, n=20, cls=cls)
+    def test_empirical_matrix_matches_centred_einsum(self, lead):
+        p = random_least_squares(seed=17, n=20)
         theta = np.random.default_rng(18).standard_normal(lead + (p.dim,)) * 2
         # row-mean centring and an einsum diagonal, as C and diag Sigma were once built
         grads = p.per_datum_gradients(theta)
@@ -385,11 +408,10 @@ class TestCovarianceDiagonal:
         np.testing.assert_allclose(EmpiricalCovariance().matrix(p, theta), want, rtol=1e-12)
         np.testing.assert_allclose(EmpiricalCovariance().diagonal(p, theta), want_diagonal, rtol=1e-12)
 
-    @LAYOUTS
     @pytest.mark.parametrize("lead", [(5,), ()], ids=["batched", "single"])
     @pytest.mark.parametrize("cov", [ConstantCovariance(CONST)], ids=["constant"])
-    def test_diagonal_of_matrix_without_building_it(self, cov, lead, cls, monkeypatch):
-        p = random_least_squares(seed=19, cls=cls)
+    def test_diagonal_of_matrix_without_building_it(self, cov, lead, monkeypatch):
+        p = random_least_squares(seed=19)
         theta = np.random.default_rng(20).standard_normal(lead + (p.dim,))
         want = np.diagonal(cov.matrix(p, theta), axis1=-2, axis2=-1)
 
@@ -401,10 +423,9 @@ class TestCovarianceDiagonal:
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
-    @LAYOUTS
     @pytest.mark.parametrize("lead", [(5,), ()], ids=["batched", "single"])
-    def test_empirical_diagonal_is_read_off_the_matrix(self, lead, cls):
-        p = random_least_squares(seed=19, cls=cls)
+    def test_empirical_diagonal_is_read_off_the_matrix(self, lead):
+        p = random_least_squares(seed=19)
         theta = np.random.default_rng(20).standard_normal(lead + (p.dim,))
         got = EmpiricalCovariance().diagonal(p, theta)
         want = np.diagonal(EmpiricalCovariance().matrix(p, theta), axis1=-2, axis2=-1)
@@ -414,7 +435,7 @@ class TestCovarianceDiagonal:
     @pytest.mark.parametrize("algo", ["rmsprop", "adam"])
     def test_a_drift_and_a_diffusion_build_each_quantity_once(self, algo, monkeypatch):
         # both SDEs need diag Sigma in the drift and a factor of Sigma in the
-        # diffusion; at one state that is one full gradient (the drift's), one C and one Sigma
+        # diffusion; at one state that is one full gradient (the drift's) and one Sigma
         p = random_least_squares(seed=23)
         cov = EmpiricalCovariance()
         if algo == "adam":
@@ -426,7 +447,7 @@ class TestCovarianceDiagonal:
         x[:, system.blocks["theta"]] = rng.standard_normal((5, p.dim))
         gradients, builds, sigmas = [], [], []
         full = LeastSquaresProblem.full_gradient
-        centred = LeastSquaresProblem.centred_gradients
+        covariance = LeastSquaresProblem.gradient_covariance
         matrix = EmpiricalCovariance.matrix
 
         def kept(calls, fn):
@@ -436,7 +457,7 @@ class TestCovarianceDiagonal:
             return call
 
         monkeypatch.setattr(LeastSquaresProblem, "full_gradient", kept(gradients, full))
-        monkeypatch.setattr(LeastSquaresProblem, "centred_gradients", kept(builds, centred))
+        monkeypatch.setattr(LeastSquaresProblem, "gradient_covariance", kept(builds, covariance))
         monkeypatch.setattr(EmpiricalCovariance, "matrix", kept(sigmas, matrix))
         system.drift(x, t)
         system.apply_diffusion(x, t, rng.standard_normal((5, p.dim)))
@@ -537,7 +558,7 @@ class TestCallerArrays:
         x[0, 0] += 1.0
         y[3] -= 1.0
         theta = rng.standard_normal(2)
-        for method in ("loss", "full_gradient", "per_datum_gradients", "centred_gradients"):
+        for method in ("loss", "full_gradient", "per_datum_gradients", "gradient_covariance"):
             np.testing.assert_array_equal(getattr(p, method)(theta), getattr(unedited, method)(theta))
         np.testing.assert_allclose(p.per_datum_gradients(theta).mean(axis=0), p.full_gradient(theta), atol=1e-12)
         assert not (p.data.flags.writeable or p.targets.flags.writeable)

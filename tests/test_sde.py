@@ -497,13 +497,13 @@ class TestLoopContract:
     def test_one_covariance_build_per_step(self, algo, monkeypatch):
         # the drift's diagonal builds Sigma; the diffusion's matrix at the same state reuses it
         calls = []
-        centred = LeastSquaresProblem.centred_gradients
+        covariance = LeastSquaresProblem.gradient_covariance
 
         def counted(self, theta):
             calls.append(1)
-            return centred(self, theta)
+            return covariance(self, theta)
 
-        monkeypatch.setattr(LeastSquaresProblem, "centred_gradients", counted)
+        monkeypatch.setattr(LeastSquaresProblem, "gradient_covariance", counted)
         system, t0 = empirical_system(algo)
         run_loop(system, empirical_start(system), t0, n_steps=9)
         assert len(calls) == 9

@@ -7,22 +7,31 @@ checkpoint, and the decay of the worst gap is fitted against the step size
 
 Statistical conventions:
 
-* Every estimate is a mean over independent trajectories ("seeds") with
-  SE = sample std / sqrt(seeds); pass/fail thresholds are stated in SE
-  units so the suite stays sample-size aware.
+* Every estimate is a mean over trajectories ("seeds"). The Brownian path
+  is antithetic: seed i + S/2 rides the negation of seed i's path, so the
+  S/2 pair means (of seeds i and i + S/2) are the i.i.d. samples, and SE =
+  sample std of the pair means / sqrt(S/2). Noise that is odd in the path
+  cancels within a pair, which shrinks the SE of the theta gaps; a loss is
+  even in the path, and its SE can grow (Glasserman, *Monte Carlo Methods
+  in Financial Engineering*, 2004, section 4.2). A run that draws its own
+  noise (an uncoupled one) draws it plain; its pair means are i.i.d. all
+  the same, so one SE serves every record. Pass/fail thresholds are stated
+  in SE units so the suite stays sample-size aware.
 * Discrete/continuous pairs are coupled by default: the Euler-Maruyama
   increments within one discrete step sum to that step's gradient noise,
   so both processes ride the same Brownian path. Coupling leaves each
   marginal distribution untouched (the gap estimate is unbiased) while
-  shrinking its variance by orders of magnitude; the paired SE is then the
-  honest uncertainty of the gap. One mechanism, ``_shared_path``, does all
-  the coupling: it draws the path one fine block at a time, in the order a
-  single whole-path draw would take, and each discrete run rides it in
+  shrinking its variance by orders of magnitude; the paired SE, over the
+  pair means of the per-seed differences, is then the honest uncertainty
+  of the gap. One mechanism, ``_shared_path``, does all the coupling: it
+  draws the path one fine block at a time, each block's first S/2 rows
+  fresh and the rest their negation, and each discrete run rides it in
   lockstep, stepping on the normalized sum of its step's blocks. The path
   is never held whole, and no block outlives the step that reads it.
-* ``validate_scaling`` is not coupled: its base and scaled runs draw from
-  independent ``derive_rng(..., "scaling", rule, tag)`` streams, and its
-  z-scores use the unpaired SE. Coupling that pair is ROADMAP item 19.
+* ``validate_scaling`` is not coupled and not antithetic: its base and
+  scaled runs draw plain noise from independent ``derive_rng(...,
+  "scaling", rule, tag)`` streams, and its z-scores use the unpaired
+  per-seed SE. Coupling that pair is ROADMAP item 19.
 * A gap below 2 SE is reported as inconclusive rather than failed.
 """
 from __future__ import annotations
@@ -86,8 +95,8 @@ class _SequencedGaussianOracle(GaussianOracle):
     """Gaussian oracle that samples on the standard-normal blocks fed to it.
 
     Each ``sample`` reads the (seeds, d) block of the last ``feed`` and
-    ignores its rng. A discrete run riding a shared path is fed one block
-    per step (``_shared_path``). Not part of the public oracle family (it is
+    ignores its rng. A discrete run riding a shared path (``_shared_path``),
+    or Adam's warm-up, is fed one block per step. Not part of the public oracle family (it is
     deliberately stateful).
     """
 
@@ -109,6 +118,15 @@ def _check_count(name: str, value, least: int) -> None:
     """Reject a size that is not an int >= ``least`` (a bool is not): a run would fail on it deep inside."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+
+
+def _check_paired_seeds(seeds: int) -> None:
+    """Reject a seed count that does not split into two or more antithetic pairs."""
+    if seeds % 2 or seeds < 4:
+        raise ValueError(
+            f"seeds must be even and at least 4, got {seeds}: seeds i and i + seeds/2 are"
+            " paired, and an SE needs two pairs"
+        )
 
 
 def _check_start(name: str, vec: np.ndarray, d: int) -> None:
@@ -170,7 +188,8 @@ class ApproximationSetup:
         if self.u0 is not None and not np.all(self.u0 > 0):
             raise ValueError("u0 must be positive coordinatewise")
         _check_count("em_substeps", self.em_substeps, 1)
-        _check_count("seeds", self.seeds, 2)  # every SE needs two samples
+        _check_count("seeds", self.seeds, 1)  # an int, then two or more pairs of them
+        _check_paired_seeds(self.seeds)
         _check_count("n_checkpoints", self.n_checkpoints, 1)
         if not 0 < self.T < math.inf:
             raise ValueError(f"T must be positive and finite, got {self.T!r}")
@@ -197,19 +216,30 @@ class WeakErrorReport:
         return float(self.paired_se[name][idx])
 
 
+def _pair_se(values: np.ndarray) -> np.ndarray:
+    """SE of the mean of (checkpoints, S) values, over the S/2 pair means of seeds i and i + S/2."""
+    h = values.shape[1] // 2
+    return np.std(values[:, :h] + values[:, h:], axis=1, ddof=1) / (2.0 * math.sqrt(h))
+
+
 def weak_error(discrete: TrajectoryRecord, continuous: TrajectoryRecord) -> WeakErrorReport:
     """Gap per function per checkpoint, the max over checkpoints, and SEs.
 
     The two records must hold the same functions and seed counts and share
     checkpoint times within 1e-9: seed i of one is paired with seed i of the
-    other. The paired SE (std of the per-seed differences) is the relevant
-    one for coupled runs; the unpaired combined SE is reported alongside it.
+    other. Within a record, seeds i and i + S/2 form a pair (antithetic on
+    the shared path), so S must be even and at least 4, and both SEs are
+    taken over the S/2 pair means. Pair means are i.i.d. whether or not a
+    run rode the path, so every caller gets the same SE. The paired SE (of
+    the per-seed differences) is the relevant one for coupled runs; the
+    unpaired combined SE is reported alongside it.
     """
     if discrete.seed_count != continuous.seed_count:
         raise ValueError(
             f"paired records need equal seed counts, got {discrete.seed_count}"
             f" and {continuous.seed_count}"
         )
+    _check_paired_seeds(discrete.seed_count)
     if discrete.times.size != continuous.times.size or np.any(
         np.abs(discrete.times - continuous.times) > 1e-9
     ):
@@ -223,9 +253,9 @@ def weak_error(discrete: TrajectoryRecord, continuous: TrajectoryRecord) -> Weak
     for name in discrete.names:
         g = discrete.mean(name) - continuous.mean(name)
         gaps[name] = g
-        comb[name] = np.sqrt(discrete.se(name) ** 2 + continuous.se(name) ** 2)
-        diff = discrete.values[name] - continuous.values[name]
-        paired[name] = np.std(diff, axis=1, ddof=1) / math.sqrt(diff.shape[1])
+        d, c = discrete.values[name], continuous.values[name]
+        comb[name] = np.hypot(_pair_se(d), _pair_se(c))
+        paired[name] = _pair_se(d - c)
         max_gap[name] = float(np.max(np.abs(g)))
     return WeakErrorReport(
         times=discrete.times.copy(),
@@ -255,27 +285,53 @@ def _checkpoint_steps(k_start: int, n_steps: int, count: int) -> list[int]:
     return [int(k) for k in ks if k > k_start]
 
 
-def _shared_path(rng, blocks: int, shape, riders):
-    """One Brownian path, drawn one standard-normal block of ``shape`` at a time.
+def _path_block(rng, shape) -> tuple[np.ndarray, int]:
+    """One fine block of the antithetic path, and the count h of its drawn rows.
 
-    A generator of the path's ``blocks`` blocks in draw order, for the
-    driver that pulls it (the integrator, or a loop that drains the path). A
-    rider is a discrete run on the path, ``(loop, window, oracle)``: a
-    ``discrete_loop`` sampling from the ``_SequencedGaussianOracle``
-    ``oracle``, one step per ``window`` blocks. Each rider keeps one running
-    sum of its window's blocks. When the window closes, before its last
-    block is yielded, the oracle is fed sum / sqrt(window), a
-    unit-variance block, and the loop runs one step on it. No block outlives
-    the window that reads it, so memory does not grow with the path; an
-    error a rider's step raises reaches the driver as raised.
+    Rows :h (h = seeds / 2) are fresh standard normals, drawn into the block
+    with the bits of a plain draw of their shape, and rows h: are their
+    negation: seed i + h rides the negation of seed i's path.
+    """
+    block = np.empty(shape)
+    h = shape[0] // 2
+    rng.standard_normal(out=block[:h])
+    np.negative(block[:h], out=block[h:])
+    return block, h
+
+
+def _shared_path(rng, blocks: int, shape, riders):
+    """One antithetic Brownian path, drawn one standard-normal block of ``shape`` at a time.
+
+    A generator of the path's ``blocks`` blocks in draw order (``_path_block``),
+    for the driver that pulls it (the integrator, or a loop that drains the
+    path). A rider is a discrete run on the path, ``(loop, window,
+    oracle)``: a ``discrete_loop`` sampling from the
+    ``_SequencedGaussianOracle`` ``oracle``, one step per ``window`` blocks.
+    When the window closes, before its last block is yielded, the oracle is
+    fed the window's sum / sqrt(window), a unit-variance block, and the loop
+    runs one step on it. A window-1 rider is fed the block itself. A longer
+    one keeps a running sum of the drawn rows s alone and is fed [s; -s] /
+    sqrt(window): negation is exact, so these are the bits of the sum of
+    the whole blocks at half the adds. No block outlives the window that
+    reads it, so memory does not grow with the path; an error a rider's
+    step raises reaches the driver as raised.
     """
     sums = [None] * len(riders)
     for j in range(blocks):
-        block = rng.standard_normal(shape)
+        block, h = _path_block(rng, shape)
         for r, (loop, window, oracle) in enumerate(riders):
-            sums[r] = block if j % window == 0 else sums[r] + block
+            if window == 1:
+                oracle.feed(block)
+                next(loop)
+                continue
+            sums[r] = block[:h] if j % window == 0 else sums[r] + block[:h]
             if (j + 1) % window == 0:
-                oracle.feed(sums[r] / math.sqrt(window))
+                fed = np.empty(shape)
+                np.divide(sums[r], math.sqrt(window), out=fed[:h])
+                # rows h: negate the rows above them: all h on an antithetic
+                # block, none on a block drawn whole
+                np.negative(fed[: shape[0] - h], out=fed[h:])
+                oracle.feed(fed)
                 next(loop)
         yield block
 
@@ -307,7 +363,9 @@ def compare_at_eta(
     with a window of em_substeps blocks per step: both advance together as
     the integrator pulls the path, each discrete step on the normalized
     Wiener increment over its interval. Uncoupled, the path has no rider
-    and the discrete run draws its own noise from the same stream afterwards.
+    and the discrete run draws its own plain noise from the same stream
+    afterwards. Adam's warm-up draws are antithetic too, one path block
+    per step, so seeds i and i + S/2 start the comparison as a pair.
     """
     d = setup.problem.dim
     S = setup.seeds
@@ -331,21 +389,22 @@ def compare_at_eta(
     fns = TestFunctionSet.from_names(fn_names, d)
 
     rng = derive_rng(root_seed, "order", algo, f"eta={eta!r}")
-    # rng is read in one fixed order: the warm-up, the Euler-Maruyama path one
-    # substep's block at a time, then (uncoupled only) the discrete draws
-    oracle = GaussianOracle(setup.problem, setup.cov, sigma)
+    # rng is read in one fixed order: the warm-up's blocks, the Euler-Maruyama
+    # path one substep's block at a time (S/2 rows drawn per block, the rest
+    # their negation), then (uncoupled only) the plain discrete draws
+    sequenced = _SequencedGaussianOracle(setup.problem, setup.cov, sigma)
     # SGD never reads v, and its sigma is 1, so unit u0 is as good as any
     u0 = np.ones(d) if algo == "sgd" else setup.u0
     state = OptimizerState.initial(np.broadcast_to(setup.theta0, (S, d)), v0=u0 * sigma**2)
-    for _ in range(k0):  # shared warm-up prefix, momentum path only
-        state = adam_step(state, oracle.sample(state.theta, rng), hp)
+    for block in _shared_path(rng, k0, (S, d), []):  # shared warm-up prefix, momentum path only
+        sequenced.feed(block)
+        state = adam_step(state, sequenced.sample(state.theta, None), hp)
 
     system = _build_system(setup, eta)
     blocks = {"theta": state.theta, "m": state.m, "u": state.v / sigma**2}
     x0 = np.concatenate([blocks[b] for b in system.blocks], axis=1)
     steps, ks = n_steps - k0, [k - k0 for k in ks]
-    if setup.coupled:
-        oracle = _SequencedGaussianOracle(setup.problem, setup.cov, sigma)
+    oracle = sequenced if setup.coupled else GaussianOracle(setup.problem, setup.cov, sigma)
     loop = discrete_loop(oracle, algo, hp, state, steps, fns, ks, rng)
     riders = [(loop, m, oracle)] if setup.coupled else []
     em_rec = euler_maruyama(
@@ -374,8 +433,10 @@ def _fit_gap_decay(x, reports: list[WeakErrorReport], name: str, rng, n_boot: in
     """Decay of the worst gap of ``name`` against x, one report per point.
 
     Returns (gaps, gap SEs, log-log slope, bootstrap slope SE, status). The
-    bootstrap resamples seed pairs within each report; every report must
-    hold the same seed count. Replicates are drawn, gathered and fitted
+    bootstrap resamples within each report the antithetic pairs of
+    ``weak_error``: it draws S/2 indices i and takes seeds i and i + S/2
+    together, each with its discrete and continuous values; every report
+    must hold the same seed count. Replicates are drawn, gathered and fitted
     ``_BOOT_CHUNK`` at a time, which bounds the gathered values at that many
     copies of the records. Status is "degenerate" when every gap vanishes
     (no slope), "inconclusive" when some gap is within 2 SE, else "ok".
@@ -388,21 +449,23 @@ def _fit_gap_decay(x, reports: list[WeakErrorReport], name: str, rng, n_boot: in
     x = np.asarray(x, dtype=float)
     slope = fit_loglog_slope(x, np.maximum(gaps, 1e-300))
     n = reports[0].discrete.seed_count
+    h = n // 2
     boots = np.empty(n_boot)
     for start in range(0, n_boot, _BOOT_CHUNK):
         chunk = min(_BOOT_CHUNK, n_boot - start)
-        # one draw in the order the replicates, then the reports, then the seeds take
-        idx = rng.integers(0, n, size=(chunk, len(reports), n))
+        # one draw in the order the replicates, then the reports, then the pairs take
+        idx = rng.integers(0, h, size=(chunk, len(reports), h))
         boot_gaps = np.empty((len(reports), chunk))
         for r, rep in enumerate(reports):
             # gathered seed-major, (n, chunk, checkpoints): each mean adds
-            # the seeds in draw order, as a chunk-major mean over axis 1
+            # the gathered seeds in order, as a chunk-major mean over axis 1
             # does, but one contiguous chunk x checkpoints row at a time.
             # Not .mean(axis=0): the same bits and speed, but with it one
             # prototype read the svag-scaling bench's peak RSS, which this
             # bootstrap sets, 1.5 MiB higher (heap layout alone can move
             # that figure by 1 MiB).
-            seeds = idx[:, r].T
+            first = idx[:, r].T  # the drawn pairs' first seeds, then their second ones
+            seeds = np.concatenate([first, first + h])
             dmean = np.add.reduce(np.take(rep.discrete.values[name].T, seeds, axis=0), axis=0) / n
             smean = np.add.reduce(np.take(rep.continuous.values[name].T, seeds, axis=0), axis=0) / n
             boot_gaps[r] = np.maximum(np.abs(dmean - smean).max(axis=1), 1e-300)

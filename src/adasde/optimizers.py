@@ -83,12 +83,13 @@ class OptimizerState:
 def rmsprop_step(state: OptimizerState, g: np.ndarray, hp: HyperParams) -> OptimizerState:
     """theta' = theta - eta * g / (sqrt(v) + eps); v' = beta v + (1-beta) g^2."""
     g = np.asarray(g, dtype=float)
-    denom = np.sqrt(state.v) + hp.epsilon
+    denom = np.sqrt(state.v)
+    denom += hp.epsilon
     if np.any(denom == 0.0):
         raise ValueError("sqrt(v) + epsilon vanishes in some coordinate")
-    theta = state.theta - hp.eta * g / denom
-    v = hp.beta * state.v + (1.0 - hp.beta) * g * g
-    return OptimizerState(theta, state.m, v, state.k + 1)
+    return OptimizerState(
+        _descend(state.theta, hp.eta * g, denom), state.m, _decay(state.v, g, hp.beta), state.k + 1
+    )
 
 
 def adam_step(state: OptimizerState, g: np.ndarray, hp: HyperParams) -> OptimizerState:
@@ -105,7 +106,8 @@ def adam_step(state: OptimizerState, g: np.ndarray, hp: HyperParams) -> Optimize
     bc1 = 1.0 - hp.beta1 ** (k + 1)
     if bc1 == 0.0:
         raise ValueError("beta1 = 1 makes the momentum correction undefined")
-    m = hp.beta1 * state.m + (1.0 - hp.beta1) * g
+    m = hp.beta1 * state.m
+    m += (1.0 - hp.beta1) * g
     if k == 0:
         v_hat = state.v
     else:
@@ -113,12 +115,28 @@ def adam_step(state: OptimizerState, g: np.ndarray, hp: HyperParams) -> Optimize
         if bc2 == 0.0:
             raise ValueError("beta2 = 1 makes the second-moment correction undefined")
         v_hat = state.v / bc2
-    denom = np.sqrt(v_hat) + hp.epsilon
+    denom = np.sqrt(v_hat)
+    denom += hp.epsilon
     if np.any(denom == 0.0):
         raise ValueError("sqrt(v_hat) + epsilon vanishes in some coordinate")
-    theta = state.theta - hp.eta * (m / bc1) / denom
-    v = hp.beta2 * state.v + (1.0 - hp.beta2) * g * g
-    return OptimizerState(theta, m, v, k + 1)
+    step = m / bc1
+    step *= hp.eta
+    return OptimizerState(_descend(state.theta, step, denom), m, _decay(state.v, g, hp.beta2), k + 1)
+
+
+def _descend(theta: np.ndarray, step: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """theta - step / denom, computed in ``step``, a fresh temporary of the caller's."""
+    step /= denom
+    return np.subtract(theta, step, out=step)
+
+
+def _decay(v: np.ndarray, g: np.ndarray, beta: float) -> np.ndarray:
+    """beta v + (1 - beta) g g, in that evaluation order, in fresh arrays; v is only read."""
+    w = (1.0 - beta) * g
+    w *= g
+    out = beta * v
+    out += w
+    return out
 
 
 def sgd_step(state: OptimizerState, g: np.ndarray, hp: HyperParams) -> OptimizerState:

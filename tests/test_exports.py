@@ -102,8 +102,9 @@ def test_no_algorithm_lists_outside_their_owners():
 
 
 def test_harness_draws_normals_only_on_the_shared_path():
-    # every coupled run rides harness._shared_path; a second call site of
-    # standard_normal there would be a second path mechanism
+    # every coupled run rides harness._shared_path, which draws each block
+    # through _path_block; a second call site of standard_normal there would
+    # be a second path mechanism
     tree = ast.parse(pathlib.Path(importlib.import_module("adasde.harness").__file__).read_text())
     sites = [
         f"{getattr(top, 'name', '<module>')}:{node.lineno}"
@@ -112,7 +113,7 @@ def test_harness_draws_normals_only_on_the_shared_path():
         if isinstance(node, ast.Call)
         and getattr(node.func, "attr", getattr(node.func, "id", None)) == "standard_normal"
     ]
-    assert len(sites) == 1 and sites[0].startswith("_shared_path:"), sites
+    assert len(sites) == 1 and sites[0].startswith("_path_block:"), sites
 
 
 # __all__ names that neither harness nor the bench reaches, each with the reason

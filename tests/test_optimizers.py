@@ -80,11 +80,11 @@ class TestStepContract:
     HP = HyperParams(eta=0.1, beta=0.9, beta1=0.8, beta2=0.95, epsilon=0.01)
 
     @staticmethod
-    def start():
+    def start(k=2):
         rng = np.random.default_rng(8)
         s = OptimizerState(
             rng.standard_normal((3, 2)), m=rng.standard_normal((3, 2)),
-            v=rng.uniform(0.5, 2.0, (3, 2)), k=2,
+            v=rng.uniform(0.5, 2.0, (3, 2)), k=k,
         )
         return s, rng.standard_normal((3, 2))
 
@@ -93,9 +93,11 @@ class TestStepContract:
         s, g = self.start()
         assert step(s, g, self.HP).m is s.m
 
+    # at k = 0 Adam's v_hat is v itself
+    @pytest.mark.parametrize("k", [0, 2])
     @pytest.mark.parametrize("algo", ALGORITHMS)
-    def test_no_step_writes_into_its_input(self, algo):
-        s, g = self.start()
+    def test_no_step_writes_into_its_input(self, algo, k):
+        s, g = self.start(k)
         before = {name: getattr(s, name).copy() for name in ("theta", "m", "v")}
         g_before = g.copy()
         out = step_function(algo)(s, g, self.HP)
@@ -103,6 +105,22 @@ class TestStepContract:
         for name, values in before.items():
             np.testing.assert_array_equal(getattr(s, name), values, err_msg=name)
         np.testing.assert_array_equal(g, g_before)
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_bits_match_the_written_formulas(self, k):
+        # the steps build their temporaries in place, in the order these
+        # expressions evaluate, so the results are the same to the bit
+        s, g, hp = *self.start(k), self.HP
+        rms = rmsprop_step(s, g, hp)
+        np.testing.assert_array_equal(rms.theta, s.theta - hp.eta * g / (np.sqrt(s.v) + hp.epsilon))
+        np.testing.assert_array_equal(rms.v, hp.beta * s.v + (1.0 - hp.beta) * g * g)
+        adam = adam_step(s, g, hp)
+        m = hp.beta1 * s.m + (1.0 - hp.beta1) * g
+        v_hat = s.v if k == 0 else s.v / (1.0 - hp.beta2**k)
+        denom = np.sqrt(v_hat) + hp.epsilon
+        np.testing.assert_array_equal(adam.m, m)
+        np.testing.assert_array_equal(adam.theta, s.theta - hp.eta * (m / (1.0 - hp.beta1 ** (k + 1))) / denom)
+        np.testing.assert_array_equal(adam.v, hp.beta2 * s.v + (1.0 - hp.beta2) * g * g)
 
 
 class TestRmspropStep:

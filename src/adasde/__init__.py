@@ -24,7 +24,6 @@ from .optimizers import (
     sgd_step,
 )
 from .linalg import psd_sqrt
-from .scaling import svag_transform_hparams
 from .recording import NonFiniteError, TestFunctionSet, TrajectoryRecord
 from .sde import (
     SdeSystem,

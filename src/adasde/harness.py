@@ -15,8 +15,10 @@ Statistical conventions:
   even in the path, and its SE can grow (Glasserman, *Monte Carlo Methods
   in Financial Engineering*, 2004, section 4.2). A run that draws its own
   noise (an uncoupled one) draws it plain; its pair means are i.i.d. all
-  the same, so one SE serves every record. Pass/fail thresholds are stated
-  in SE units so the suite stays sample-size aware.
+  the same, so one SE serves every record. The bootstrap of a decay fit
+  resamples the same samples: the pair means of the per-seed gaps, which
+  the paired SE reads. Pass/fail thresholds are stated in SE units so the
+  suite stays sample-size aware.
 * Discrete/continuous pairs are coupled by default: the Euler-Maruyama
   increments within one discrete step sum to that step's gradient noise,
   so both processes ride the same Brownian path. Coupling leaves each
@@ -54,7 +56,7 @@ from .optimizers import (
 )
 from .problems import CovarianceSpec, IsotropicCovariance, LinearProblem, Problem
 from .recording import TestFunctionSet, TrajectoryRecord
-from .scaling import DECAYS, ScalingPlan, hyperparams_from_constants, svag_transform_hparams
+from .scaling import DECAYS, ScalingPlan, hyperparams_from_constants, scale_sqrt
 from .sde import build_adam_sde, build_rmsprop_sde, build_sgd_sde, euler_maruyama
 from .stats import fit_loglog_slope
 
@@ -216,10 +218,18 @@ class WeakErrorReport:
         return float(self.paired_se[name][idx])
 
 
-def _pair_se(values: np.ndarray) -> np.ndarray:
-    """SE of the mean of (checkpoints, S) values, over the S/2 pair means of seeds i and i + S/2."""
+def _pair_means(values: np.ndarray) -> np.ndarray:
+    """The (checkpoints, S/2) means of seeds i and i + S/2 of (checkpoints, S) values.
+
+    These pair means are the i.i.d. samples that the SEs and the bootstrap read.
+    """
     h = values.shape[1] // 2
-    return np.std(values[:, :h] + values[:, h:], axis=1, ddof=1) / (2.0 * math.sqrt(h))
+    return (values[:, :h] + values[:, h:]) / 2.0
+
+
+def _pair_se(values: np.ndarray) -> np.ndarray:
+    """SE of the mean of (checkpoints, S) values, over their pair means."""
+    return np.std(_pair_means(values), axis=1, ddof=1) / math.sqrt(values.shape[1] // 2)
 
 
 def weak_error(discrete: TrajectoryRecord, continuous: TrajectoryRecord) -> WeakErrorReport:
@@ -433,13 +443,13 @@ def _fit_gap_decay(x, reports: list[WeakErrorReport], name: str, rng, n_boot: in
     """Decay of the worst gap of ``name`` against x, one report per point.
 
     Returns (gaps, gap SEs, log-log slope, bootstrap slope SE, status). The
-    bootstrap resamples within each report the antithetic pairs of
-    ``weak_error``: it draws S/2 indices i and takes seeds i and i + S/2
-    together, each with its discrete and continuous values; every report
-    must hold the same seed count. Replicates are drawn, gathered and fitted
-    ``_BOOT_CHUNK`` at a time, which bounds the gathered values at that many
-    copies of the records. Status is "degenerate" when every gap vanishes
-    (no slope), "inconclusive" when some gap is within 2 SE, else "ok".
+    bootstrap resamples within each report the pair means of the per-seed
+    gaps, the i.i.d. samples the paired SE of ``weak_error`` reads: it
+    draws S/2 pair indices and averages their pair means; every report must
+    hold the same seed count. Replicates are drawn and fitted
+    ``_BOOT_CHUNK`` at a time. Status is "degenerate" when every gap
+    vanishes (no slope), "inconclusive" when some gap is within 2 SE, else
+    "ok".
     """
     gaps = np.array([rep.max_gap[name] for rep in reports])
     ses = np.array([rep.se_at_max(name) for rep in reports])
@@ -448,27 +458,18 @@ def _fit_gap_decay(x, reports: list[WeakErrorReport], name: str, rng, n_boot: in
     status = "inconclusive" if np.any(gaps < 2.0 * ses) else "ok"
     x = np.asarray(x, dtype=float)
     slope = fit_loglog_slope(x, np.maximum(gaps, 1e-300))
-    n = reports[0].discrete.seed_count
-    h = n // 2
+    # each report's pair means of the per-seed gaps, pair-major (S/2, checkpoints)
+    pairs = [_pair_means(rep.discrete.values[name] - rep.continuous.values[name]).T for rep in reports]
+    h = len(pairs[0])
     boots = np.empty(n_boot)
     for start in range(0, n_boot, _BOOT_CHUNK):
         chunk = min(_BOOT_CHUNK, n_boot - start)
         # one draw in the order the replicates, then the reports, then the pairs take
         idx = rng.integers(0, h, size=(chunk, len(reports), h))
         boot_gaps = np.empty((len(reports), chunk))
-        for r, rep in enumerate(reports):
-            # gathered seed-major, (n, chunk, checkpoints): each mean adds
-            # the gathered seeds in order, as a chunk-major mean over axis 1
-            # does, but one contiguous chunk x checkpoints row at a time.
-            # Not .mean(axis=0): the same bits and speed, but with it one
-            # prototype read the svag-scaling bench's peak RSS, which this
-            # bootstrap sets, 1.5 MiB higher (heap layout alone can move
-            # that figure by 1 MiB).
-            first = idx[:, r].T  # the drawn pairs' first seeds, then their second ones
-            seeds = np.concatenate([first, first + h])
-            dmean = np.add.reduce(np.take(rep.discrete.values[name].T, seeds, axis=0), axis=0) / n
-            smean = np.add.reduce(np.take(rep.continuous.values[name].T, seeds, axis=0), axis=0) / n
-            boot_gaps[r] = np.maximum(np.abs(dmean - smean).max(axis=1), 1e-300)
+        for r, p in enumerate(pairs):
+            means = np.take(p, idx[:, r].T, axis=0).mean(axis=0)
+            boot_gaps[r] = np.maximum(np.abs(means).max(axis=1), 1e-300)
         boots[start : start + chunk] = fit_loglog_slope(x, boot_gaps)
     return gaps, ses, slope, float(np.std(boots, ddof=1)), status
 
@@ -487,6 +488,7 @@ def order_sweep(
     never clears 2 SE are flagged inconclusive, not failed; identically zero
     gaps leave the slope undefined.
     """
+    fn_names = list(fn_names)
     etas = sorted((float(e) for e in etas), reverse=True)
     if len(etas) < 3:
         raise ValueError("need at least 3 eta values")
@@ -496,7 +498,7 @@ def order_sweep(
     if min(ratios) < math.sqrt(2.0) * 0.98:  # 2% slack admits the standard 0.2/0.14/0.1/... ladder
         raise ValueError("eta values must shrink by roughly sqrt(2) or more per step")
 
-    reports = [compare_at_eta(setup, eta, list(fn_names), root_seed) for eta in etas]
+    reports = [compare_at_eta(setup, eta, fn_names, root_seed) for eta in etas]
 
     slopes: dict[str, float | None] = {}
     slope_se: dict[str, float] = {}
@@ -561,6 +563,7 @@ def svag_sweep(
     the runs changes no result. Needs at least 3 distinct ell values, since
     the decay fit has one point per consecutive pair.
     """
+    fn_names = list(fn_names)
     ells = sorted(float(ell) for ell in ells)
     if len(set(ells)) != len(ells):
         raise ValueError(f"ell values must be distinct, got {ells}")
@@ -590,7 +593,7 @@ def svag_sweep(
     def cell(ell: float):
         """Run ell as a discrete loop, and its window on the shared path: a rider."""
         ell_i = int(round(ell))
-        hp_ell = svag_transform_hparams(hp, ell, setup.algo) if ell > 1 else hp
+        hp_ell = scale_sqrt(hp, ell**-2, setup.algo) if ell > 1 else hp
         if setup.coupled:
             oracle: GradientOracle = _SequencedGaussianOracle(setup.problem, setup.cov, ell * sigma)
         else:

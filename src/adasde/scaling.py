@@ -33,7 +33,6 @@ __all__ = [
     "SCALING_RULES",
     "hyperparams_from_constants",
     "scale_sqrt",
-    "svag_transform_hparams",
     "make_plan",
     "sde_constants",
 ]
@@ -108,15 +107,6 @@ def scale_sqrt(hp: HyperParams, kappa: float, algo: str) -> HyperParams:
     root = math.sqrt(kappa)
     moved = {name: _scaled_decay(name, getattr(hp, name), kappa) for name in decays}
     return replace(hp, eta=hp.eta * root, epsilon=hp.epsilon / root, **moved)
-
-
-def svag_transform_hparams(hp: HyperParams, ell: float, algo: str) -> HyperParams:
-    """Hyperparameters for simulating at amplified noise scale ell: ``scale_sqrt`` at 1/ell^2."""
-    if not ell >= 1:
-        raise ValueError("ell must be >= 1")
-    if not _decays(algo):
-        raise ValueError(f"noise-amplified simulation applies to rmsprop/adam, not {algo!r}")
-    return scale_sqrt(hp, ell**-2, algo)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Sweep harness: exact sweep figures, the sequenced oracle and the argument checks."""
 import dataclasses
 import math
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -41,12 +42,13 @@ ROOT_SEED = 7
 # float.hex of every figure the tiny sweeps below report (GOLDEN_RUNS). A
 # change that keeps the RNG streams must reproduce them bit for bit; one that
 # moves a stream must record them again and say why:
-# `PYTHONPATH=src python tests/test_harness.py` prints them in this format.
+# `PYTHONPATH=src python tests/test_harness.py` prints them in this format,
+# and to stderr the largest relative move of each entry's fields from them.
 GOLDEN = {
     'order/rmsprop': {
         'theta_0': {
             'slope': '-0x1.794cd1f66e259p-3',
-            'slope_se': '0x1.258e70599b0e7p+0',
+            'slope_se': '0x1.258e70599b1abp+0',
             'status': 'inconclusive',
             'max_gap': [
                 '0x1.6d7c3144b5600p-9',
@@ -61,7 +63,7 @@ GOLDEN = {
         },
         'loss': {
             'slope': '0x1.61b85261a7923p+0',
-            'slope_se': '0x1.2cad0c7b02f43p+0',
+            'slope_se': '0x1.2cad0c7b02f21p+0',
             'status': 'inconclusive',
             'max_gap': [
                 '0x1.6e1104c075300p-8',
@@ -78,7 +80,7 @@ GOLDEN = {
     'order/adam': {
         'theta_0': {
             'slope': '0x1.c6098926cac75p-1',
-            'slope_se': '0x1.6fc52e8d2defap-1',
+            'slope_se': '0x1.6fc52e8d2dfeep-1',
             'status': 'ok',
             'max_gap': [
                 '0x1.bed3875053d00p-8',
@@ -93,7 +95,7 @@ GOLDEN = {
         },
         'loss': {
             'slope': '-0x1.9f6ca7a4a31d9p-3',
-            'slope_se': '0x1.37c860c14f8e9p+0',
+            'slope_se': '0x1.37c860c14f985p+0',
             'status': 'inconclusive',
             'max_gap': [
                 '0x1.b1065943e9400p-10',
@@ -110,7 +112,7 @@ GOLDEN = {
     'order/sgd': {
         'theta_0': {
             'slope': '0x1.e2779a8012b88p-1',
-            'slope_se': '0x1.74ed88ddf2930p-46',
+            'slope_se': '0x1.000be5feae611p-48',
             'status': 'ok',
             'max_gap': [
                 '0x1.7fb8689c76980p-6',
@@ -125,7 +127,7 @@ GOLDEN = {
         },
         'loss': {
             'slope': '0x1.07745c8f6d987p+0',
-            'slope_se': '0x1.24201433d9b67p-4',
+            'slope_se': '0x1.24201433d9a73p-4',
             'status': 'ok',
             'max_gap': [
                 '0x1.0d5fc8ffe5cf0p-6',
@@ -150,7 +152,7 @@ GOLDEN = {
                 '0x1.776e8224c533ap-11',
             ],
             'decay_slope': '0x1.7bcc617298294p-2',
-            'decay_slope_se': '0x1.5119d5bf750c9p-2',
+            'decay_slope_se': '0x1.5119d5bf75056p-2',
             'status': 'ok',
         },
         'loss': {
@@ -163,7 +165,7 @@ GOLDEN = {
                 '0x1.d22afba025475p-11',
             ],
             'decay_slope': '0x1.525ca877b05ddp-1',
-            'decay_slope_se': '0x1.f2c4de43ae2ddp-2',
+            'decay_slope_se': '0x1.f2c4de43adedfp-2',
             'status': 'inconclusive',
         },
     },
@@ -191,14 +193,14 @@ GOLDEN = {
                 '0x1.7fd68a7342f8ep-4',
             ],
             'decay_slope': '-0x1.9305fe222cf3ap-2',
-            'decay_slope_se': '0x1.2f6f0672f6a79p-1',
+            'decay_slope_se': '0x1.2f6f0672f6a76p-1',
             'status': 'inconclusive',
         },
     },
     'order/rmsprop/coupled=False': {
         'theta_0': {
             'slope': '-0x1.3555e4364055dp-2',
-            'slope_se': '0x1.5c2f02f2439ccp+0',
+            'slope_se': '0x1.5c2f02f2439cap+0',
             'status': 'inconclusive',
             'max_gap': [
                 '0x1.e33dd228e6550p-4',
@@ -230,7 +232,7 @@ GOLDEN = {
     'order/adam/coupled=False': {
         'theta_0': {
             'slope': '-0x1.62d6bbf08a667p+0',
-            'slope_se': '0x1.d3019d15d8199p+0',
+            'slope_se': '0x1.d3019d15d81a9p+0',
             'status': 'inconclusive',
             'max_gap': [
                 '0x1.823f9e55b7020p-6',
@@ -245,7 +247,7 @@ GOLDEN = {
         },
         'loss': {
             'slope': '-0x1.aa227ef3774d1p-4',
-            'slope_se': '0x1.9b48190a3da6fp+0',
+            'slope_se': '0x1.9b48190a3da5bp+0',
             'status': 'inconclusive',
             'max_gap': [
                 '0x1.14201135ccd40p-6',
@@ -262,7 +264,7 @@ GOLDEN = {
     'order/sgd/coupled=False': {
         'theta_0': {
             'slope': '0x1.045ddaa58121ep-1',
-            'slope_se': '0x1.d6d8e359fa83ep-1',
+            'slope_se': '0x1.d6d8e359fa84ep-1',
             'status': 'inconclusive',
             'max_gap': [
                 '0x1.3eab5aaf9e090p-4',
@@ -277,7 +279,7 @@ GOLDEN = {
         },
         'loss': {
             'slope': '0x1.fe41f9a5a46d9p-2',
-            'slope_se': '0x1.adcdca09bdecdp-1',
+            'slope_se': '0x1.adcdca09bdec6p-1',
             'status': 'inconclusive',
             'max_gap': [
                 '0x1.b339ebe57a5f0p-5',
@@ -294,7 +296,7 @@ GOLDEN = {
     'order/rmsprop/empirical': {
         'theta_0': {
             'slope': '0x1.5d41e633f7d4ep-1',
-            'slope_se': '0x1.3fc2694d073e7p+0',
+            'slope_se': '0x1.3fc2694d073e5p+0',
             'status': 'inconclusive',
             'max_gap': [
                 '0x1.bfd9ae909b2e8p-7',
@@ -309,7 +311,7 @@ GOLDEN = {
         },
         'loss': {
             'slope': '-0x1.0401792955e25p-1',
-            'slope_se': '0x1.911c0ac5fb93fp+0',
+            'slope_se': '0x1.911c0ac5fb949p+0',
             'status': 'inconclusive',
             'max_gap': [
                 '0x1.7c10d31e24600p-9',
@@ -363,12 +365,12 @@ ORDER_EXTRA = {
 }
 
 
-def _order_run(algo, coupled=True):
+def _order_run(algo, coupled=True, fn_names=FNS):
     setup = ApproximationSetup(
         PROBLEM, COV, algo, theta0=np.ones(2), T=0.5, seeds=32, em_substeps=4,
         n_checkpoints=3, coupled=coupled, **ORDER_EXTRA[algo],
     )
-    return _order_figures(order_sweep(setup, (0.2, 0.14, 0.1), FNS, ROOT_SEED))
+    return _order_figures(order_sweep(setup, (0.2, 0.14, 0.1), fn_names, ROOT_SEED))
 
 
 def _empirical_order_run():
@@ -380,12 +382,12 @@ def _empirical_order_run():
     return _order_figures(order_sweep(setup, (0.2, 0.14, 0.1), FNS, ROOT_SEED))
 
 
-def _svag_run(coupled):
+def _svag_run(coupled, fn_names=FNS):
     setup = ApproximationSetup(
         PROBLEM, COV, "rmsprop", theta0=np.ones(2), u0=np.ones(2), T=0.4, seeds=64,
         n_checkpoints=3, coupled=coupled,
     )
-    return _svag_figures(svag_sweep(setup, 0.2, (1, 2, 4), FNS, ROOT_SEED))
+    return _svag_figures(svag_sweep(setup, 0.2, (1, 2, 4), fn_names, ROOT_SEED))
 
 
 # each GOLDEN entry's sweep, returning its figures
@@ -411,6 +413,42 @@ def _literal(value, indent=0):
     return brackets[0] + "\n" + "".join(items) + " " * indent + brackets[1]
 
 
+def _move(was, now) -> float:
+    """|now - was| / |was| of two GOLDEN figures: 0 if equal, inf if either is not a number."""
+    if was == now:
+        return 0.0
+    try:
+        a, b = float.fromhex(was), float.fromhex(now)
+    except (TypeError, ValueError):  # a status, or a slope that is None on one side
+        return math.inf
+    return abs(b - a) / abs(a) if a else math.inf
+
+
+def _largest_moves(old, new):
+    """Per field of one GOLDEN entry, old against new: (largest relative move, from, to).
+
+    The move is the largest over the entry's test functions and points;
+    from and to are that figure's values as decimals, or as recorded where
+    they are not numbers.
+    """
+    out = {}
+    for name, fields in old.items():
+        for field, was in fields.items():
+            now = new[name][field]
+            for a, b in zip(was, now) if isinstance(was, list) else [(was, now)]:
+                move = _move(a, b)
+                if field not in out or move > out[field][0]:
+                    out[field] = (move, _decimal(a), _decimal(b))
+    return out
+
+
+def _decimal(figure):
+    try:
+        return f"{float.fromhex(figure):.3g}"
+    except (TypeError, ValueError):
+        return figure
+
+
 class TestGoldenSweeps:
     @pytest.mark.parametrize("algo", list(ORDER_EXTRA))
     def test_order_sweep(self, algo):
@@ -427,6 +465,25 @@ class TestGoldenSweeps:
     @pytest.mark.parametrize("coupled", [True, False])
     def test_svag_sweep(self, coupled):
         assert GOLDEN_RUNS[f"svag/coupled={coupled}"]() == GOLDEN[f"svag/coupled={coupled}"]
+
+    def test_order_sweep_reads_names_from_a_generator(self):
+        # the names are read once per eta and once per fit: a one-shot
+        # iterable ran out after the first cell
+        assert _order_run("rmsprop", fn_names=(n for n in FNS)) == GOLDEN["order/rmsprop"]
+
+    def test_svag_sweep_reads_names_from_a_generator(self):
+        # a one-shot iterable was spent building the test functions, and
+        # the fits then returned no status and no slope at all
+        assert _svag_run(True, fn_names=(n for n in FNS)) == GOLDEN["svag/coupled=True"]
+
+    def test_largest_moves_name_the_figure_that_moved_most(self):
+        # the re-record recipe prints these, so a re-record can say "rounding only"
+        old = {"f": {"se": ["0x1.0p+0", "0x1.0p+1"], "status": "ok"}}
+        new = {"f": {"se": ["0x1.0p+0", "0x1.8p+1"], "status": "inconclusive"}}
+        assert _largest_moves(old, old) == {"se": (0.0, "1", "1"), "status": (0.0, "ok", "ok")}
+        assert _largest_moves(old, new) == {
+            "se": (0.5, "2", "3"), "status": (math.inf, "ok", "inconclusive"),
+        }
 
     def test_printed_figures_are_the_literal_above(self):
         # re-recording GOLDEN pastes the printout over the literal, so a
@@ -794,10 +851,11 @@ class TestNoiseMemory:
         assert long < 1.1 * short
 
 
-def _chunk_major_boot_gaps(x, reports, name, rng, n_boot):
-    """The bootstrap's worst gaps per chunk, gathered chunk-major and reduced over the seed axis.
+def _per_seed_boot_gaps(x, reports, name, rng, n_boot):
+    """The bootstrap's worst gaps per chunk, from the per-seed values of each record.
 
-    Each replicate draws S/2 pair indices i and takes seeds i, then seeds i + S/2.
+    Each replicate draws S/2 pair indices i, takes seeds i and i + S/2 of
+    both records, and subtracts the continuous mean from the discrete one.
     """
     n = reports[0].discrete.seed_count
     h = n // 2
@@ -816,10 +874,10 @@ def _chunk_major_boot_gaps(x, reports, name, rng, n_boot):
 
 
 class TestBootstrapLayout:
-    """The seed-major bootstrap equals a chunk-major one bit for bit, at bench sizes."""
+    """Resampling pair means equals resampling the pairs' seeds, at bench sizes."""
 
     @pytest.mark.parametrize("seeds, n_reports, n_boot", [(200, 4, 200), (2000, 3, 120)])
-    def test_equals_the_chunk_major_reference(self, seeds, n_reports, n_boot, monkeypatch):
+    def test_equals_the_per_seed_reference(self, seeds, n_reports, n_boot, monkeypatch):
         data = np.random.default_rng(31)
         times = np.arange(1.0, 6.0)
         reports = []
@@ -839,12 +897,12 @@ class TestBootstrapLayout:
 
         monkeypatch.setattr(harness, "fit_loglog_slope", recorded)
         *_, slope_se, _ = harness._fit_gap_decay(x, reports, "f", np.random.default_rng(7), n_boot)
-        want = _chunk_major_boot_gaps(x, reports, "f", np.random.default_rng(7), n_boot)
+        want = _per_seed_boot_gaps(x, reports, "f", np.random.default_rng(7), n_boot)
         assert len(fitted) == len(want) == -(-n_boot // harness._BOOT_CHUNK)
         for got, expected in zip(fitted, want):
-            np.testing.assert_array_equal(got, expected)
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
         boots = np.concatenate([fit_loglog_slope(x, y) for y in want])
-        assert slope_se == float(np.std(boots, ddof=1))
+        assert slope_se == pytest.approx(float(np.std(boots, ddof=1)), rel=1e-12, abs=0)
 
 
 # A value away from the default for every constant a setup may read.
@@ -870,6 +928,24 @@ class TestSweepArguments:
             n_checkpoints=3,
         )
         with pytest.raises(ValueError, match="at least 3 ell values"):
+            svag_sweep(setup, 0.2, ells, FNS, ROOT_SEED)
+
+    @pytest.mark.parametrize("algo, ells, match", [
+        ("sgd", (1, 2, 4), "adaptive algorithms"),
+        ("rmsprop", (0.5, 1, 2), "ell = 1 as its base"),
+    ], ids=["sgd", "ell_below_one"])
+    def test_svag_rejects_what_it_cannot_amplify_before_any_run(self, algo, ells, match, monkeypatch):
+        # a cell's hyperparameters are scale_sqrt at kappa = 1/ell^2, which
+        # takes an SGD setup, and an ell below 1 as a plain rescaling
+        def no_run(*args, **kwargs):
+            raise AssertionError("a cell ran before the setup and ell values were checked")
+
+        monkeypatch.setattr(harness, "discrete_loop", no_run)
+        setup = ApproximationSetup(
+            PROBLEM, COV, algo, theta0=np.ones(2), T=0.4, seeds=8, n_checkpoints=3,
+            **ORDER_EXTRA[algo],
+        )
+        with pytest.raises(ValueError, match=match):
             svag_sweep(setup, 0.2, ells, FNS, ROOT_SEED)
 
     @pytest.mark.parametrize("algo", ["rmsprop", "adam"])
@@ -1266,5 +1342,10 @@ def test_types_holding_arrays_compare_and_hash_by_identity(build):
 
 
 if __name__ == "__main__":
-    # print every GOLDEN entry as the code computes it now, to paste over GOLDEN
-    print("GOLDEN = " + _literal({key: GOLDEN_RUNS[key]() for key in GOLDEN}))
+    # print every GOLDEN entry as the code computes it now, to paste over GOLDEN,
+    # and to stderr how far each entry's fields moved from the literal above
+    now = {key: GOLDEN_RUNS[key]() for key in GOLDEN}
+    print("GOLDEN = " + _literal(now))
+    for key in GOLDEN:
+        for field, (move, was, new) in _largest_moves(GOLDEN[key], now[key]).items():
+            print(f"{key} {field}: largest relative move {move:.3g} ({was} -> {new})", file=sys.stderr)

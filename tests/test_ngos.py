@@ -19,7 +19,7 @@ from adasde.problems import (
     QuadraticProblem,
 )
 from adasde.optimizers import HyperParams
-from adasde.scaling import scale_sqrt, svag_transform_hparams
+from adasde.scaling import scale_sqrt
 from adasde.sde import build_adam_sde, build_rmsprop_sde, build_sgd_sde, euler_maruyama
 
 
@@ -336,7 +336,7 @@ UNIT = IsotropicCovariance(1.0)
     lambda: IsotropicCovariance(NAN),
     lambda: HyperParams(eta=0.1, epsilon=NAN),
     lambda: svag_coefficients(NAN),
-    lambda: svag_transform_hparams(HyperParams(eta=0.1), NAN, "rmsprop"),
+    lambda: scale_sqrt(HyperParams(eta=0.1), NAN**-2, "rmsprop"),
     lambda: scale_sqrt(HyperParams(eta=0.1), NAN, "rmsprop"),
     lambda: build_rmsprop_sde(LINE, UNIT, sigma0=NAN, epsilon0=0.1, c2=1.0),
     lambda: build_rmsprop_sde(LINE, UNIT, sigma0=1.0, epsilon0=NAN, c2=1.0),

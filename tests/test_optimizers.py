@@ -20,7 +20,7 @@ from adasde.optimizers import (
 )
 from adasde.problems import ConstantCovariance, IsotropicCovariance, LinearProblem, QuadraticProblem
 from adasde.recording import TestFunctionSet
-from adasde.scaling import hyperparams_from_constants, svag_transform_hparams
+from adasde.scaling import hyperparams_from_constants, scale_sqrt
 
 
 def state(theta, v=1.0, m=0.0, k=0):
@@ -424,13 +424,15 @@ class TestOneStepLaws:
 
 
 class TestSvagTransform:
+    """The noise-amplified transform: the square-root rule at kappa = 1/ell^2."""
+
     def test_identity_at_ell_one(self):
         hp = HyperParams(eta=1e-3, beta=0.999, epsilon=1e-8)
-        assert svag_transform_hparams(hp, 1.0, "rmsprop") == hp
+        assert scale_sqrt(hp, 1.0**-2, "rmsprop") == hp
 
     def test_frozen_example(self):
         hp = HyperParams(eta=1e-3, beta=0.999, epsilon=1e-8)
-        out = svag_transform_hparams(hp, 2.0, "rmsprop")
+        out = scale_sqrt(hp, 2.0**-2, "rmsprop")
         assert out.eta == pytest.approx(5e-4)
         assert out.beta == pytest.approx(0.99975)
         assert out.epsilon == pytest.approx(2e-8)
@@ -443,8 +445,8 @@ class TestSvagTransform:
     @settings(max_examples=60, deadline=None)
     def test_composition(self, a, b, beta):
         hp = HyperParams(eta=1e-2, beta1=beta, beta2=beta, epsilon=1e-8)
-        two_hops = svag_transform_hparams(svag_transform_hparams(hp, a, "adam"), b, "adam")
-        one_hop = svag_transform_hparams(hp, a * b, "adam")
+        two_hops = scale_sqrt(scale_sqrt(hp, a**-2, "adam"), b**-2, "adam")
+        one_hop = scale_sqrt(hp, (a * b) ** -2, "adam")
         assert two_hops.eta == pytest.approx(one_hop.eta, rel=1e-12)
         assert two_hops.beta1 == pytest.approx(one_hop.beta1, abs=1e-12)
         assert two_hops.beta2 == pytest.approx(one_hop.beta2, abs=1e-12)
@@ -452,7 +454,7 @@ class TestSvagTransform:
     def test_decay_rate_invariant(self):
         hp = HyperParams(eta=1e-2, beta=0.99)
         for ell in (1.0, 2.0, 4.0):
-            out = svag_transform_hparams(hp, ell, "rmsprop")
+            out = scale_sqrt(hp, ell**-2, "rmsprop")
             assert (1 - out.beta) * ell**2 == pytest.approx(1 - hp.beta, abs=1e-12)
 
     @pytest.mark.parametrize("algo", ["rmsprop", "adam"])
@@ -463,7 +465,7 @@ class TestSvagTransform:
         decays = {"rmsprop": ["beta"], "adam": ["beta1", "beta2"]}[algo]
         direct = dict(eta=hp.eta / ell, epsilon=hp.epsilon * ell)
         direct.update({name: 1.0 - (1.0 - getattr(hp, name)) / ell**2 for name in decays})
-        out = svag_transform_hparams(hp, ell, algo)
+        out = scale_sqrt(hp, ell**-2, algo)
         for name, value in direct.items():
             assert getattr(out, name).hex() == value.hex(), name
 

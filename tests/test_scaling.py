@@ -12,7 +12,6 @@ from adasde.scaling import (
     make_plan,
     scale_sqrt,
     sde_constants,
-    svag_transform_hparams,
 )
 
 
@@ -150,7 +149,7 @@ class TestExactBits:
 
     @pytest.mark.parametrize("algo", list(SVAG_ELL_3))
     def test_svag_transform_at_ell_3(self, algo):
-        assert self._hex(svag_transform_hparams(self.HP, 3, algo)) == self.SVAG_ELL_3[algo]
+        assert self._hex(scale_sqrt(self.HP, 3**-2, algo)) == self.SVAG_ELL_3[algo]
 
 
 class TestAlignCheckpoints:
@@ -184,7 +183,7 @@ class TestSdeConstantPreservation:
         hp = HyperParams(eta=0.05, beta=0.99, beta1=0.98, beta2=0.99, epsilon=1e-6)
         sigma = 1.0
         base = sde_constants(algo, hp, sigma)
-        amplified = sde_constants(algo, svag_transform_hparams(hp, ell, algo), ell * sigma)
+        amplified = sde_constants(algo, scale_sqrt(hp, ell**-2, algo), ell * sigma)
         assert amplified.keys() == base.keys()
         for key in base:
             assert amplified[key] == pytest.approx(base[key], rel=1e-12, abs=1e-18)

@@ -13,13 +13,11 @@ Statistical conventions:
   sample std of the pair means / sqrt(S/2). Noise that is odd in the path
   cancels within a pair, which shrinks the SE of the theta gaps; a loss is
   even in the path, and its SE can grow (Glasserman, *Monte Carlo Methods
-  in Financial Engineering*, 2004, section 4.2). A run that draws its own
-  noise (an uncoupled one) draws it plain; its pair means are i.i.d. all
-  the same, so one SE serves every record. The bootstrap of a decay fit
-  resamples the same samples: the pair means of the per-seed gaps, which
+  in Financial Engineering*, 2004, section 4.2). The bootstrap of a decay
+  fit resamples the same samples: the pair means of the per-seed gaps, which
   the paired SE reads. Pass/fail thresholds are stated in SE units so the
   suite stays sample-size aware.
-* Discrete/continuous pairs are coupled by default: the Euler-Maruyama
+* Every discrete/continuous pair is coupled: the Euler-Maruyama
   increments within one discrete step sum to that step's gradient noise,
   so both processes ride the same Brownian path. Coupling leaves each
   marginal distribution untouched (the gap estimate is unbiased) while
@@ -44,7 +42,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .ngos import GaussianOracle, GradientOracle, MinibatchOracle, SvagOracle
+from .ngos import GaussianOracle, MinibatchOracle
 from .optimizers import (
     HyperParams,
     OptimizerState,
@@ -149,6 +147,8 @@ class ApproximationSetup:
 
     RMSprop reads sigma0, epsilon0, c2 and u0, Adam these and c1, SGD none:
     a constant read may not be None, one not read must keep its default.
+    ``coupled`` accepts only True: every comparison rides one shared path,
+    and the field stays only while the benchmark passes it.
     """
 
     problem: Problem
@@ -167,6 +167,11 @@ class ApproximationSetup:
     coupled: bool = True
 
     def __post_init__(self):
+        if self.coupled is not True:
+            raise ValueError(
+                f"coupled must be True, got {self.coupled!r}: every comparison rides one shared"
+                " path, and the field goes once the benchmark stops passing it"
+            )
         object.__setattr__(self, "theta0", np.asarray(self.theta0, dtype=float))
         if self.u0 is not None:
             object.__setattr__(self, "u0", np.asarray(self.u0, dtype=float))
@@ -291,8 +296,9 @@ def _horizon_steps(setup: ApproximationSetup, eta: float) -> int:
 
 
 def _checkpoint_steps(k_start: int, n_steps: int, count: int) -> list[int]:
-    ks = np.unique(np.round(np.linspace(k_start + 1, n_steps, count)).astype(int))
-    return [int(k) for k in ks if k > k_start]
+    # a set, not np.unique, which imports numpy.ma on its first call
+    ks = sorted({int(k) for k in np.round(np.linspace(k_start + 1, n_steps, count))})
+    return [k for k in ks if k > k_start]
 
 
 def _path_block(rng, shape) -> tuple[np.ndarray, int]:
@@ -369,13 +375,12 @@ def compare_at_eta(
     same for every eta. Momentum comparisons warm-start: the discrete runs
     alone up to k0 = ceil(t0/eta^2) and hands its states to the integrator.
 
-    Coupled, the discrete run rides the integrator's path (``_shared_path``)
-    with a window of em_substeps blocks per step: both advance together as
-    the integrator pulls the path, each discrete step on the normalized
-    Wiener increment over its interval. Uncoupled, the path has no rider
-    and the discrete run draws its own plain noise from the same stream
-    afterwards. Adam's warm-up draws are antithetic too, one path block
-    per step, so seeds i and i + S/2 start the comparison as a pair.
+    The discrete run rides the integrator's path (``_shared_path``) with a
+    window of em_substeps blocks per step: both advance together as the
+    integrator pulls the path, each discrete step on the normalized Wiener
+    increment over its interval. Adam's warm-up draws are antithetic too,
+    one path block per step, so seeds i and i + S/2 start the comparison as
+    a pair.
     """
     d = setup.problem.dim
     S = setup.seeds
@@ -399,9 +404,9 @@ def compare_at_eta(
     fns = TestFunctionSet.from_names(fn_names, d)
 
     rng = derive_rng(root_seed, "order", algo, f"eta={eta!r}")
-    # rng is read in one fixed order: the warm-up's blocks, the Euler-Maruyama
-    # path one substep's block at a time (S/2 rows drawn per block, the rest
-    # their negation), then (uncoupled only) the plain discrete draws
+    # rng is read in one fixed order: the warm-up's blocks, then the
+    # Euler-Maruyama path one substep's block at a time (S/2 rows drawn per
+    # block, the rest their negation)
     sequenced = _SequencedGaussianOracle(setup.problem, setup.cov, sigma)
     # SGD never reads v, and its sigma is 1, so unit u0 is as good as any
     u0 = np.ones(d) if algo == "sgd" else setup.u0
@@ -414,12 +419,10 @@ def compare_at_eta(
     blocks = {"theta": state.theta, "m": state.m, "u": state.v / sigma**2}
     x0 = np.concatenate([blocks[b] for b in system.blocks], axis=1)
     steps, ks = n_steps - k0, [k - k0 for k in ks]
-    oracle = sequenced if setup.coupled else GaussianOracle(setup.problem, setup.cov, sigma)
-    loop = discrete_loop(oracle, algo, hp, state, steps, fns, ks, rng)
-    riders = [(loop, m, oracle)] if setup.coupled else []
+    loop = discrete_loop(sequenced, algo, hp, state, steps, fns, ks, None)
     em_rec = euler_maruyama(
         system, x0, k0 * dt_e, dt, steps * m, fns, [k * m for k in ks],
-        noise=_shared_path(rng, steps * m, (S, d), riders),
+        noise=_shared_path(rng, steps * m, (S, d), [(loop, m, sequenced)]),
     )
     return weak_error(finish(loop), em_rec)
 
@@ -547,21 +550,19 @@ def svag_sweep(
     (no interpolation). Consecutive-ell discrepancies should shrink like
     1/ell^2; the fitted decay exponent and its bootstrap SE quantify that.
 
-    With a Gaussian base oracle and setup.coupled (the default), all runs
-    ride one shared Brownian path: the amplified two-draw combination of
-    Gaussians is itself Gaussian at scale ell * sigma, so each run's step
-    noise can be taken as the normalized shared-path increment over its own
-    step interval. Marginal trajectory laws are untouched; only the variance
-    of cross-ell discrepancies drops. Coupling requires every ell to divide
-    the largest one. Uncoupled runs draw through the genuine two-sample
-    amplifier on independent streams.
+    All runs ride one shared Brownian path: on Gaussian base noise the
+    amplified two-draw combination is itself Gaussian at scale ell * sigma,
+    so each run's step noise is the normalized shared-path increment over
+    its own step interval. Marginal trajectory laws are untouched; only the
+    variance of cross-ell discrepancies drops. Every ell must divide the
+    largest one.
 
-    Coupled, every run rides the shared path (``_shared_path``) with a window
-    of ell_max^2 / ell^2 fine blocks per step, so the runs advance in
-    lockstep and memory does not grow with the horizon. Uncoupled, each run
-    goes to its end in turn. Every cell has its own stream, so the order of
-    the runs changes no result. Needs at least 3 distinct ell values, since
-    the decay fit has one point per consecutive pair.
+    Every run rides the shared path (``_shared_path``) with a window of
+    ell_max^2 / ell^2 fine blocks per step, so the runs advance in lockstep
+    and memory does not grow with the horizon. Each function's bootstrap
+    draws from its own fresh generator, so its slope SE does not depend on
+    the other names. Needs at least 3 distinct ell values, since the decay
+    fit has one point per consecutive pair.
     """
     fn_names = list(fn_names)
     ells = sorted(float(ell) for ell in ells)
@@ -583,39 +584,31 @@ def svag_sweep(
     base_steps = _horizon_steps(setup, eta)
     base_ks = _checkpoint_steps(0, base_steps, setup.n_checkpoints)
     fns = TestFunctionSet.from_names(fn_names, d)
-    base_oracle = GaussianOracle(setup.problem, setup.cov, sigma)
     ell_max = int(round(ells[-1]))
-    if setup.coupled:
-        for ell in ells:
-            if ell_max % int(round(ell)) != 0:
-                raise ValueError("coupled sweeps need every ell to divide the largest ell")
+    for ell in ells:
+        if ell_max % int(round(ell)) != 0:
+            raise ValueError("every ell must divide the largest ell")
 
     def cell(ell: float):
         """Run ell as a discrete loop, and its window on the shared path: a rider."""
         ell_i = int(round(ell))
         hp_ell = scale_sqrt(hp, ell**-2, setup.algo) if ell > 1 else hp
-        if setup.coupled:
-            oracle: GradientOracle = _SequencedGaussianOracle(setup.problem, setup.cov, ell * sigma)
-        else:
-            oracle = SvagOracle(base_oracle, ell) if ell > 1 else base_oracle
+        oracle = _SequencedGaussianOracle(setup.problem, setup.cov, ell * sigma)
         init = OptimizerState.initial(
             np.broadcast_to(setup.theta0, (setup.seeds, d)), v0=setup.u0 * oracle.sigma_effective**2
         )
-        rng = derive_rng(root_seed, "svag", setup.algo, f"ell={ell_i}")
         ks = [k * ell_i**2 for k in base_ks]
-        loop = discrete_loop(oracle, setup.algo, hp_ell, init, base_steps * ell_i**2, fns, ks, rng)
+        loop = discrete_loop(oracle, setup.algo, hp_ell, init, base_steps * ell_i**2, fns, ks, None)
         return loop, ell_max**2 // ell_i**2, oracle
 
     riders = [cell(ell) for ell in ells]
-    if setup.coupled:
-        path = derive_rng(root_seed, "svag", setup.algo, "shared-path")
-        for _ in _shared_path(path, base_steps * ell_max**2, (setup.seeds, d), riders):
-            pass
+    path = derive_rng(root_seed, "svag", setup.algo, "shared-path")
+    for _ in _shared_path(path, base_steps * ell_max**2, (setup.seeds, d), riders):
+        pass
     records = {ell: finish(loop) for ell, (loop, *_) in zip(ells, riders)}
 
-    # consecutive-ell pairs are weak-error reports, paired seed by seed
-    # (exact seed sharing under coupling); weak_error rejects a pair whose
-    # runs left the shared time grid
+    # consecutive-ell pairs are weak-error reports, paired seed by seed;
+    # weak_error rejects a pair whose runs left the shared time grid
     pairs = [weak_error(records[a], records[b]) for a, b in zip(ells, ells[1:])]
     pair_x = [1.0 / ell**2 for ell in ells[:-1]]
     pair_gaps: dict[str, np.ndarray] = {}
@@ -623,10 +616,9 @@ def svag_sweep(
     decay: dict[str, float | None] = {}
     decay_se: dict[str, float] = {}
     status: dict[str, str] = {}
-    rng_boot = np.random.default_rng(0xB0075)
     for name in fn_names:
         pair_gaps[name], pair_se[name], decay[name], decay_se[name], status[name] = _fit_gap_decay(
-            pair_x, pairs, name, rng_boot, n_boot=120
+            pair_x, pairs, name, np.random.default_rng(0xB0075), n_boot=120
         )
     return SvagReport(
         ells=list(ells),

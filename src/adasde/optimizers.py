@@ -85,7 +85,7 @@ def rmsprop_step(state: OptimizerState, g: np.ndarray, hp: HyperParams) -> Optim
     g = np.asarray(g, dtype=float)
     denom = np.sqrt(state.v)
     denom += hp.epsilon
-    if np.any(denom == 0.0):
+    if not denom.all():  # one pass; -0.0 is zero, NaN is not
         raise ValueError("sqrt(v) + epsilon vanishes in some coordinate")
     return OptimizerState(
         _descend(state.theta, hp.eta * g, denom), state.m, _decay(state.v, g, hp.beta), state.k + 1
@@ -117,7 +117,7 @@ def adam_step(state: OptimizerState, g: np.ndarray, hp: HyperParams) -> Optimize
         v_hat = state.v / bc2
     denom = np.sqrt(v_hat)
     denom += hp.epsilon
-    if np.any(denom == 0.0):
+    if not denom.all():  # one pass; -0.0 is zero, NaN is not
         raise ValueError("sqrt(v_hat) + epsilon vanishes in some coordinate")
     step = m / bc1
     step *= hp.eta

@@ -40,6 +40,17 @@ def test_every_microbenchmark_runs(monkeypatch):
         call()  # a failure's traceback names the case in micro.py
 
 
+def test_every_workload_builds(monkeypatch):
+    # the workloads pass setup fields (coupled=True among them) that no
+    # other test passes; building them checks every one
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    for workload in workloads.WORKLOADS:
+        experiments = workloads.build(workload, 0)
+        assert experiments and all(exp.cells for exp in experiments), workload
+
+
 def _svag_experiment(workloads):
     problem = QuadraticProblem(np.diag([1.0, 0.5]))
     cov = ConstantCovariance(np.array([[1.0, 0.3], [0.3, 0.6]]))

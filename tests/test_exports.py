@@ -102,7 +102,7 @@ def test_no_algorithm_lists_outside_their_owners():
 
 
 def test_harness_draws_normals_only_on_the_shared_path():
-    # every coupled run rides harness._shared_path, which draws each block
+    # every comparison rides harness._shared_path, which draws each block
     # through _path_block; a second call site of standard_normal there would
     # be a second path mechanism
     tree = ast.parse(pathlib.Path(importlib.import_module("adasde.harness").__file__).read_text())

@@ -1,6 +1,8 @@
 """Sweep harness: exact sweep figures, the sequenced oracle and the argument checks."""
 import dataclasses
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -34,7 +36,8 @@ from adasde.stats import fit_loglog_slope
 
 FNS = ["theta_0", "loss"]
 PROBLEM = QuadraticProblem(np.diag([1.0, 0.5]))
-COV = ConstantCovariance(np.array([[1.0, 0.3], [0.3, 0.6]]))
+SIGMA = np.array([[1.0, 0.3], [0.3, 0.6]])
+COV = ConstantCovariance(SIGMA)
 _LS_DATA = np.random.default_rng(11)
 LS_PROBLEM = LeastSquaresProblem(_LS_DATA.standard_normal((16, 2)), _LS_DATA.standard_normal(16))
 ROOT_SEED = 7
@@ -141,7 +144,7 @@ GOLDEN = {
             ],
         },
     },
-    'svag/coupled=True': {
+    'svag': {
         'theta_0': {
             'pair_gaps': [
                 '0x1.332264551fd80p-8',
@@ -165,132 +168,8 @@ GOLDEN = {
                 '0x1.d22afba025475p-11',
             ],
             'decay_slope': '0x1.525ca877b05ddp-1',
-            'decay_slope_se': '0x1.f2c4de43adedfp-2',
+            'decay_slope_se': '0x1.a6daace1d0abcp-2',
             'status': 'inconclusive',
-        },
-    },
-    'svag/coupled=False': {
-        'theta_0': {
-            'pair_gaps': [
-                '0x1.27e04ad084b80p-4',
-                '0x1.6889bf24f25a8p-3',
-            ],
-            'pair_se': [
-                '0x1.759604f0dbeb3p-4',
-                '0x1.84c06703a04e1p-4',
-            ],
-            'decay_slope': '-0x1.49002189c198dp-1',
-            'decay_slope_se': '0x1.f93385598e944p-2',
-            'status': 'inconclusive',
-        },
-        'loss': {
-            'pair_gaps': [
-                '0x1.276317fcf58e8p-4',
-                '0x1.fdbd770977f00p-4',
-            ],
-            'pair_se': [
-                '0x1.76a503415110ep-4',
-                '0x1.7fd68a7342f8ep-4',
-            ],
-            'decay_slope': '-0x1.9305fe222cf3ap-2',
-            'decay_slope_se': '0x1.2f6f0672f6a76p-1',
-            'status': 'inconclusive',
-        },
-    },
-    'order/rmsprop/coupled=False': {
-        'theta_0': {
-            'slope': '-0x1.3555e4364055dp-2',
-            'slope_se': '0x1.5c2f02f2439cap+0',
-            'status': 'inconclusive',
-            'max_gap': [
-                '0x1.e33dd228e6550p-4',
-                '0x1.353f72f917e08p-4',
-                '0x1.2d28306ed5a3cp-3',
-            ],
-            'se_at_max': [
-                '0x1.8ec0addb344b2p-4',
-                '0x1.a908e3e9fee92p-4',
-                '0x1.33621c155be4fp-3',
-            ],
-        },
-        'loss': {
-            'slope': '-0x1.0fdd38904e52ap+0',
-            'slope_se': '0x1.493586dd826cfp+0',
-            'status': 'inconclusive',
-            'max_gap': [
-                '0x1.2dc1d305f8b90p-4',
-                '0x1.aeca37ef08aa8p-4',
-                '0x1.3b245995866b0p-3',
-            ],
-            'se_at_max': [
-                '0x1.3583816eddc18p-3',
-                '0x1.0d9cb92fcf34ep-3',
-                '0x1.1ac6a0d68939cp-3',
-            ],
-        },
-    },
-    'order/adam/coupled=False': {
-        'theta_0': {
-            'slope': '-0x1.62d6bbf08a667p+0',
-            'slope_se': '0x1.d3019d15d81a9p+0',
-            'status': 'inconclusive',
-            'max_gap': [
-                '0x1.823f9e55b7020p-6',
-                '0x1.7eebd59448180p-4',
-                '0x1.f01837835c600p-5',
-            ],
-            'se_at_max': [
-                '0x1.b217a59473660p-6',
-                '0x1.bdd0c081c94f2p-5',
-                '0x1.b405c195ab6d3p-5',
-            ],
-        },
-        'loss': {
-            'slope': '-0x1.aa227ef3774d1p-4',
-            'slope_se': '0x1.9b48190a3da5bp+0',
-            'status': 'inconclusive',
-            'max_gap': [
-                '0x1.14201135ccd40p-6',
-                '0x1.d2554dd01bcf0p-5',
-                '0x1.21fae8aed54a0p-6',
-            ],
-            'se_at_max': [
-                '0x1.38b03bbce6d13p-5',
-                '0x1.313a1daf49706p-4',
-                '0x1.645595431f524p-5',
-            ],
-        },
-    },
-    'order/sgd/coupled=False': {
-        'theta_0': {
-            'slope': '0x1.045ddaa58121ep-1',
-            'slope_se': '0x1.d6d8e359fa84ep-1',
-            'status': 'inconclusive',
-            'max_gap': [
-                '0x1.3eab5aaf9e090p-4',
-                '0x1.2823fad3641d8p-4',
-                '0x1.bf0fb3f2ac600p-5',
-            ],
-            'se_at_max': [
-                '0x1.24efb58df24d1p-5',
-                '0x1.040a3fe4c87f0p-5',
-                '0x1.e5a91ac0776edp-6',
-            ],
-        },
-        'loss': {
-            'slope': '0x1.fe41f9a5a46d9p-2',
-            'slope_se': '0x1.adcdca09bdec6p-1',
-            'status': 'inconclusive',
-            'max_gap': [
-                '0x1.b339ebe57a5f0p-5',
-                '0x1.0b1ed95a1be10p-4',
-                '0x1.31cf3c3bd0d40p-5',
-            ],
-            'se_at_max': [
-                '0x1.255c1455e0462p-5',
-                '0x1.0cb5f4d3b3ff1p-5',
-                '0x1.70b42c75d50acp-6',
-            ],
         },
     },
     'order/rmsprop/empirical': {
@@ -365,10 +244,10 @@ ORDER_EXTRA = {
 }
 
 
-def _order_run(algo, coupled=True, fn_names=FNS):
+def _order_run(algo, fn_names=FNS):
     setup = ApproximationSetup(
         PROBLEM, COV, algo, theta0=np.ones(2), T=0.5, seeds=32, em_substeps=4,
-        n_checkpoints=3, coupled=coupled, **ORDER_EXTRA[algo],
+        n_checkpoints=3, **ORDER_EXTRA[algo],
     )
     return _order_figures(order_sweep(setup, (0.2, 0.14, 0.1), fn_names, ROOT_SEED))
 
@@ -382,21 +261,20 @@ def _empirical_order_run():
     return _order_figures(order_sweep(setup, (0.2, 0.14, 0.1), FNS, ROOT_SEED))
 
 
-def _svag_run(coupled, fn_names=FNS):
-    setup = ApproximationSetup(
-        PROBLEM, COV, "rmsprop", theta0=np.ones(2), u0=np.ones(2), T=0.4, seeds=64,
-        n_checkpoints=3, coupled=coupled,
-    )
-    return _svag_figures(svag_sweep(setup, 0.2, (1, 2, 4), fn_names, ROOT_SEED))
+SVAG_SETUP = ApproximationSetup(
+    PROBLEM, COV, "rmsprop", theta0=np.ones(2), u0=np.ones(2), T=0.4, seeds=64, n_checkpoints=3,
+)
+
+
+def _svag_run(fn_names=FNS):
+    return _svag_figures(svag_sweep(SVAG_SETUP, 0.2, (1, 2, 4), fn_names, ROOT_SEED))
 
 
 # each GOLDEN entry's sweep, returning its figures
 GOLDEN_RUNS = {
     **{f"order/{algo}": lambda algo=algo: _order_run(algo) for algo in ORDER_EXTRA},
-    # the uncoupled discrete run draws its own noise after the integrator's
-    **{f"order/{algo}/coupled=False": lambda algo=algo: _order_run(algo, False) for algo in ORDER_EXTRA},
     "order/rmsprop/empirical": _empirical_order_run,
-    **{f"svag/coupled={c}": lambda c=c: _svag_run(c) for c in (True, False)},
+    "svag": _svag_run,
 }
 
 
@@ -454,17 +332,11 @@ class TestGoldenSweeps:
     def test_order_sweep(self, algo):
         assert GOLDEN_RUNS[f"order/{algo}"]() == GOLDEN[f"order/{algo}"]
 
-    @pytest.mark.parametrize("algo", list(ORDER_EXTRA))
-    def test_uncoupled_order_sweep(self, algo):
-        key = f"order/{algo}/coupled=False"
-        assert GOLDEN_RUNS[key]() == GOLDEN[key]
-
     def test_empirical_order_sweep(self):
         assert GOLDEN_RUNS["order/rmsprop/empirical"]() == GOLDEN["order/rmsprop/empirical"]
 
-    @pytest.mark.parametrize("coupled", [True, False])
-    def test_svag_sweep(self, coupled):
-        assert GOLDEN_RUNS[f"svag/coupled={coupled}"]() == GOLDEN[f"svag/coupled={coupled}"]
+    def test_svag_sweep(self):
+        assert GOLDEN_RUNS["svag"]() == GOLDEN["svag"]
 
     def test_order_sweep_reads_names_from_a_generator(self):
         # the names are read once per eta and once per fit: a one-shot
@@ -474,7 +346,7 @@ class TestGoldenSweeps:
     def test_svag_sweep_reads_names_from_a_generator(self):
         # a one-shot iterable was spent building the test functions, and
         # the fits then returned no status and no slope at all
-        assert _svag_run(True, fn_names=(n for n in FNS)) == GOLDEN["svag/coupled=True"]
+        assert _svag_run(fn_names=(n for n in FNS)) == GOLDEN["svag"]
 
     def test_largest_moves_name_the_figure_that_moved_most(self):
         # the re-record recipe prints these, so a re-record can say "rounding only"
@@ -510,46 +382,70 @@ class TestCellStreams:
                 np.testing.assert_array_equal(a.discrete.values[name], b.discrete.values[name])
                 np.testing.assert_array_equal(a.continuous.values[name], b.continuous.values[name])
 
+    def test_svag_bootstrap_does_not_depend_on_the_other_names(self):
+        # one bootstrap generator served the names in turn, so the loss's
+        # slope SE read 0.487 after theta_0's draws and 0.413 alone
+        both = svag_sweep(SVAG_SETUP, 0.2, (1, 2, 4), ["theta_0", "loss"], ROOT_SEED)
+        alone = svag_sweep(SVAG_SETUP, 0.2, (1, 2, 4), ["loss"], ROOT_SEED)
+        assert both.decay_slope_se["loss"] == alone.decay_slope_se["loss"]
 
-def negate_diffusion(monkeypatch):
-    """Make every system the harness builds drive its noise with the opposite sign."""
+
+def patch_systems(monkeypatch, change):
+    """Make every system the harness builds pass through ``change`` on its way out."""
     build = harness._build_system
+    monkeypatch.setattr(harness, "_build_system", lambda setup, eta: change(build(setup, eta)))
 
-    def negated(setup, eta):
-        system = build(setup, eta)
+
+def scale_diffusion(monkeypatch, factor):
+    """Make every system the harness builds drive its noise ``factor`` times as hard."""
+
+    def scaled(system):
         diffusion = system.apply_diffusion
-        return dataclasses.replace(system, apply_diffusion=lambda x, t, dw: -diffusion(x, t, dw))
+        return dataclasses.replace(system, apply_diffusion=lambda x, t, dw: factor * diffusion(x, t, dw))
 
-    monkeypatch.setattr(harness, "_build_system", negated)
+    patch_systems(monkeypatch, scaled)
+
+
+def double_u_drift(monkeypatch):
+    """Make every system the harness builds move u twice as fast."""
+
+    def doubled(system):
+        drift, u = system.drift, system.blocks["u"]
+
+        def twice(x, t):
+            out = drift(x, t)
+            out[:, u] *= 2.0
+            return out
+
+        return dataclasses.replace(system, drift=twice)
+
+    patch_systems(monkeypatch, doubled)
 
 
 class TestCouplingInvariant:
-    """Coupling leaves the gap unbiased and shrinks only its paired SE.
+    """Coupling shrinks the gap's per-seed SE, and the ratio pins the coupling's sign.
 
-    The two gaps of a cell agree within 4 combined SE whether or not the
-    discrete run rides the integrator's Brownian path, so their agreement
-    cannot see a negated diffusion: the per-seed paired SE can. With the
-    right sign it is at most 0.067 of the per-seed combined SE at t = T
-    (400 seeds, eta = 0.2, 4 substeps); with the diffusion negated the
-    discrete and continuous noise anti-correlate and the ratio is 0.67 to
-    1.41. The ratio is read per seed, not on the pair means the reports'
-    SEs use: a pair mean cancels the odd part of the noise whatever the
-    coupling's sign, and on the pair SEs the negated RMSprop and SGD runs
-    read 0.07 to 0.39, below the control's 0.4.
+    With the right sign the per-seed paired SE is at most 0.067 of the
+    per-seed combined SE at t = T (400 seeds, eta = 0.2, 4 substeps); with
+    the diffusion negated the discrete and continuous noise anti-correlate
+    and the ratio is 0.67 to 1.41. The ratio is read per seed, not on the
+    pair means the reports' SEs use: a pair mean cancels the odd part of the
+    noise whatever the coupling's sign, and on the pair SEs the negated
+    RMSprop and SGD runs read 0.07 to 0.39, below the control's 0.4. That
+    riding the path leaves each side's law untouched is pinned exactly:
+    the integrator's by TestExactEulerMaruyamaMoments, the discrete run's
+    by TestSharedPath (each window it steps on is an exact N(0, I) block).
     """
 
     RATIO_BOUND = 0.2
 
     @staticmethod
-    def _reports(algo, em_substeps=4):
-        reports = {}
-        for coupled in (True, False):
-            setup = ApproximationSetup(
-                PROBLEM, COV, algo, theta0=np.ones(2), T=0.5, seeds=400, em_substeps=em_substeps,
-                coupled=coupled, **ORDER_EXTRA[algo],
-            )
-            reports[coupled] = compare_at_eta(setup, 0.2, FNS, ROOT_SEED)
-        return reports[True], reports[False]
+    def _report(algo, em_substeps=4):
+        setup = ApproximationSetup(
+            PROBLEM, COV, algo, theta0=np.ones(2), T=0.5, seeds=400, em_substeps=em_substeps,
+            **ORDER_EXTRA[algo],
+        )
+        return compare_at_eta(setup, 0.2, FNS, ROOT_SEED)
 
     @staticmethod
     def _last_ratio(report, name):
@@ -561,19 +457,101 @@ class TestCouplingInvariant:
     # of the shared path, one after the other
     @pytest.mark.parametrize("em_substeps", [4, 1])
     @pytest.mark.parametrize("algo", list(ORDER_EXTRA))
-    def test_coupling_shrinks_the_paired_se_and_keeps_the_gap(self, algo, em_substeps):
-        coupled, uncoupled = self._reports(algo, em_substeps)
+    def test_coupling_shrinks_the_paired_se(self, algo, em_substeps):
+        report = self._report(algo, em_substeps)
         for name in FNS:
-            se = np.hypot(coupled.combined_se[name], uncoupled.combined_se[name])
-            assert np.all(np.abs(coupled.gaps[name] - uncoupled.gaps[name]) <= 4.0 * se)
-            assert self._last_ratio(coupled, name) <= self.RATIO_BOUND
+            assert self._last_ratio(report, name) <= self.RATIO_BOUND
 
     @pytest.mark.parametrize("algo", list(ORDER_EXTRA))
     def test_negated_diffusion_fails_the_ratio_bound(self, algo, monkeypatch):
-        negate_diffusion(monkeypatch)
-        coupled, _ = self._reports(algo)
+        scale_diffusion(monkeypatch, -1.0)
+        report = self._report(algo)
         for name in FNS:
-            assert self._last_ratio(coupled, name) > 2.0 * self.RATIO_BOUND
+            assert self._last_ratio(report, name) > 2.0 * self.RATIO_BOUND
+
+
+def _exact_em_moments(setup, eta, times):
+    """Mean of theta, and of the loss, of the Euler-Maruyama run at ``times``, by recursion.
+
+    On the quadratic f = theta' A theta / 2 with constant Sigma, RMSprop's
+    u drift c2 (diag Sigma - u) does not read theta, so u is deterministic,
+    stepped as the integrator steps it, and each substep is theta' = M theta
+    + B w with M = I - dt P^-1 A and B = -sigma0 sqrt(dt) P^-1 Sigma^(1/2),
+    where P = sigma0 diag(sqrt u) + epsilon0 I. SGD is the case P = I, with
+    sqrt(eta) in place of sigma0. So theta is Gaussian: its mean steps as
+    mu' = M mu, its covariance as C' = M C M' + B B', and E[loss] =
+    (mu' A mu + tr(A C)) / 2, with no seeds.
+    """
+    a, d, m = PROBLEM.a, PROBLEM.dim, setup.em_substeps
+    dt = optimizers.effective_time_step(setup.algo, eta) / m
+    steps = [int(round(t / dt)) for t in times]
+    mu, c, u = setup.theta0.copy(), np.zeros((d, d)), setup.u0
+    means, losses = [], []
+    for n in range(steps[-1] + 1):
+        if n in steps:
+            means.append(mu.copy())
+            losses.append(0.5 * (mu @ a @ mu + np.trace(a @ c)))
+        if setup.algo == "rmsprop":
+            p_inv, amp = 1.0 / (setup.sigma0 * np.sqrt(u) + setup.epsilon0), setup.sigma0
+            u = setup.c2 * (np.diag(SIGMA) - u) * dt + u
+        else:
+            p_inv, amp = np.ones(d), math.sqrt(eta)
+        step = np.eye(d) - dt * p_inv[:, None] * a
+        b_rows = amp * p_inv[:, None]  # B B' = dt diag(b_rows) Sigma diag(b_rows)
+        mu = step @ mu
+        c = step @ c @ step.T + dt * b_rows * SIGMA * b_rows.T
+    return np.array(means), np.array(losses)
+
+
+class TestExactEulerMaruyamaMoments:
+    """The coupled integrator's moments meet the exact recursion, and two controls break them.
+
+    Given u, theta is affine in the path, and seeds i and i + S/2 ride
+    opposite paths, so every pair mean of theta is the recursion's mean to
+    rounding: at most 1.3e-15 relative at these sizes, against a bound of
+    1e-12. The loss is even in the path, so its mean meets the recursion
+    within 4 pair SE (|z| read at most 2.3 over both cases). The controls,
+    fixed with the sizes: doubling RMSprop's u drift moves theta_1 by 9.1e-3
+    relative (theta_0 cannot see it: u0 = Sigma_00 holds u_0 still), and a
+    diffusion scaled by 1.5 keeps every theta pair mean exact but reads loss
+    z of 6.4 to 8.0.
+    """
+
+    BOUND = 1e-12
+    ETAS = {"rmsprop": 0.2, "sgd": 0.1}
+    THETAS = ["theta_0", "theta_1"]
+
+    @classmethod
+    def _read(cls, algo):
+        """Worst relative error of the theta pair means per name, and the loss z per checkpoint."""
+        setup = ApproximationSetup(
+            PROBLEM, COV, algo, theta0=np.ones(2), T=0.5, seeds=400, em_substeps=4,
+            **ORDER_EXTRA[algo],
+        )
+        em = compare_at_eta(setup, cls.ETAS[algo], cls.THETAS + ["loss"], ROOT_SEED).continuous
+        means, losses = _exact_em_moments(setup, cls.ETAS[algo], em.times)
+        rel = {
+            name: np.max(np.abs(harness._pair_means(em.values[name]) - means[:, [i]]) / np.abs(means[:, [i]]))
+            for i, name in enumerate(cls.THETAS)
+        }
+        return rel, (em.mean("loss") - losses) / harness._pair_se(em.values["loss"])
+
+    @pytest.mark.parametrize("algo", list(ETAS))
+    def test_pair_means_and_loss_meet_the_recursion(self, algo):
+        rel, z = self._read(algo)
+        assert max(rel.values()) <= self.BOUND, rel
+        assert np.all(np.abs(z) <= 4.0), z
+
+    def test_doubled_u_drift_moves_theta_1_off_the_recursion(self, monkeypatch):
+        double_u_drift(monkeypatch)
+        rel, _ = self._read("rmsprop")
+        assert rel["theta_1"] > 1e3 * self.BOUND
+
+    @pytest.mark.parametrize("algo", list(ETAS))
+    def test_scaled_diffusion_moves_the_loss_off_the_recursion(self, algo, monkeypatch):
+        scale_diffusion(monkeypatch, 1.5)
+        _, z = self._read(algo)
+        assert np.max(np.abs(z)) > 4.0, z
 
 
 class TestSgdPathwiseIdentity:
@@ -612,7 +590,7 @@ class TestSgdPathwiseIdentity:
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_negated_diffusion_breaks_the_identity(self, case, monkeypatch):
-        negate_diffusion(monkeypatch)
+        scale_diffusion(monkeypatch, -1.0)
         for name, worst in self._worst(*self.CASES[case]).items():
             assert worst > 1e3 * self.BOUND, name
 
@@ -933,7 +911,8 @@ class TestSweepArguments:
     @pytest.mark.parametrize("algo, ells, match", [
         ("sgd", (1, 2, 4), "adaptive algorithms"),
         ("rmsprop", (0.5, 1, 2), "ell = 1 as its base"),
-    ], ids=["sgd", "ell_below_one"])
+        ("rmsprop", (1, 2, 3), "divide the largest ell"),
+    ], ids=["sgd", "ell_below_one", "ell_not_dividing"])
     def test_svag_rejects_what_it_cannot_amplify_before_any_run(self, algo, ells, match, monkeypatch):
         # a cell's hyperparameters are scale_sqrt at kappa = 1/ell^2, which
         # takes an SGD setup, and an ell below 1 as a plain rescaling
@@ -1031,6 +1010,13 @@ class TestSweepArguments:
         with pytest.raises(ValueError, match="distinct"):
             svag_sweep(setup, 0.2, (1, 2, 2), FNS, ROOT_SEED)
 
+    @pytest.mark.parametrize("coupled", [False, None, 1])
+    def test_setup_rejects_any_coupling_but_the_shared_path(self, coupled):
+        # every comparison rides one shared path; the field stays only as
+        # long as the benchmark passes coupled=True
+        with pytest.raises(ValueError, match="coupled must be True"):
+            ApproximationSetup(PROBLEM, COV, "rmsprop", theta0=np.ones(2), u0=np.ones(2), coupled=coupled)
+
     @pytest.mark.parametrize("field, value", [
         ("em_substeps", 0), ("em_substeps", 2.0), ("seeds", 1), ("n_checkpoints", 0), ("T", 0.0),
         ("seeds", 2.5), ("n_checkpoints", 2.5), ("T", math.inf), ("em_substeps", True),
@@ -1094,6 +1080,47 @@ class TestSweepArguments:
 
         with pytest.raises(ValueError, match="different test functions"):
             weak_error(record("theta_0"), record("loss"))
+
+
+class TestCheckpointSteps:
+    def test_equals_the_unique_rounded_grid(self):
+        for k_start in (0, 1, 5):
+            for n_steps in range(k_start + 1, k_start + 40):
+                for count in (1, 2, 3, 5, 8, 50):
+                    grid = np.unique(np.round(np.linspace(k_start + 1, n_steps, count)).astype(int))
+                    want = [int(k) for k in grid if k > k_start]
+                    assert harness._checkpoint_steps(k_start, n_steps, count) == want
+
+    def test_no_sweep_imports_numpy_ma(self):
+        # np.unique imported numpy.ma on the first sweep, 1.3 MiB of resident
+        # memory that nothing reads; a fresh interpreter shows it
+        script = """
+import sys
+import numpy as np
+from adasde import harness
+from adasde.optimizers import HyperParams
+from adasde.problems import ConstantCovariance, LeastSquaresProblem, QuadraticProblem
+from adasde.scaling import make_plan
+setup = harness.ApproximationSetup(
+    QuadraticProblem(np.diag([1.0, 0.5])), ConstantCovariance(np.eye(2)), "rmsprop",
+    theta0=np.ones(2), u0=np.ones(2), T=0.1, seeds=4, em_substeps=1, n_checkpoints=2,
+)
+harness.order_sweep(setup, (0.2, 0.14, 0.1), ["theta_0", "loss"], 0)
+harness.svag_sweep(setup, 0.2, (1, 2, 4), ["theta_0", "loss"], 0)
+data = np.random.default_rng(0)
+problem = LeastSquaresProblem(data.standard_normal((8, 2)), data.standard_normal(8))
+plan = make_plan("sqrt-rmsprop", HyperParams(eta=0.05, beta=0.99), 2)
+harness.validate_scaling(plan, problem, "rmsprop", ["theta_0", "loss"], base_steps=4,
+                         checkpoints=(2, 4), seeds=4, root_seed=0, batch_size=2)
+print("numpy.ma" in sys.modules)
+"""
+        src = str(Path(harness.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.returncode == 0, out.stderr[-4000:]
+        assert out.stdout.strip() == "False"
 
 
 class TestSequencedGaussianOracle:

@@ -106,6 +106,15 @@ class TestStepContract:
             np.testing.assert_array_equal(getattr(s, name), values, err_msg=name)
         np.testing.assert_array_equal(g, g_before)
 
+    # sqrt(-0.0) is -0.0, and -0.0 + 0.0 is a zero denominator too; at k = 0
+    # Adam's v_hat is v itself
+    @pytest.mark.parametrize("v", [[0.0], [-0.0], [1.0, 0.0]], ids=["zero", "negative-zero", "one-coordinate"])
+    @pytest.mark.parametrize("step", [rmsprop_step, adam_step], ids=["rmsprop", "adam"])
+    def test_zero_denominator_rejected(self, step, v):
+        hp = HyperParams(eta=0.1, beta=0.5, beta1=0.9, beta2=0.99, epsilon=0.0)
+        with pytest.raises(ValueError, match="vanishes in some coordinate"):
+            step(state(np.ones(len(v)), v=v), np.ones(len(v)), hp)
+
     @pytest.mark.parametrize("k", [0, 2])
     def test_bits_match_the_written_formulas(self, k):
         # the steps build their temporaries in place, in the order these
@@ -144,10 +153,6 @@ class TestRmspropStep:
             s = rmsprop_step(s, np.array(g), hp)
             assert s.v[0] == 5.0
 
-    def test_zero_denominator_rejected(self):
-        hp = HyperParams(eta=0.1, beta=0.5, epsilon=0.0)
-        with pytest.raises(ValueError):
-            rmsprop_step(state([1.0], v=0.0), np.array([1.0]), hp)
 
     def test_v_closed_form_matches_iteration(self):
         # v_k = beta^k v0 + (1-beta) sum_j beta^(k-1-j) g_j^2

@@ -28,6 +28,12 @@ Statistical conventions:
   fresh and the rest their negation, and each discrete run rides it in
   lockstep, stepping on the normalized sum of its step's blocks. The path
   is never held whole, and no block outlives the step that reads it.
+* One constructor, ``_cell_start``, builds every discrete cell of a setup
+  at a step size: its hyperparameters and noise scale pinned to the
+  setup's constants, its sequenced oracle and its start state. An order
+  cell is the cell at eta, and SVAG run ell is the cell at eta/ell: on
+  Gaussian noise the amplified run is exactly that cell, so the SVAG
+  sweep needs no cell of its own kind.
 * ``validate_scaling`` is not coupled and not antithetic: its base and
   scaled runs draw plain noise from independent ``derive_rng(...,
   "scaling", rule, tag)`` streams, and its z-scores use the unpaired
@@ -53,8 +59,8 @@ from .optimizers import (
     run_discrete,
 )
 from .problems import CovarianceSpec, IsotropicCovariance, LinearProblem, Problem
-from .recording import TestFunctionSet, TrajectoryRecord
-from .scaling import DECAYS, ScalingPlan, hyperparams_from_constants, scale_sqrt
+from .recording import NonFiniteError, TestFunctionSet, TrajectoryRecord
+from .scaling import DECAYS, ScalingPlan, hyperparams_from_constants
 from .sde import build_adam_sde, build_rmsprop_sde, build_sgd_sde, euler_maruyama
 from .stats import fit_loglog_slope
 
@@ -352,6 +358,24 @@ def _shared_path(rng, blocks: int, shape, riders):
         yield block
 
 
+def _cell_start(setup: ApproximationSetup, eta: float):
+    """The discrete cell at eta: its hyperparameters, oracle and (seeds, d) start state.
+
+    The decays and the noise scale are pinned to the setup's constants
+    (sigma = sigma0/eta, 1 - beta = c eta^2), so every cell at every eta
+    targets the same SDE. The oracle is the one ``_SequencedGaussianOracle``
+    at sigma, and v starts at u0 sigma^2. SGD never reads v, and its sigma
+    is 1, so unit u0 is as good as any.
+    """
+    hp, sigma = hyperparams_from_constants(
+        setup.algo, eta, setup.sigma0, setup.epsilon0, setup.c2, setup.c1
+    )
+    u0 = 1.0 if setup.algo == "sgd" else setup.u0
+    theta0 = np.broadcast_to(setup.theta0, (setup.seeds, setup.problem.dim))
+    state = OptimizerState.initial(theta0, v0=u0 * sigma**2)
+    return hp, _SequencedGaussianOracle(setup.problem, setup.cov, sigma), state
+
+
 def _build_system(setup: ApproximationSetup, eta: float):
     if setup.algo == "rmsprop":
         return build_rmsprop_sde(setup.problem, setup.cov, setup.sigma0, setup.epsilon0, setup.c2)
@@ -370,10 +394,12 @@ def compare_at_eta(
 ) -> WeakErrorReport:
     """Run the discrete ensemble and the matched integrator ensemble at one eta.
 
-    The noise scale and decays are pinned to the setup's constants
-    (sigma = sigma0/eta, 1 - beta = c eta^2) so the continuous target is the
-    same for every eta. Momentum comparisons warm-start: the discrete runs
-    alone up to k0 = ceil(t0/eta^2) and hands its states to the integrator.
+    The discrete cell is ``_cell_start``'s: the noise scale and decays are
+    pinned to the setup's constants (sigma = sigma0/eta, 1 - beta = c eta^2)
+    so the continuous target is the same for every eta. Momentum comparisons
+    warm-start: the discrete runs alone up to k0 = ceil(t0/eta^2) and hands
+    its states to the integrator. A warm-up state that is not finite raises
+    NonFiniteError at its step, naming the cell as ``discrete_loop`` does.
 
     The discrete run rides the integrator's path (``_shared_path``) with a
     window of em_substeps blocks per step: both advance together as the
@@ -385,9 +411,7 @@ def compare_at_eta(
     d = setup.problem.dim
     S = setup.seeds
     algo = setup.algo
-    hp, sigma = hyperparams_from_constants(
-        algo, eta, setup.sigma0, setup.epsilon0, setup.c2, setup.c1
-    )
+    hp, sequenced, state = _cell_start(setup, eta)
     dt_e = effective_time_step(algo, eta)
     n_steps = _horizon_steps(setup, eta)
     m = setup.em_substeps
@@ -407,16 +431,14 @@ def compare_at_eta(
     # rng is read in one fixed order: the warm-up's blocks, then the
     # Euler-Maruyama path one substep's block at a time (S/2 rows drawn per
     # block, the rest their negation)
-    sequenced = _SequencedGaussianOracle(setup.problem, setup.cov, sigma)
-    # SGD never reads v, and its sigma is 1, so unit u0 is as good as any
-    u0 = np.ones(d) if algo == "sgd" else setup.u0
-    state = OptimizerState.initial(np.broadcast_to(setup.theta0, (S, d)), v0=u0 * sigma**2)
     for block in _shared_path(rng, k0, (S, d), []):  # shared warm-up prefix, momentum path only
         sequenced.feed(block)
         state = adam_step(state, sequenced.sample(state.theta, None), hp)
+        if not all(np.isfinite(a).all() for a in (state.theta, state.m, state.v)):
+            raise NonFiniteError(state.k, f"algo={algo}, eta={hp.eta}")
 
     system = _build_system(setup, eta)
-    blocks = {"theta": state.theta, "m": state.m, "u": state.v / sigma**2}
+    blocks = {"theta": state.theta, "m": state.m, "u": state.v / sequenced.sigma**2}
     x0 = np.concatenate([blocks[b] for b in system.blocks], axis=1)
     steps, ks = n_steps - k0, [k - k0 for k in ks]
     loop = discrete_loop(sequenced, algo, hp, state, steps, fns, ks, None)
@@ -545,17 +567,19 @@ def svag_sweep(
 ) -> SvagReport:
     """Trajectories at increasing noise amplification, on a shared time grid.
 
-    Run ell uses eta/ell as its step and ell^2 floor(T/eta^2) steps, so its
-    checkpoints land on the same continuous times t = k eta^2 for every ell
-    (no interpolation). Consecutive-ell discrepancies should shrink like
-    1/ell^2; the fitted decay exponent and its bootstrap SE quantify that.
+    Run ell is the cell at eta/ell, built by ``_cell_start`` as every
+    ``compare_at_eta`` cell is: its hyperparameters and its noise scale
+    sigma0/(eta/ell) are pinned to the setup's constants. On Gaussian noise
+    that cell is the amplified (SVAG) run at ell. It takes ell^2 floor(T/eta^2)
+    steps, so its checkpoints land on the same continuous times t = k eta^2
+    for every ell (no interpolation). Consecutive-ell discrepancies should
+    shrink like 1/ell^2; the fitted decay exponent and its bootstrap SE
+    quantify that.
 
-    All runs ride one shared Brownian path: on Gaussian base noise the
-    amplified two-draw combination is itself Gaussian at scale ell * sigma,
-    so each run's step noise is the normalized shared-path increment over
-    its own step interval. Marginal trajectory laws are untouched; only the
-    variance of cross-ell discrepancies drops. Every ell must divide the
-    largest one.
+    All runs ride one shared Brownian path, each step on the normalized
+    shared-path increment over its own step interval. Marginal trajectory
+    laws are untouched; only the variance of cross-ell discrepancies drops.
+    Every ell must divide the largest one.
 
     Every run rides the shared path (``_shared_path``) with a window of
     ell_max^2 / ell^2 fine blocks per step, so the runs advance in lockstep
@@ -578,9 +602,8 @@ def svag_sweep(
     d = setup.problem.dim
     if not DECAYS[setup.algo]:
         raise ValueError("the amplified simulation applies to the adaptive algorithms")
-    hp, sigma = hyperparams_from_constants(
-        setup.algo, eta, setup.sigma0, setup.epsilon0, setup.c2, setup.c1
-    )
+    if not eta > 0:  # checked before _horizon_steps divides by it
+        raise ValueError("eta must be positive")
     base_steps = _horizon_steps(setup, eta)
     base_ks = _checkpoint_steps(0, base_steps, setup.n_checkpoints)
     fns = TestFunctionSet.from_names(fn_names, d)
@@ -590,15 +613,11 @@ def svag_sweep(
             raise ValueError("every ell must divide the largest ell")
 
     def cell(ell: float):
-        """Run ell as a discrete loop, and its window on the shared path: a rider."""
+        """Run ell, the cell at eta/ell, as a rider: its loop and window on the shared path."""
         ell_i = int(round(ell))
-        hp_ell = scale_sqrt(hp, ell**-2, setup.algo) if ell > 1 else hp
-        oracle = _SequencedGaussianOracle(setup.problem, setup.cov, ell * sigma)
-        init = OptimizerState.initial(
-            np.broadcast_to(setup.theta0, (setup.seeds, d)), v0=setup.u0 * oracle.sigma_effective**2
-        )
+        hp, oracle, init = _cell_start(setup, eta / ell)
         ks = [k * ell_i**2 for k in base_ks]
-        loop = discrete_loop(oracle, setup.algo, hp_ell, init, base_steps * ell_i**2, fns, ks, None)
+        loop = discrete_loop(oracle, setup.algo, hp, init, base_steps * ell_i**2, fns, ks, None)
         return loop, ell_max**2 // ell_i**2, oracle
 
     riders = [cell(ell) for ell in ells]

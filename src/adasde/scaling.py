@@ -12,7 +12,9 @@ by sqrt(kappa) gives the square-root rule (``scale_sqrt``):
 
     eta' = eta sqrt(kappa),   epsilon' = epsilon / sqrt(kappa),   1 - beta' = kappa (1 - beta).
 
-The noise-amplified (SVAG) transform is the same map at kappa = 1/ell^2.
+The noise-amplified (SVAG) run at ell keeps the same constants at step
+eta/ell, so it is built by ``hyperparams_from_constants`` at eta/ell: in
+exact arithmetic, the square-root rule at kappa = 1/ell^2.
 
 ``make_plan`` builds one of two batch-size rules, named in ``SCALING_RULES``
 with the algorithm after the dash: the square-root rule above, and the

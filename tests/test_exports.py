@@ -101,19 +101,33 @@ def test_no_algorithm_lists_outside_their_owners():
     assert not lists, f"algorithm names listed outside optimizers and scaling: {lists}"
 
 
-def test_harness_draws_normals_only_on_the_shared_path():
-    # every comparison rides harness._shared_path, which draws each block
-    # through _path_block; a second call site of standard_normal there would
-    # be a second path mechanism
+def _harness_call_sites(callee: str) -> list[str]:
+    """``function:line`` of each call of ``callee`` in harness, by the top-level def holding it."""
     tree = ast.parse(pathlib.Path(importlib.import_module("adasde.harness").__file__).read_text())
-    sites = [
+    return [
         f"{getattr(top, 'name', '<module>')}:{node.lineno}"
         for top in tree.body
         for node in ast.walk(top)
         if isinstance(node, ast.Call)
-        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "standard_normal"
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == callee
     ]
+
+
+def test_harness_draws_normals_only_on_the_shared_path():
+    # every comparison rides harness._shared_path, which draws each block
+    # through _path_block; a second call site of standard_normal there would
+    # be a second path mechanism
+    sites = _harness_call_sites("standard_normal")
     assert len(sites) == 1 and sites[0].startswith("_path_block:"), sites
+
+
+@pytest.mark.parametrize("callee", ["_SequencedGaussianOracle", "hyperparams_from_constants"])
+def test_harness_builds_discrete_cells_in_one_place(callee):
+    # an order cell is the cell at eta and SVAG run ell the cell at eta/ell,
+    # both built by _cell_start; a second site pinning hyperparameters or
+    # building the sequenced oracle would be a second route to a cell
+    sites = _harness_call_sites(callee)
+    assert len(sites) == 1 and sites[0].startswith("_cell_start:"), sites
 
 
 # __all__ names that neither harness nor the bench reaches, each with the reason

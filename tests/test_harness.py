@@ -31,7 +31,7 @@ from adasde.problems import (
     QuadraticProblem,
 )
 from adasde.recording import NonFiniteError, StateView, TrajectoryRecord
-from adasde.scaling import make_plan
+from adasde.scaling import hyperparams_from_constants, make_plan
 from adasde.stats import fit_loglog_slope
 
 FNS = ["theta_0", "loss"]
@@ -388,6 +388,50 @@ class TestCellStreams:
         both = svag_sweep(SVAG_SETUP, 0.2, (1, 2, 4), ["theta_0", "loss"], ROOT_SEED)
         alone = svag_sweep(SVAG_SETUP, 0.2, (1, 2, 4), ["loss"], ROOT_SEED)
         assert both.decay_slope_se["loss"] == alone.decay_slope_se["loss"]
+
+
+class TestSvagCells:
+    """SVAG run ell is the order cell at eta/ell: one constructor builds both."""
+
+    @pytest.mark.parametrize("algo", ["rmsprop", "adam"])
+    @pytest.mark.parametrize("ells, sigma0", [((1, 2, 4, 8), 1.0), ((1, 3, 6), 0.7)],
+                             ids=["powers-of-two", "three-and-six"])
+    def test_run_ell_is_the_constant_pinned_cell_at_eta_over_ell(self, algo, ells, sigma0,
+                                                                 monkeypatch):
+        # the cells were built by a second route, the square-root rule at
+        # kappa = 1/ell^2 and an oracle at ell * sigma0/eta: at ell = 3 and
+        # sigma0 = 0.7 that scale read 10.499999999999998, an ulp off 10.5
+        eta, cells = 0.2, []
+        loop = harness.discrete_loop
+
+        def capture(oracle, algo_, hp, init, *rest):
+            cells.append((hp, oracle.sigma, init.v))
+            return loop(oracle, algo_, hp, init, *rest)
+
+        monkeypatch.setattr(harness, "discrete_loop", capture)
+        setup = ApproximationSetup(
+            PROBLEM, COV, algo, theta0=np.ones(2), sigma0=sigma0, epsilon0=0.1, T=0.08, seeds=4,
+            n_checkpoints=2, **ORDER_EXTRA[algo],
+        )
+        svag_sweep(setup, eta, ells, FNS, ROOT_SEED)
+        assert len(cells) == len(ells)
+        for ell, (hp, sigma, v0) in zip(ells, cells):
+            want_hp, want_sigma = hyperparams_from_constants(
+                algo, eta / ell, sigma0, 0.1, setup.c2, setup.c1
+            )
+            assert hp == want_hp
+            assert sigma == want_sigma == sigma0 / (eta / ell)
+            np.testing.assert_array_equal(v0, np.broadcast_to(setup.u0 * want_sigma**2, v0.shape))
+
+
+def forbid_runs(monkeypatch, message, *names):
+    """Make each named harness function raise AssertionError(message) when called."""
+
+    def no_run(*args, **kwargs):
+        raise AssertionError(message)
+
+    for name in names:
+        monkeypatch.setattr(harness, name, no_run)
 
 
 def patch_systems(monkeypatch, change):
@@ -751,6 +795,31 @@ class TestSharedPath:
         else:
             assert str(raised.value) == "the step cannot run"
 
+    def test_a_non_finite_warm_up_state_names_its_step_and_cell(self, monkeypatch):
+        # Adam's warm-up ran unchecked: a NaN at its step 2 surfaced as
+        # "non-finite state at step 0: t=0.12", raised by the integrator's
+        # start check, with the wrong step, the wrong layer and no cell
+        adam_step = harness.adam_step
+
+        def nan_at_two(state, g, hp):
+            nxt = adam_step(state, g, hp)
+            if nxt.k != 2:
+                return nxt
+            theta = nxt.theta.copy()
+            theta[0, 0] = np.nan
+            return dataclasses.replace(nxt, theta=theta)
+
+        monkeypatch.setattr(harness, "adam_step", nan_at_two)
+        setup = ApproximationSetup(
+            PROBLEM, COV, "adam", theta0=np.ones(2), T=0.5, seeds=8, em_substeps=4,
+            n_checkpoints=3, **ORDER_EXTRA["adam"],
+        )
+        # t0 = 10 dt = 0.1 puts the warm-up at k0 = ceil(0.1 / 0.04) = 3 steps
+        with pytest.raises(NonFiniteError) as raised:
+            compare_at_eta(setup, 0.2, FNS, ROOT_SEED)
+        assert raised.value.step == 2
+        assert str(raised.value) == "non-finite state at step 2: algo=adam, eta=0.2"
+
 
 class TestNoiseMemory:
     """The coupled runs hold a step's noise at a time, never a whole path of it.
@@ -897,10 +966,7 @@ class TestSweepArguments:
     @pytest.mark.parametrize("ells", [(1,), (1, 2)])
     def test_svag_rejects_fewer_than_three_ells_before_any_run(self, ells, monkeypatch):
         # the decay fit needs two consecutive pairs; check that before paying for a run
-        def no_run(*args, **kwargs):
-            raise AssertionError("a cell ran before the ell values were checked")
-
-        monkeypatch.setattr(harness, "discrete_loop", no_run)
+        forbid_runs(monkeypatch, "a cell ran before the ell values were checked", "discrete_loop")
         setup = ApproximationSetup(
             PROBLEM, COV, "rmsprop", theta0=np.ones(2), u0=np.ones(2), T=0.4, seeds=8,
             n_checkpoints=3,
@@ -914,12 +980,10 @@ class TestSweepArguments:
         ("rmsprop", (1, 2, 3), "divide the largest ell"),
     ], ids=["sgd", "ell_below_one", "ell_not_dividing"])
     def test_svag_rejects_what_it_cannot_amplify_before_any_run(self, algo, ells, match, monkeypatch):
-        # a cell's hyperparameters are scale_sqrt at kappa = 1/ell^2, which
-        # takes an SGD setup, and an ell below 1 as a plain rescaling
-        def no_run(*args, **kwargs):
-            raise AssertionError("a cell ran before the setup and ell values were checked")
-
-        monkeypatch.setattr(harness, "discrete_loop", no_run)
+        # run ell is the cell at eta/ell, which builds as well for an SGD
+        # setup, and for an ell below 1 at a larger step
+        forbid_runs(monkeypatch, "a cell ran before the setup and ell values were checked",
+                    "discrete_loop")
         setup = ApproximationSetup(
             PROBLEM, COV, algo, theta0=np.ones(2), T=0.4, seeds=8, n_checkpoints=3,
             **ORDER_EXTRA[algo],
@@ -930,11 +994,8 @@ class TestSweepArguments:
     @pytest.mark.parametrize("algo", ["rmsprop", "adam"])
     def test_empty_test_function_list_rejected_before_any_run(self, algo, monkeypatch):
         # an empty list used to run every cell, then fail in weak_error with a bare StopIteration
-        def no_run(*args, **kwargs):
-            raise AssertionError("a run started before the test functions were checked")
-
-        for name in ("euler_maruyama", "run_discrete", "adam_step", "discrete_loop"):
-            monkeypatch.setattr(harness, name, no_run)
+        forbid_runs(monkeypatch, "a run started before the test functions were checked",
+                    "euler_maruyama", "run_discrete", "adam_step", "discrete_loop")
         setup = ApproximationSetup(
             PROBLEM, COV, algo, theta0=np.ones(2), T=0.4, seeds=8, n_checkpoints=3,
             **ORDER_EXTRA[algo],
@@ -950,11 +1011,8 @@ class TestSweepArguments:
     ], ids=["compare_at_eta", "svag_sweep"])
     def test_zero_eta_rejected_before_any_run(self, sweep, monkeypatch):
         # the constant map divided sigma0 and epsilon0 by eta: a ZeroDivisionError
-        def no_run(*args, **kwargs):
-            raise AssertionError("a run started before eta was checked")
-
-        for name in ("euler_maruyama", "run_discrete", "discrete_loop"):
-            monkeypatch.setattr(harness, name, no_run)
+        forbid_runs(monkeypatch, "a run started before eta was checked",
+                    "euler_maruyama", "run_discrete", "discrete_loop")
         setup = ApproximationSetup(
             PROBLEM, COV, "rmsprop", theta0=np.ones(2), u0=np.ones(2), T=0.4, seeds=8,
             n_checkpoints=3, epsilon0=0.1,
@@ -964,10 +1022,8 @@ class TestSweepArguments:
 
     def test_order_sweep_rejects_a_zero_eta_before_any_run(self, monkeypatch):
         # its ratio check divided by the smallest eta
-        def no_run(*args, **kwargs):
-            raise AssertionError("a run started before the eta values were checked")
-
-        monkeypatch.setattr(harness, "compare_at_eta", no_run)
+        forbid_runs(monkeypatch, "a run started before the eta values were checked",
+                    "compare_at_eta")
         setup = ApproximationSetup(PROBLEM, COV, "rmsprop", theta0=np.ones(2), u0=np.ones(2))
         with pytest.raises(ValueError, match="eta values must be positive"):
             order_sweep(setup, (0.2, 0.1, 0.0), FNS, ROOT_SEED)
@@ -978,11 +1034,8 @@ class TestSweepArguments:
     ], ids=["compare_at_eta", "svag_sweep"])
     def test_horizon_shorter_than_one_step_rejected_before_any_run(self, sweep, monkeypatch):
         # at T < eta^2 no step fits; say so, naming T and eta^2, before building a run
-        def no_run(*args, **kwargs):
-            raise AssertionError("a run started before the horizon was checked")
-
-        for name in ("euler_maruyama", "run_discrete", "discrete_loop"):
-            monkeypatch.setattr(harness, name, no_run)
+        forbid_runs(monkeypatch, "a run started before the horizon was checked",
+                    "euler_maruyama", "run_discrete", "discrete_loop")
         setup = ApproximationSetup(
             PROBLEM, COV, "rmsprop", theta0=np.ones(2), u0=np.ones(2), T=0.01, seeds=8,
             n_checkpoints=3,
@@ -1165,20 +1218,15 @@ class TestValidateScalingArguments:
 
     def test_single_seed_rejected_before_any_run(self, monkeypatch):
         # one seed has no sample SE: z came out NaN and the check failed silently
-        def no_run(*args, **kwargs):
-            raise AssertionError("a run started before the seed count was checked")
-
-        monkeypatch.setattr(harness, "run_discrete", no_run)
+        forbid_runs(monkeypatch, "a run started before the seed count was checked", "run_discrete")
         plan = make_plan("sqrt-rmsprop", HyperParams(eta=0.05, beta=0.99), 2)
         with pytest.raises(ValueError, match="seeds"):
             validate_scaling(plan, PROBLEM, "rmsprop", FNS, base_steps=8, checkpoints=[4, 8],
                              seeds=1, root_seed=ROOT_SEED, sigma=1.0, cov=COV)
 
     def test_sigma_without_cov_rejected_before_any_run(self, monkeypatch):
-        def no_run(*args, **kwargs):
-            raise AssertionError("a run started before the noise arguments were checked")
-
-        monkeypatch.setattr(harness, "run_discrete", no_run)
+        forbid_runs(monkeypatch, "a run started before the noise arguments were checked",
+                    "run_discrete")
         plan = make_plan("sqrt-rmsprop", HyperParams(eta=0.05, beta=0.99), 2)
         with pytest.raises(ValueError, match="cov"):
             validate_scaling(plan, PROBLEM, "rmsprop", FNS, base_steps=8, checkpoints=[4, 8],
@@ -1201,10 +1249,7 @@ class TestValidateScalingArguments:
         # broadcast, a NaN start failing only as a NonFiniteError at step 1,
         # and a fractional seed or step count failing inside the runs as a
         # TypeError
-        def no_run(*args, **kwargs):
-            raise AssertionError("a run started before the arguments were checked")
-
-        monkeypatch.setattr(harness, "run_discrete", no_run)
+        forbid_runs(monkeypatch, "a run started before the arguments were checked", "run_discrete")
         data = np.random.default_rng(2)
         problem = LeastSquaresProblem(data.standard_normal((8, 2)), data.standard_normal(8))
         plan = make_plan("sqrt-rmsprop", HyperParams(eta=0.05, beta=0.99), 2)
@@ -1216,10 +1261,8 @@ class TestValidateScalingArguments:
     @pytest.mark.parametrize("checkpoints", [[0], [0, 0]])
     def test_only_step_zero_rejected_before_any_run(self, checkpoints, monkeypatch):
         # both runs compared their identical starts: z = 0 and passed, vacuously
-        def no_run(*args, **kwargs):
-            raise AssertionError("a run started before the checkpoints were checked")
-
-        monkeypatch.setattr(harness, "run_discrete", no_run)
+        forbid_runs(monkeypatch, "a run started before the checkpoints were checked",
+                    "run_discrete")
         plan = make_plan("sqrt-rmsprop", HyperParams(eta=0.1, beta=0.99), 4)
         with pytest.raises(ValueError, match="no step after t = 0"):
             validate_scaling(plan, PROBLEM, "rmsprop", FNS, base_steps=8, checkpoints=checkpoints,
@@ -1228,10 +1271,7 @@ class TestValidateScalingArguments:
     @pytest.mark.parametrize("base_steps", [0, 2, 3])
     def test_base_steps_below_kappa_rejected_before_any_run(self, base_steps, monkeypatch):
         # the scaled run took base_steps // kappa = 0 steps
-        def no_run(*args, **kwargs):
-            raise AssertionError("a run started before base_steps was checked")
-
-        monkeypatch.setattr(harness, "run_discrete", no_run)
+        forbid_runs(monkeypatch, "a run started before base_steps was checked", "run_discrete")
         plan = make_plan("sqrt-rmsprop", HyperParams(eta=0.1, beta=0.99), 4)
         with pytest.raises(ValueError, match="below kappa"):
             validate_scaling(plan, PROBLEM, "rmsprop", FNS, base_steps=base_steps, checkpoints=[0],
@@ -1241,10 +1281,8 @@ class TestValidateScalingArguments:
     def test_plan_for_another_algorithm_rejected_before_any_run(self, rule, algo, monkeypatch):
         # a sqrt-rmsprop plan scales beta, which Adam never reads: the pair ran
         # at mismatched constants and reported its z-scores as if it had not
-        def no_run(*args, **kwargs):
-            raise AssertionError("a run started before the plan's algorithm was checked")
-
-        monkeypatch.setattr(harness, "run_discrete", no_run)
+        forbid_runs(monkeypatch, "a run started before the plan's algorithm was checked",
+                    "run_discrete")
         plan = make_plan(rule, HyperParams(eta=0.05, beta=0.99), 2)
         with pytest.raises(ValueError, match="another algorithm"):
             validate_scaling(plan, PROBLEM, algo, FNS, base_steps=8, checkpoints=[4, 8],
@@ -1301,29 +1339,20 @@ class TestLinearWarmupCheck:
 
     def test_single_seed_rejected_before_any_run(self, monkeypatch):
         # one seed has no sample variance: its SEs came out NaN
-        def no_run(*args, **kwargs):
-            raise AssertionError("a run started before the seed count was checked")
-
-        monkeypatch.setattr(harness, "run_discrete", no_run)
+        forbid_runs(monkeypatch, "a run started before the seed count was checked", "run_discrete")
         with pytest.raises(ValueError, match="seeds"):
             linear_warmup_check(self.G_BAR, self.SIGMA, self.ETA, self.K, 1, ROOT_SEED)
 
     def test_fractional_seed_count_rejected_before_any_run(self, monkeypatch):
         # 2.5 seeds reached the run and failed there as a TypeError
-        def no_run(*args, **kwargs):
-            raise AssertionError("a run started before the seed count was checked")
-
-        monkeypatch.setattr(harness, "run_discrete", no_run)
+        forbid_runs(monkeypatch, "a run started before the seed count was checked", "run_discrete")
         with pytest.raises(ValueError, match="seeds must be an int"):
             linear_warmup_check(self.G_BAR, self.SIGMA, self.ETA, self.K, 2.5, ROOT_SEED)
 
     def test_zero_sigma_rejected_before_any_run(self, monkeypatch):
         # at g_bar = 0 the dominance check read 0 >= 100 * 0 and passed; the
         # run then failed at step 1 on sqrt(v) + epsilon = 0
-        def no_run(*args, **kwargs):
-            raise AssertionError("a run started before sigma was checked")
-
-        monkeypatch.setattr(harness, "run_discrete", no_run)
+        forbid_runs(monkeypatch, "a run started before sigma was checked", "run_discrete")
         with pytest.raises(ValueError, match="sigma must be positive"):
             linear_warmup_check([0.0, 0.0], 0.0, self.ETA, self.K, self.SEEDS, ROOT_SEED)
 

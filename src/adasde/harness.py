@@ -58,7 +58,7 @@ from .optimizers import (
     finish,
     run_discrete,
 )
-from .problems import CovarianceSpec, IsotropicCovariance, LinearProblem, Problem
+from .problems import CovarianceSpec, Problem
 from .recording import NonFiniteError, TestFunctionSet, TrajectoryRecord
 from .scaling import DECAYS, ScalingPlan, hyperparams_from_constants
 from .sde import build_adam_sde, build_rmsprop_sde, build_sgd_sde, euler_maruyama
@@ -76,8 +76,6 @@ __all__ = [
     "svag_sweep",
     "ScalingReport",
     "validate_scaling",
-    "WarmupReport",
-    "linear_warmup_check",
 ]
 
 
@@ -302,8 +300,10 @@ def _horizon_steps(setup: ApproximationSetup, eta: float) -> int:
 
 
 def _checkpoint_steps(k_start: int, n_steps: int, count: int) -> list[int]:
-    # a set, not np.unique, which imports numpy.ma on its first call
-    ks = sorted({int(k) for k in np.round(np.linspace(k_start + 1, n_steps, count))})
+    # at count 1 np.linspace returns its start alone, and one checkpoint reads
+    # the horizon; a set, not np.unique, which imports numpy.ma on its first call
+    grid = np.linspace(k_start + 1, n_steps, count) if count > 1 else [n_steps]
+    ks = sorted({int(k) for k in np.round(grid)})
     return [k for k in ks if k > k_start]
 
 
@@ -507,7 +507,7 @@ def order_sweep(
 ) -> OrderReport:
     """Fit log(max gap) against log(eta) per test function.
 
-    Requires at least 3 positive eta values with successive ratios >= sqrt(2). The
+    Requires at least 3 positive, finite eta values with successive ratios >= sqrt(2). The
     fitted slope targets the approximation order (2 for the adaptive
     algorithms with effective time eta^2, 1 for SGD in eta). Cells whose gap
     never clears 2 SE are flagged inconclusive, not failed; identically zero
@@ -517,8 +517,8 @@ def order_sweep(
     etas = sorted((float(e) for e in etas), reverse=True)
     if len(etas) < 3:
         raise ValueError("need at least 3 eta values")
-    if not etas[-1] > 0:
-        raise ValueError(f"eta values must be positive, got {etas}")
+    if not all(0 < eta < math.inf for eta in etas):  # NaN fails this too, before any cell runs
+        raise ValueError(f"eta values must be positive and finite, got {etas}")
     ratios = [etas[i] / etas[i + 1] for i in range(len(etas) - 1)]
     if min(ratios) < math.sqrt(2.0) * 0.98:  # 2% slack admits the standard 0.2/0.14/0.1/... ladder
         raise ValueError("eta values must shrink by roughly sqrt(2) or more per step")
@@ -597,8 +597,8 @@ def svag_sweep(
     if ells[0] != 1.0:
         raise ValueError("the sweep must include ell = 1 as its base")
     for ell in ells:
-        if abs(ell - round(ell)) > 1e-12:
-            raise ValueError("ell values must be integers so checkpoint grids coincide")
+        if not math.isfinite(ell) or abs(ell - round(ell)) > 1e-12:  # round(inf) overflows
+            raise ValueError("ell values must be finite integers so checkpoint grids coincide")
     d = setup.problem.dim
     if not DECAYS[setup.algo]:
         raise ValueError("the amplified simulation applies to the adaptive algorithms")
@@ -778,91 +778,4 @@ def validate_scaling(
         scaled_mean=s_mean,
         scaled_se=s_se,
         z_scores=z_scores,
-    )
-
-
-def _rel_err(exact: np.ndarray, approx: np.ndarray) -> np.ndarray:
-    """|exact - approx| / |approx|, and 0 where the approximation vanishes."""
-    return np.divide(
-        np.abs(exact - approx), np.abs(approx), out=np.zeros_like(approx), where=approx != 0
-    )
-
-
-@dataclass(eq=False)
-class WarmupReport:
-    """Closed-form check for the frozen-preconditioner linear-loss run."""
-
-    k: int
-    exact_mean: np.ndarray
-    exact_var: np.ndarray
-    empirical_mean: np.ndarray
-    empirical_var: np.ndarray
-    z_mean: np.ndarray
-    z_var: np.ndarray
-    approx_mean_rel_err: np.ndarray
-    approx_var_rel_err: np.ndarray
-    seeds: int
-
-    @property
-    def passed(self) -> bool:
-        return bool(np.all(np.abs(self.z_mean) <= 4.0) and np.all(np.abs(self.z_var) <= 4.0))
-
-
-def linear_warmup_check(
-    g_bar,
-    sigma: float,
-    eta: float,
-    k: int,
-    seeds: int,
-    root_seed: int,
-) -> WarmupReport:
-    """Frozen-v run of k steps on a linear loss against the exact law of step k.
-
-    With decay frozen at 1, v stays at g_bar^2 + sigma^2 forever and each
-    coordinate of theta_k is exactly Gaussian:
-
-        mean  = -k eta g_i / sqrt(g_i^2 + sigma^2)
-        var   =  k eta^2 sigma^2 / (g_i^2 + sigma^2)
-
-    At sigma >> |g_bar| this collapses to the noise-dominated approximation
-    (-k eta/sigma g, k eta^2 I); both the exact law (within 4 SE) and the
-    approximation residual are reported. Requires sigma > 0 and
-    sigma >= 100 max|g_i|.
-    """
-    g_bar = np.atleast_1d(np.asarray(g_bar, dtype=float))
-    if not sigma > 0:  # at g_bar = 0 the dominance check below holds at sigma = 0
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
-    if sigma < 100.0 * np.max(np.abs(g_bar)):
-        raise ValueError("noise dominance requires sigma >= 100 * max|g_bar|")
-    _check_count("seeds", seeds, 2)  # every SE needs two samples
-    problem = LinearProblem(g_bar)
-    d = problem.dim
-    oracle = GaussianOracle(problem, IsotropicCovariance(1.0), sigma)
-    hp = HyperParams(eta=eta, beta=1.0, epsilon=0.0)
-    v0 = g_bar**2 + sigma**2
-    init = OptimizerState.initial(np.zeros((seeds, d)), v0=np.broadcast_to(v0, (seeds, d)))
-    fns = TestFunctionSet.from_names([f"theta_{i}" for i in range(d)], d)
-    rng = derive_rng(root_seed, "warmup")
-    rec = run_discrete(oracle, "rmsprop", hp, init, k, fns, [k], rng)
-
-    samples = np.stack([rec.values[f"theta_{i}"][0] for i in range(d)], axis=1)
-    emp_mean = samples.mean(axis=0)
-    emp_var = samples.var(axis=0, ddof=1)
-    exact_mean = -k * eta * g_bar / np.sqrt(g_bar**2 + sigma**2)
-    exact_var = k * eta**2 * sigma**2 / (g_bar**2 + sigma**2)
-    se_mean = np.sqrt(emp_var / seeds)
-    se_var = emp_var * math.sqrt(2.0 / (seeds - 1))
-    approx_mean = -k * eta / sigma * g_bar
-    approx_var = np.full(d, k * eta**2)
-    return WarmupReport(
-        k=k,
-        exact_mean=exact_mean,
-        exact_var=exact_var,
-        empirical_mean=emp_mean,
-        empirical_var=emp_var,
-        z_mean=_z_scores(emp_mean - exact_mean, se_mean),
-        z_var=_z_scores(emp_var - exact_var, se_var),
-        approx_mean_rel_err=_rel_err(exact_mean, approx_mean),
-        approx_var_rel_err=_rel_err(exact_var, approx_var),
-        seeds=seeds,
     )

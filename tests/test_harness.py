@@ -15,7 +15,6 @@ from adasde.harness import (
     ApproximationSetup,
     _SequencedGaussianOracle,
     compare_at_eta,
-    linear_warmup_check,
     order_sweep,
     svag_sweep,
     validate_scaling,
@@ -978,7 +977,10 @@ class TestSweepArguments:
         ("sgd", (1, 2, 4), "adaptive algorithms"),
         ("rmsprop", (0.5, 1, 2), "ell = 1 as its base"),
         ("rmsprop", (1, 2, 3), "divide the largest ell"),
-    ], ids=["sgd", "ell_below_one", "ell_not_dividing"])
+        # round(inf) raised OverflowError
+        ("rmsprop", (1, 2, math.inf), "finite integers"),
+        ("rmsprop", (1, 2, math.nan), "finite integers"),
+    ], ids=["sgd", "ell_below_one", "ell_not_dividing", "ell_inf", "ell_nan"])
     def test_svag_rejects_what_it_cannot_amplify_before_any_run(self, algo, ells, match, monkeypatch):
         # run ell is the cell at eta/ell, which builds as well for an SGD
         # setup, and for an ell below 1 at a larger step
@@ -1020,13 +1022,16 @@ class TestSweepArguments:
         with pytest.raises(ValueError, match="eta must be positive"):
             sweep(setup)
 
-    def test_order_sweep_rejects_a_zero_eta_before_any_run(self, monkeypatch):
-        # its ratio check divided by the smallest eta
+    @pytest.mark.parametrize("etas", [(0.2, 0.1, 0.0), (0.2, math.nan, 0.1), (math.inf, 0.2, 0.1)],
+                             ids=["zero", "nan", "inf"])
+    def test_order_sweep_rejects_a_zero_or_non_finite_eta_before_any_run(self, etas, monkeypatch):
+        # its ratio check divided by the smallest eta; a NaN passed the ratio
+        # check, and the 0.2 cell ran before compare_at_eta rejected it
         forbid_runs(monkeypatch, "a run started before the eta values were checked",
                     "compare_at_eta")
         setup = ApproximationSetup(PROBLEM, COV, "rmsprop", theta0=np.ones(2), u0=np.ones(2))
-        with pytest.raises(ValueError, match="eta values must be positive"):
-            order_sweep(setup, (0.2, 0.1, 0.0), FNS, ROOT_SEED)
+        with pytest.raises(ValueError, match="eta values must be positive and finite"):
+            order_sweep(setup, etas, FNS, ROOT_SEED)
 
     @pytest.mark.parametrize("sweep", [
         lambda setup: compare_at_eta(setup, 0.2, FNS, ROOT_SEED),
@@ -1137,12 +1142,28 @@ class TestSweepArguments:
 
 class TestCheckpointSteps:
     def test_equals_the_unique_rounded_grid(self):
+        # one checkpoint is the horizon: np.linspace returns only its start at
+        # count 1, which read the first step. At count 23 a grid built from the
+        # horizon down rounds some ties the other way (k_start 0, n_steps 26:
+        # 13 where this grid has 14)
         for k_start in (0, 1, 5):
             for n_steps in range(k_start + 1, k_start + 40):
-                for count in (1, 2, 3, 5, 8, 50):
+                for count in (1, 2, 3, 5, 8, 23, 50):
                     grid = np.unique(np.round(np.linspace(k_start + 1, n_steps, count)).astype(int))
-                    want = [int(k) for k in grid if k > k_start]
+                    want = [n_steps] if count == 1 else [int(k) for k in grid if k > k_start]
                     assert harness._checkpoint_steps(k_start, n_steps, count) == want
+
+    @pytest.mark.parametrize("sweep", [
+        lambda setup: compare_at_eta(setup, 0.2, FNS, ROOT_SEED).times,
+        lambda setup: svag_sweep(setup, 0.2, (1, 2, 4), FNS, ROOT_SEED).records[1.0].times,
+    ], ids=["compare_at_eta", "svag_sweep"])
+    def test_one_checkpoint_reads_the_horizon_in_a_sweep(self, sweep):
+        # T = 1 at eta = 0.2 is 25 RMSprop steps of 0.04; the one checkpoint read t = 0.04
+        setup = ApproximationSetup(
+            PROBLEM, COV, "rmsprop", theta0=np.ones(2), u0=np.ones(2), T=1.0, seeds=4,
+            n_checkpoints=1, em_substeps=2,
+        )
+        np.testing.assert_allclose(sweep(setup), [1.0], rtol=0, atol=1e-12)
 
     def test_no_sweep_imports_numpy_ma(self):
         # np.unique imported numpy.ma on the first sweep, 1.3 MiB of resident
@@ -1319,53 +1340,6 @@ class TestValidateScalingDeterministicCheckpoints:
         assert not report.passed
 
 
-class TestLinearWarmupCheck:
-    # Documented regime: sigma >= 100 max|g_bar|. The law is exact, so with
-    # 2000 seeds (fixed before any run) each of the four z-scores falls
-    # outside +-4 with probability ~6e-5 and the variance SE's normal
-    # approximation holds; a failure means the frozen-v update or its
-    # formulas moved.
-    G_BAR, SIGMA, ETA, K, SEEDS = (0.01, -0.02), 5.0, 0.1, 200, 2000
-
-    def _check(self, k=K):
-        return linear_warmup_check(self.G_BAR, self.SIGMA, self.ETA, k, self.SEEDS, ROOT_SEED)
-
-    def test_documented_regime_passes(self):
-        report = self._check()
-        assert report.k == self.K
-        assert report.passed
-        assert np.all(report.approx_mean_rel_err < 1e-4)
-        assert np.all(report.approx_var_rel_err < 1e-4)
-
-    def test_single_seed_rejected_before_any_run(self, monkeypatch):
-        # one seed has no sample variance: its SEs came out NaN
-        forbid_runs(monkeypatch, "a run started before the seed count was checked", "run_discrete")
-        with pytest.raises(ValueError, match="seeds"):
-            linear_warmup_check(self.G_BAR, self.SIGMA, self.ETA, self.K, 1, ROOT_SEED)
-
-    def test_fractional_seed_count_rejected_before_any_run(self, monkeypatch):
-        # 2.5 seeds reached the run and failed there as a TypeError
-        forbid_runs(monkeypatch, "a run started before the seed count was checked", "run_discrete")
-        with pytest.raises(ValueError, match="seeds must be an int"):
-            linear_warmup_check(self.G_BAR, self.SIGMA, self.ETA, self.K, 2.5, ROOT_SEED)
-
-    def test_zero_sigma_rejected_before_any_run(self, monkeypatch):
-        # at g_bar = 0 the dominance check read 0 >= 100 * 0 and passed; the
-        # run then failed at step 1 on sqrt(v) + epsilon = 0
-        forbid_runs(monkeypatch, "a run started before sigma was checked", "run_discrete")
-        with pytest.raises(ValueError, match="sigma must be positive"):
-            linear_warmup_check([0.0, 0.0], 0.0, self.ETA, self.K, self.SEEDS, ROOT_SEED)
-
-    def test_zero_steps_score_zero(self):
-        # every sample is theta_0 = 0: zero SE and an exact match, so z = 0, not 0/0
-        report = self._check(k=0)
-        assert report.k == 0
-        assert np.all(report.z_mean == 0.0) and np.all(report.z_var == 0.0)
-        assert np.all(report.approx_mean_rel_err == 0.0) and np.all(report.approx_var_rel_err == 0.0)
-        assert report.passed
-
-
-
 def _fields_set_to_arrays(cls):
     """A builder of ``cls`` with an array in every field, for the report types that check none."""
     return lambda: cls(**{f.name: np.zeros(2) for f in dataclasses.fields(cls)})
@@ -1382,11 +1356,10 @@ def _fields_set_to_arrays(cls):
         _fields_set_to_arrays(harness.OrderReport),
         _fields_set_to_arrays(harness.SvagReport),
         _fields_set_to_arrays(harness.ScalingReport),
-        _fields_set_to_arrays(harness.WarmupReport),
     ],
     ids=[
         "optimizer_state", "approximation_setup", "state_view", "trajectory_record",
-        "weak_error", "order", "svag", "scaling", "warmup",
+        "weak_error", "order", "svag", "scaling",
     ],
 )
 def test_types_holding_arrays_compare_and_hash_by_identity(build):

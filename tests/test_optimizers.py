@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adasde import optimizers
+from adasde.harness import derive_rng
 from adasde.ngos import GaussianOracle
 from adasde.optimizers import (
     ALGORITHMS,
@@ -426,6 +427,49 @@ class TestOneStepLaws:
         t = delta[:, :2]
         third, se = mean_and_se(t[:, :, None, None] * t[:, None, :, None] * t[:, None, None, :])
         np.testing.assert_array_less(np.abs(third - exact), 4 * se)
+
+
+class TestFrozenPreconditionerLaw:
+    """k RMSprop steps on a linear loss with v frozen at g^2 + sigma^2, against their exact law.
+
+    At beta = 1 and epsilon = 0, v never moves, so each coordinate of
+    theta_k is exactly Gaussian:
+
+        mean = -k eta g_i / sqrt(g_i^2 + sigma^2)
+        var  =  k eta^2 sigma^2 / (g_i^2 + sigma^2)
+
+    The sizes are fixed before any run: with 2000 seeds each of the four
+    z-scores falls outside +-4 with probability ~6e-5, and the normal
+    approximation of the variance's SE holds. A failure means the frozen-v
+    update moved.
+    """
+
+    G, SIGMA, ETA, K, SEEDS = np.array([0.01, -0.02]), 5.0, 0.1, 200, 2000
+
+    def z_scores(self, epsilon):
+        """(z of each coordinate's mean, z of its variance) after K steps."""
+        g, sigma, eta, k, seeds = self.G, self.SIGMA, self.ETA, self.K, self.SEEDS
+        oracle = GaussianOracle(LinearProblem(g), IsotropicCovariance(1.0), sigma)
+        hp = HyperParams(eta=eta, beta=1.0, epsilon=epsilon)
+        v0 = np.broadcast_to(g**2 + sigma**2, (seeds, 2))
+        init = OptimizerState.initial(np.zeros((seeds, 2)), v0=v0)
+        fns = TestFunctionSet.from_names(["theta_0", "theta_1"], 2)
+        rec = run_discrete(oracle, "rmsprop", hp, init, k, fns, [k], derive_rng(7, "warmup"))
+        samples = np.stack([rec.values[f"theta_{i}"][0] for i in range(2)], axis=1)
+        mean, var = samples.mean(axis=0), samples.var(axis=0, ddof=1)
+        exact_mean = -k * eta * g / np.sqrt(g**2 + sigma**2)
+        exact_var = k * eta**2 * sigma**2 / (g**2 + sigma**2)
+        se_mean, se_var = np.sqrt(var / seeds), var * np.sqrt(2.0 / (seeds - 1))
+        return (mean - exact_mean) / se_mean, (var - exact_var) / se_var
+
+    def test_mean_and_variance_meet_the_exact_law(self):
+        z_mean, z_var = self.z_scores(epsilon=0.0)
+        np.testing.assert_array_less(np.abs(np.concatenate([z_mean, z_var])), 4.0)
+
+    def test_epsilon_in_the_denominator_breaks_the_law(self):
+        # sqrt(v) + 1 shrinks every step by 5 / 6: the variance lands far below the law
+        _, z_var = self.z_scores(epsilon=1.0)
+        assert np.all(z_var < -4.0), z_var
 
 
 class TestSvagTransform:
